@@ -9,7 +9,8 @@ Two legs, both gated on correctness in addition to being timed:
    rehydrates engines.  The gate: every tenant's build fingerprint is
    element-wise identical to an isolated ``CIService`` run of the same
    world.  The artifact records the hydration/eviction churn and the
-   gateway's overhead against the N-isolated-services baseline.
+   gateway's overhead against the N-isolated-services baseline, as both
+   times and their ratio (``fleet_isolated_ratio``, recorded only).
 
 2. **Overload shedding** — a hot-tenant burst exceeding both admission
    bounds.  The gate: every submission is either durably accepted (and
@@ -184,6 +185,8 @@ def bench_parity(quick: bool) -> dict:
         "evictions": evictions,
         "fleet_seconds": fleet_seconds,
         "isolated_seconds": isolated_seconds,
+        # Recorded, not gated: the gateway's wall-time overhead factor.
+        "fleet_isolated_ratio": fleet_seconds / isolated_seconds,
         "results_identical": identical,
     }
 
@@ -257,7 +260,9 @@ def main() -> int:
         f"commits across {parity['modes']} modes, LRU cap {parity['max_resident']} "
         f"({parity['hydrations']} hydration(s), {parity['evictions']} eviction(s)): "
         f"fleet {parity['fleet_seconds']:.3f}s vs isolated "
-        f"{parity['isolated_seconds']:.3f}s, identical={parity['results_identical']}"
+        f"{parity['isolated_seconds']:.3f}s "
+        f"({parity['fleet_isolated_ratio']:.1f}x), "
+        f"identical={parity['results_identical']}"
     )
     print(
         f"overload: {overload['attempted']} attempted -> {overload['accepted']} "

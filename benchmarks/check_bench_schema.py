@@ -148,6 +148,7 @@ SCHEMAS = {
         "parity.evictions": int,
         "parity.fleet_seconds": NUMBER,
         "parity.isolated_seconds": NUMBER,
+        "parity.fleet_isolated_ratio": NUMBER,
         "parity.results_identical": bool,
         "overload.attempted": int,
         "overload.accepted": int,

@@ -67,6 +67,7 @@ class ModelRepository:
         self.nonce = uuid.uuid4().hex[:12] if nonce is None else str(nonce)
         self._commits: list[Commit] = []
         self._dead_letters: list[Any] = []
+        self._dead_letter_version = 0
         self._observers: list[
             tuple[Callable[[Commit], None], Callable[[list[Commit]], None] | None]
         ] = []
@@ -82,17 +83,30 @@ class ModelRepository:
         self.__dict__.update(state)
         # Snapshots written before the dead-letter log existed.
         self.__dict__.setdefault("_dead_letters", [])
+        self.__dict__.setdefault("_dead_letter_version", 0)
         self.__dict__.setdefault("_commit_gates", [])
 
     # -- dead letters ----------------------------------------------------------
     def record_dead_letter(self, letter: Any) -> None:
         """Append one undeliverable notification to the durable log."""
         self._dead_letters.append(letter)
+        self._dead_letter_version += 1
 
     @property
     def dead_letters(self) -> list[Any]:
         """Undeliverable notifications recorded by the service, in order."""
         return list(self._dead_letters)
+
+    @property
+    def dead_letter_version(self) -> int:
+        """Counts the changes to the dead-letter log (records and drains).
+
+        The log is not journaled, so replay cannot rebuild it; a holder
+        of the repository compares this counter with its value at the
+        last snapshot to tell whether the log changed since (see
+        :attr:`repro.ci.service.CIService.unjournaled_changes`).
+        """
+        return self._dead_letter_version
 
     def drain_dead_letters(self) -> list[Any]:
         """Atomically return-and-clear the dead-letter log.
@@ -109,6 +123,8 @@ class ModelRepository:
         resurrected.
         """
         drained, self._dead_letters = self._dead_letters, []
+        if drained:
+            self._dead_letter_version += 1
         return drained
 
     # -- committing -----------------------------------------------------------

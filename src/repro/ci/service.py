@@ -358,6 +358,9 @@ class CIService:
         self._snapshot_every: int | None = None
         self._builds_since_snapshot = 0
         self._replaying = False
+        # _unjournaled_stamp() as of the last snapshot or restore; None
+        # until the service has been saved or restored at all.
+        self._saved_stamp: tuple[int, int, int] | None = None
         # Storage governance (attach_persistence wires these up).
         self._keep_snapshots: int | None = None
         self._storage: "StorageGovernor | None" = None
@@ -379,6 +382,33 @@ class CIService:
     def plan(self):
         """The engine's :class:`~repro.core.estimators.plans.SampleSizePlan`."""
         return self.engine.plan
+
+    @property
+    def unjournaled_changes(self) -> bool:
+        """Whether the service holds state journal replay cannot rebuild.
+
+        Replay re-runs journaled commits only.  Three kinds of change
+        happen outside any commit, each counted where it is made: the
+        dead-letter log (records and drains,
+        :attr:`ModelRepository.dead_letter_version`), testset and pool
+        installs on the engine (:attr:`CIEngine.installs`), and
+        generations added to the pool (:attr:`TestsetPool.added` — e.g.
+        by a low-watermark refill callback, which replay never runs).
+        This is True when any of them moved since the last snapshot or
+        restore, and for a service never saved or restored.  Such a
+        change exists in memory alone until the next snapshot covers it
+        — a caller about to drop the service (the fleet's eviction)
+        snapshots first when this is set.
+        """
+        return self._unjournaled_stamp() != self._saved_stamp
+
+    def _unjournaled_stamp(self) -> tuple[int, int, int]:
+        pool = self.engine.pool
+        return (
+            self.repository.dead_letter_version,
+            self.engine.installs,
+            pool.added if pool is not None else 0,
+        )
 
     @staticmethod
     def planning_cache_info():
@@ -796,8 +826,10 @@ class CIService:
             raise PersistenceError(
                 "no snapshot store attached; call persist_to()/attach_persistence()"
             )
+        stamp = self._unjournaled_stamp()
         info = self._state_store.save_snapshot(self.export_state())
         self._builds_since_snapshot = 0
+        self._saved_stamp = stamp
         self._journal_event(
             SNAPSHOT,
             {"snapshot_sequence": info.sequence, "path": info.path},
@@ -1013,6 +1045,8 @@ class CIService:
                         "replayed_commits": replayed,
                     },
                 )
+        # Snapshot plus replay is exactly what the next restore rebuilds.
+        service._saved_stamp = service._unjournaled_stamp()
         return service
 
     @classmethod

@@ -237,6 +237,7 @@ class CIEngine:
         self.plan: SampleSizePlan = self._compute_plan()
         self._pool: TestsetPool | None = None
         self._rotations: list[GenerationRotationEvent] = []
+        self._installs = 0
         budget = script.steps
         if testset is None:
             if testset_pool is None or testset_pool.is_empty:
@@ -305,6 +306,17 @@ class CIEngine:
     def rotations(self) -> list[GenerationRotationEvent]:
         """All pool rotations performed so far, in order."""
         return list(self._rotations)
+
+    @property
+    def installs(self) -> int:
+        """Testset and pool installs made through this engine object.
+
+        Counts :meth:`install_testset` and :meth:`install_testset_pool`
+        calls, not pool rotations: a rotation is part of a commit's
+        build, which journal replay re-runs, while an install is not.
+        Runtime bookkeeping, not state — a restored engine counts from 0.
+        """
+        return self._installs
 
     # -- the four-step workflow ---------------------------------------------------
     def submit(self, model: Any) -> CommitResult:
@@ -512,6 +524,16 @@ class CIEngine:
         (recoverable with a properly sized install) instead of active on
         a set that cannot honour the plan.
         """
+        self._install_testset(testset, baseline_model, budget=budget)
+        self._installs += 1
+
+    def _install_testset(
+        self,
+        testset: Testset,
+        baseline_model: Any | None = None,
+        *,
+        budget: int | None = None,
+    ) -> None:
         if testset.size < self.plan.pool_size and self.evaluator.enforce_sample_size:
             raise TestsetSizeError(
                 f"replacement testset has {testset.size} examples "
@@ -534,6 +556,7 @@ class CIEngine:
         """
         self._set_pool_default_budget(pool)
         self._pool = pool
+        self._installs += 1
         if self.manager.is_exhausted and not pool.is_empty:
             self._rotate_from_pool()
 
@@ -630,6 +653,7 @@ class CIEngine:
         self._results = list(state["results"])
         self._pool = state["pool"]
         self._rotations = list(state["rotations"])
+        self._installs = 0
 
     def __getstate__(self) -> dict[str, Any]:
         return self.export_state()
@@ -712,7 +736,7 @@ class CIEngine:
                 enforce_sample_size=self.evaluator.enforce_sample_size,
             )
         from_generation = self.manager.generation
-        self.install_testset(testset, budget=budget)
+        self._install_testset(testset, budget=budget)
         event = GenerationRotationEvent(
             retired_testset_name=retired_name,
             installed_testset_name=testset.name,

@@ -369,6 +369,7 @@ class TestsetPool:
             _PoolEntry(testset=t, budget=b) for t, b in zip(testsets, budgets)
         )
         self._popped = 0
+        self._added = 0
         self._callbacks: list[Callable[[PoolLowWatermarkEvent], None]] = []
 
     # -- inspection ---------------------------------------------------------
@@ -386,6 +387,11 @@ class TestsetPool:
     def popped(self) -> int:
         """Generations handed out over the pool's lifetime."""
         return self._popped
+
+    @property
+    def added(self) -> int:
+        """Generations queued with :meth:`add` over the pool's lifetime."""
+        return self._added
 
     @property
     def is_empty(self) -> bool:
@@ -414,6 +420,7 @@ class TestsetPool:
         if budget is not None:
             budget = check_positive_int(budget, "budget")
         self._entries.append(_PoolEntry(testset=testset, budget=budget))
+        self._added += 1
 
     def pop(self) -> tuple[Testset, int | None]:
         """Hand out the next generation (and its budget) in FIFO order.
@@ -472,3 +479,5 @@ class TestsetPool:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        # Pools pickled before the add counter existed.
+        self.__dict__.setdefault("_added", 0)

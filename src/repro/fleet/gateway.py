@@ -8,11 +8,14 @@ the three things a shared deployment needs that a single service does
 not:
 
 * **Bounded residency.**  Live engines are held in an LRU of at most
-  ``max_resident`` tenants.  Eviction snapshots the service and compacts
-  its intake queue, then drops it; the next submission hydrates it back
-  from disk (``CIService.restore`` — the PR 4 contract makes this
-  element-wise identical to never having been evicted).  A thousand
-  registered tenants cost the memory of ``max_resident`` engines.
+  ``max_resident`` tenants.  Eviction compacts the tenant's intake queue
+  and releases the service, writing no tenant state — every commit is
+  already in the tenant journal.  The next submission hydrates it back
+  from the newest snapshot plus the journal tail (``CIService.restore``,
+  the path every crash takes — element-wise identical to never having
+  been evicted); the tenant's ``snapshot_every`` cadence bounds that
+  replay.  A thousand registered tenants cost the memory of
+  ``max_resident`` engines.
 * **Admission control and durable intake.**  A submission is either
   rejected *at the door* with a typed
   :class:`~repro.exceptions.AdmissionError` (fleet overload, tenant
@@ -266,7 +269,12 @@ class CIFleet:
     failure_threshold / cooldown_seconds:
         Per-tenant circuit-breaker configuration.
     snapshot_every:
-        Auto-snapshot cadence forwarded to every tenant service.
+        Auto-snapshot cadence forwarded to every tenant service (default
+        8, must be >= 1).  Eviction writes no snapshot, so this cadence
+        alone bounds hydration: a tenant is restored from its newest
+        snapshot plus at most ``snapshot_every - 1`` replayed commits.
+        Retention (prune + journal compaction) runs at these cadence
+        snapshots too, never at eviction.
     keep_snapshots:
         Snapshot-retention depth forwarded to every tenant service
         (default 3): each tenant snapshot prunes older generations and
@@ -286,7 +294,9 @@ class CIFleet:
         fleet-wide overload) until reclamation brings usage back under.
     sync:
         Fsync journals/intakes on every append (default).  Benchmarks
-        simulating thousands of tenants turn this off.
+        simulating thousands of tenants turn this off; a tenant is then
+        durable only to the OS page cache — its journal as much as its
+        intake, since eviction forces no fsynced snapshot either.
     transport_factory:
         Optional ``tenant_id -> NotificationTransport`` hook supplying
         each tenant's notification transport at registration/hydration.
@@ -308,7 +318,7 @@ class CIFleet:
         admission: AdmissionPolicy | None = None,
         failure_threshold: int = 3,
         cooldown_seconds: float = 30.0,
-        snapshot_every: int | None = None,
+        snapshot_every: int = 8,
         keep_snapshots: int | None = 3,
         storage: StorageGovernor | None = None,
         fleet_storage: StorageGovernor | None = None,
@@ -321,12 +331,18 @@ class CIFleet:
     ):
         if max_resident < 1:
             raise ValueError(f"max_resident must be >= 1, got {max_resident}")
+        if snapshot_every is None or snapshot_every < 1:
+            # The cadence snapshot is what bounds hydration replay, so an
+            # unset cadence would let replay grow with a tenant's history.
+            raise ValueError(
+                f"snapshot_every must be >= 1, got {snapshot_every!r}"
+            )
         self.root = Path(root)
         self.max_resident = int(max_resident)
         self.admission = admission if admission is not None else AdmissionPolicy()
         self.failure_threshold = int(failure_threshold)
         self.cooldown_seconds = float(cooldown_seconds)
-        self.snapshot_every = snapshot_every
+        self.snapshot_every = int(snapshot_every)
         self.keep_snapshots = keep_snapshots
         self.storage = storage
         self.fleet_storage = fleet_storage
@@ -336,6 +352,9 @@ class CIFleet:
         self._clock = clock or time.monotonic
         self._resident: OrderedDict[str, CIService] = OrderedDict()
         self._intakes: dict[str, IntakeQueue] = {}
+        # Registered tenant ids for the admission scan: read from disk on
+        # first use, then extended by register() (single-writer root).
+        self._registered: list[str] | None = None
         self._breakers: dict[str, CircuitBreaker] = {}
         self.hydrations = 0
         self.evictions = 0
@@ -457,6 +476,8 @@ class CIFleet:
             base_repo_sequence=len(service.repository),
             sync=self.sync,
         )
+        if self._registered is not None:
+            self._registered.append(tenant_id)
         self._resident[tenant_id] = service
         self._resident.move_to_end(tenant_id)
         self._enforce_capacity()
@@ -509,16 +530,27 @@ class CIFleet:
         return service
 
     def _try_evict(self, tenant_id: str) -> bool:
-        """Snapshot + compact + drop one resident tenant; False on failure.
+        """Compact one resident tenant's intake and release it; False on failure.
 
-        The fault point fires *before* the snapshot, so an injected
+        Eviction writes no tenant state: every commit was fsynced into the
+        tenant journal (``commit-received``) before its build ran, so the
+        newest snapshot plus the journal tail already restore the service
+        exactly — the next hydration takes the path every crash takes.
+        Replay depth is bounded by ``snapshot_every``, not by eviction.
+        The one exception is state replay cannot rebuild, changed since
+        the last snapshot (:attr:`CIService.unjournaled_changes`: the
+        dead-letter log, a testset or pool install, a generation added
+        to the pool): that is snapshotted first.
+
+        The fault point fires before anything else, so an injected
         eviction failure leaves the tenant resident and loses nothing —
         eviction is maintenance, never allowed to become a failure mode.
         """
         service = self._resident[tenant_id]
         try:
             fault_point("fleet.evict")
-            service.snapshot()
+            if service.unjournaled_changes:
+                service.snapshot()
             self._intake(tenant_id).compact()
         except Exception as exc:
             record_event(
@@ -605,9 +637,13 @@ class CIFleet:
 
     # -- the front door ------------------------------------------------------
     def _total_pending(self) -> int:
+        # Runs on every submission, so it must not list the tenants
+        # directory; tenants() stays disk-backed for read-only inspectors.
+        if self._registered is None:
+            self._registered = self.tenants()
         return sum(
             self._intake(tenant_id).pending_count
-            for tenant_id in self.tenants()
+            for tenant_id in self._registered
         )
 
     def enqueue(
@@ -962,7 +998,12 @@ class CIFleet:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Evict every resident tenant (snapshot + compact) cleanly."""
+        """Evict every resident tenant: compact its intake and release it.
+
+        Like any eviction this normally writes no tenant state (see
+        :meth:`_try_evict`); a fleet reopened on the same root hydrates
+        each tenant from its newest snapshot plus the journal tail.
+        """
         for tenant_id in list(self._resident):
             self._try_evict(tenant_id)
 

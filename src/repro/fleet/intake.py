@@ -387,8 +387,10 @@ class IntakeQueue:
 
         Keeps a fresh cursor (anchored past every acknowledged
         submission) plus the pending entries, preserving their original
-        sequences — so a fleet that evicts a tenant bounds that tenant's
-        intake file by its *pending* depth, not its lifetime traffic.
+        sequences.  It is the only write an ordinary fleet eviction
+        makes (see :meth:`repro.fleet.CIFleet._try_evict`), and it
+        bounds the evicted tenant's intake file by its *pending* depth,
+        not its lifetime traffic.
         Returns the number of records dropped.  Written
         temp-then-rename, so a crash mid-compaction leaves the previous
         file intact.

@@ -48,9 +48,10 @@ site                      instrumented where
 ``fleet.hydrate``         :meth:`repro.fleet.CIFleet.service` — ``raise``
                           simulates a tenant whose cold resume fails
                           (counts against its circuit breaker)
-``fleet.evict``           the fleet's LRU eviction (snapshot + close) —
-                          ``raise`` aborts the eviction; the tenant
-                          stays resident, nothing is lost
+``fleet.evict``           the fleet's LRU eviction, before the intake
+                          compaction and release — ``raise`` aborts the
+                          eviction; the tenant stays resident, nothing
+                          is lost
 ``fleet.process``         traversed before each intake entry is applied
                           to a tenant's engine; the per-tenant variant
                           ``fleet.process.<tenant-id>`` is traversed

@@ -14,11 +14,10 @@ optimize —
    worker caches cold each round),
 5. the **bandwidth-bound section**: one large-``n`` heterogeneous pairs
    dispatch (~1k probes at ``n ~ 2e5``, the shape of a planning sweep's
-   advisory scan) per accumulation tier — the pre-fusion ``reference``
-   float64 loop, the cache-blocked fused float64 kernel, the fused
-   float32 tier, and (where numba is importable) the jit scan — with
-   bytes-touched accounting: gathered window cells x per-cell bytes,
-   and the effective gather bandwidth each tier sustains,
+   advisory scan) per inner loop — the pre-fusion ``reference`` loop
+   and the cache-blocked fused kernel — with bytes-touched accounting:
+   gathered window cells x per-cell bytes, and the effective gather
+   bandwidth each loop sustains,
 
 — and writes the numbers to ``BENCH_perf_kernels.json`` in the repo root
 so future PRs have a trajectory.  Asserts the acceptance criteria:
@@ -34,11 +33,10 @@ the noisy-runner rationale skips timing gates in ``--quick``); the
 correctness gates — element-wise identity, certificates — hold
 everywhere, and the measured ratio plus ``speedup_gate_enforced`` are
 recorded in the JSON either way.  The bandwidth section follows the same
-discipline: the float32 tier must be >= 2x the reference kernel at the
+discipline: the fused kernel must be >= 2x the reference kernel at the
 full large-``n`` workload (skipped in ``--quick``, whose shrunken probes
 don't exercise the bandwidth wall), while the identity gate (fused
-float64 bit-identical to reference) and the certificate gate (float32
-within its returned absolute error bound) are enforced everywhere.
+bit-identical to reference) is enforced everywhere.
 
 Run via ``make bench-perf`` (``make bench-perf WORKERS=8`` overrides the
 shard width) or directly:
@@ -70,7 +68,6 @@ from repro.stats.batch import (
     exact_coverage_failure_probability_pairs,
 )
 from repro.stats.cache import all_cache_info, clear_all_caches
-from repro.stats.jit import NUMBA_AVAILABLE
 from repro.stats.parallel import PlanningExecutor
 from repro.stats.tight_bounds import (
     exceeds_delta_many,
@@ -292,19 +289,17 @@ def _window_cells(ns, ps, eps) -> int:
 
 
 def bench_pairs_bandwidth(quick: bool = False) -> dict:
-    """Per-tier large-``n`` pairs dispatches with bytes-touched accounting.
+    """Per-loop large-``n`` pairs dispatches with bytes-touched accounting.
 
     Times ``exact_coverage_failure_probability_pairs`` on one
     planning-sweep-shaped batch — per-element ``(n, p, eps)`` triples at
-    ``n ~ 2e5``, ``p`` near 1/2 — for each accumulation tier: the
-    pre-fusion ``reference`` float64 loop (the yardstick and oracle), the
-    cache-blocked fused float64 kernel (must be bit-identical), the fused
-    float32 tier (must land within its returned absolute error bound and,
-    at the full workload, beat reference by >= 2x — the memory-bandwidth
-    headline), and the numba jit scan where importable.  The shared
-    layout is built off-clock (a planning service keeps it resident) and
-    each tier's time is the fastest of ``repeats`` runs — the standard
-    noise-robust estimator for bandwidth-bound loops.
+    ``n ~ 2e5``, ``p`` near 1/2 — for each inner loop: the pre-fusion
+    ``reference`` loop (the yardstick and oracle) and the cache-blocked
+    fused kernel (must be bit-identical and, at the full workload, beat
+    reference by >= 2x).  The shared layout is built off-clock (a
+    planning service keeps it resident) and each loop's time is the
+    fastest of ``repeats`` runs — the standard noise-robust estimator
+    for bandwidth-bound loops.
     """
     elements = 128 if quick else PAIRS_ELEMENTS
     base_n = 20_000 if quick else PAIRS_BASE_N
@@ -316,14 +311,13 @@ def bench_pairs_bandwidth(quick: bool = False) -> dict:
     cells = _window_cells(ns, ps, eps)
     pairs = exact_coverage_failure_probability_pairs
 
-    # One warm-up dispatch per tier off-clock (builds the shared layout),
-    # then the tiers are timed *interleaved*, round-robin, taking each
-    # tier's fastest round: machine-load drift during the section hits
-    # every tier alike instead of whichever happened to run last.
+    # One warm-up dispatch per loop off-clock (builds the shared layout),
+    # then the loops are timed *interleaved*, round-robin, taking each
+    # loop's fastest round: machine-load drift during the section hits
+    # both alike instead of whichever happened to run last.
     timed_tiers = {
         "reference": lambda: pairs(ns, ps, eps, impl="reference"),
         "fused": lambda: pairs(ns, ps, eps),
-        "float32": lambda: pairs(ns, ps, eps, precision="float32"),
     }
     results_by_tier = {name: fn() for name, fn in timed_tiers.items()}
     best = {name: float("inf") for name in timed_tiers}
@@ -334,11 +328,6 @@ def bench_pairs_bandwidth(quick: bool = False) -> dict:
             best[name] = min(best[name], time.perf_counter() - t0)
     t_ref, ref = best["reference"], results_by_tier["reference"]
     t_fused, fused = best["fused"], results_by_tier["fused"]
-    t_f32 = best["float32"]
-    values32, bound32 = pairs(
-        ns, ps, eps, precision="float32", return_error_bound=True
-    )
-    err32 = np.abs(values32 - ref)
 
     def tier(name: str, seconds: float, bytes_per_cell: int) -> dict:
         window_bytes = cells * bytes_per_cell
@@ -354,37 +343,19 @@ def bench_pairs_bandwidth(quick: bool = False) -> dict:
     tiers = [
         tier("reference_float64", t_ref, 8),
         tier("fused_float64", t_fused, 8),
-        tier("fused_float32", t_f32, 4),
     ]
-    result = {
+    return {
         "elements": elements,
         "n_range": [int(ns.min()), int(ns.max())],
         "window_cells": cells,
         "tiers": tiers,
         "fused_identical_to_reference": bool(np.array_equal(fused, ref)),
-        "float32_within_certified_bound": bool(np.all(err32 <= bound32)),
-        "float32_max_abs_error": float(err32.max()),
-        "float32_max_bound": float(bound32.max()),
-        "float32_speedup": t_ref / t_f32,
-        "jit_available": NUMBA_AVAILABLE,
+        "fused_speedup": t_ref / t_fused,
         # Quick mode shrinks the probes below the bandwidth wall and runs
-        # on noisy shared runners; the correctness gates above are
-        # asserted regardless, the >= 2x gate only on the real workload.
+        # on noisy shared runners; the identity gate is asserted
+        # regardless, the >= 2x gate only on the real workload.
         "speedup_gate_enforced": bool(not quick),
     }
-    if NUMBA_AVAILABLE:  # pragma: no cover - exercised only with numba
-        jit_values = pairs(ns, ps, eps, impl="jit")  # off-clock compile
-        t_jit = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            jit_values = pairs(ns, ps, eps, impl="jit")
-            t_jit = min(t_jit, time.perf_counter() - t0)
-        tiers.append(tier("jit_float64", t_jit, 8))
-        # Left-to-right accumulation: near- but not bit-identical.
-        result["jit_matches_reference"] = bool(
-            np.allclose(jit_values, ref, rtol=1e-9, atol=1e-300)
-        )
-    return result
 
 
 def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
@@ -438,19 +409,15 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
             f"at {sweep['workers']} workers is below the required 2.5x"
         )
 
-    # Bandwidth-section gates: identity and certificate always, >= 2x on
-    # the full large-n workload only (quick probes sit below the wall).
+    # Bandwidth-section gates: identity always, >= 2x on the full
+    # large-n workload only (quick probes sit below the wall).
     bandwidth = results["pairs_bandwidth"]
     assert bandwidth["fused_identical_to_reference"], (
-        "fused float64 pairs kernel diverged bit-wise from the reference loop"
-    )
-    assert bandwidth["float32_within_certified_bound"], (
-        "float32 pairs tier escaped its certified absolute error bound "
-        f"(max error {bandwidth['float32_max_abs_error']:.3e})"
+        "fused pairs kernel diverged bit-wise from the reference loop"
     )
     if bandwidth["speedup_gate_enforced"]:
-        assert bandwidth["float32_speedup"] >= 2.0, (
-            f"float32 pairs tier speedup {bandwidth['float32_speedup']:.2f}x "
+        assert bandwidth["fused_speedup"] >= 2.0, (
+            f"fused pairs kernel speedup {bandwidth['fused_speedup']:.2f}x "
             "over the reference kernel is below the required 2x"
         )
 

@@ -67,10 +67,7 @@ SCHEMAS = {
         "pairs_bandwidth.tiers.[].effective_gbps": NUMBER,
         "pairs_bandwidth.tiers.[].speedup_vs_reference": NUMBER,
         "pairs_bandwidth.fused_identical_to_reference": bool,
-        "pairs_bandwidth.float32_within_certified_bound": bool,
-        "pairs_bandwidth.float32_max_abs_error": NUMBER,
-        "pairs_bandwidth.float32_speedup": NUMBER,
-        "pairs_bandwidth.jit_available": bool,
+        "pairs_bandwidth.fused_speedup": NUMBER,
         "pairs_bandwidth.speedup_gate_enforced": bool,
         "cache_info_after": dict,
     },

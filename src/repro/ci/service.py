@@ -80,7 +80,6 @@ from repro.ci.persistence import (
 from repro.ci.repository import ModelRepository
 from repro.core.engine import CIEngine, CommitResult
 from repro.core.kernel import (
-    DirectoryStateStore,
     KernelBackend,
     StateStore,
     get_backend,
@@ -279,13 +278,6 @@ class CIService:
         worker count never changes build records, signals or budgets,
         and snapshots taken under any worker setting restore identically
         on any other (plans are re-derived, never serialized).
-    precision:
-        Planning-kernel accumulation tier forwarded to the engine:
-        ``None`` keeps the estimator's setting (``"float64"`` for the
-        stock one); ``"float32"`` halves the planning kernels' memory
-        traffic while every adopted plan is still certified against the
-        float64 reference — build records, signals and budgets never
-        change with the tier.
     engine_kwargs:
         Extra keyword arguments forwarded to :class:`CIEngine` (e.g.
         ``estimator`` or ``enforce_testset_size``).
@@ -300,7 +292,6 @@ class CIService:
         repository: ModelRepository | None = None,
         transport: NotificationTransport | None = None,
         workers: int | str | None = None,
-        precision: str | None = None,
         **engine_kwargs: Any,
     ):
         self.script = script
@@ -314,7 +305,6 @@ class CIService:
             baseline_model,
             notifier=notifier,
             workers=workers,
-            precision=precision,
             **engine_kwargs,
         )
         self.repository.on_commit(self._on_commit, batch_observer=self._on_commit_batch)
@@ -351,7 +341,7 @@ class CIService:
         # All durable I/O routes through the kernel StateStore seam; the
         # _store/_journal pair mirrors the default backend's underlying
         # snapshot store and journal (None under a foreign backend) for
-        # call sites that still speak the two-object PR-4 contract.
+        # the retention and operations code that reads them directly.
         self._state_store: StateStore | None = None
         self._store: SnapshotStore | None = None
         self._journal: EventJournal | None = None
@@ -693,43 +683,17 @@ class CIService:
             )
 
     # -- durable state ------------------------------------------------------------
-    @staticmethod
-    def _coerce_state_store(
-        store: "StateStore | SnapshotStore",
-        journal: EventJournal | None,
-    ) -> StateStore:
-        """Accept the kernel seam or the legacy two-object PR-4 pair.
-
-        A :class:`~repro.core.kernel.StateStore` passes through (its
-        journal, if any, is its own business — ``journal`` must then be
-        ``None``); a bare :class:`SnapshotStore` plus optional
-        :class:`EventJournal` is wrapped in the default backend's
-        :class:`~repro.core.kernel.DirectoryStateStore`.
-        """
-        if isinstance(store, SnapshotStore):
-            return DirectoryStateStore(store, journal)
-        if journal is not None:
-            raise PersistenceError(
-                "journal= can only accompany a SnapshotStore; a StateStore "
-                "carries its own event record"
-            )
-        return store
-
     def attach_persistence(
         self,
-        store: "StateStore | SnapshotStore",
-        journal: EventJournal | None = None,
+        store: StateStore,
         *,
         snapshot_every: int | None = None,
         keep_snapshots: int | None = 3,
         storage: StorageGovernor | None = None,
     ) -> None:
-        """Bind the service to a state store.
+        """Bind the service to a kernel :class:`~repro.core.kernel.StateStore`.
 
-        ``store`` is either a kernel
-        :class:`~repro.core.kernel.StateStore` or — the original PR-4
-        surface — a :class:`SnapshotStore` with an optional
-        :class:`EventJournal`.  With an event record available every
+        With an event record available every
         webhook journals the commit before evaluating and the build
         trail after; ``snapshot_every=N`` also snapshots automatically
         after every ``N`` builds, bounding replay work (journal lag) at
@@ -759,10 +723,9 @@ class CIService:
             raise PersistenceError(
                 f"keep_snapshots must be >= 1, got {keep_snapshots}"
             )
-        state_store = self._coerce_state_store(store, journal)
-        self._state_store = state_store
-        self._store = getattr(state_store, "snapshots", None)
-        self._journal = getattr(state_store, "journal", None)
+        self._state_store = store
+        self._store = getattr(store, "snapshots", None)
+        self._journal = getattr(store, "journal", None)
         self._snapshot_every = snapshot_every
         self._builds_since_snapshot = 0
         self._keep_snapshots = keep_snapshots
@@ -991,8 +954,7 @@ class CIService:
     @classmethod
     def restore(
         cls,
-        store: "StateStore | SnapshotStore",
-        journal: EventJournal | None = None,
+        store: StateStore,
         *,
         transport: NotificationTransport | None = None,
         snapshot_every: int | None = None,
@@ -1019,26 +981,25 @@ class CIService:
         deleted) only when ``record=True``; read-only inspection skips
         them in place.
         """
-        state_store = cls._coerce_state_store(store, journal)
-        loaded = state_store.load_latest(quarantine=record)
+        loaded = store.load_latest(quarantine=record)
         if loaded is None:
             raise PersistenceError(
-                f"no snapshot to restore from in {state_store.location}; "
+                f"no snapshot to restore from in {store.location}; "
                 "persist_to() must have run at least once"
             )
         state, info = loaded
         service = cls.from_state(state, transport=transport)
         service.attach_persistence(
-            state_store,
+            store,
             snapshot_every=snapshot_every,
             keep_snapshots=keep_snapshots,
             storage=storage,
         )
         replayed = 0
-        if state_store.journal_sequence is not None:
+        if store.journal_sequence is not None:
             replayed = service._replay_journal()
             if record:
-                state_store.append_event(
+                store.append_event(
                     RESTORE,
                     {
                         "snapshot_sequence": info.sequence,

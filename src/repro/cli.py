@@ -97,14 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="planning worker processes: a count, 'auto' (one per CPU) or "
         "'serial' (default: serial, or $REPRO_PLAN_WORKERS)",
     )
-    plan.add_argument(
-        "--precision",
-        default="float64",
-        choices=["float64", "float32"],
-        help="planning-kernel accumulation tier: float32 halves memory "
-        "traffic; adopted plans are certified against the float64 "
-        "reference either way (default: float64)",
-    )
 
     validate = sub.add_parser("validate", help="validate a script file")
     validate.add_argument("script", type=Path, help="path to the .travis.yml-style file")
@@ -180,7 +172,6 @@ def _run_plan(args: argparse.Namespace) -> int:
         optimizations="none" if args.baseline else "auto",
         use_exact_binomial=args.exact_binomial,
         workers=args.workers,
-        precision=args.precision,
     )
     plan = estimator.plan(
         args.condition,
@@ -221,7 +212,6 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 
 def _run_ops(args: argparse.Namespace) -> int:
-    from repro.ci.persistence import open_state_dir
     from repro.ci.service import CIService
     from repro.utils.serialization import dumps
 
@@ -233,8 +223,7 @@ def _run_ops(args: argparse.Namespace) -> int:
         return 0 if report.restorable else 2
     # Restore without recording: inspection must never mutate the journal
     # (and, with record=False, never quarantines corrupt snapshots either).
-    store, journal = open_state_dir(args.state_dir, create=False)
-    service = CIService.restore(store, journal, record=False)
+    service = CIService.resume(args.state_dir, record=False)
     report = service.operations()
     print(dumps(report) if args.json else report.describe())
     return 0

@@ -88,7 +88,6 @@ from repro.core.testset import (
 )
 from repro.exceptions import (
     EngineStateError,
-    InvalidParameterError,
     PersistenceError,
     TestsetSizeError,
 )
@@ -193,15 +192,6 @@ class CIEngine:
         :class:`~repro.core.kernel.KernelBackend` instance, or ``None``
         for ``"default"`` (the stock
         :class:`SampleSizeEstimator`/:class:`ConditionEvaluator` pair).
-    precision:
-        Accumulation tier of the planning kernels: ``None`` (keep the
-        estimator's setting — ``"float64"`` for the stock one) or an
-        explicit ``"float64"`` / ``"float32"``.  The float32 tier halves
-        the planning kernels' memory traffic; its probes are certified
-        against the float64 reference, so plans never weaken.  When a
-        custom ``estimator`` disagrees, it is rebuilt — same class — from
-        its exported config with ``precision`` applied, mirroring how a
-        parallel ``workers`` setting is grafted on.
     """
 
     def __init__(
@@ -216,20 +206,8 @@ class CIEngine:
         testset_pool: TestsetPool | None = None,
         workers: int | str | None = None,
         backend: str | KernelBackend | None = None,
-        precision: str | None = None,
     ):
         self.script = script
-        if precision is not None:
-            if precision not in ("float64", "float32"):
-                raise InvalidParameterError(
-                    f"precision must be 'float64' or 'float32', got {precision!r}"
-                )
-            if estimator is None:
-                estimator = SampleSizeEstimator(precision=precision)
-            elif getattr(estimator, "precision", "float64") != precision:
-                config = dict(estimator.export_config())
-                config["precision"] = precision
-                estimator = type(estimator)(**config)
         self._backend = get_backend(backend)
         self._planner = self._backend.make_planner(
             workers=workers, estimator=estimator
@@ -276,16 +254,6 @@ class CIEngine:
     def planner(self):
         """The backend's :class:`~repro.core.kernel.interfaces.Planner`."""
         return self._planner
-
-    @property
-    def estimator(self):
-        """The planner's underlying estimator (compatibility surface).
-
-        The default planner wraps a :class:`SampleSizeEstimator` and
-        exposes it here; planners without one stand in for themselves
-        (they carry the same ``workers`` / ``export_config`` surface).
-        """
-        return getattr(self._planner, "estimator", self._planner)
 
     @property
     def results(self) -> list[CommitResult]:

@@ -41,7 +41,11 @@ from repro.core.patterns.matcher import (
     find_gain_clause,
     match_pattern1,
 )
-from repro.exceptions import InfeasibleConditionError, InvalidParameterError
+from repro.exceptions import (
+    InfeasibleConditionError,
+    InvalidParameterError,
+    PersistenceError,
+)
 from repro.stats.cache import (
     CacheInfo,
     LRUCache,
@@ -94,18 +98,6 @@ class SampleSizeEstimator:
         Size single-variable clauses by §4.3 exact binomial inversion
         instead of Hoeffding (never larger; 10–40% smaller typically).
         Off by default because the paper's headline tables use Hoeffding.
-    precision:
-        Accumulation tier of the exact-binomial planning kernels:
-        ``"float64"`` (default, bit-identical to every release so far) or
-        ``"float32"`` (half the memory traffic in the bandwidth-bound
-        scans).  Reduced-precision probes are *certified, not trusted* —
-        every adopted sample size is re-checked against the float64
-        reference, so plans never weaken (see
-        :func:`repro.stats.tight_bounds.tight_sample_size`).
-    kernel:
-        ``"numpy"`` (default) or ``"jit"`` — the optional Numba windowed
-        scan registered as kernel backend ``"jit"`` and certified by the
-        conformance suite.  Requires numba; validated eagerly.
     use_plan_cache:
         Serve repeated :meth:`plan` calls from a process-wide LRU cache
         keyed on the normalized condition source, the reliability spec and
@@ -143,8 +135,6 @@ class SampleSizeEstimator:
         use_exact_binomial: bool = False,
         use_plan_cache: bool = True,
         workers: int | str | None = None,
-        precision: str = "float64",
-        kernel: str = "numpy",
     ):
         if optimizations not in ("auto", "none"):
             raise InvalidParameterError(
@@ -155,21 +145,6 @@ class SampleSizeEstimator:
                 f"variance_bound_policy must be one of {self._POLICIES}, "
                 f"got {variance_bound_policy!r}"
             )
-        if precision not in ("float64", "float32"):
-            raise InvalidParameterError(
-                f"precision must be 'float64' or 'float32', got {precision!r}"
-            )
-        if kernel not in ("numpy", "jit"):
-            raise InvalidParameterError(
-                f"kernel must be 'numpy' or 'jit', got {kernel!r}"
-            )
-        if kernel == "jit":
-            from repro.stats.jit import NUMBA_AVAILABLE
-
-            if not NUMBA_AVAILABLE:
-                raise InvalidParameterError(
-                    "kernel='jit' requires numba, which is not importable"
-                )
         if workers is not None:
             resolve_workers(workers)  # validate eagerly; resolve per call
         self.optimizations = optimizations
@@ -177,8 +152,32 @@ class SampleSizeEstimator:
         self.use_exact_binomial = bool(use_exact_binomial)
         self.use_plan_cache = bool(use_plan_cache)
         self.workers = workers
-        self.precision = precision
-        self.kernel = kernel
+
+    @classmethod
+    def from_config(
+        cls, config: Mapping[str, Any], **overrides: Any
+    ) -> "SampleSizeEstimator":
+        """Rebuild an estimator from a persisted :meth:`export_config` mapping.
+
+        Every path that restores an estimator from stored state goes
+        through here.  Configs written by older releases may also carry
+        an accumulation-tier ``precision`` and ``kernel="numpy"``;
+        neither ever changed a plan, so both are dropped.  Any other
+        ``kernel`` (the retired Numba one) raises
+        :class:`PersistenceError`: its plans were not bit-identical to
+        the NumPy kernel's, so a restore could not reproduce them.
+        ``overrides`` replace config keys (e.g. ``workers``).
+        """
+        config = dict(config)
+        config.pop("precision", None)
+        kernel = config.pop("kernel", "numpy")
+        if kernel != "numpy":
+            raise PersistenceError(
+                f"estimator config names kernel={kernel!r}, which this release "
+                "no longer provides; its plans cannot be reproduced"
+            )
+        config.update(overrides)
+        return cls(**config)
 
     # -- plan cache --------------------------------------------------------------
     def _config_key(self) -> tuple:
@@ -186,15 +185,13 @@ class SampleSizeEstimator:
             self.optimizations,
             self.variance_bound_policy,
             self.use_exact_binomial,
-            self.precision,
-            self.kernel,
         )
 
     def export_config(self) -> dict[str, Any]:
         """Constructor kwargs reproducing this estimator.
 
         This is what engine snapshots persist instead of the estimator
-        object's caches: ``SampleSizeEstimator(**config)`` on restore
+        object's caches: :meth:`from_config` on restore
         yields an estimator whose plans are bit-identical to the
         originals (plans are pure functions of condition, spec and this
         configuration).
@@ -205,8 +202,6 @@ class SampleSizeEstimator:
             "use_exact_binomial": self.use_exact_binomial,
             "use_plan_cache": self.use_plan_cache,
             "workers": self.workers,
-            "precision": self.precision,
-            "kernel": self.kernel,
         }
 
     @staticmethod
@@ -432,12 +427,7 @@ class SampleSizeEstimator:
             )
         if strategy is ClauseStrategy.EXACT_BINOMIAL:
             samples = float(
-                tight_sample_size(
-                    clause.tolerance,
-                    min(delta_clause, 0.5),
-                    precision=self.precision,
-                    kernel=self.kernel,
-                )
+                tight_sample_size(clause.tolerance, min(delta_clause, 0.5))
             )
             lin = linearize(clause)
             (variable,) = lin.variables()
@@ -567,9 +557,9 @@ def _warm_plan_cache(manifest: Mapping[str, Any]) -> None:
     spawning a worker pool, and worker count does not affect the plan.
     """
     for request in manifest.get("plans", ()):
-        config = dict(request.get("estimator") or {})
-        config["workers"] = "serial"
-        estimator = SampleSizeEstimator(**config)
+        estimator = SampleSizeEstimator.from_config(
+            request.get("estimator") or {}, workers="serial"
+        )
         estimator.plan(
             request["condition"],
             delta=request["delta"],

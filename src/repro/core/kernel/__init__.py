@@ -12,7 +12,6 @@ against the stock behavior, element-wise.
 
 from repro.core.kernel.default import DefaultPlanner, DirectoryStateStore
 from repro.core.kernel.interfaces import Evaluator, Planner, StateStore
-from repro.core.kernel.jit import JitPlanner
 from repro.core.kernel.registry import (
     KernelBackend,
     available_backends,
@@ -32,7 +31,6 @@ __all__ = [
     "StateStore",
     "KernelBackend",
     "DefaultPlanner",
-    "JitPlanner",
     "DirectoryStateStore",
     "register_planner",
     "register_evaluator",

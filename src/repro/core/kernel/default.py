@@ -65,7 +65,7 @@ class DefaultPlanner:
         serial setting leaves the supplied instance untouched).
         """
         if config is not None:
-            estimator = SampleSizeEstimator(**dict(config))
+            estimator = SampleSizeEstimator.from_config(config)
         elif estimator is None:
             estimator = SampleSizeEstimator(workers=workers)
         elif workers is not None and resolve_workers(workers) > 1:
@@ -123,7 +123,7 @@ class DirectoryStateStore:
     Composes a :class:`~repro.ci.persistence.SnapshotStore` and an
     (optional) :class:`~repro.ci.persistence.EventJournal`; the
     underlying pair stays reachable as :attr:`snapshots` / :attr:`journal`
-    for call sites that still speak the two-object contract.
+    for the service's retention and operations code.
     """
 
     def __init__(

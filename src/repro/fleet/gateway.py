@@ -55,9 +55,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.ci.notifications import NotificationTransport
-from repro.ci.persistence import open_state_dir
 from repro.ci.repository import ModelRepository
 from repro.ci.service import BuildRecord, CIService, OperationsReport
+from repro.core.kernel import get_backend
 from repro.core.script.config import CIScript
 from repro.core.testset import Testset, TestsetPool
 from repro.exceptions import (
@@ -503,12 +503,11 @@ class CIFleet:
         directory = self._require_tenant(tenant_id)
         try:
             fault_point("fleet.hydrate")
-            store, journal = open_state_dir(
+            store = get_backend().open_state_store(
                 directory, create=False, sync=self.sync
             )
             service = CIService.restore(
                 store,
-                journal,
                 transport=self._transport(tenant_id),
                 snapshot_every=self.snapshot_every,
                 keep_snapshots=self.keep_snapshots,
@@ -966,12 +965,11 @@ class CIFleet:
         service = self._resident.get(tenant_id)
         if service is None:
             directory = self._require_tenant(tenant_id)
-            store, journal = open_state_dir(
+            store = get_backend().open_state_store(
                 directory, create=False, sync=self.sync
             )
             service = CIService.restore(
                 store,
-                journal,
                 record=False,
                 keep_snapshots=self.keep_snapshots,
                 storage=self.storage,

@@ -58,12 +58,6 @@ site                      instrumented where
                           right after it, so a chaos schedule can fail
                           exactly one tenant's engine repeatedly (the
                           breaker-isolation scenario)
-``shm.attach``            :func:`repro.stats.batch.attach_shared_table` —
-                          ``raise`` simulates a worker that cannot map
-                          the shared log-factorial segment (unlinked by
-                          a dying owner, exhausted ``/dev/shm``); the
-                          manifest merge falls back to the private
-                          regrow, so planning results are unchanged
 ========================  =====================================================
 
 Determinism

@@ -50,21 +50,15 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Mapping
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.reliability.faults import InjectedFault, fault_point
 from repro.stats.cache import register_cache, register_manifest_codec
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
     "log_factorial_table",
-    "publish_shared_table",
-    "attach_shared_table",
-    "release_shared_table",
-    "shared_table_descriptor",
     "binom_logpmf_vec",
     "binom_pmf_vec",
     "binom_cdf_vec",
@@ -79,27 +73,16 @@ __all__ = [
 # How many rows x columns a pmf work matrix may hold before we chunk.
 _MAX_MATRIX_CELLS = 4_000_000
 
-# Accumulation tiers of the pairs kernel.  "float64" is the bit-exact
-# default; "float32" halves the bytes the bandwidth-bound hot loop moves
-# and carries a derived error bound (see _float32_row_bounds) — its
-# consumers certify adopted results against the float64 reference.
-_PRECISIONS = ("float64", "float32")
-
 # Inner-loop implementations of the pairs kernel.  "fused" (default)
 # streams gather + affine + exp + reduce over L2-sized blocks;
 # "reference" materializes the full (rows, window) intermediate per
 # chunk (the pre-fusion baseline, kept as the benchmark yardstick and
-# oracle); "jit" dispatches to the optional Numba kernel.
-_PAIRS_IMPLS = ("fused", "reference", "jit")
+# oracle).
+_PAIRS_IMPLS = ("fused", "reference")
 
-# Cache-block sizes (in cells) of the fused loops: the float64 work
-# buffer plus its int64 index block stay within a typical L2 slice, and
-# the float32 tier doubles the cells per block at the same byte budget.
+# Cache-block size (in cells) of the fused loop: the float64 work buffer
+# plus its temporary stay within a typical L2 slice.
 _FUSED_BLOCK_CELLS = 1 << 15
-_FUSED_BLOCK_CELLS_32 = 1 << 16
-
-# float32 machine epsilon, the unit of the derived error bound.
-_F32_EPS = float(np.finfo(np.float32).eps)
 
 # Tail windows reach 8 standard deviations past the mean plus slack; by
 # Bernstein the binomial mass beyond that is < 1.5e-14 for every n (the
@@ -125,11 +108,6 @@ _LOG_FACTORIAL = np.zeros(1, dtype=np.float64)  # entry m holds lgamma(m + 1)
 # "miss" is a call that had to grow it.  Surfaced by ``repro ops``.
 _TABLE_STATS = {"hits": 0, "misses": 0}
 
-# The shared-memory table segment this process owns or is attached to.
-# ``owner`` processes hold a private _LOG_FACTORIAL and publish a copy;
-# attached workers install the read-only shared mapping as their table
-# (and "extend" past it with a private copy if they ever need more).
-_SHARED_TABLE: dict = {"shm": None, "name": None, "owner": False, "limit": -1}
 
 
 def log_factorial_table(limit: int) -> np.ndarray:
@@ -182,123 +160,6 @@ def _ensure_table(limit: int) -> None:
                 _LOG_FACTORIAL = grown
 
 
-def publish_shared_table() -> tuple[str | None, int]:
-    """Copy the current table into a shared-memory segment; return its name.
-
-    The owning process keeps its private table and publishes a read-only
-    copy workers can attach instead of materializing their own.  Repeated
-    calls reuse the existing segment while it still covers the table
-    (recreating it only after growth); the segment is unlinked by
-    :func:`release_shared_table` (wired into ``shutdown_executors``).
-    Returns ``(name, limit)`` — ``(None, -1)`` when the table is too small
-    to be worth publishing.
-    """
-    from multiprocessing import shared_memory
-
-    with _TABLE_LOCK:
-        table = _LOG_FACTORIAL
-        limit = len(table) - 1
-        if limit < 1:
-            return _SHARED_TABLE["name"], _SHARED_TABLE["limit"]
-        if (
-            _SHARED_TABLE["owner"]
-            and _SHARED_TABLE["shm"] is not None
-            and _SHARED_TABLE["limit"] >= limit
-        ):
-            return _SHARED_TABLE["name"], _SHARED_TABLE["limit"]
-        old = _SHARED_TABLE["shm"] if _SHARED_TABLE["owner"] else None
-        shm = shared_memory.SharedMemory(create=True, size=table.nbytes)
-        np.ndarray(table.shape, dtype=np.float64, buffer=shm.buf)[:] = table
-        _SHARED_TABLE.update(
-            {"shm": shm, "name": shm.name, "owner": True, "limit": limit}
-        )
-    if old is not None:
-        # A stale, smaller segment: unlink now — workers already attached
-        # keep their mapping alive until they close it.
-        try:
-            old.close()
-            old.unlink()
-        except OSError:  # pragma: no cover - platform-specific teardown
-            pass
-    return _SHARED_TABLE["name"], _SHARED_TABLE["limit"]
-
-
-def attach_shared_table(name: str, limit: int) -> bool:
-    """Attach a published log-factorial segment as this process's table.
-
-    Worker-side counterpart of :func:`publish_shared_table`, traversing
-    the ``shm.attach`` fault-injection point so the chaos suite can fail
-    the attachment deterministically.  The mapping is installed read-only;
-    the first two and last entries are spot-checked against ``math.lgamma``
-    (shared state is adopted certified, not trusted).  Returns ``False``
-    without side effects when the local table already covers ``limit``.
-    Raises ``OSError``/``FileNotFoundError``/:class:`InjectedFault` on
-    attachment failure — callers fall back to a private regrow.
-    """
-    global _LOG_FACTORIAL
-    from multiprocessing import shared_memory
-
-    limit = int(limit)
-    if limit < 1:
-        return False
-    fault_point("shm.attach")
-    with _TABLE_LOCK:
-        if len(_LOG_FACTORIAL) - 1 >= limit:
-            return False
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            # Python's resource tracker would unlink the segment when any
-            # attaching process exits; only the owner may unlink.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover - tracker internals shifted
-            pass
-        table = np.ndarray((limit + 1,), dtype=np.float64, buffer=shm.buf)
-        if (
-            table[0] != 0.0
-            or table[1] != 0.0
-            or table[limit] != math.lgamma(limit + 1.0)
-        ):
-            shm.close()
-            raise OSError(f"shared table {name!r} failed the lgamma spot-check")
-        table.flags.writeable = False
-        _release_attachment_locked()
-        _SHARED_TABLE.update({"shm": shm, "name": name, "owner": False, "limit": limit})
-        _LOG_FACTORIAL = table
-    return True
-
-
-def _release_attachment_locked() -> None:
-    """Drop this process's segment (close; unlink when owner).  Lock held."""
-    global _LOG_FACTORIAL
-    shm = _SHARED_TABLE["shm"]
-    if shm is None:
-        return
-    if not _SHARED_TABLE["owner"] and _LOG_FACTORIAL.base is not None:
-        # The active table may be backed by the mapping — privatize first.
-        _LOG_FACTORIAL = np.array(_LOG_FACTORIAL, dtype=np.float64)
-    try:
-        shm.close()
-        if _SHARED_TABLE["owner"]:
-            shm.unlink()
-    except (OSError, BufferError):  # pragma: no cover - teardown race
-        pass
-    _SHARED_TABLE.update({"shm": None, "name": None, "owner": False, "limit": -1})
-
-
-def release_shared_table() -> None:
-    """Close (and, when owner, unlink) the shared table segment."""
-    with _TABLE_LOCK:
-        _release_attachment_locked()
-
-
-def shared_table_descriptor() -> tuple[str | None, int]:
-    """``(segment name, covered limit)`` of the active segment, if any."""
-    with _TABLE_LOCK:
-        return _SHARED_TABLE["name"], _SHARED_TABLE["limit"]
-
-
 class _TableResetProxy:
     """Adapter letting the registry clear the log-factorial table."""
 
@@ -307,7 +168,6 @@ class _TableResetProxy:
     def clear(self) -> None:
         global _LOG_FACTORIAL
         with _TABLE_LOCK:
-            _release_attachment_locked()
             _LOG_FACTORIAL = np.zeros(1, dtype=np.float64)
             _LOG_COMB_CACHE.clear()
             _TABLE_STATS["hits"] = 0
@@ -596,14 +456,12 @@ class _PairsLayoutProxy:
 register_cache("stats.batch.pairs_layout", _PairsLayoutProxy())  # type: ignore[arg-type]
 
 
-def _pairs_layout(unique_ns: tuple, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairs_layout(unique_ns: tuple, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated padded log-comb segments for a set of ``n`` (cached).
 
     Keys are ``(tuple_of_python_ints, int)`` — plain picklable scalars —
     so layout entries travel inside cross-process cache manifests.  Each
-    entry is ``(concat, seg_bases, concat32)``: the float32 copy rides
-    along so the float32 accumulation tier gathers at half the bytes
-    without a per-dispatch cast.
+    entry is ``(concat, seg_bases)``.
     """
     key = (unique_ns, pad)
     with _TABLE_LOCK:
@@ -622,26 +480,17 @@ def _pairs_layout(unique_ns: tuple, pad: int) -> tuple[np.ndarray, np.ndarray, n
         base = int(seg_bases[g])
         concat[base : base + nv + 1] = _log_comb_row(nv)
     concat.flags.writeable = False
-    concat32 = concat.astype(np.float32)
-    concat32.flags.writeable = False
     with _TABLE_LOCK:
-        _PAIRS_LAYOUT_CACHE[key] = (concat, seg_bases, concat32)
+        _PAIRS_LAYOUT_CACHE[key] = (concat, seg_bases)
         while len(_PAIRS_LAYOUT_CACHE) > _PAIRS_LAYOUT_CACHE_SIZE:
             _PAIRS_LAYOUT_CACHE.popitem(last=False)
-    return concat, seg_bases, concat32
+    return concat, seg_bases
 
 
 def _export_pairs_layout() -> list[tuple[tuple, tuple[np.ndarray, np.ndarray]]]:
-    """Manifest codec export: the layout entries, LRU order.
-
-    Only ``(concat, seg_bases)`` ships — the float32 copy is recomputed
-    on merge, halving the manifest payload.
-    """
+    """Manifest codec export: the layout entries, LRU order."""
     with _TABLE_LOCK:
-        return [
-            (key, (concat, seg_bases))
-            for key, (concat, seg_bases, _) in _PAIRS_LAYOUT_CACHE.items()
-        ]
+        return list(_PAIRS_LAYOUT_CACHE.items())
 
 
 def _merge_pairs_layout(entries) -> None:
@@ -653,58 +502,31 @@ def _merge_pairs_layout(entries) -> None:
     already identical.
     """
     for key, value in entries:
-        concat, seg_bases = value[0], value[1]
+        concat, seg_bases = value
         key = (tuple(int(n) for n in key[0]), int(key[1]))
         concat = np.asarray(concat, dtype=np.float64)
         if concat.flags.writeable:
             concat.flags.writeable = False
         seg_bases = np.asarray(seg_bases, dtype=np.int64)
-        concat32 = concat.astype(np.float32)
-        concat32.flags.writeable = False
         with _TABLE_LOCK:
             if key not in _PAIRS_LAYOUT_CACHE:
-                _PAIRS_LAYOUT_CACHE[key] = (concat, seg_bases, concat32)
+                _PAIRS_LAYOUT_CACHE[key] = (concat, seg_bases)
                 while len(_PAIRS_LAYOUT_CACHE) > _PAIRS_LAYOUT_CACHE_SIZE:
                     _PAIRS_LAYOUT_CACHE.popitem(last=False)
 
 
-def _export_log_factorial():
-    """Manifest codec export: the table's coverage, plus the shared segment.
-
-    A bare int (the highest ``m`` covered) when no shared segment is
-    published; otherwise a mapping also naming the segment so workers can
-    attach the one mmap instead of materializing a private copy.
-    """
-    limit = len(_LOG_FACTORIAL) - 1
-    name, shm_limit = shared_table_descriptor()
-    if name is None:
-        return limit
-    return {"limit": limit, "shm": name, "shm_limit": shm_limit}
+def _export_log_factorial() -> int:
+    """Manifest codec export: the table's coverage (highest ``m`` covered)."""
+    return len(_LOG_FACTORIAL) - 1
 
 
-def _merge_log_factorial(payload) -> None:
-    """Manifest codec merge: cover the manifest's limit — attach, then extend.
+def _merge_log_factorial(limit) -> None:
+    """Manifest codec merge: grow the table to cover the manifest's limit.
 
     The table contents are a pure function of the limit (``math.lgamma``
     is deterministic), so growing to the max of both sides is the join.
-    When the manifest names a shared segment, the merge attaches it
-    (through the ``shm.attach`` fault point) and only *extends* privately
-    past the shared prefix; any attachment failure — injected, a dead
-    segment, a torn-down owner — falls back to the plain private regrow,
-    so the join's result is identical on every path.
     """
-    shm_name, shm_limit = None, -1
-    if isinstance(payload, Mapping):
-        limit = int(payload.get("limit", -1))
-        shm_name = payload.get("shm")
-        shm_limit = int(payload.get("shm_limit", -1))
-    else:
-        limit = int(payload)
-    if shm_name and shm_limit > 0:
-        try:
-            attach_shared_table(shm_name, shm_limit)
-        except (InjectedFault, OSError, ValueError):
-            pass  # fall back to the private regrow below
+    limit = int(limit)
     if limit > 0:
         _ensure_table(limit)
 
@@ -734,19 +556,14 @@ def _fused_window_sums(
     ``(rows, width)`` intermediate.  A window is ``width`` *consecutive*
     cells of ``src``, so the gather is a per-row contiguous slice copy —
     no index matrix (whose int64 cells would cost more traffic than the
-    float32 payload itself).  Element arithmetic and the per-row
-    fixed-order reduction are identical to the reference loop, so the
-    float64 tier is bit-identical to it; the float32 tier (``src`` of
-    dtype float32) performs the same operations at half the bytes.
+    payload itself).  Element arithmetic and the per-row fixed-order
+    reduction are identical to the reference loop, so the two are
+    bit-identical.
     """
-    dtype = src.dtype
-    cells = _FUSED_BLOCK_CELLS_32 if dtype == np.float32 else _FUSED_BLOCK_CELLS
-    block = max(1, cells // width)
-    offs_f = np.arange(width, dtype=dtype)
-    logit = logit.astype(dtype, copy=False)
-    const = const.astype(dtype, copy=False)
-    work = np.empty((block, width), dtype=dtype)
-    temp = np.empty((block, width), dtype=dtype)
+    block = max(1, _FUSED_BLOCK_CELLS // width)
+    offs_f = np.arange(width, dtype=np.float64)
+    work = np.empty((block, width), dtype=np.float64)
+    temp = np.empty((block, width), dtype=np.float64)
     for begin in range(0, len(starts), block):
         rows = min(block, len(starts) - begin)
         sl = slice(begin, begin + rows)
@@ -760,61 +577,8 @@ def _fused_window_sums(
         np.exp(view, out=view)
         # Per-row pairwise reduction (not a BLAS matvec): the summation
         # order depends only on the row width, keeping each element's
-        # value batch-composition invariant in every tier.
+        # value batch-composition invariant.
         sums[rows_index[sl]] = np.add.reduce(view, axis=1)
-
-
-def _float32_row_bounds(
-    nf: np.ndarray,
-    logit: np.ndarray,
-    const: np.ndarray,
-    first_k: np.ndarray,
-    width: int,
-) -> np.ndarray:
-    """Derived *relative* error bound of the float32 tier's window sums.
-
-    Every term of a window sum is ``exp(a)`` with
-    ``a = logC(n,k) + k*logit(p) + n*log1p(-p)`` assembled from float32
-    operands.  ``|logC(n,k)| <= n*ln 2``, ``|k| <= |first_k| + width``
-    within the window, and each of the four float32 operations loses at
-    most one ulp of the running magnitude, so the argument error is below
-    ``c * eps32 * A`` with ``A`` the bound on the intermediate
-    magnitudes.  Through ``exp`` that is a per-term *relative* error of
-    ``expm1(c * eps32 * A)`` (padding cells are exactly zero in both
-    tiers and contribute none), and the fixed-order pairwise reduction
-    over ``width`` non-negative terms adds at most
-    ``log2(width) + 2`` ulps of relative error.  The constants below are
-    deliberately generous (c = 8); the caller converts this relative
-    bound to the absolute per-row bound that the seeded property suite
-    asserts (relative alone cannot cover float32 ``exp`` underflow, which
-    flushes tail terms below ~1e-45 to exact zero).
-    """
-    magnitude = (
-        math.log(2.0) * nf
-        + np.abs(logit) * (np.abs(first_k).astype(np.float64) + width)
-        + np.abs(const)
-    )
-    return np.expm1(
-        8.0 * _F32_EPS * magnitude + _F32_EPS * (math.log2(width) + 2.0)
-    )
-
-
-def _float32_abs_bounds(rel: np.ndarray, row_sums: np.ndarray, width: int):
-    """Absolute per-row bound ``|sum32 - sum64| <= bound`` from ``rel``.
-
-    ``|sum32 - sum64| <= rel * sum64`` rearranges to
-    ``rel / (1 - rel) * sum32`` when ``rel < 1/2``; on top of that, every
-    window cell whose true term lies below the smallest float32 subnormal
-    flushes to exact zero, losing at most ``2**-149`` per cell — covered
-    (with orders-of-magnitude slack for subnormal rounding) by the
-    additive ``width * 2**-140`` term.  Rows whose relative bound is too
-    large to invert fall back to the vacuous-but-sound bound 1.0: both
-    tiers produce tail sums whose element values are clamped into
-    ``[0, 1]``, so 1.0 always dominates the true deviation.
-    """
-    safe = rel < 0.5
-    inv = rel / (1.0 - np.minimum(rel, 0.5))
-    return np.where(safe, inv * row_sums + width * 2.0**-140, 1.0)
 
 
 def exact_coverage_failure_probability_pairs(
@@ -824,9 +588,7 @@ def exact_coverage_failure_probability_pairs(
     *,
     window_sigmas: float | None = None,
     window_slack: int | None = None,
-    precision: str = "float64",
     impl: str | None = None,
-    return_error_bound: bool = False,
 ):
     """Element-wise exact ``Pr[|Binomial(n_i, p_i)/n_i - p_i| > eps_i]``.
 
@@ -858,35 +620,17 @@ def exact_coverage_failure_probability_pairs(
     truncated-window exceedance certificate is sound for the full-window
     value).
 
-    ``precision`` selects the accumulation tier: ``"float64"`` (default,
-    bit-identical to every release so far) or ``"float32"`` — the window
-    gathers, affine updates, ``exp`` and row reductions run at half the
-    bytes, and a derived per-element *absolute* error bound
-    ``|value32 - value64| <= bound`` is computed alongside (returned when
-    ``return_error_bound`` is true as ``(values, bounds)``).  Consumers of the float32 tier certify adopted
-    results against the float64 reference; the bound is what the seeded
-    property suite asserts.  ``impl`` selects the inner loop: ``"fused"``
-    (default — cache-blocked, fused gather/exp/reduce), ``"reference"``
-    (the pre-fusion float64 baseline, kept as the benchmark yardstick and
-    oracle) or ``"jit"`` (the optional Numba kernel; requires numba and
-    ``precision="float64"``).  Every tier and impl preserves
-    batch-composition invariance — an element's value is a pure function
-    of its own ``(n, p, epsilon, sigmas, slack, precision, impl)``.
+    ``impl`` selects the inner loop: ``"fused"`` (default —
+    cache-blocked, fused gather/exp/reduce) or ``"reference"`` (the
+    pre-fusion baseline, kept as the benchmark yardstick and oracle).
+    The two are bit-identical, and both preserve batch-composition
+    invariance.
     """
-    if precision not in _PRECISIONS:
-        raise InvalidParameterError(
-            f"precision must be one of {_PRECISIONS}, got {precision!r}"
-        )
     impl = "fused" if impl is None else impl
     if impl not in _PAIRS_IMPLS:
         raise InvalidParameterError(
             f"impl must be one of {_PAIRS_IMPLS}, got {impl!r}"
         )
-    if impl != "fused" and precision != "float64":
-        raise InvalidParameterError(
-            f"impl={impl!r} supports only precision='float64'"
-        )
-    float32 = precision == "float32"
     ns = np.atleast_1d(np.asarray(ns))
     p = np.atleast_1d(np.asarray(p_values, dtype=np.float64))
     eps = np.atleast_1d(np.asarray(epsilons, dtype=np.float64))
@@ -897,8 +641,7 @@ def exact_coverage_failure_probability_pairs(
     ns, p, eps = np.broadcast_arrays(ns, p, eps)
     ns = ns.astype(np.int64)
     if ns.size == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return (empty, empty.copy()) if return_error_bound else empty
+        return np.zeros(0, dtype=np.float64)
     if np.any(ns < 1):
         raise InvalidParameterError("n must contain positive integers")
     if np.any(eps <= 0.0) or not np.all(np.isfinite(eps)):
@@ -906,10 +649,9 @@ def exact_coverage_failure_probability_pairs(
     if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
         raise InvalidParameterError("p must lie in [0, 1]")
     out = np.zeros(p.shape, dtype=np.float64)
-    bounds = np.zeros(p.shape, dtype=np.float64)
     interior = (p > 0.0) & (p < 1.0)
     if not np.any(interior):
-        return (out, bounds) if return_error_bound else out
+        return out
     ni, pi, ei = ns[interior], p[interior], eps[interior]
 
     # Identical cutoff arithmetic to the scalar implementation.
@@ -951,7 +693,7 @@ def exact_coverage_failure_probability_pairs(
     np.maximum.at(eps_max, inv, ei)
     pad_needed = int(max_width + np.ceil(eps_max * unique_ns).max() + 4)
     pad = 1 << (pad_needed - 1).bit_length()
-    concat, seg_bases, concat32 = _pairs_layout(tuple(unique_ns.tolist()), pad)
+    concat, seg_bases = _pairs_layout(tuple(unique_ns.tolist()), pad)
     base_index = seg_bases[inv]
 
     # Row layout mirrors the vec kernel: lower tails, then upper tails.
@@ -973,7 +715,6 @@ def exact_coverage_failure_probability_pairs(
     natural2 = np.concatenate([natural, natural])
     widths2 = ladder_arr[np.searchsorted(ladder_arr, natural2)]
     sums = np.empty(2 * m, dtype=np.float64)
-    row_bounds = np.zeros(2 * m, dtype=np.float64) if float32 else None
     for width in np.unique(widths2).tolist():
         in_bucket = np.flatnonzero(widths2 == width)
         lower_rows = in_bucket < m
@@ -998,15 +739,9 @@ def exact_coverage_failure_probability_pairs(
                 # summation order then depends only on the row width,
                 # keeping each element's value batch-composition invariant.
                 sums[in_bucket[sl]] = np.add.reduce(work, axis=1)
-        elif impl == "jit":
-            from repro.stats.jit import jit_window_sums
-
-            sums[in_bucket] = jit_window_sums(
-                concat, bucket_starts, bucket_logit, bucket_const, width
-            )
         else:
             _fused_window_sums(
-                concat32 if float32 else concat,
+                concat,
                 bucket_starts,
                 bucket_logit,
                 bucket_const,
@@ -1014,25 +749,8 @@ def exact_coverage_failure_probability_pairs(
                 sums,
                 in_bucket,
             )
-            if float32:
-                rel = _float32_row_bounds(
-                    n2[in_bucket], bucket_logit, bucket_const, first_k, width
-                )
-                row_bounds[in_bucket] = _float32_abs_bounds(
-                    rel, sums[in_bucket], width
-                )
     out[interior] = np.minimum(1.0, sums[:m] + sums[m:])
-    if float32:
-        # min(1, lo + hi) is 1-Lipschitz, so an element's absolute error
-        # is at most the sum of its two rows' absolute bounds; both tier
-        # outputs live in [0, 1], so 1.0 caps the bound soundly.
-        element_bounds = np.minimum(1.0, row_bounds[:m] + row_bounds[m:])
-        if not np.all(np.isfinite(element_bounds)):  # pragma: no cover
-            raise InvalidParameterError(
-                "float32 tier error bound overflowed; use precision='float64'"
-            )
-        bounds[interior] = element_bounds
-    return (out, bounds) if return_error_bound else out
+    return out
 
 
 # ---------------------------------------------------------------------------

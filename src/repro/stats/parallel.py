@@ -81,7 +81,6 @@ from repro.reliability.faults import (
     in_worker,
     mark_worker,
 )
-from repro.stats.batch import publish_shared_table, release_shared_table
 from repro.stats.cache import export_manifest, merge_manifest, warm_after_restore
 from repro.stats.tight_bounds import (
     _compute_epsilon_sweep,
@@ -188,13 +187,11 @@ def _chunked(items: list, chunks: int) -> list[list]:
 def _epsilon_chunk_task(payload: tuple) -> tuple[np.ndarray, dict[str, Any]]:
     """One shard of an epsilon sweep: serial scan + the worker's manifest."""
     _worker_fault_point()
-    ns, delta, tol, grid, refine, precision = payload
+    ns, delta, tol, grid, refine = payload
     ns_arr = np.asarray(ns, dtype=np.int64)
-    eps = cached_epsilon_sweep(
-        ns_arr, delta, tol=tol, grid=grid, refine=refine, precision=precision
-    )
+    eps = cached_epsilon_sweep(ns_arr, delta, tol=tol, grid=grid, refine=refine)
     if eps is None:
-        eps = _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine, precision)
+        eps = _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine)
     return np.asarray(eps, dtype=np.float64), export_manifest()
 
 
@@ -328,16 +325,6 @@ class PlanningExecutor:
     def _ensure_pool(self):
         with self._lock:
             if self._pool is None:
-                # Publish the log-factorial table as one read-only
-                # shared-memory segment *before* exporting the manifest,
-                # so the manifest names it and every spawned worker
-                # attaches the single mmap instead of materializing a
-                # private copy.  Failure to publish (e.g. exhausted /dev/shm)
-                # degrades silently to the copy-per-worker regrow.
-                try:
-                    publish_shared_table()
-                except OSError:  # pragma: no cover - depends on host limits
-                    pass
                 context = multiprocessing.get_context(self._start_method)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.processes,
@@ -461,19 +448,14 @@ class PlanningExecutor:
         tol: float = 1e-6,
         grid: int = 256,
         refine: int = 2,
-        precision: str = "float64",
     ) -> np.ndarray:
         """Sharded :func:`repro.stats.tight_bounds.tight_epsilon_many`.
 
         Element-wise identical to the serial sweep (same memo key, same
         anchors planted); the parent's caches end up warm exactly as if
-        the sweep had run in-process.  ``precision`` selects the advisory
-        tier of the underlying sweep; certification stays float64 in the
-        workers exactly as it does serially.
+        the sweep had run in-process.
         """
-        cached = cached_epsilon_sweep(
-            ns, delta, tol=tol, grid=grid, refine=refine, precision=precision
-        )
+        cached = cached_epsilon_sweep(ns, delta, tol=tol, grid=grid, refine=refine)
         if cached is not None:
             return cached
         ns_arr = np.atleast_1d(np.asarray(ns)).astype(np.int64)
@@ -481,24 +463,15 @@ class PlanningExecutor:
         if self.processes == 1 or self._degraded or len(shards) < 2:
             # The cached_epsilon_sweep miss above was this call's one
             # recorded lookup; compute probe-free so stats stay 1:1.
-            return _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine, precision)
-        payloads = [
-            (shard.tolist(), delta, tol, grid, refine, precision) for shard in shards
-        ]
+            return _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine)
+        payloads = [(shard.tolist(), delta, tol, grid, refine) for shard in shards]
         outputs = self._run_tasks(_epsilon_chunk_task, payloads)
         for _, manifest in outputs:
             merge_manifest(manifest)
         eps_unique = np.concatenate([eps for eps, _ in outputs])
         unique = np.concatenate(shards)
         return adopt_epsilon_sweep(
-            ns,
-            delta,
-            unique,
-            eps_unique,
-            tol=tol,
-            grid=grid,
-            refine=refine,
-            precision=precision,
+            ns, delta, unique, eps_unique, tol=tol, grid=grid, refine=refine
         )
 
     def tight_sample_size_many(
@@ -638,12 +611,6 @@ def shutdown_executors() -> None:
         except Exception:
             # Reaping must never raise through atexit/interrupt paths.
             pass
-    try:
-        # Unlink the shared log-factorial segment (owner) or detach from
-        # it (worker); the table itself stays valid either way.
-        release_shared_table()
-    except Exception:  # pragma: no cover - same never-raise contract
-        pass
 
 
 atexit.register(shutdown_executors)

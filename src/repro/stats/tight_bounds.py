@@ -96,8 +96,6 @@ __all__ = [
 ]
 
 _BACKENDS = ("batch", "scalar")
-_PRECISIONS = ("float64", "float32")
-_KERNELS = ("numpy", "jit")
 
 
 def _check_backend(backend: str) -> str:
@@ -106,22 +104,6 @@ def _check_backend(backend: str) -> str:
             f"backend must be one of {_BACKENDS}, got {backend!r}"
         )
     return backend
-
-
-def _check_precision(precision: str) -> str:
-    if precision not in _PRECISIONS:
-        raise InvalidParameterError(
-            f"precision must be one of {_PRECISIONS}, got {precision!r}"
-        )
-    return precision
-
-
-def _check_kernel(kernel: str) -> str:
-    if kernel not in _KERNELS:
-        raise InvalidParameterError(
-            f"kernel must be one of {_KERNELS}, got {kernel!r}"
-        )
-    return kernel
 
 
 def exact_coverage_failure_probability(n: int, p: float, epsilon: float) -> float:
@@ -245,43 +227,13 @@ def _tight_sample_size_cached(
     refine: int,
     backend: str,
     hint: int,
-    precision: str,
-    kernel: str,
 ) -> int:
     if backend == "scalar":
         def exceeds(n: int) -> bool:
             return _scan_scalar(n, epsilon, grid, refine)[0] > delta
-    elif kernel == "numpy":
-        # Both precision tiers run float64 probes.  The discrete
-        # distribution ripples near the boundary, so the "certified local
-        # boundary" is not unique — two sizes a couple apart can both
-        # satisfy ``not exceeds(n), exceeds(n-1)`` — and equality with the
-        # default tier needs every probe to answer exactly the float64
-        # question.  A certified float32 screen cannot help here: at
-        # planning-grade deltas the exceedance only surfaces in the scan's
-        # refinement levels (measured 2/8 of the boundary probes certify
-        # even from a dense level-0 screen), so the float32 tier keeps its
-        # speed wins in the vectorized sweeps and delegates this scalar
-        # bisection to the reference probes wholesale.
+    else:
         def exceeds(n: int) -> bool:
             return _exceeds_delta_batch(n, epsilon, delta, grid, refine)
-    else:
-        # jit kernel: route probes through the pairs kernel so the
-        # requested impl actually drives the scans.
-        impl = "jit" if kernel == "jit" else None
-
-        def exceeds(n: int) -> bool:
-            return bool(
-                exceeds_delta_many(
-                    [n],
-                    [epsilon],
-                    delta,
-                    grid=grid,
-                    refine=refine,
-                    precision=precision,
-                    impl=impl,
-                )[0]
-            )
 
     hi = hint
     # Ensure hi is feasible (it should be, Hoeffding dominates); expand if not.
@@ -314,8 +266,6 @@ def tight_sample_size(
     refine: int = 2,
     n_hint: int | None = None,
     backend: str = "batch",
-    precision: str = "float64",
-    kernel: str = "numpy",
 ) -> int:
     """Minimal ``n`` with worst-case coverage failure at most ``delta``.
 
@@ -337,28 +287,10 @@ def tight_sample_size(
     backend:
         ``"batch"`` (vectorized, memoized; the default) or ``"scalar"``
         (the pure-Python reference).  Both return the same ``n``.
-    precision:
-        ``"float64"`` (default) or ``"float32"``.  The minimal-``n``
-        search adopts float64 probe answers in *every* tier — the
-        discrete distribution ripples near the boundary, so only probes
-        that answer exactly the float64 question make the returned ``n``
-        equal to the default tier's.  The float32 tier's speed wins live
-        in the vectorized scans (:func:`tight_epsilon_many`,
-        :func:`exceeds_delta_many`); here the parameter is accepted for
-        API uniformity and never changes the plan.
-    kernel:
-        ``"numpy"`` (default) or ``"jit"`` (the optional Numba windowed
-        scan, certified by the conformance suite; requires numba).
     """
     check_positive(epsilon, "epsilon")
     check_probability(delta, "delta")
     _check_backend(backend)
-    _check_precision(precision)
-    _check_kernel(kernel)
-    if backend == "scalar" and (precision != "float64" or kernel != "numpy"):
-        raise InvalidParameterError(
-            "backend='scalar' supports only precision='float64', kernel='numpy'"
-        )
     if epsilon >= 1.0:
         return 1
     hoeffding_n = int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
@@ -366,14 +298,13 @@ def tight_sample_size(
     if n_hint is None or n_hint == hoeffding_n:
         # The common, hint-free call: one shared cache entry.
         return _tight_sample_size_cached(
-            epsilon, delta, grid, refine, backend, max(1, hoeffding_n),
-            precision, kernel,
+            epsilon, delta, grid, refine, backend, max(1, hoeffding_n)
         )
     # A custom hint changes the probe trajectory but not the answer; bypass
     # the memo (still benefiting from the per-probe caches) so the cache
     # never depends on hints.
     return _tight_sample_size_cached.__wrapped__(
-        epsilon, delta, grid, refine, backend, hint, precision, kernel
+        epsilon, delta, grid, refine, backend, hint
     )
 
 
@@ -531,31 +462,13 @@ _ADVISORY_SIGMAS, _ADVISORY_SLACK = 6.0, 24
 _VERIFY_SIGMAS, _VERIFY_SLACK = 6.5, 28
 
 
-def _pairs_f(
-    ns,
-    ps,
-    epsilons,
-    sigmas=None,
-    slack=None,
-    precision="float64",
-    impl=None,
-    return_error_bound=False,
-):
+def _pairs_f(ns, ps, epsilons, sigmas=None, slack=None):
     return exact_coverage_failure_probability_pairs(
-        ns,
-        ps,
-        epsilons,
-        window_sigmas=sigmas,
-        window_slack=slack,
-        precision=precision,
-        impl=impl,
-        return_error_bound=return_error_bound,
+        ns, ps, epsilons, window_sigmas=sigmas, window_slack=slack
     )
 
 
-def _level0_values(
-    ns, epsilons, offsets, grid, sigmas, slack, precision="float64", impl=None
-) -> np.ndarray:
+def _level0_values(ns, epsilons, offsets, grid, sigmas, slack) -> np.ndarray:
     """Level-0 grid values over ``[0, 1]`` for each probe, one dispatch.
 
     Exploits the exact binomial symmetry ``f(n, p, eps) = f(n, 1-p, eps)``:
@@ -572,8 +485,6 @@ def _level0_values(
             np.repeat(epsilons, grid + 1),
             sigmas,
             slack,
-            precision,
-            impl,
         ).reshape(count, grid + 1)
     half = grid // 2
     points = np.broadcast_to(offsets[: half + 1] * step, (count, half + 1))
@@ -583,8 +494,6 @@ def _level0_values(
         np.repeat(epsilons, half + 1),
         sigmas,
         slack,
-        precision,
-        impl,
     ).reshape(count, half + 1)
     return np.concatenate([left, left[:, :half][:, ::-1]], axis=1)
 
@@ -598,8 +507,6 @@ def exceeds_delta_many(
     refine: int = 2,
     window_sigmas: float | None = None,
     window_slack: int | None = None,
-    precision: str = "float64",
-    impl: str | None = None,
 ) -> np.ndarray:
     """Vectorized ``max_p f(n_i, p, eps_i) > delta`` for a vector of probes.
 
@@ -616,15 +523,7 @@ def exceeds_delta_many(
     This is the kernel behind :func:`tight_epsilon_many` and the building
     block for sharded planning services that probe many testset sizes per
     request.
-
-    ``precision`` / ``impl`` select the pairs-kernel tier for the scans
-    (see :func:`~repro.stats.batch.exact_coverage_failure_probability_pairs`).
-    Non-default tiers are **advisory**: a float32 scan may flip a
-    razor-thin threshold comparison, so certificate-grade callers (the
-    VERIFY passes of :func:`tight_epsilon_many`, the minimal-``n``
-    probes of :func:`tight_sample_size`) always adopt float64 answers.
     """
-    _check_precision(precision)
     ns = np.atleast_1d(np.asarray(ns)).astype(np.int64)
     eps = np.atleast_1d(np.asarray(epsilons, dtype=np.float64))
     ns, eps = np.broadcast_arrays(ns, eps)
@@ -660,8 +559,6 @@ def exceeds_delta_many(
                 grid,
                 window_sigmas,
                 window_slack,
-                precision,
-                impl,
             )
         else:
             values = _pairs_f(
@@ -670,8 +567,6 @@ def exceeds_delta_many(
                 np.repeat(eps[active], grid + 1),
                 window_sigmas,
                 window_slack,
-                precision,
-                impl,
             ).reshape(len(active), grid + 1)
         arg = np.argmax(values, axis=1)
         rows = np.arange(len(active))
@@ -696,15 +591,13 @@ def _record_scan_anchors(
     grid: int,
     refine: int,
     top_k: int,
-    precision: str = "float64",
 ) -> np.ndarray:
     """Full trajectory scans (lockstep) returning each probe's top-k ``p``.
 
     The anchors are the highest-failure-probability points across every
     refinement level — the raw material for the cutoff-tracking witnesses
     of :func:`tight_epsilon_many`.  Shape ``(len(ns), top_k)``.  The
-    recording is purely advisory (anchors only position later probes), so
-    it honours the requested precision tier wholesale.
+    recording is purely advisory: anchors only position later probes.
     """
     count = len(ns)
     offsets = np.arange(grid + 1, dtype=np.float64)
@@ -730,7 +623,6 @@ def _record_scan_anchors(
                 grid,
                 _ADVISORY_SIGMAS,
                 _ADVISORY_SLACK,
-                precision,
             )
         else:
             values = _pairs_f(
@@ -739,7 +631,6 @@ def _record_scan_anchors(
                 np.repeat(epsilons, level_grid + 1),
                 _ADVISORY_SIGMAS,
                 _ADVISORY_SLACK,
-                precision,
             ).reshape(count, level_grid + 1)
         all_points.append(points)
         all_values.append(values)
@@ -766,7 +657,6 @@ def _tracked_witness_crossing(
     lo: np.ndarray,
     hi: np.ndarray,
     tol: float,
-    precision: str = "float64",
 ) -> np.ndarray:
     """Lockstep bisection on the cutoff-tracking witness maximum.
 
@@ -782,12 +672,6 @@ def _tracked_witness_crossing(
     under-estimates).  Returns ``(crossing, sound_lo)`` where ``sound_lo``
     is the largest epsilon at which a lattice witness certified an
     exceedance (``-inf`` when none did).
-
-    In the float32 tier the bisection steering stays advisory as-is, but
-    a lattice certificate additionally demands the exceedance to clear
-    the tier's derived error bound — ``value - bound > delta`` implies
-    the float64 value exceeds too, so ``sound_lo`` remains sound in every
-    tier ("certified, not trusted").
     """
     lo = lo.copy()
     hi = hi.copy()
@@ -811,30 +695,17 @@ def _tracked_witness_crossing(
         # Out-of-range translates are parked at the boundary, where the
         # failure probability is exactly zero — never a certificate.
         np.clip(points, 0.0, 1.0, out=points)
-        float32 = precision == "float32"
         values = _pairs_f(
             flat_ns.reshape(count, width)[open_idx].ravel(),
             points.ravel(),
             np.repeat(mids[open_idx], width),
             _ADVISORY_SIGMAS,
             _ADVISORY_SLACK,
-            precision,
-            None,
-            float32,
-        )
-        if float32:
-            values, tier_bound = values
-            tier_bound = tier_bound.reshape(len(open_idx), width)
-        values = values.reshape(len(open_idx), width)
+        ).reshape(len(open_idx), width)
         witnessed = np.any(values > delta, axis=1)
         # Tiny guard above delta: the advisory window under-estimates by
-        # up to ~1e-14, so a razor-thin exceedance is not certified.  The
-        # float32 tier must additionally clear its derived error bound
-        # before its exceedance counts as a certificate.
-        certifiable = values[:, :n_center]
-        if float32:
-            certifiable = certifiable - tier_bound[:, :n_center]
-        lattice_certified = np.any(certifiable > delta + 1e-12, axis=1)
+        # up to ~1e-14, so a razor-thin exceedance is not certified.
+        lattice_certified = np.any(values[:, :n_center] > delta + 1e-12, axis=1)
         certified_idx = open_idx[lattice_certified]
         sound_lo[certified_idx] = np.maximum(
             sound_lo[certified_idx], mids[certified_idx]
@@ -856,7 +727,6 @@ def tight_epsilon_many(
     tol: float = 1e-6,
     grid: int = 256,
     refine: int = 2,
-    precision: str = "float64",
 ) -> np.ndarray:
     """:func:`tight_epsilon` for a whole vector of testset sizes at once.
 
@@ -878,28 +748,19 @@ def tight_epsilon_many(
        provides, so every element agrees with scalar/batch
        :func:`tight_epsilon` within ``tol``.
 
-    Results are memoized per ``(ns, delta, tol, grid, refine, precision)``
-    and each element feeds the warm-start anchor registry used by
+    Results are memoized per ``(ns, delta, tol, grid, refine)`` and each
+    element feeds the warm-start anchor registry used by
     :func:`tight_epsilon`.
-
-    ``precision="float32"`` runs the *advisory* phases (recording scans,
-    witness bisection) in the half-width tier; the certification pass is
-    always float64, so the returned epsilons carry exactly the same
-    probe-certificate contract as the default tier (certified
-    not-exceeding, with a point at most ``tol`` below certified
-    exceeding) — they may differ from the float64 sweep only within
-    ``tol``, never in what they guarantee.
     """
-    _check_precision(precision)
     ns_arr = _validate_sweep_sizes(ns, delta, tol)
     if ns_arr.size == 0:
         return np.zeros(0, dtype=np.float64)
     cached = _TIGHT_EPSILON_MANY_CACHE.get(
-        (tuple(ns_arr.tolist()), delta, tol, grid, refine, precision)
+        (tuple(ns_arr.tolist()), delta, tol, grid, refine)
     )
     if cached is not None:
         return cached.copy()
-    return _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine, precision)
+    return _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine)
 
 
 def _compute_epsilon_sweep(
@@ -908,7 +769,6 @@ def _compute_epsilon_sweep(
     tol: float,
     grid: int,
     refine: int,
-    precision: str = "float64",
 ) -> np.ndarray:
     """Run and memoize a sweep, *without* probing the cache first.
 
@@ -918,8 +778,8 @@ def _compute_epsilon_sweep(
     ``ns_arr`` must already be validated.
     """
     unique, inverse = np.unique(ns_arr, return_inverse=True)
-    eps_unique = _tight_epsilon_many_impl(unique, delta, tol, grid, refine, precision)
-    key = (tuple(ns_arr.tolist()), delta, tol, grid, refine, precision)
+    eps_unique = _tight_epsilon_many_impl(unique, delta, tol, grid, refine)
+    key = (tuple(ns_arr.tolist()), delta, tol, grid, refine)
     return _adopt_sweep(key, unique, inverse, eps_unique)
 
 
@@ -937,15 +797,9 @@ def _validate_sweep_sizes(ns, delta: float, tol: float) -> np.ndarray:
 def _adopt_sweep(
     key: tuple, unique: np.ndarray, inverse: np.ndarray, eps_unique: np.ndarray
 ) -> np.ndarray:
-    """Memoize a finished sweep and plant its anchors (the serial tail).
-
-    Anchors are warm-start advice shared across precision tiers (any
-    certified epsilon positions a nearby bracket equally well), so the
-    anchor key deliberately omits the tier.
-    """
+    """Memoize a finished sweep and plant its anchors (the serial tail)."""
     result = eps_unique[inverse]
-    _, delta, tol, grid, refine, _precision = key
-    anchor_key = (delta, tol, grid, refine)
+    anchor_key = key[1:]
     for n, eps in zip(unique.tolist(), eps_unique.tolist()):
         _record_anchor(int(n), float(eps), anchor_key)
     stored = result.copy()
@@ -961,7 +815,6 @@ def cached_epsilon_sweep(
     tol: float = 1e-6,
     grid: int = 256,
     refine: int = 2,
-    precision: str = "float64",
 ) -> np.ndarray | None:
     """The memoized :func:`tight_epsilon_many` result, or ``None``.
 
@@ -971,12 +824,11 @@ def cached_epsilon_sweep(
     already owns (and then computes probe-free, so each executor call
     still records exactly one lookup).
     """
-    _check_precision(precision)
     ns_arr = _validate_sweep_sizes(ns, delta, tol)
     if ns_arr.size == 0:
         return np.zeros(0, dtype=np.float64)
     cached = _TIGHT_EPSILON_MANY_CACHE.get(
-        (tuple(ns_arr.tolist()), delta, tol, grid, refine, precision)
+        (tuple(ns_arr.tolist()), delta, tol, grid, refine)
     )
     return cached.copy() if cached is not None else None
 
@@ -990,7 +842,6 @@ def adopt_epsilon_sweep(
     tol: float = 1e-6,
     grid: int = 256,
     refine: int = 2,
-    precision: str = "float64",
 ) -> np.ndarray:
     """Adopt a sweep computed elsewhere (worker shards) as if run serially.
 
@@ -1001,7 +852,6 @@ def adopt_epsilon_sweep(
     element-wise identical because the underlying kernels are
     batch-composition invariant.
     """
-    _check_precision(precision)
     ns_arr = _validate_sweep_sizes(ns, delta, tol)
     unique_arr = np.asarray(unique, dtype=np.int64)
     eps_arr = np.asarray(eps_unique, dtype=np.float64)
@@ -1014,7 +864,7 @@ def adopt_epsilon_sweep(
         raise InvalidParameterError(
             "adopt_epsilon_sweep: eps_unique must align with unique"
         )
-    key = (tuple(ns_arr.tolist()), delta, tol, grid, refine, precision)
+    key = (tuple(ns_arr.tolist()), delta, tol, grid, refine)
     return _adopt_sweep(key, unique_arr, inverse, eps_arr)
 
 
@@ -1070,7 +920,6 @@ def _tight_epsilon_many_impl(
     tol: float,
     grid: int,
     refine: int,
-    precision: str = "float64",
 ) -> np.ndarray:
     count = len(unique)
     nf = unique.astype(np.float64)
@@ -1083,7 +932,7 @@ def _tight_epsilon_many_impl(
     seeds = np.maximum(seeds, np.minimum(0.5, 1.0 / nf))
 
     anchors = _record_scan_anchors(
-        unique, seeds, delta, grid, refine, top_k=8, precision=precision
+        unique, seeds, delta, grid, refine, top_k=8
     )
     step0 = (1.0 - 0.0) / grid
     center = grid // 2
@@ -1102,14 +951,10 @@ def _tight_epsilon_many_impl(
         bracket_lo,
         bracket_hi,
         tol / 4.0,
-        precision,
     )
 
     # Certification: find, per n, an epsilon whose trajectory probe is
-    # False while tol below it is True.  These probes (and the certified
-    # bisection below) always run at the default float64 tier — whatever
-    # precision steered the advisory phases above, adopted results are
-    # certified, not trusted.  Sizes whose tracked phase
+    # False while tol below it is True.  Sizes whose tracked phase
     # produced a *lattice* exceedance already own a sound lower
     # certificate (however far below the estimate it sits — the certified
     # bisection below closes the bracket in lockstep); the rest probe the

@@ -49,7 +49,7 @@ def test_parallel_service_matches_serial(adaptivity):
         serial.repository.commit(model, message=model.name)
         parallel.repository.commit(model, message=model.name)
     assert_parity(serial, parallel)
-    assert parallel.engine.estimator.workers == "auto"
+    assert parallel.engine.planner.estimator.workers == "auto"
 
 
 def test_cold_two_worker_service_matches_serial():

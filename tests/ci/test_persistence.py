@@ -23,6 +23,7 @@ from repro.ci.persistence import (
 from repro.ci.repository import ModelRepository
 from repro.ci.service import CIService
 from repro.core.estimators.api import SampleSizeEstimator
+from repro.core.kernel import DirectoryStateStore, get_backend
 from repro.core.script.config import CIScript
 from repro.core.testset import Testset
 from repro.exceptions import PersistenceError
@@ -300,9 +301,9 @@ class TestServicePersistence:
         assert types.index(COMMIT_RECEIVED) < types.index(BUILD_RECORDED)
 
     def test_restore_without_snapshot_raises(self, tmp_path):
-        store, journal = open_state_dir(tmp_path / "state")
+        store = get_backend().open_state_store(tmp_path / "state")
         with pytest.raises(PersistenceError, match="no snapshot"):
-            CIService.restore(store, journal)
+            CIService.restore(store)
 
     def test_restore_records_event(self, world, tmp_path):
         script, testset, baseline, models = world
@@ -538,6 +539,57 @@ class TestColdProcessRestore:
         reference.repository.commit(models[3], message="m3")
         assert restored.builds[-1].result == reference.builds[-1].result
 
+    @staticmethod
+    def _legacy_state(service, **legacy):
+        """The service's state as an older release persisted it."""
+        state = pickle.loads(pickle.dumps(service.export_state()))
+        state["engine"]["estimator"].update(legacy)
+        for request in state["engine"]["warm_manifest"]["plans"]:
+            request["estimator"].update(legacy)
+        return state
+
+    def test_old_estimator_config_keys_restore_identically(self, world):
+        """Snapshots that carry the retired ``precision``/``kernel`` keys."""
+        from repro.stats.cache import clear_all_caches
+        from repro.stats.parallel import PlanningExecutor
+
+        script, testset, baseline, models = world
+        service = make_service(script, testset, baseline)
+        for model in models[:2]:
+            service.repository.commit(model, message=model.name)
+        state = self._legacy_state(service, precision="float32", kernel="numpy")
+
+        clear_all_caches()
+        restored = CIService.from_state(state)
+        requests = state["engine"]["warm_manifest"]["plans"]
+        with PlanningExecutor(2) as executor:
+            assert executor.warm_plans(requests) == len(requests)
+        assert restored.plan == service.plan
+        config = restored.engine.planner.export_config()
+        assert config == service.engine.planner.export_config()
+        assert "precision" not in config and "kernel" not in config
+        for model in models[2:4]:
+            service.repository.commit(model, message=model.name)
+            restored.repository.commit(model, message=model.name)
+        assert [b.result for b in restored.builds] == [
+            b.result for b in service.builds
+        ]
+
+    def test_jit_kernel_config_is_refused(self, world):
+        """Numba-kernel plans were not bit-identical, so they cannot restore."""
+        from repro.core.kernel import DefaultPlanner
+        from repro.stats.cache import warm_after_restore
+
+        script, testset, baseline, _ = world
+        service = make_service(script, testset, baseline)
+        state = self._legacy_state(service, kernel="jit")
+        with pytest.raises(PersistenceError, match="kernel='jit'"):
+            CIService.from_state(state)
+        with pytest.raises(PersistenceError, match="kernel='jit'"):
+            DefaultPlanner.build(config=state["engine"]["estimator"])
+        with pytest.raises(PersistenceError, match="kernel='jit'"):
+            warm_after_restore(state["engine"]["warm_manifest"])
+
 
 class TestOperationsReport:
     def test_fields_without_persistence(self, world):
@@ -568,7 +620,8 @@ class TestOperationsReport:
     def test_describe_with_store_but_no_journal(self, world, tmp_path):
         script, testset, baseline, _ = world
         service = make_service(script, testset, baseline)
-        service.attach_persistence(SnapshotStore(tmp_path / "snaps"))
+        store = DirectoryStateStore(SnapshotStore(tmp_path / "snaps"))
+        service.attach_persistence(store)
         service.snapshot()
         report = service.operations()
         assert report.journal_lag is None

@@ -116,11 +116,9 @@ def test_seeded_chaos_parity(tmp_path):
     """The CI chaos leg: probabilistic faults from ``REPRO_FAULT_SEED``.
 
     Whatever schedule the seed draws — flaky worker tasks raising at
-    random traversals, shared-table attachments failing at ``shm.attach``
-    (workers then fall back to a private log-factorial regrow) — the
-    sharded epsilon sweep and the cold plan derivations must return
-    exactly the serial answers (retried, degraded to serial, or computed
-    off a private table; never different).
+    random traversals — the sharded epsilon sweep and the cold plan
+    derivations must return exactly the serial answers (retried or
+    degraded to serial; never different).
     """
     seed = seed_from_env(default=0)
     sizes = np.unique(np.linspace(300, 1600, 8).astype(int))
@@ -136,12 +134,6 @@ def test_seeded_chaos_parity(tmp_path):
             site="executor.task",
             action="raise",
             probability=0.25,
-            times=None,
-        ),
-        FaultRule(
-            site="shm.attach",
-            action="raise",
-            probability=0.5,
             times=None,
         ),
     ]

@@ -1,5 +1,7 @@
 """Batch kernels agree with the scalar binomial machinery to <= 1e-10."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.stats.batch import (
     binomial_tail_inversion_lower_vec,
     binomial_tail_inversion_upper_vec,
     clopper_pearson_interval_vec,
+    exact_coverage_failure_probability_pairs,
     exact_coverage_failure_probability_vec,
     log_factorial_table,
 )
@@ -25,7 +28,12 @@ from repro.stats.binomial import (
     binomial_tail_inversion_upper,
     clopper_pearson_interval,
 )
-from repro.stats.cache import all_cache_info, clear_all_caches
+from repro.stats.cache import (
+    all_cache_info,
+    clear_all_caches,
+    export_manifest,
+    merge_manifest,
+)
 from repro.stats.tight_bounds import (
     exact_coverage_failure_probability,
     tight_epsilon,
@@ -196,3 +204,147 @@ class TestCaching:
         small = log_factorial_table(10).copy()
         large = log_factorial_table(1000)
         assert np.array_equal(small[:11], large[:11])
+
+    def test_table_counters_are_real(self):
+        """``repro ops`` reports genuine serve/grow traffic, not placeholders."""
+        clear_all_caches()
+        name = "stats.batch.log_factorial_table"
+        info = all_cache_info()[name]
+        assert (info.hits, info.misses) == (0, 0)
+        log_factorial_table(100)  # grow
+        log_factorial_table(50)  # served by the existing table
+        log_factorial_table(80)  # served
+        table = log_factorial_table(200)  # grow again
+        info = all_cache_info()[name]
+        assert info.misses == 2
+        assert info.hits == 2
+        assert info.currsize == len(table)
+        clear_all_caches()
+        info = all_cache_info()[name]
+        assert (info.hits, info.misses) == (0, 0)
+
+    def test_manifest_merge_regrows_the_table(self):
+        """A worker's join covers the manifest's limit with identical entries."""
+        clear_all_caches()
+        expected = log_factorial_table(2048).copy()
+        manifest = export_manifest()
+        clear_all_caches()  # play the fresh worker
+        merge_manifest(manifest)
+        info = all_cache_info()["stats.batch.log_factorial_table"]
+        # The join grows the table, and is not a lookup: nothing counted.
+        assert info.currsize == len(expected)
+        assert (info.hits, info.misses) == (0, 0)
+        table = log_factorial_table(2048)
+        assert np.array_equal(table[: len(expected)], expected)
+        # Merging our own export again changes nothing.
+        merge_manifest(export_manifest())
+        assert len(log_factorial_table(0)) == len(table)
+
+
+# ---------------------------------------------------------------------------
+# Pairs kernel: the fused loop against its reference oracle
+# ---------------------------------------------------------------------------
+
+TRIAL_SEEDS = range(8)
+PAIRS_IMPLS = ["fused", "reference"]
+
+
+def _seeded(trial, seed: int) -> None:
+    """Run ``trial(rng)``; on failure, re-raise with the seed attached."""
+    try:
+        trial(random.Random(seed))
+    except AssertionError as err:
+        raise AssertionError(f"[reproduce with seed={seed}] {err}") from err
+
+
+def _random_triples(rng: random.Random, size: int):
+    """Heterogeneous (n, p, eps) including boundary p and large-n rows."""
+    ns, ps, epss = [], [], []
+    for _ in range(size):
+        if rng.random() < 0.25:
+            ns.append(rng.randrange(10_000, 60_000))
+        else:
+            ns.append(rng.randrange(1, 3000))
+        roll = rng.random()
+        if roll < 0.05:
+            ps.append(0.0)
+        elif roll < 0.10:
+            ps.append(1.0)
+        else:
+            ps.append(rng.random())
+        epss.append(rng.uniform(1e-4, 0.5))
+    return np.asarray(ns), np.asarray(ps), np.asarray(epss)
+
+
+def _random_partition(rng: random.Random, size: int) -> list[slice]:
+    cuts = sorted(rng.sample(range(1, size), k=min(rng.randrange(1, 6), size - 1)))
+    bounds = [0, *cuts, size]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def test_fused_is_bit_identical_to_reference():
+    def trial(rng: random.Random) -> None:
+        size = rng.randrange(8, 64)
+        ns, ps, epss = _random_triples(rng, size)
+        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
+        reference = exact_coverage_failure_probability_pairs(
+            ns, ps, epss, impl="reference"
+        )
+        assert np.array_equal(fused, reference), (
+            f"fused diverged on {np.sum(fused != reference)} of {size} elements "
+            f"(max delta {np.max(np.abs(fused - reference)):.3e})"
+        )
+
+    for seed in TRIAL_SEEDS:
+        _seeded(trial, seed)
+
+
+@pytest.mark.parametrize("impl", PAIRS_IMPLS)
+def test_pairs_kernel_is_invariant_under_batch_splits(impl):
+    def trial(rng: random.Random) -> None:
+        size = rng.randrange(8, 48)
+        ns, ps, epss = _random_triples(rng, size)
+        whole = exact_coverage_failure_probability_pairs(ns, ps, epss, impl=impl)
+        pieces = [
+            exact_coverage_failure_probability_pairs(
+                ns[part], ps[part], epss[part], impl=impl
+            )
+            for part in _random_partition(rng, size)
+        ]
+        chunked = np.concatenate(pieces)
+        assert np.array_equal(whole, chunked), (
+            f"[{impl}] split changed {np.sum(whole != chunked)} of {size} elements"
+        )
+
+    for seed in TRIAL_SEEDS:
+        _seeded(trial, seed)
+
+
+@pytest.mark.parametrize("impl", PAIRS_IMPLS)
+def test_pairs_kernel_is_invariant_under_permutation(impl):
+    def trial(rng: random.Random) -> None:
+        size = rng.randrange(8, 48)
+        ns, ps, epss = _random_triples(rng, size)
+        whole = exact_coverage_failure_probability_pairs(ns, ps, epss, impl=impl)
+        order = list(range(size))
+        rng.shuffle(order)
+        idx = np.asarray(order)
+        shuffled = exact_coverage_failure_probability_pairs(
+            ns[idx], ps[idx], epss[idx], impl=impl
+        )
+        unshuffled = np.empty_like(shuffled)
+        unshuffled[idx] = shuffled
+        assert np.array_equal(whole, unshuffled), (
+            f"[{impl}] permutation changed "
+            f"{np.sum(whole != unshuffled)} of {size} elements"
+        )
+
+    for seed in TRIAL_SEEDS:
+        _seeded(trial, seed)
+
+
+def test_unknown_pairs_impl_is_rejected():
+    ns, ps, epss = np.asarray([100]), np.asarray([0.5]), np.asarray([0.05])
+    for impl in ("blas", "jit"):
+        with pytest.raises(InvalidParameterError):
+            exact_coverage_failure_probability_pairs(ns, ps, epss, impl=impl)

@@ -14,14 +14,12 @@ import pytest
 from repro.core.engine import CIEngine
 from repro.core.estimators.api import SampleSizeEstimator
 from repro.exceptions import InvalidParameterError
-from repro.stats.batch import log_factorial_table, shared_table_descriptor
 from repro.stats.cache import all_caches, clear_all_caches
 from repro.stats.parallel import (
     WORKERS_ENV,
     PlanningExecutor,
     get_executor,
     resolve_workers,
-    shutdown_executors,
 )
 from repro.stats.tight_bounds import (
     epsilon_sweep_shards,
@@ -96,32 +94,6 @@ class TestExecutorParity:
         # The probe certificates hold on the sharded result too.
         assert not exceeds_delta_many(SIZES, sharded, DELTA).any()
         assert exceeds_delta_many(SIZES, sharded - TOL, DELTA).all()
-
-    def test_float32_epsilon_sweep_identical_and_certified(self):
-        clear_all_caches()
-        serial = tight_epsilon_many(SIZES, DELTA, tol=TOL, precision="float32")
-        clear_all_caches()
-        with PlanningExecutor(2) as executor:
-            sharded = executor.tight_epsilon_many(
-                SIZES, DELTA, tol=TOL, precision="float32"
-            )
-        assert np.array_equal(serial, sharded)
-        # Certified against full-fidelity float64 probes either way.
-        assert not exceeds_delta_many(SIZES, sharded, DELTA).any()
-        assert exceeds_delta_many(SIZES, sharded - TOL, DELTA).all()
-        # And within one bracket width of the float64 tier's answer.
-        float64 = tight_epsilon_many(SIZES, DELTA, tol=TOL)
-        assert np.all(np.abs(sharded - float64) <= 2 * TOL)
-
-    def test_pool_lifecycle_publishes_and_releases_the_shared_table(self):
-        clear_all_caches()
-        log_factorial_table(4096)  # a table worth publishing
-        with PlanningExecutor(2) as executor:
-            executor.tight_epsilon_many(SIZES, DELTA, tol=TOL)
-            name, limit = shared_table_descriptor()
-            assert name is not None and limit >= 4096
-        shutdown_executors()  # owns the unlink side of the lifecycle
-        assert shared_table_descriptor() == (None, -1)
 
     def test_sharded_sweep_leaves_the_parent_warm(self):
         clear_all_caches()
@@ -260,7 +232,7 @@ class TestEngineWiring:
 
     def test_engine_workers_reach_the_estimator(self):
         engine, _ = self.make_world(workers=2)
-        assert engine.estimator.workers == 2
+        assert engine.planner.estimator.workers == 2
 
     def test_custom_estimator_is_rebuilt_with_workers(self):
         from repro.core.script.config import CIScript
@@ -294,8 +266,8 @@ class TestEngineWiring:
             estimator=estimator,
             workers=2,
         )
-        assert engine.estimator.workers == 2
-        assert engine.estimator.use_exact_binomial is True
+        assert engine.planner.estimator.workers == 2
+        assert engine.planner.estimator.use_exact_binomial is True
 
     def test_parallel_engine_results_match_serial(self):
         serial_engine, pair = self.make_world()

@@ -12,11 +12,12 @@ labels the math says are spent.  This module makes the state durable:
   :meth:`CIEngine.export_state` mappings.  Every snapshot records the
   journal sequence it was taken at, so a restorer knows where replay
   begins.
-* :class:`EventJournal` — an append-only JSON-lines event log (commit
-  received / build recorded / promotion / rotation / alarm / snapshot /
-  restore).  ``commit-received`` records embed the committed model
-  (pickled, base64) *before* the build runs, so a crash mid-build loses
-  no commit: restore replays it deterministically.
+* :class:`EventJournal` — the event log (commit received / build
+  recorded / promotion / rotation / alarm / snapshot / restore), an
+  :class:`~repro.ci.appendlog.AppendLog`.  ``commit-received`` records
+  embed the committed model (pickled, base64) and are fsynced *before*
+  the build runs, so a crash mid-build loses no commit: restore replays
+  it deterministically.
 * :func:`open_state_dir` — the one-directory layout convention
   (``<dir>/snapshots/`` + ``<dir>/journal.jsonl``) used by
   :meth:`CIService.persist_to` / :meth:`CIService.resume` and the
@@ -25,23 +26,26 @@ labels the math says are spent.  This module makes the state durable:
 Crash model
 -----------
 Kill the process at any *journal boundary* (between two appends; each
-append is flushed and fsynced before returning) and restore: the service
-loads the latest snapshot, then replays every journaled
-``commit-received`` whose repository sequence the snapshot does not yet
-contain, in order, deduplicated by sequence.  Because evaluation is a
-pure function of engine state and the committed model, the replayed
+append is flushed before returning) and restore: the service loads the
+latest snapshot, then replays every journaled ``commit-received`` whose
+repository sequence the snapshot does not yet contain, in order,
+deduplicated by sequence.  Because evaluation is a pure function of
+engine state and the committed model, the replayed
 :class:`CommitResult`/:class:`BuildRecord` sequence is element-wise
 identical to the uninterrupted run — in all three adaptivity modes (the
-restart-parity suite asserts this).  A torn trailing journal line (the
-crash landed mid-append) is ignored; a torn line *followed by* intact
-records means real corruption and raises :class:`PersistenceError`.
+restart-parity suite asserts this).  An appended record survives process
+death; it survives power loss once the next fsync of the journal
+returns — every ``commit-received`` append, and every snapshot, which
+syncs the journal first.  A power loss therefore drops only records
+after the last commit, the same state as a crash at that boundary.
 
 Corruption model
 ----------------
 Beyond clean crashes, the store tolerates *damaged files*.  Snapshot
 envelopes carry a CRC-32 over the pickled payload and journal lines
 carry a per-line CRC, so truncation and bit-rot are detected, not
-deserialized.  A corrupt or truncated snapshot raises
+deserialized (a damaged journal line followed by intact records raises
+:class:`PersistenceError`).  A corrupt or truncated snapshot raises
 :class:`~repro.exceptions.SnapshotCorruptError` from :meth:`SnapshotStore.load`;
 :meth:`SnapshotStore.load_latest` instead *quarantines* it (renamed with
 a ``.quarantined`` suffix — never deleted) and falls back to the next
@@ -67,19 +71,26 @@ server-local data — never restore from an untrusted one.
 from __future__ import annotations
 
 import base64
-import json
 import os
 import pickle
 import re
-import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
+from repro.ci.appendlog import (
+    AppendLog,
+    LogLine,
+    LogSchema,
+    crc32 as _crc32,
+    quarantine_path,
+    render_line,
+    replace_atomically,
+)
 from repro.exceptions import PersistenceError, SnapshotCorruptError
 from repro.reliability.events import record_event
-from repro.reliability.faults import InjectedFault, fault_point, torn_bytes
+from repro.reliability.faults import fault_point, torn_bytes
 from repro.utils.serialization import to_jsonable
 
 __all__ = [
@@ -109,9 +120,6 @@ __all__ = [
 #: (unchecksummed) envelopes are still read.
 SNAPSHOT_FORMAT_VERSION = 2
 
-
-def _crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
 
 # Journal event types.  The first is the one replay is driven by; the rest
 # form the operational audit trail.  COMPACTION is the checkpoint-truncate
@@ -163,29 +171,34 @@ def decode_model(payload: str) -> Any:
 # The journal
 # ---------------------------------------------------------------------------
 
-def _parse_journal_line(line: str) -> dict[str, Any] | None:
-    """Parse one journal line into its record mapping, or ``None``.
+_TAIL = re.compile(
+    rb'"recorded_at": "[^"\\]*", "sequence": (\d+), "type": "([^"\\]*)"\}\Z'
+)
 
-    ``None`` means the line is not an intact record: unparseable JSON, a
-    missing required field, or (for lines that carry one) a CRC that
-    does not match the canonical serialization of the rest of the line.
-    Lines without a ``crc`` field are accepted — journals written before
-    the checksummed format remain readable.
-    """
-    try:
-        raw = json.loads(line)
-        int(raw["sequence"])
-        raw["type"], raw["recorded_at"]
-    except (ValueError, KeyError, TypeError):
-        return None
-    if not isinstance(raw, dict):
-        return None
-    crc = raw.pop("crc", None)
-    if crc is not None:
-        body = json.dumps(raw, sort_keys=True).encode("utf-8")
-        if crc != _crc32(body):
-            return None
-    return raw
+
+def _journal_key(raw: dict[str, Any]) -> tuple[int, str]:
+    raw["recorded_at"]
+    return int(raw["sequence"]), raw["type"]
+
+
+def _journal_fast_key(line: bytes) -> tuple[int, str] | None:
+    tail = _TAIL.search(line, max(0, len(line) - 256))
+    return None if tail is None else (int(tail[1]), tail[2].decode("ascii"))
+
+
+#: The journal's log schema.  Only ``commit-received`` is fsynced: it is
+#: the record that must be on disk before a build can notify anyone.
+#: Lines without a ``crc`` (journals from before checksums) are read.
+_JOURNAL = LogSchema(
+    noun="journal",
+    sites="journal",
+    source="ci.persistence",
+    key=_journal_key,
+    fast_key=_journal_fast_key,
+    durable=frozenset({COMMIT_RECEIVED}),
+    legacy=True,
+    fsync_site=True,
+)
 
 
 @dataclass(frozen=True)
@@ -212,23 +225,23 @@ class JournalRecord:
     recorded_at: str
     payload: dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def _from_raw(cls, raw: dict[str, Any]) -> "JournalRecord":
+        return cls(
+            sequence=int(raw["sequence"]),
+            type=str(raw["type"]),
+            recorded_at=str(raw["recorded_at"]),
+            payload=dict(raw.get("payload") or {}),
+        )
+
 
 class EventJournal:
-    """An append-only JSON-lines event log with fsync durability.
+    """The append-only event log: journal records over an :class:`AppendLog`.
 
-    Parameters
-    ----------
-    path:
-        The journal file (created, along with parent directories, on
-        first append).  Existing records are scanned once at open to
-        resume the sequence counter.
-    sync:
-        Fsync after every append (default).  Turning it off trades the
-        crash guarantee for throughput — acceptable for tests and
-        simulations, not for a deployment.
-    clock:
-        Timestamp source for ``recorded_at`` (UTC now by default);
-        injectable for deterministic tests.
+    ``path`` is created with its parents on first append; opening heals a
+    torn tail and indexes every record.  ``sync=False`` skips every fsync
+    (tests and simulations, not deployments).  ``clock`` stamps
+    ``recorded_at`` (UTC now by default).
     """
 
     def __init__(
@@ -238,69 +251,10 @@ class EventJournal:
         sync: bool = True,
         clock: Callable[[], datetime] | None = None,
     ):
-        self.path = Path(path)
-        self.sync = bool(sync)
+        self._log = AppendLog(path, _JOURNAL, sync=sync)
+        self.path = self._log.path
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        # Cached append-mode handle (O_APPEND, so an external truncation
-        # of the tail cannot misplace a later write).  Opened lazily,
-        # popped whenever an append fails or a compaction replaces the
-        # file, so the next append reopens cleanly.
-        self._handle = None
-        self._compacted_through = 0
-        self._next_sequence = self._repair_and_scan() + 1
-
-    def _repair_and_scan(self) -> int:
-        """Scan intact records; truncate a torn *trailing* line in place.
-
-        A torn trailing line is the tolerated crash artifact — the append
-        never completed, so by the crash model its event never happened.
-        It cannot be left in the file: :meth:`append` opens in append
-        mode, so the next record would merge into the torn bytes (losing
-        it), and one more append after that would make the merged line
-        *non*-trailing — permanently unreadable corruption.  Truncating
-        the torn tail once, at open, keeps append blind and the journal
-        self-healing; the torn bytes are quarantined into a sidecar file
-        first (never deleted — they are forensic evidence, not state).
-        Garbage *followed by* intact records is real corruption; it is
-        left untouched for :meth:`records` to raise on.
-        """
-        if not self.path.exists():
-            return 0
-        raw = self.path.read_bytes()
-        last, valid_end, offset = 0, 0, 0
-        for chunk in raw.splitlines(keepends=True):
-            offset += len(chunk)
-            line = chunk.decode("utf-8", errors="replace").strip()
-            if not line:
-                valid_end = offset
-                continue
-            parsed = _parse_journal_line(line)
-            if parsed is None:
-                continue  # valid_end stays put; trailing garbage truncates
-            last = int(parsed["sequence"])
-            valid_end = offset
-            if parsed.get("type") == COMPACTION:
-                payload = parsed.get("payload") or {}
-                self._compacted_through = max(
-                    self._compacted_through,
-                    int(payload.get("compacted_through", last)),
-                )
-        if valid_end < len(raw):
-            torn = raw[valid_end:]
-            sidecar = self.path.with_name(
-                f"{self.path.name}.torn-{valid_end}.quarantined"
-            )
-            sidecar.write_bytes(torn)
-            record_event(
-                "journal-torn-tail",
-                "ci.persistence",
-                journal=str(self.path),
-                quarantined=str(sidecar),
-                torn_bytes=len(torn),
-            )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_end)
-        return last
+        self._next_sequence = self._log.last_sequence + 1
 
     @property
     def last_sequence(self) -> int:
@@ -313,104 +267,33 @@ class EventJournal:
 
         Every record at or below this sequence was captured by a
         snapshot before :meth:`compact` removed it; readers must not
-        interpret the missing prefix as loss.
+        interpret the missing prefix as loss.  A ``compacted-through``
+        header carries the boundary as its own sequence.
         """
-        return self._compacted_through
+        return _compacted_through(self._log.lines)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.records())
-
-    # -- the append handle ---------------------------------------------------
-    def _acquire_handle(self):
-        if self._handle is None or self._handle.closed:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "ab")
-        return self._handle
+        return sum(1 for _ in self._log.entries())
 
     def close(self) -> None:
         """Close the cached append handle (reopened lazily on next append)."""
-        handle, self._handle = self._handle, None
-        if handle is not None and not handle.closed:
-            try:
-                handle.close()
-            except OSError:
-                pass
+        self._log.close()
 
-    def _discard_failed_append(self, start: int) -> None:
-        """Self-heal after a failed append: pop the handle, truncate the tail.
-
-        A failed append — torn write, failing fsync, ``ENOSPC`` — leaves
-        the cached handle in an indeterminate position and possibly
-        bytes on disk for an event the caller was told never happened
-        (a fully written line whose fsync failed even parses as valid,
-        which no later scan could distinguish from a real record).  The
-        handle is popped so the next append reopens cleanly, and the
-        file is truncated back to its pre-append size with the removed
-        bytes quarantined into a sidecar — mirroring the torn-tail
-        healing the next open would perform, but eagerly, while this
-        process can still tell where the append began.  Best-effort: a
-        disk too broken to truncate leaves recovery to the next open's
-        scan, exactly as before.
-        """
-        self.close()
-        try:
-            with open(self.path, "r+b") as handle:
-                handle.seek(0, os.SEEK_END)
-                end = handle.tell()
-                if end <= start:
-                    return
-                handle.seek(start)
-                torn = handle.read(end - start)
-                sidecar = self.path.with_name(
-                    f"{self.path.name}.torn-{start}.quarantined"
-                )
-                suffix = 0
-                while sidecar.exists():
-                    suffix += 1
-                    sidecar = self.path.with_name(
-                        f"{self.path.name}.torn-{start}.quarantined.{suffix}"
-                    )
-                sidecar.write_bytes(torn)
-                handle.truncate(start)
-        except OSError:
-            return
-        record_event(
-            "journal-torn-tail",
-            "ci.persistence",
-            journal=str(self.path),
-            quarantined=str(sidecar),
-            torn_bytes=len(torn),
-        )
+    def sync(self) -> None:
+        """Make every record appended so far survive power loss."""
+        self._log.sync()
 
     # -- writing -------------------------------------------------------------
-    def _render_line(self, record: JournalRecord) -> bytes:
-        """One CRC-stamped JSON line (canonical serialization)."""
-        rendered = to_jsonable(record)
-        body = json.dumps(rendered, sort_keys=True).encode("utf-8")
-        rendered["crc"] = _crc32(body)
-        return (json.dumps(rendered, sort_keys=True) + "\n").encode("utf-8")
-
     def append(self, type: str, payload: dict[str, Any] | None = None) -> JournalRecord:
-        """Append one event; flushed (and fsynced) before returning.
+        """Append one event: flushed, and fsynced if it is ``commit-received``.
 
-        The record's JSON line is rendered through
-        :func:`repro.utils.serialization.to_jsonable` — payloads may
-        carry datetimes, paths, enums and numpy values directly — and
-        stamped with a CRC-32 over its canonical serialization, so a
-        reader can tell a damaged line from a valid one.
-
-        Appends go through a cached ``O_APPEND`` handle.  Any failure —
-        an injected tear, a failing fsync, a real ``ENOSPC``/``EIO`` —
-        pops the handle and truncates the file back to its pre-append
-        size (quarantining whatever landed), so the journal self-heals
-        immediately and a subsequent append simply reopens and succeeds;
-        the event whose append failed never happened, exactly as the
-        crash model promises.
-
-        Fault-injection points: ``journal.write`` (``errno`` — the disk
-        fills before any byte lands), ``journal.append`` (``tear``
-        writes a partial line then raises — the crash-mid-append case)
-        and ``journal.fsync`` (a failing disk after a complete write).
+        The payload goes through
+        :func:`repro.utils.serialization.to_jsonable` (datetimes, paths,
+        enums and numpy values are fine).  Any other record becomes
+        power-loss durable at the next fsync of the file.  A failed
+        append — tear, failing fsync, ``ENOSPC``/``EIO`` — is truncated
+        away: the event never happened.  Fault-injection points
+        ``journal.append``, ``journal.write`` and ``journal.fsync``.
         """
         if type not in EVENT_TYPES:
             raise PersistenceError(
@@ -423,26 +306,7 @@ class EventJournal:
             recorded_at=self._clock().isoformat(),
             payload=dict(payload or {}),
         )
-        data = self._render_line(record)
-        handle = self._acquire_handle()
-        start = os.fstat(handle.fileno()).st_size
-        try:
-            torn = torn_bytes(data, fault_point("journal.append"))
-            fault_point("journal.write")
-            handle.write(data if torn is None else torn)
-            handle.flush()
-            if torn is not None:
-                if self.sync:
-                    os.fsync(handle.fileno())
-                raise InjectedFault(
-                    "journal.append", f"write torn at byte {len(torn)}"
-                )
-            fault_point("journal.fsync")
-            if self.sync:
-                os.fsync(handle.fileno())
-        except BaseException:
-            self._discard_failed_append(start)
-            raise
+        self._log.append(to_jsonable(record))
         self._next_sequence += 1
         return record
 
@@ -457,8 +321,8 @@ class EventJournal:
         header record first (carrying ``through_sequence`` as its own
         sequence, so the file stays monotonic and an all-dropped journal
         still resumes its counter correctly), then every surviving
-        record with its original sequence and timestamp.  A crash at any
-        point leaves either the old or the new journal, both complete.
+        record's line, byte for byte.  A crash at any point leaves
+        either the old or the new journal, both complete.
 
         Compacting to a boundary at or below a previous compaction's is
         a no-op; returns the number of records dropped this pass.
@@ -467,23 +331,23 @@ class EventJournal:
         rewrite never starts; the original journal is untouched).
         """
         through = int(through_sequence)
-        if through <= self._compacted_through:
+        if through <= self.compacted_through:
             return 0
         if through > self.last_sequence:
             raise PersistenceError(
                 f"cannot compact journal {self.path} through sequence "
                 f"{through}: newest record is {self.last_sequence}"
             )
-        survivors: list[JournalRecord] = []
-        dropped = 0
-        prior_dropped = 0
-        for record in self.records():
-            if record.type == COMPACTION:
-                prior_dropped = int(record.payload.get("dropped", 0))
-            if record.sequence <= through:
+        survivors: list[bytes] = []
+        dropped = prior_dropped = 0
+        for line, chunk in self._log.entries():
+            if line.kind == COMPACTION:
+                payload = _JOURNAL.parse(chunk).get("payload") or {}
+                prior_dropped = int(payload.get("dropped", 0))
+            if line.sequence <= through:
                 dropped += 1
             else:
-                survivors.append(record)
+                survivors.append(chunk)
         fault_point("journal.compact")
         header = JournalRecord(
             sequence=through,
@@ -495,25 +359,8 @@ class EventJournal:
             },
         )
         bytes_before = self.path.stat().st_size if self.path.exists() else 0
-        data = b"".join(
-            self._render_line(record) for record in [header] + survivors
-        )
-        temp = self.path.with_name(self.path.name + ".compact.tmp")
-        try:
-            with open(temp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                if self.sync:
-                    os.fsync(handle.fileno())
-            self.close()  # the cached handle points at the old inode
-            os.replace(temp, self.path)
-        except BaseException:
-            try:
-                temp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise
-        self._compacted_through = through
+        data = render_line(to_jsonable(header)) + b"".join(survivors)
+        self._log.rewrite(data)
         record_event(
             "journal-compacted",
             "ci.persistence",
@@ -529,78 +376,39 @@ class EventJournal:
     def records(self) -> Iterator[JournalRecord]:
         """Yield every intact record, oldest first.
 
-        A torn *trailing* line — the crash landed mid-append — is
-        silently dropped (its event never happened, by the crash model).
-        A malformed or CRC-failing line with intact records after it is
-        corruption and raises :class:`PersistenceError`.
+        A damaged line with intact records after it raises
+        :class:`PersistenceError`; a torn tail is dropped.
         """
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        pending_error: PersistenceError | None = None
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            raw = _parse_journal_line(line)
-            if raw is None:
-                pending_error = PersistenceError(
-                    f"journal {self.path} line {number} is corrupt "
-                    "(non-trailing): malformed or checksum mismatch"
-                )
-                continue
-            record = JournalRecord(
-                sequence=int(raw["sequence"]),
-                type=str(raw["type"]),
-                recorded_at=str(raw["recorded_at"]),
-                payload=dict(raw.get("payload") or {}),
-            )
-            if pending_error is not None:
-                raise pending_error
-            yield record
+        return map(JournalRecord._from_raw, self._log.records())
 
     def records_of(self, type: str) -> Iterator[JournalRecord]:
-        """Yield intact records of one event type, oldest first."""
-        return (record for record in self.records() if record.type == type)
+        """Like :meth:`records`, parsing only the lines of one event type."""
+        return map(JournalRecord._from_raw, self._log.records((type,)))
+
+
+def _compacted_through(lines: Iterable[LogLine]) -> int:
+    return max(
+        (line.sequence for line in lines if line.kind == COMPACTION), default=0
+    )
 
 
 @dataclass(frozen=True)
 class JournalScan:
     """Read-only classification of a journal file (``repro ops --fsck``).
 
-    Unlike constructing an :class:`EventJournal` — which self-heals by
-    truncating a torn trailing line — producing this report never
-    touches the file.
-
-    Attributes
-    ----------
-    path:
-        The scanned journal file.
-    exists:
-        Whether the file exists at all.
-    records:
-        Count of intact records.
-    last_sequence:
-        Sequence of the newest intact record (0 when none).
-    corrupt_lines:
-        1-based line numbers of malformed / CRC-failing lines that are
-        *followed by* intact records (real corruption; replay raises).
-    torn_tail_bytes:
-        Size of the invalid trailing region (a crash artifact the next
-        open would quarantine and truncate), 0 when the tail is clean.
-    commit_sequences:
-        Repository sequences of every intact ``commit-received`` record,
-        in journal order — what replay depth is computed from.
-    commit_journal_sequences:
-        *Journal* sequences of those same records, aligned with
-        ``commit_sequences`` — how the doctor counts commits past a
-        snapshot's anchor.
-    compacted_through:
-        Highest ``compacted-through`` header boundary in the file (0
-        when the journal was never compacted).  Records at or below
-        this sequence were deliberately dropped by compaction — their
-        absence is not loss, but a restore needs a snapshot anchored at
-        or past this boundary.
+    Unlike opening an :class:`EventJournal`, which heals a torn tail,
+    producing this report never touches the file.  ``records`` counts
+    intact records, the newest being ``last_sequence`` (0 when none).
+    ``corrupt_lines`` are 1-based numbers of damaged lines *followed by*
+    intact records (real corruption; replay raises); ``torn_tail_bytes``
+    is the invalid trailing region the next open would quarantine.
+    ``commit_sequences`` are the repository sequences of the intact
+    ``commit-received`` records in journal order (replay depth), and
+    ``commit_journal_sequences`` their journal sequences (commits past a
+    snapshot's anchor).  ``compacted_through`` is the highest
+    ``compacted-through`` boundary (0 = never compacted): records at or
+    below it were dropped on purpose, and a restore needs a snapshot
+    anchored at or past it.
     """
 
     path: Path
@@ -617,78 +425,23 @@ class JournalScan:
 def scan_journal(path: str | Path) -> JournalScan:
     """Classify a journal file without opening it for repair."""
     path = Path(path)
-    if not path.exists():
-        return JournalScan(
-            path=path,
-            exists=False,
-            records=0,
-            last_sequence=0,
-            corrupt_lines=(),
-            torn_tail_bytes=0,
-            commit_sequences=(),
-            commit_journal_sequences=(),
-        )
-    raw = path.read_bytes()
-    records = 0
-    last_sequence = 0
-    compacted_through = 0
-    invalid: list[int] = []
-    commit_sequences: list[int] = []
-    commit_journal_sequences: list[int] = []
-    valid_end = offset = 0
-    number = 0
-    for chunk in raw.splitlines(keepends=True):
-        offset += len(chunk)
-        number += 1
-        line = chunk.decode("utf-8", errors="replace").strip()
-        if not line:
-            valid_end = offset
-            continue
-        parsed = _parse_journal_line(line)
-        if parsed is None:
-            invalid.append(number)
-            continue
-        records += 1
-        last_sequence = int(parsed["sequence"])
-        valid_end = offset
-        if parsed.get("type") == COMMIT_RECEIVED:
-            payload = parsed.get("payload") or {}
-            if "sequence" in payload:
-                commit_sequences.append(int(payload["sequence"]))
-                commit_journal_sequences.append(int(parsed["sequence"]))
-        elif parsed.get("type") == COMPACTION:
-            payload = parsed.get("payload") or {}
-            compacted_through = max(
-                compacted_through,
-                int(payload.get("compacted_through", parsed["sequence"])),
-            )
-    torn_tail_bytes = len(raw) - valid_end
-    # Invalid lines inside the valid region are corruption; invalid lines
-    # in the trailing region are the (tolerated) torn tail.
-    corrupt_lines = tuple(
-        n for n in invalid if _line_offset(raw, n) < valid_end
-    )
+    log = AppendLog(path, _JOURNAL, heal=False)
+    commits = [
+        (int(raw["payload"]["sequence"]), int(raw["sequence"]))
+        for raw in log.records((COMMIT_RECEIVED,), strict=False)
+        if "sequence" in (raw.get("payload") or {})
+    ]
     return JournalScan(
         path=path,
-        exists=True,
-        records=records,
-        last_sequence=last_sequence,
-        corrupt_lines=corrupt_lines,
-        torn_tail_bytes=torn_tail_bytes,
-        commit_sequences=tuple(commit_sequences),
-        commit_journal_sequences=tuple(commit_journal_sequences),
-        compacted_through=compacted_through,
+        exists=path.exists(),
+        records=sum(line.sequence is not None for line in log.lines),
+        last_sequence=log.last_sequence,
+        corrupt_lines=log.corrupt_lines,
+        torn_tail_bytes=log.torn_tail_bytes,
+        commit_sequences=tuple(sequence for sequence, _ in commits),
+        commit_journal_sequences=tuple(journal for _, journal in commits),
+        compacted_through=_compacted_through(log.lines),
     )
-
-
-def _line_offset(raw: bytes, number: int) -> int:
-    """Byte offset at which 1-based line ``number`` starts."""
-    offset = 0
-    for index, chunk in enumerate(raw.splitlines(keepends=True), start=1):
-        if index == number:
-            return offset
-        offset += len(chunk)
-    return offset
 
 
 # ---------------------------------------------------------------------------
@@ -810,21 +563,9 @@ class SnapshotStore:
             path.write_bytes(torn)
             self._info_cache[sequence] = info
             return info
-        temp = path.with_suffix(".pkl.tmp")
-        try:
-            with open(temp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                fault_point("snapshot.fsync")
-                os.fsync(handle.fileno())
-            fault_point("snapshot.rename")
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                temp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise
+        replace_atomically(
+            path, data, fsync_site="snapshot.fsync", rename_site="snapshot.rename"
+        )
         self._info_cache[sequence] = info
         return info
 
@@ -927,11 +668,7 @@ class SnapshotStore:
 
     def _quarantine(self, sequence: int, path: Path, error: Exception) -> Path:
         """Move a corrupt snapshot aside (never delete) and log the event."""
-        target = path.with_name(path.name + ".quarantined")
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = path.with_name(f"{path.name}.quarantined.{suffix}")
+        target = quarantine_path(path)
         os.replace(path, target)
         self._info_cache.pop(sequence, None)
         record_event(

@@ -152,6 +152,10 @@ class DirectoryStateStore:
         return None if self.journal is None else self.journal.last_sequence
 
     def save_snapshot(self, state: Mapping[str, Any]) -> "SnapshotInfo":
+        if self.journal is not None:
+            # A snapshot must never anchor past the journal's durable end,
+            # or a power loss could reuse sequences it already covers.
+            self.journal.sync()
         sequence = self.journal_sequence
         return self.snapshots.save(
             dict(state), journal_sequence=0 if sequence is None else sequence

@@ -128,9 +128,11 @@ class StateStore(Protocol):
     :class:`~repro.ci.persistence.SnapshotStore` and
     :class:`~repro.ci.persistence.EventJournal`; any implementation must
     honor the same crash model — a snapshot is atomically whole or
-    absent, an appended event survives process death, and
-    ``records_of("commit-received")`` after a crash returns every commit
-    whose append completed, in order.
+    absent; an appended event survives process death, and survives
+    power loss once the next durable append (``commit-received``) or
+    snapshot returns, so a snapshot never anchors past the durable
+    events; and ``records_of("commit-received")`` after a crash returns
+    every commit whose append completed, in order.
     """
 
     @property
@@ -150,7 +152,7 @@ class StateStore(Protocol):
         """The newest restorable snapshot (``None`` for an empty store)."""
 
     def append_event(self, type: str, payload: Mapping[str, Any]) -> None:
-        """Durably append one event (a no-op when no journal is attached)."""
+        """Append one event (a no-op when no journal is attached)."""
 
     def records_of(self, type: str) -> Iterable["JournalRecord"]:
         """Every durable event of ``type``, in append order."""

@@ -8,9 +8,10 @@ the three things a shared deployment needs that a single service does
 not:
 
 * **Bounded residency.**  Live engines are held in an LRU of at most
-  ``max_resident`` tenants.  Eviction compacts the tenant's intake queue
-  and releases the service, writing no tenant state — every commit is
-  already in the tenant journal.  The next submission hydrates it back
+  ``max_resident`` tenants.  Eviction releases the service and writes
+  nothing — every commit is already in the tenant journal, and the
+  intake compacts at the ``snapshot_every`` cadence instead.  The next
+  submission hydrates it back
   from the newest snapshot plus the journal tail (``CIService.restore``,
   the path every crash takes — element-wise identical to never having
   been evicted); the tenant's ``snapshot_every`` cadence bounds that
@@ -20,9 +21,10 @@ not:
   rejected *at the door* with a typed
   :class:`~repro.exceptions.AdmissionError` (fleet overload, tenant
   quota, quarantined tenant — each with a retry-after hint) or accepted
-  into the tenant's CRC'd, fsynced intake queue before anything
-  evaluates it.  Accepted work survives a crash at any point and replays
-  idempotently by repository sequence; there is no third outcome.
+  into the tenant's CRC'd intake queue, fsynced, before anything
+  evaluates it.  Accepted work survives a crash or power loss at any
+  point and replays idempotently by repository sequence (a lost ack is
+  re-acked, never re-run); there is no third outcome.
 * **Per-tenant isolation.**  A tenant whose engine fails repeatedly
   trips its circuit breaker (open → half-open probe → close) and is
   quarantined at the door while every other tenant keeps serving,
@@ -274,7 +276,8 @@ class CIFleet:
         alone bounds hydration: a tenant is restored from its newest
         snapshot plus at most ``snapshot_every - 1`` replayed commits.
         Retention (prune + journal compaction) runs at these cadence
-        snapshots too, never at eviction.
+        snapshots too, never at eviction, and a tenant's intake compacts
+        once that many of its entries are acknowledged.
     keep_snapshots:
         Snapshot-retention depth forwarded to every tenant service
         (default 3): each tenant snapshot prunes older generations and
@@ -293,10 +296,10 @@ class CIFleet:
         root; its hard watermark closes the door for everyone (like
         fleet-wide overload) until reclamation brings usage back under.
     sync:
-        Fsync journals/intakes on every append (default).  Benchmarks
+        Fsync each submission and commit before it is acted on (default;
+        other records ride along with the next fsync).  Benchmarks
         simulating thousands of tenants turn this off; a tenant is then
-        durable only to the OS page cache — its journal as much as its
-        intake, since eviction forces no fsynced snapshot either.
+        durable only to the OS page cache.
     transport_factory:
         Optional ``tenant_id -> NotificationTransport`` hook supplying
         each tenant's notification transport at registration/hydration.
@@ -529,13 +532,14 @@ class CIFleet:
         return service
 
     def _try_evict(self, tenant_id: str) -> bool:
-        """Compact one resident tenant's intake and release it; False on failure.
+        """Release one resident tenant; False on failure.
 
-        Eviction writes no tenant state: every commit was fsynced into the
-        tenant journal (``commit-received``) before its build ran, so the
-        newest snapshot plus the journal tail already restore the service
+        Eviction writes nothing: every commit was fsynced into the tenant
+        journal (``commit-received``) before its build ran, so the newest
+        snapshot plus the journal tail already restore the service
         exactly — the next hydration takes the path every crash takes.
-        Replay depth is bounded by ``snapshot_every``, not by eviction.
+        Replay depth is bounded by ``snapshot_every``, not by eviction,
+        and the intake compacts at that same cadence (:meth:`_ack`).
         The one exception is state replay cannot rebuild, changed since
         the last snapshot (:attr:`CIService.unjournaled_changes`: the
         dead-letter log, a testset or pool install, a generation added
@@ -550,7 +554,6 @@ class CIFleet:
             fault_point("fleet.evict")
             if service.unjournaled_changes:
                 service.snapshot()
-            self._intake(tenant_id).compact()
         except Exception as exc:
             record_event(
                 "evict-failed",
@@ -560,6 +563,9 @@ class CIFleet:
             )
             return False
         del self._resident[tenant_id]
+        queue = self._intakes.get(tenant_id)
+        if queue is not None:
+            queue.close()  # bounds open handles by the resident set
         self.evictions += 1
         record_event("tenant-evicted", "fleet.gateway", tenant=tenant_id)
         return True
@@ -729,6 +735,16 @@ class CIFleet:
                 error=str(exc),
             )
             raise
+        if queue.acked_count >= self.snapshot_every:
+            try:
+                queue.compact()
+            except OSError as exc:  # maintenance: the intact queue retries later
+                record_event(
+                    "intake-compact-failed",
+                    "fleet.gateway",
+                    tenant=tenant_id,
+                    error=str(exc),
+                )
 
     def _drain_tenant(self, tenant_id: str) -> list[BuildRecord]:
         """Process every pending intake entry of one tenant, in order.
@@ -996,14 +1012,16 @@ class CIFleet:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Evict every resident tenant: compact its intake and release it.
+        """Evict every resident tenant and close every intake handle.
 
-        Like any eviction this normally writes no tenant state (see
+        Like any eviction this normally writes nothing (see
         :meth:`_try_evict`); a fleet reopened on the same root hydrates
         each tenant from its newest snapshot plus the journal tail.
         """
         for tenant_id in list(self._resident):
             self._try_evict(tenant_id)
+        for queue in self._intakes.values():
+            queue.close()
 
     def __enter__(self) -> "CIFleet":
         return self

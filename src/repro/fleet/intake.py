@@ -30,30 +30,25 @@ Record kinds
 
 Crash model
 -----------
-Identical to :class:`repro.ci.persistence.EventJournal`: every append is
-flushed (and fsynced) before returning; a torn *trailing* line is a
-crash artifact whose event never happened — it is quarantined into a
-sidecar file and truncated at the next open; garbage followed by intact
-records is real corruption and raises :class:`PersistenceError`.
-The ``intake.append`` fault-injection point simulates the mid-append
-crash (``tear``); ``intake.write`` simulates the disk filling or dying
-(``errno`` → ``ENOSPC``/``EIO``) before any byte lands.
+The queue is an :class:`~repro.ci.appendlog.AppendLog`, like the event
+journal: every append is flushed; cursors and submissions are fsynced
+before returning, acks only reach disk with the next fsync (a lost ack
+heals as above).  Fault-injection points ``intake.append`` (``tear``)
+and ``intake.write`` (``errno``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from repro.ci.appendlog import AppendLog, LogSchema, render_line
 from repro.ci.persistence import decode_model, encode_model
 from repro.exceptions import PersistenceError
-from repro.reliability.events import record_event
-from repro.reliability.faults import InjectedFault, fault_point, torn_bytes
+from repro.utils.serialization import to_jsonable
 
 __all__ = ["IntakeRecord", "IntakeScan", "IntakeQueue", "scan_intake"]
 
@@ -62,34 +57,35 @@ _SUBMISSION = "submission"
 _ACK = "ack"
 _KINDS = frozenset({_CURSOR, _SUBMISSION, _ACK})
 
+_KIND = re.compile(rb'\{"crc": \d+, "kind": "([a-z]+)", ')
+_SEQUENCE = re.compile(rb', "sequence": (\d+)\}\Z')
 
-def _crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
+
+def _intake_key(raw: dict[str, Any]) -> tuple[int, str]:
+    if raw["kind"] not in _KINDS:
+        raise ValueError(f"unknown intake record kind {raw['kind']!r}")
+    return int(raw["sequence"]), raw["kind"]
 
 
-def _parse_intake_line(line: str) -> dict[str, Any] | None:
-    """Parse one intake line, or ``None`` when it is not an intact record.
+def _intake_fast_key(line: bytes) -> tuple[int, str] | None:
+    kind = _KIND.match(line)
+    sequence = _SEQUENCE.search(line, max(0, len(line) - 48))
+    if kind is None or sequence is None or kind[1].decode() not in _KINDS:
+        return None
+    return int(sequence[1]), kind[1].decode()
 
-    ``None`` covers unparseable JSON, a missing/unknown ``kind``, a
-    missing sequence, and a CRC mismatch against the canonical
-    serialization of the rest of the line.
-    """
-    try:
-        raw = json.loads(line)
-        int(raw["sequence"])
-        if raw["kind"] not in _KINDS:
-            return None
-    except (ValueError, KeyError, TypeError):
-        return None
-    if not isinstance(raw, dict):
-        return None
-    crc = raw.pop("crc", None)
-    if crc is None:
-        return None
-    body = json.dumps(raw, sort_keys=True).encode("utf-8")
-    if crc != _crc32(body):
-        return None
-    return raw
+
+#: The intake's log schema.  Submissions and cursors are fsynced —
+#: ``enqueue`` promises an accepted submission is never lost — while an
+#: ack is only flushed: a lost ack is healed by the next drain.
+_INTAKE = LogSchema(
+    noun="intake queue",
+    sites="intake",
+    source="fleet.intake",
+    key=_intake_key,
+    fast_key=_intake_fast_key,
+    durable=frozenset({_CURSOR, _SUBMISSION}),
+)
 
 
 @dataclass(frozen=True)
@@ -106,11 +102,11 @@ class IntakeRecord:
         For cursors: the repository length the queue starts from.  For
         submissions: the repository sequence this submission becomes.
         For acks: the acknowledged submission's ``repo_sequence``.
+    recorded_at:
+        ISO-8601 UTC stamp (operational metadata, never load-bearing).
     payload:
         Submission-only content (``model_pickle``, ``message``,
         ``author``).
-    recorded_at:
-        ISO-8601 UTC stamp (operational metadata, never load-bearing).
     """
 
     sequence: int
@@ -118,6 +114,16 @@ class IntakeRecord:
     repo_sequence: int
     recorded_at: str
     payload: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def _from_raw(cls, raw: dict[str, Any]) -> "IntakeRecord":
+        return cls(
+            sequence=int(raw["sequence"]),
+            kind=str(raw["kind"]),
+            repo_sequence=int(raw["repo_sequence"]),
+            recorded_at=str(raw.get("recorded_at", "")),
+            payload=dict(raw.get("payload") or {}),
+        )
 
     def model(self) -> Any:
         """Unpickle the submitted model (submission records only)."""
@@ -128,23 +134,11 @@ class IntakeRecord:
 class IntakeScan:
     """Read-only classification of an intake file (fleet fsck).
 
-    Attributes
-    ----------
-    path:
-        The scanned intake file.
-    exists:
-        Whether the file exists at all.
-    records:
-        Count of intact records (all kinds).
-    pending:
-        Submissions with no ack — the replay a drain would perform.
-    acked:
-        Submissions already acknowledged.
-    corrupt_lines:
-        1-based numbers of damaged lines *followed by* intact records
-        (real corruption; reading raises).
-    torn_tail_bytes:
-        Size of the invalid trailing region (tolerated crash artifact).
+    ``records`` counts intact records of all kinds; ``pending`` are
+    submissions without an ack (what a drain would replay), ``acked``
+    those with one.  ``corrupt_lines`` are 1-based numbers of damaged
+    lines *followed by* intact records (reading raises);
+    ``torn_tail_bytes`` the tolerated invalid trailing region.
     """
 
     path: Path
@@ -157,20 +151,11 @@ class IntakeScan:
 
 
 class IntakeQueue:
-    """One tenant's durable intake queue.
+    """One tenant's durable intake queue (``<tenant-dir>/intake.jsonl``).
 
-    Parameters
-    ----------
-    path:
-        The intake file (``<tenant-dir>/intake.jsonl``).  Created — with
-        its genesis cursor — by :meth:`create`; opening an existing file
-        scans it once, healing a torn trailing line exactly like the
-        event journal.
-    sync:
-        Fsync every append (default).  Turning it off trades the
-        accept-then-never-lose guarantee for throughput.
-    clock:
-        Timestamp source for ``recorded_at``; injectable for tests.
+    Made by :meth:`create`; opening heals a torn tail like the journal.
+    ``sync=False`` skips fsyncs, giving up accept-then-never-lose;
+    ``clock`` stamps ``recorded_at``.
     """
 
     def __init__(
@@ -181,20 +166,20 @@ class IntakeQueue:
         clock: Callable[[], datetime] | None = None,
     ):
         self.path = Path(path)
-        self.sync = bool(sync)
-        self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._base = 0
-        self._next_sequence = 1
-        self._next_repo_sequence = 0
-        self._acked: set[int] = set()
-        self._pending: dict[int, IntakeRecord] = {}
-        if self.path.exists():
-            self._open_and_scan()
-        else:
+        if not self.path.exists():
             raise PersistenceError(
                 f"intake queue {self.path} does not exist; create it with "
                 "IntakeQueue.create()"
             )
+        self._clock = clock or (lambda: datetime.now(timezone.utc))
+        self._log = AppendLog(self.path, _INTAKE, sync=sync)
+        self._next_sequence = 1
+        self._next_repo_sequence = 0
+        self._acked: set[int] = set()
+        self._pending: dict[int, IntakeRecord] = {}
+        # Damage mid-file is left for records() to raise on, as before.
+        for raw in self._log.records(strict=False):
+            self._fold(IntakeRecord._from_raw(raw))
 
     @classmethod
     def create(
@@ -209,78 +194,21 @@ class IntakeQueue:
 
         The genesis cursor records the tenant repository's length at
         creation, so every later submission's ``repo_sequence`` is
-        derivable from the file alone.
+        derivable from the file alone.  The file appears whole or not at
+        all (temp-then-rename).
         """
         path = Path(path)
         if path.exists():
             raise PersistenceError(f"intake queue {path} already exists")
         path.parent.mkdir(parents=True, exist_ok=True)
         stamp = (clock or (lambda: datetime.now(timezone.utc)))()
-        record = {
-            "sequence": 1,
-            "kind": _CURSOR,
-            "repo_sequence": int(base_repo_sequence),
-            "recorded_at": stamp.isoformat(),
-            "payload": {},
-        }
-        body = json.dumps(record, sort_keys=True).encode("utf-8")
-        record["crc"] = _crc32(body)
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if sync:
-                os.fsync(handle.fileno())
+        cursor = IntakeRecord(1, _CURSOR, int(base_repo_sequence), stamp.isoformat())
+        AppendLog(path, _INTAKE, sync=sync).rewrite(render_line(to_jsonable(cursor)))
         return cls(path, sync=sync, clock=clock)
 
-    # -- scanning ------------------------------------------------------------
-    def _open_and_scan(self) -> None:
-        """Fold every intact record into counters; heal a torn tail.
-
-        Mirrors :meth:`EventJournal._repair_and_scan`: the torn trailing
-        bytes are quarantined into a sidecar (forensics, never state) and
-        truncated so the append-mode writer cannot merge into them.
-        """
-        raw = self.path.read_bytes()
-        valid_end = offset = 0
-        for chunk in raw.splitlines(keepends=True):
-            offset += len(chunk)
-            line = chunk.decode("utf-8", errors="replace").strip()
-            if not line:
-                valid_end = offset
-                continue
-            parsed = _parse_intake_line(line)
-            if parsed is None:
-                continue  # valid_end stays put; trailing garbage truncates
-            self._fold(parsed)
-            valid_end = offset
-        if valid_end < len(raw):
-            torn = raw[valid_end:]
-            sidecar = self.path.with_name(
-                f"{self.path.name}.torn-{valid_end}.quarantined"
-            )
-            sidecar.write_bytes(torn)
-            record_event(
-                "intake-torn-tail",
-                "fleet.intake",
-                intake=str(self.path),
-                quarantined=str(sidecar),
-                torn_bytes=len(torn),
-            )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_end)
-
-    def _fold(self, parsed: dict[str, Any]) -> None:
-        record = IntakeRecord(
-            sequence=int(parsed["sequence"]),
-            kind=str(parsed["kind"]),
-            repo_sequence=int(parsed["repo_sequence"]),
-            recorded_at=str(parsed.get("recorded_at", "")),
-            payload=dict(parsed.get("payload") or {}),
-        )
+    def _fold(self, record: IntakeRecord) -> None:
         self._next_sequence = max(self._next_sequence, record.sequence + 1)
         if record.kind == _CURSOR:
-            self._base = record.repo_sequence
             self._next_repo_sequence = max(
                 self._next_repo_sequence, record.repo_sequence
             )
@@ -313,6 +241,10 @@ class IntakeQueue:
         """Unacknowledged submissions, in repository-sequence order."""
         return [self._pending[key] for key in sorted(self._pending)]
 
+    def close(self) -> None:
+        """Close the cached append handle (reopened lazily on next append)."""
+        self._log.close()
+
     # -- writing -------------------------------------------------------------
     def _append_record(
         self, kind: str, repo_sequence: int, payload: dict[str, Any]
@@ -324,28 +256,9 @@ class IntakeQueue:
             recorded_at=self._clock().isoformat(),
             payload=payload,
         )
-        rendered = {
-            "sequence": record.sequence,
-            "kind": record.kind,
-            "repo_sequence": record.repo_sequence,
-            "recorded_at": record.recorded_at,
-            "payload": dict(record.payload),
-        }
-        body = json.dumps(rendered, sort_keys=True).encode("utf-8")
-        rendered["crc"] = _crc32(body)
-        data = (json.dumps(rendered, sort_keys=True) + "\n").encode("utf-8")
-        torn = torn_bytes(data, fault_point("intake.append"))
-        fault_point("intake.write")  # errno: the disk fills before any byte lands
-        with open(self.path, "ab") as handle:
-            handle.write(data if torn is None else torn)
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
-            if torn is not None:
-                raise InjectedFault(
-                    "intake.append", f"write torn at byte {len(torn)}"
-                )
+        self._log.append(to_jsonable(record))
         self._next_sequence += 1
+        self._fold(record)
         return record
 
     def append(
@@ -355,14 +268,11 @@ class IntakeQueue:
 
         The returned record's ``repo_sequence`` is the submission's
         identity for acknowledgement and for locating its eventual build
-        (``BuildRecord.commit.sequence`` equals it).
-
-        Fault-injection point: ``intake.append`` (``tear`` writes a
-        partial line then raises — the crash-mid-accept the next open
-        self-heals; by the crash model the submission was *not*
-        accepted).
+        (``BuildRecord.commit.sequence`` equals it).  If the append fails
+        (a ``tear`` at ``intake.append``, ``errno`` at ``intake.write``)
+        the submission was not accepted.
         """
-        record = self._append_record(
+        return self._append_record(
             _SUBMISSION,
             self._next_repo_sequence,
             {
@@ -371,147 +281,58 @@ class IntakeQueue:
                 "author": str(author),
             },
         )
-        self._pending[record.repo_sequence] = record
-        self._next_repo_sequence = record.repo_sequence + 1
-        return record
 
     def ack(self, repo_sequence: int) -> IntakeRecord:
-        """Durably mark the submission at ``repo_sequence`` processed."""
-        record = self._append_record(_ACK, repo_sequence, {})
-        self._acked.add(record.repo_sequence)
-        self._pending.pop(record.repo_sequence, None)
-        return record
+        """Mark the submission at ``repo_sequence`` processed (not fsynced)."""
+        return self._append_record(_ACK, repo_sequence, {})
 
     def compact(self) -> int:
         """Atomically rewrite the file without acknowledged submissions.
 
         Keeps a fresh cursor (anchored past every acknowledged
         submission) plus the pending entries, preserving their original
-        sequences.  It is the only write an ordinary fleet eviction
-        makes (see :meth:`repro.fleet.CIFleet._try_evict`), and it
-        bounds the evicted tenant's intake file by its *pending* depth,
-        not its lifetime traffic.
-        Returns the number of records dropped.  Written
-        temp-then-rename, so a crash mid-compaction leaves the previous
-        file intact.
+        sequences; returns the number of records dropped.  The fleet
+        runs it when a tenant's acknowledged entries reach its
+        ``snapshot_every`` cadence and on storage reclamation, bounding
+        the file by pending depth plus one cadence.  Temp-then-rename:
+        a crash leaves the previous file intact.
         """
         pending = self.pending()
-        base = self._next_repo_sequence - len(pending)
-        stamp = self._clock().isoformat()
-        lines = []
-        cursor = {
-            "sequence": self._next_sequence,
-            "kind": _CURSOR,
-            "repo_sequence": base,
-            "recorded_at": stamp,
-            "payload": {},
-        }
-        records = [cursor] + [
-            {
-                "sequence": record.sequence,
-                "kind": record.kind,
-                "repo_sequence": record.repo_sequence,
-                "recorded_at": record.recorded_at,
-                "payload": dict(record.payload),
-            }
-            for record in pending
-        ]
-        for rendered in records:
-            body = json.dumps(rendered, sort_keys=True).encode("utf-8")
-            rendered["crc"] = _crc32(body)
-            lines.append(json.dumps(rendered, sort_keys=True))
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        temp = self.path.with_name(self.path.name + ".tmp")
-        with open(temp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
-        os.replace(temp, self.path)
+        cursor = IntakeRecord(
+            sequence=self._next_sequence,
+            kind=_CURSOR,
+            repo_sequence=self._next_repo_sequence - len(pending),
+            recorded_at=self._clock().isoformat(),
+        )
+        self._log.rewrite(
+            b"".join(render_line(to_jsonable(r)) for r in [cursor, *pending])
+        )
         dropped = len(self._acked)
         self._acked.clear()
-        self._base = base
-        self._next_sequence = cursor["sequence"] + 1
+        self._next_sequence = cursor.sequence + 1
         return dropped
 
     # -- reading -------------------------------------------------------------
     def records(self) -> Iterator[IntakeRecord]:
-        """Yield every intact record, oldest first.
-
-        A damaged line followed by intact records raises
-        :class:`PersistenceError` (mirroring the journal's corruption
-        contract); a torn trailing line was already healed at open.
-        """
-        if not self.path.exists():
-            return
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        pending_error: PersistenceError | None = None
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            parsed = _parse_intake_line(line)
-            if parsed is None:
-                pending_error = PersistenceError(
-                    f"intake queue {self.path} line {number} is corrupt "
-                    "(non-trailing): malformed or checksum mismatch"
-                )
-                continue
-            if pending_error is not None:
-                raise pending_error
-            yield IntakeRecord(
-                sequence=int(parsed["sequence"]),
-                kind=str(parsed["kind"]),
-                repo_sequence=int(parsed["repo_sequence"]),
-                recorded_at=str(parsed.get("recorded_at", "")),
-                payload=dict(parsed.get("payload") or {}),
-            )
+        """Yield every intact record, oldest first (raising like the journal)."""
+        return map(IntakeRecord._from_raw, self._log.records())
 
 
 def scan_intake(path: str | Path) -> IntakeScan:
     """Classify an intake file without opening it for repair (read-only)."""
     path = Path(path)
-    if not path.exists():
-        return IntakeScan(
-            path=path,
-            exists=False,
-            records=0,
-            pending=0,
-            acked=0,
-            corrupt_lines=(),
-            torn_tail_bytes=0,
-        )
-    raw = path.read_bytes()
-    records = 0
+    log = AppendLog(path, _INTAKE, heal=False)
     submissions: set[int] = set()
     acked: set[int] = set()
-    invalid_offsets: list[tuple[int, int]] = []  # (line number, start offset)
-    valid_end = offset = number = 0
-    for chunk in raw.splitlines(keepends=True):
-        start = offset
-        offset += len(chunk)
-        number += 1
-        line = chunk.decode("utf-8", errors="replace").strip()
-        if not line:
-            valid_end = offset
-            continue
-        parsed = _parse_intake_line(line)
-        if parsed is None:
-            invalid_offsets.append((number, start))
-            continue
-        records += 1
-        valid_end = offset
-        if parsed["kind"] == _SUBMISSION:
-            submissions.add(int(parsed["repo_sequence"]))
-        elif parsed["kind"] == _ACK:
-            acked.add(int(parsed["repo_sequence"]))
+    for raw in log.records((_SUBMISSION, _ACK), strict=False):
+        target = submissions if raw["kind"] == _SUBMISSION else acked
+        target.add(int(raw["repo_sequence"]))
     return IntakeScan(
         path=path,
-        exists=True,
-        records=records,
+        exists=path.exists(),
+        records=sum(line.sequence is not None for line in log.lines),
         pending=len(submissions - acked),
         acked=len(submissions & acked),
-        corrupt_lines=tuple(
-            n for n, start in invalid_offsets if start < valid_end
-        ),
-        torn_tail_bytes=len(raw) - valid_end,
+        corrupt_lines=log.corrupt_lines,
+        torn_tail_bytes=log.torn_tail_bytes,
     )

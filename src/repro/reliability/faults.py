@@ -26,7 +26,8 @@ site                      instrumented where
 ``journal.write``         the journal's per-append ``write`` — ``errno``
                           (ENOSPC/EIO) is the full-disk / dying-disk
                           case before any byte lands
-``journal.fsync``         the journal's per-append fsync
+``journal.fsync``         every journal append, after the write (only
+                          ``commit-received`` then fsyncs)
 ``journal.compact``       :meth:`EventJournal.compact`, before the
                           temp-then-rename rewrite — an aborted
                           compaction leaves the original journal intact
@@ -34,24 +35,23 @@ site                      instrumented where
                           leaves the temp file behind and no new
                           generation visible; the previous snapshot
                           still restores
-``intake.write``          :meth:`IntakeQueue._append_record`'s write —
-                          ``errno`` rejects the submission before any
-                          byte lands (by the crash model it was never
-                          accepted)
+``intake.write``          every intake append's write (the queue's
+                          :class:`~repro.ci.appendlog.AppendLog`) —
+                          ``errno`` fails it before any byte lands (a
+                          submission was never accepted)
 ``notification.send``     :class:`repro.ci.notifications.RetryingTransport`
                           — ``raise`` is a flaky transport (retried),
                           ``drop`` loses the message silently
-``intake.append``         :meth:`repro.fleet.intake.IntakeQueue.append` —
+``intake.append``         every intake append (submissions and acks) —
                           ``tear`` writes a partial intake line then
-                          raises (crash mid-accept; the torn tail is
-                          quarantined and truncated at the next open)
+                          raises (crash mid-accept; the torn bytes are
+                          quarantined and truncated at once)
 ``fleet.hydrate``         :meth:`repro.fleet.CIFleet.service` — ``raise``
                           simulates a tenant whose cold resume fails
                           (counts against its circuit breaker)
-``fleet.evict``           the fleet's LRU eviction, before the intake
-                          compaction and release — ``raise`` aborts the
-                          eviction; the tenant stays resident, nothing
-                          is lost
+``fleet.evict``           the fleet's LRU eviction, before the release —
+                          ``raise`` aborts the eviction; the tenant
+                          stays resident, nothing is lost
 ``fleet.process``         traversed before each intake entry is applied
                           to a tenant's engine; the per-tenant variant
                           ``fleet.process.<tenant-id>`` is traversed

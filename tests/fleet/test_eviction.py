@@ -27,7 +27,8 @@ from repro.ci.repository import ModelRepository  # noqa: E402
 from repro.ci.persistence import RESTORE, EventJournal  # noqa: E402
 from repro.core.testset import TestsetPool  # noqa: E402
 from repro.exceptions import FleetOverloadedError  # noqa: E402
-from repro.fleet import AdmissionPolicy, CIFleet  # noqa: E402
+from repro.reliability.events import reliability_events  # noqa: E402
+from repro.fleet import AdmissionPolicy, CIFleet, scan_intake  # noqa: E402
 
 
 def state_files(directory):
@@ -50,7 +51,7 @@ class TestSnapshotCadenceValidation:
 
 
 class TestEvictionWritesNoState:
-    def test_evict_touches_only_the_intake(self, make_fleet, small_world):
+    def test_evict_writes_nothing(self, make_fleet, small_world):
         world = small_world(commits=3)
         fleet = make_fleet(max_resident=2)
         register_tenant(fleet, "t-0", world)
@@ -63,8 +64,7 @@ class TestEvictionWritesNoState:
         assert fleet._try_evict("t-0")
         assert fleet.resident_tenants == []
         assert state_files(directory) == before
-        # The intake compaction dropped the acknowledged submissions.
-        assert len((directory / "intake.jsonl").read_bytes()) < len(intake_before)
+        assert (directory / "intake.jsonl").read_bytes() == intake_before
         assert_parity(reference_service("t-0", world), fleet.service("t-0"))
 
     def test_close_releases_without_writing(self, make_fleet, small_world):
@@ -225,6 +225,62 @@ class TestReplayBound:
             ]
             assert len(replayed) >= 3 * cadence
             assert max(replayed) == cadence - 1
+
+
+class TestIntakeCadence:
+    def test_churn_keeps_fewer_acks_than_the_cadence(self, make_fleet):
+        """Eviction never compacts the intake; the ack cadence bounds it."""
+        cadence = 3
+        script = make_script("full", steps=4)
+        worlds = {
+            f"t-{i}": (script, *make_world(script, commits=3 * cadence + 1, seed=i))
+            for i in range(2)
+        }
+        fleet = make_fleet(max_resident=1, snapshot_every=cadence)
+        for tenant_id, world in worlds.items():
+            register_tenant(fleet, tenant_id, world)
+        def intake(tenant_id):
+            scan = scan_intake(fleet.tenant_dir(tenant_id) / "intake.jsonl")
+            # One cursor, each acked submission with its ack, the pending.
+            assert scan.records == 1 + 2 * scan.acked + scan.pending
+            assert scan.acked < cadence
+            return scan
+
+        compactions = 0
+        for index in range(3 * cadence + 1):
+            for tenant_id, world in worlds.items():
+                fleet.enqueue(tenant_id, world[3][index], message=f"c{index}")
+                assert intake(tenant_id).pending == 1
+                fleet.drain(tenant_id)
+                compactions += intake(tenant_id).acked == 0
+        assert fleet.evictions >= 2 * 3 * cadence
+        assert compactions == 2 * 3
+        for tenant_id, world in worlds.items():
+            assert_parity(reference_service(tenant_id, world), fleet.service(tenant_id))
+
+
+    def test_a_failed_compaction_leaves_the_submit_and_queue_intact(
+        self, make_fleet, small_world, monkeypatch
+    ):
+        world = small_world(commits=4)
+        fleet = make_fleet(snapshot_every=2)
+        register_tenant(fleet, "t-0", world)
+        fleet.submit("t-0", world[3][0], message="c0")
+        queue = fleet._intake("t-0")
+
+        def full_disk():
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(queue, "compact", full_disk)
+        build = fleet.submit("t-0", world[3][1], message="c1")  # 2nd ack: cadence
+        assert build.commit.sequence == 1
+        assert reliability_events("intake-compact-failed")
+        assert scan_intake(fleet.tenant_dir("t-0") / "intake.jsonl").acked == 2
+        monkeypatch.undo()
+        fleet.submit("t-0", world[3][2], message="c2")  # compacts at last
+        assert scan_intake(fleet.tenant_dir("t-0") / "intake.jsonl").acked == 0
+        fleet.submit("t-0", world[3][3], message="c3")
+        assert_parity(reference_service("t-0", world), fleet.service("t-0"))
 
 
 class TestRestart:

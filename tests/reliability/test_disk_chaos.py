@@ -383,3 +383,66 @@ def test_env_spec_disk_chaos_parity(adaptivity, tmp_path):
         script, testsets, baseline, models, tmp_path / "state", rules, seed=seed
     )
     assert_parity(reference, service)
+
+
+DEFAULT_FLEET_SPEC = DEFAULT_ENV_SPEC + [
+    {"site": "intake.write", "action": "errno", "errno_name": "ENOSPC",
+     "at": None, "probability": 0.1, "times": 2},
+]
+FLEET_DISK_SITES = DISK_SITES + ("intake.write",)
+
+
+@pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
+def test_env_spec_fleet_disk_chaos_parity(adaptivity, tmp_path):
+    """CI entry point: the same seeded spec, driven through a churning fleet.
+
+    A refused enqueue is redelivered by the client; a failed drain is
+    retried, hydrating the tenant from disk (replay, ack healing).  Each
+    tenant must end element-wise identical to its isolated reference.
+    """
+    spec = os.environ.get("REPRO_FAULT_SPEC")
+    mappings = json.loads(spec) if spec else DEFAULT_FLEET_SPEC
+    rules = [FaultRule(**mapping) for mapping in mappings]
+    rules = [rule for rule in rules if rule.site in FLEET_DISK_SITES]
+    assert rules, "REPRO_FAULT_SPEC contained no fleet disk-site rules"
+    seed = seed_from_env(default=7)
+
+    script = make_script(adaptivity)
+    worlds = {}
+    for index in range(2):
+        testsets, baseline, models = make_world(script, commits=5, seed=index)
+        worlds[f"t-{index}"] = (script, testsets, baseline, models)
+    fleet = CIFleet(
+        tmp_path / "fleet",
+        sync=False,
+        max_resident=1,
+        snapshot_every=2,
+        keep_snapshots=1,
+        failure_threshold=10**6,
+    )
+    with injected_faults([]):  # registration is setup, not under test
+        for tenant_id, world in worlds.items():
+            _register(fleet, tenant_id, world)
+    with injected_faults(rules, seed=seed):
+        for index in range(5):
+            for tenant_id, world in worlds.items():
+                model = world[3][index]
+                for _ in range(10):
+                    try:
+                        fleet.enqueue(tenant_id, model, message=model.name)
+                        break
+                    except OSError:
+                        continue  # not accepted: the client redelivers
+                for _ in range(10):
+                    try:
+                        fleet.drain(tenant_id)
+                        break
+                    except OSError:
+                        continue  # still pending: the next drain retries
+                else:
+                    raise AssertionError(f"{tenant_id} kept failing to drain")
+    with injected_faults([]):
+        assert fleet.fsck().healthy
+        for tenant_id, world in worlds.items():
+            restored = CIService.resume(fleet.tenant_dir(tenant_id), record=False)
+            assert_parity(_fleet_reference(tenant_id, world), restored)

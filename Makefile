@@ -4,8 +4,12 @@
 #   make verify-fast      - tier-1 without the slow end-to-end examples
 #   make ci               - what .github/workflows/ci.yml runs: verify +
 #                           --quick benchmark smoke runs + BENCH_*.json
-#                           schema validation
+#                           schema validation + the perfbench smoke
 #   make bench-smoke      - the --quick benchmark runs + schema check alone
+#   make perfbench-smoke  - one-second runs of the repository benchmark
+#                           (perfbench/run.py: cold-plan traced,
+#                           fleet-churn untraced); fails on a crash, a
+#                           failed check or a failed operation
 #   make test-faults      - the chaos suite: fault injection, supervised
 #                           executor, corruption restore, chaos parity
 #   make conformance      - the backend conformance kit against the stock
@@ -30,7 +34,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: verify verify-fast ci bench-smoke test-faults conformance coverage docs bench bench-perf bench-throughput bench-fleet bench-storage
+.PHONY: verify verify-fast ci bench-smoke perfbench-smoke test-faults conformance coverage docs bench bench-perf bench-throughput bench-fleet bench-storage
 
 verify:
 	$(PYTHON) -m pytest -x -q
@@ -39,7 +43,7 @@ verify:
 verify-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
-ci: verify bench-smoke
+ci: verify bench-smoke perfbench-smoke
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_perf_kernels.py --quick
@@ -48,6 +52,9 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_fleet.py --quick
 	$(PYTHON) benchmarks/bench_storage.py --quick
 	$(PYTHON) benchmarks/check_bench_schema.py
+
+perfbench-smoke:
+	$(PYTHON) tools/perfbench_smoke.py
 
 test-faults:
 	$(PYTHON) -m pytest -q tests/reliability

@@ -17,14 +17,15 @@ provides NumPy-native kernels for exactly those shapes:
   of ``p`` in one shot.  Each tail is summed over a window of
   ``O(sqrt(n))`` terms around its cutoff (the probability mass outside
   the window is below ~1.5e-14, far under the 1e-10 agreement the tests
-  enforce; see ``_WINDOW_SIGMAS``), so a full grid scan costs one small
-  matrix of ``exp`` calls instead of thousands of Python-level loops;
+  enforce; see ``_WINDOW_SIGMAS``), so a grid scan costs a few blocks
+  of ``exp`` calls instead of thousands of Python-level loops;
 * :func:`exact_coverage_failure_probability_pairs` — the heterogeneous
   counterpart: element-wise ``(n, p, epsilon)`` triples, so a *vector of
   probes with different testset sizes* — the epsilon-side planning
   workload — evaluates in a single kernel dispatch.  The per-``n`` padded
   log-binomial rows are concatenated into one array and every tail window
-  gathers from it, whatever its ``n``;
+  gathers from it, whatever its ``n``.  Both kernels sum their windows
+  in one cache-blocked fused loop with fixed-order row reductions;
 * vectorized exact-confidence counterparts:
   :func:`binomial_tail_inversion_upper_vec` /
   :func:`binomial_tail_inversion_lower_vec` /
@@ -357,6 +358,47 @@ def binom_sf_vec(k, n, p):
 # The tight-bound inner loop
 # ---------------------------------------------------------------------------
 
+def _fused_window_sums(
+    src: np.ndarray,
+    starts: np.ndarray,
+    logit: np.ndarray,
+    const: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """Fused gather + affine + exp + row sum over equal-width windows.
+
+    Row ``r`` sums ``exp(src[starts[r] + j] + logit[r] * j + const[r])``
+    over ``j < width``: the inner loop of both coverage kernels.  Windows
+    stream through in blocks sized to stay inside a typical L2 slice, so
+    each block's work matrix is touched while hot instead of
+    materializing the full ``(rows, width)`` intermediate.  A window is
+    ``width`` *consecutive* cells of ``src``, so each block's gather is
+    one C-level copy of sliding-window rows — no index matrix.  Element
+    arithmetic and the per-row fixed-order reduction match the pairs
+    kernel's reference loop, so the two are bit-identical.
+    """
+    block = max(1, _FUSED_BLOCK_CELLS // width)
+    windows = np.lib.stride_tricks.sliding_window_view(src, width)
+    offs_f = np.arange(width, dtype=np.float64)
+    work = np.empty((block, width), dtype=np.float64)
+    temp = np.empty((block, width), dtype=np.float64)
+    sums = np.empty(len(starts), dtype=np.float64)
+    for begin in range(0, len(starts), block):
+        rows = min(block, len(starts) - begin)
+        sl = slice(begin, begin + rows)
+        view = work[:rows]
+        view[...] = windows[starts[sl]]
+        np.multiply(logit[sl, None], offs_f[None, :], out=temp[:rows])
+        view += temp[:rows]
+        view += const[sl, None]
+        np.exp(view, out=view)
+        # Per-row pairwise reduction (not a BLAS matvec): the summation
+        # order depends only on the row width, keeping each element's
+        # value batch-composition invariant.
+        sums[sl] = np.add.reduce(view, axis=1)
+    return sums
+
+
 def exact_coverage_failure_probability_vec(n: int, p_grid, epsilon: float) -> np.ndarray:
     """Exact ``Pr[|Binomial(n, p)/n - p| > epsilon]`` for a vector of ``p``.
 
@@ -371,11 +413,12 @@ def exact_coverage_failure_probability_vec(n: int, p_grid, epsilon: float) -> np
     remaining binomial mass is below ~1.5e-14 by Bernstein — far under
     the 1e-10 agreement the tests enforce.  The per-term log-pmf
     separates as
-    ``log C(n,k) + k*logit(p) + n*log(1-p)``, so one shared
-    ``log C(n, .)`` row, a sliding-window gather, and one rank-1 update
-    produce the whole ``(grid, window)`` matrix with no per-element Python
-    work; positions outside ``[0, n]`` hit padding cells whose ``exp`` is
-    exactly zero.
+    ``log C(n,k) + k*logit(p) + n*log(1-p)``, so every tail is a window of
+    one shared, padded ``log C(n, .)`` row plus an affine term: the sums
+    run through the same cache-blocked fused window loop as
+    :func:`exact_coverage_failure_probability_pairs`, with fixed-order
+    per-row reductions and no per-element Python work.  Positions outside
+    ``[0, n]`` hit padding cells whose ``exp`` is exactly zero.
     """
     n = check_positive_int(n, "n")
     check_positive(epsilon, "epsilon")
@@ -390,13 +433,12 @@ def exact_coverage_failure_probability_vec(n: int, p_grid, epsilon: float) -> np
     # Identical cutoff arithmetic to the scalar implementation.
     lo_cut = (np.ceil(n * (pi - epsilon) - 1e-12) - 1).astype(np.int64)
     hi_cut = (np.floor(n * (pi + epsilon) + 1e-12) + 1).astype(np.int64)
-    logp = np.log(pi)
     log1mp = np.log1p(-pi)
-    logit = logp - log1mp
+    logit = np.log(pi) - log1mp
 
     # Window length: the cut sits ~ epsilon*n draws from the mean already,
     # so the window only needs to cover the remaining distance out to
-    # 11 sigma + slack (and never more than the full support).
+    # _WINDOW_SIGMAS sigma + slack (and never more than the full support).
     sigma_max = math.sqrt(n * float(np.max(pi * (1.0 - pi))))
     depth = int(math.ceil(_WINDOW_SIGMAS * sigma_max)) + _WINDOW_SLACK
     length = int(min(n + 1, max(_WINDOW_SLACK, depth - math.floor(epsilon * n) + 2)))
@@ -404,22 +446,16 @@ def exact_coverage_failure_probability_vec(n: int, p_grid, epsilon: float) -> np
     # Pad generously: lower windows can start near -(epsilon*n + length),
     # upper windows can end near n + epsilon*n + length.
     pad = length + int(math.ceil(epsilon * n)) + 2
-    log_comb = _log_comb_row(n)
     padded = np.full(n + 1 + 2 * pad, _LOG_ZERO)
-    padded[pad : pad + n + 1] = log_comb
-    windows = np.lib.stride_tricks.sliding_window_view(padded, length)
+    padded[pad : pad + n + 1] = _log_comb_row(n)
 
     # Row layout: the lower tails (windows ending at lo_cut), then the
     # upper tails (windows starting at hi_cut).
     starts = np.concatenate([lo_cut - (length - 1), hi_cut])
     logit2 = np.concatenate([logit, logit])
     const = logit2 * starts + n * np.concatenate([log1mp, log1mp])
-    # The pad is sized so every start index lands inside `windows`.
-    work = windows[starts + pad]  # fresh (rows, length) copy — safe to mutate
-    work += logit2[:, None] * np.arange(length)[None, :]
-    work += const[:, None]
-    np.exp(work, out=work)
-    sums = work @ np.ones(length)  # BLAS row sums
+    # The pad is sized so every start index lands inside `padded`.
+    sums = _fused_window_sums(padded, starts + pad, logit2, const, length)
     m = len(pi)
     out[interior] = np.minimum(1.0, sums[:m] + sums[m:])
     return out
@@ -539,48 +575,6 @@ register_manifest_codec(
 )
 
 
-def _fused_window_sums(
-    src: np.ndarray,
-    starts: np.ndarray,
-    logit: np.ndarray,
-    const: np.ndarray,
-    width: int,
-    sums: np.ndarray,
-    rows_index: np.ndarray,
-) -> None:
-    """Cache-blocked gather + affine + exp + reduce for one width bucket.
-
-    Streams ``len(starts)`` windows of ``width`` cells from ``src`` in
-    blocks sized to stay inside a typical L2 slice, so each block's work
-    matrix is touched while hot instead of materializing the full
-    ``(rows, width)`` intermediate.  A window is ``width`` *consecutive*
-    cells of ``src``, so the gather is a per-row contiguous slice copy —
-    no index matrix (whose int64 cells would cost more traffic than the
-    payload itself).  Element arithmetic and the per-row fixed-order
-    reduction are identical to the reference loop, so the two are
-    bit-identical.
-    """
-    block = max(1, _FUSED_BLOCK_CELLS // width)
-    offs_f = np.arange(width, dtype=np.float64)
-    work = np.empty((block, width), dtype=np.float64)
-    temp = np.empty((block, width), dtype=np.float64)
-    for begin in range(0, len(starts), block):
-        rows = min(block, len(starts) - begin)
-        sl = slice(begin, begin + rows)
-        for r in range(rows):
-            start = starts[begin + r]
-            work[r, :] = src[start : start + width]
-        view = work[:rows]
-        np.multiply(logit[sl, None], offs_f[None, :], out=temp[:rows])
-        view += temp[:rows]
-        view += const[sl, None]
-        np.exp(view, out=view)
-        # Per-row pairwise reduction (not a BLAS matvec): the summation
-        # order depends only on the row width, keeping each element's
-        # value batch-composition invariant.
-        sums[rows_index[sl]] = np.add.reduce(view, axis=1)
-
-
 def exact_coverage_failure_probability_pairs(
     ns,
     p_values,
@@ -658,9 +652,8 @@ def exact_coverage_failure_probability_pairs(
     nf = ni.astype(np.float64)
     lo_cut = (np.ceil(nf * (pi - ei) - 1e-12) - 1).astype(np.int64)
     hi_cut = (np.floor(nf * (pi + ei) + 1e-12) + 1).astype(np.int64)
-    logp = np.log(pi)
     log1mp = np.log1p(-pi)
-    logit = logp - log1mp
+    logit = np.log(pi) - log1mp
 
     # Per-element natural window depth, then quantized onto an *absolute*
     # power-of-two ladder anchored at 2*slack: a row's summation width
@@ -740,14 +733,8 @@ def exact_coverage_failure_probability_pairs(
                 # keeping each element's value batch-composition invariant.
                 sums[in_bucket[sl]] = np.add.reduce(work, axis=1)
         else:
-            _fused_window_sums(
-                concat,
-                bucket_starts,
-                bucket_logit,
-                bucket_const,
-                width,
-                sums,
-                in_bucket,
+            sums[in_bucket] = _fused_window_sums(
+                concat, bucket_starts, bucket_logit, bucket_const, width
             )
     out[interior] = np.minimum(1.0, sums[:m] + sums[m:])
     return out

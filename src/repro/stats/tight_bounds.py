@@ -36,9 +36,10 @@ Every entry point accepts ``backend="batch"`` (default) or
   as any grid point already exceeds ``delta`` (sound: the scan only ever
   *adds* candidate maxima, so crossing the threshold early settles the
   comparison the probe asked for).  The grid trajectory (grid points,
-  refinement windows, argmax tie-breaks) is identical to the scalar path,
-  so both backends return the same sample sizes; the benchmark suite
-  enforces a >= 20x speedup at paper-scale parameters.
+  refinement windows, argmax tie-breaks) is the scalar path's up to the
+  ``p <-> 1-p`` mirror at level 0 (see :func:`_scan_batch`), so both
+  backends return the same sample sizes; the benchmark suite enforces a
+  >= 20x speedup at paper-scale parameters.
 * ``"scalar"`` is the original pure-Python loop over
   :func:`repro.stats.binomial.binom_cdf`, kept verbatim as the reference
   implementation the batch kernels are cross-checked (and benchmarked)
@@ -155,21 +156,27 @@ def _scan_batch(
     refine: int,
     stop_above: float | None = None,
 ) -> tuple[float, float]:
-    """Vectorized grid scan walking the *same* trajectory as the scalar one.
+    """Vectorized grid scan tracking the scalar one's trajectory.
 
     Grid points are generated with the identical floating-point arithmetic
     (``lo + i * step``) and the running argmax uses the same
-    first-strict-improvement tie-break, so refinement windows — and hence
-    results — track the scalar scan.  When ``stop_above`` is given the
-    scan returns as soon as the running maximum exceeds it (refinement
-    only ever raises the maximum, so the caller's threshold comparison is
-    already decided).
+    first-strict-improvement tie-break.  One departure: on an even grid,
+    level 0 is symmetric about 1/2, and ``f(n, p, eps) = f(n, 1-p, eps)``
+    makes its right half a mirror of the left (as in
+    :func:`_level0_values`) that can never win a first-strict-improvement
+    argmax, so only the left half is evaluated.  The maximum agrees with
+    the scalar scan's to rounding; the argmax may be its mirror image.
+    When ``stop_above`` is given the scan returns as soon as the running
+    maximum exceeds it (refinement only ever raises the maximum, so the
+    caller's threshold comparison is already decided).
     """
     lo, hi = 0.0, 1.0
     best_p, best_f = 0.5, 0.0
-    for _ in range(refine + 1):
+    for level in range(refine + 1):
         step = (hi - lo) / grid
         p = lo + np.arange(grid + 1) * step
+        if level == 0 and grid % 2 == 0:
+            p = p[: grid // 2 + 1]
         f = exact_coverage_failure_probability_vec(n, p, epsilon)
         i = int(np.argmax(f))
         if f[i] > best_f:

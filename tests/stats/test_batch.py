@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
+from repro.stats import tight_bounds
 from repro.stats.batch import (
     binom_cdf_vec,
     binom_logpmf_vec,
@@ -117,6 +118,57 @@ class TestCoverageKernel:
     def test_boundary_points_are_zero(self):
         vec = exact_coverage_failure_probability_vec(50, [0.0, 1.0], 0.1)
         assert vec[0] == 0.0 and vec[1] == 0.0
+
+
+# The grid kernel's own rounding between p and 1 - p: the log-pmf's
+# n*log(1-p) term carries ~n ulp of absolute error, which ``exp`` turns
+# into up to ~1e-10 relative at n = 6e4 (measured: 6.4e-11).
+MIRROR_RTOL = 1e-9
+
+
+class TestCoverageKernelAtPlanningScale:
+    """The grid kernel and worst-case scan at the sizes planning probes."""
+
+    def test_large_n_matches_pairs_reference(self):
+        n, epsilon = 60_000, 0.01
+        grid = np.linspace(0.0, 1.0, 257)
+        vec = exact_coverage_failure_probability_vec(n, grid, epsilon)
+        reference = exact_coverage_failure_probability_pairs(
+            np.full(len(grid), n), grid, epsilon, impl="reference"
+        )
+        assert np.max(np.abs(vec - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("n,epsilon", [(37, 0.2), (1090, 0.05), (60_000, 0.01)])
+    def test_scan_level0_mirrors_the_left_half(self, n, epsilon, monkeypatch):
+        grid = 256
+        points = np.arange(grid + 1) * (1.0 / grid)
+        full = exact_coverage_failure_probability_vec(n, points, epsilon)
+        # The right half of the level-0 lattice mirrors the left half.
+        assert np.allclose(full[::-1], full, rtol=MIRROR_RTOL, atol=0.0)
+
+        evaluated = []
+
+        def recording(n, p_grid, epsilon):
+            evaluated.append(np.array(p_grid))
+            return exact_coverage_failure_probability_vec(n, p_grid, epsilon)
+
+        monkeypatch.setattr(
+            tight_bounds, "exact_coverage_failure_probability_vec", recording
+        )
+        best_f, best_p = tight_bounds._scan_batch(n, epsilon, grid, 0)
+        assert len(evaluated) == 1
+        assert np.array_equal(evaluated[0], points[: grid // 2 + 1])
+        assert best_f == pytest.approx(full.max(), rel=MIRROR_RTOL, abs=0.0)
+        argmax = points[int(np.argmax(full))]
+        assert best_p in (argmax, 1.0 - argmax)
+
+    @pytest.mark.parametrize(
+        "n,epsilon", [(37, 0.2), (170, 0.1), (1090, 0.05), (6800, 0.02)]
+    )
+    def test_worst_case_matches_scalar_scan(self, n, epsilon):
+        batch, _ = tight_bounds._scan_batch(n, epsilon, 256, 2)
+        scalar, _ = tight_bounds._scan_scalar(n, epsilon, 256, 2)
+        assert batch == pytest.approx(scalar, abs=TOL)
 
 
 class TestConfidenceAgreement:

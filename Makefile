@@ -10,8 +10,8 @@
 #                           (perfbench/run.py: cold-plan traced,
 #                           fleet-churn untraced); fails on a crash, a
 #                           failed check or a failed operation
-#   make test-faults      - the chaos suite: fault injection, supervised
-#                           executor, corruption restore, chaos parity
+#   make test-faults      - the chaos suite: fault injection, corruption
+#                           restore, disk chaos, chaos parity
 #   make conformance      - the backend conformance kit against the stock
 #                           and naive backends (pass BACKEND=name for one)
 #   make coverage         - line coverage (pytest-cov when installed,
@@ -19,9 +19,7 @@
 #                           ratchet-only floor gate
 #   make docs             - doctests over README.md and docs/*.md code blocks
 #   make bench-perf       - scalar-vs-batch perf kernels benchmark
-#                           (writes BENCH_perf_kernels.json); pass
-#                           WORKERS=N to set the epsilon-sweep shard
-#                           width (default 4)
+#                           (writes BENCH_perf_kernels.json)
 #   make bench-throughput - batched commit-evaluation + epsilon planning
 #                           benchmark (writes BENCH_commit_throughput.json)
 #   make bench-fleet      - multi-tenant fleet parity + overload gate
@@ -75,7 +73,7 @@ docs:
 	$(PYTHON) -m pytest -q --doctest-glob="*.md" README.md docs
 
 bench-perf:
-	$(PYTHON) benchmarks/bench_perf_kernels.py $(if $(WORKERS),--workers $(WORKERS),)
+	$(PYTHON) benchmarks/bench_perf_kernels.py
 
 bench-throughput:
 	$(PYTHON) benchmarks/bench_commit_throughput.py

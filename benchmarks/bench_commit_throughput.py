@@ -19,8 +19,7 @@ Times the hot paths the batched-evaluation and testset-pool PRs optimize —
    forces a re-prediction + re-batch of the in-flight remainder, so some
    of the single-generation win is genuinely spent).
 2. **Epsilon planning**: ``tight_epsilon_many`` over 32 testset sizes
-   versus per-call ``tight_epsilon`` with cold caches per call (the
-   fully-independent-workers convention of ``bench_perf_kernels``).  Each
+   versus per-call ``tight_epsilon`` with cold caches per call.  Each
    returned epsilon must satisfy the scalar bisection's bracket contract
    under full-fidelity trajectory probes: not exceeding at ``eps``,
    exceeding at ``eps - tol``.
@@ -70,7 +69,6 @@ from repro.ml.models.simulated import (
     simulate_model_pair,
 )
 from repro.stats.cache import clear_all_caches
-from repro.stats.parallel import PlanningExecutor, resolve_workers
 from repro.stats.tight_bounds import (
     exceeds_delta_many,
     tight_epsilon,
@@ -311,17 +309,6 @@ def bench_tight_epsilon_many(quick: bool = False) -> dict:
         tight_epsilon(int(n), EPSILON_DELTA, tol=EPSILON_TOL)
     t_warm_loop = time.perf_counter() - t0
 
-    # Sharded satellite: the same cold sweep through the parallel
-    # planning executor at workers="auto" (pool spawn off-clock; the
-    # speedup gate for sharding lives in bench_perf_kernels, this row
-    # records the trajectory and re-asserts identity).
-    sharded_workers = resolve_workers("auto")
-    clear_all_caches()
-    with PlanningExecutor(sharded_workers).start() as executor:
-        t0 = time.perf_counter()
-        sharded = executor.tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
-        t_sharded = time.perf_counter() - t0
-
     # The scalar bisection's bracket contract, checked with full-fidelity
     # trajectory probes: every epsilon is certified not-exceeding, and
     # tol below it certified exceeding.
@@ -337,9 +324,6 @@ def bench_tight_epsilon_many(quick: bool = False) -> dict:
         "per_call_warm_anchor_loop_seconds": t_warm_loop,
         "many_seconds": t_many,
         "speedup_vs_cold_per_call": t_per_call / t_many,
-        "sharded_workers": sharded_workers,
-        "sharded_seconds": t_sharded,
-        "sharded_identical": bool(np.array_equal(sharded, many)),
         "bracket_contract_upper_ok": bool(upper_ok.all()),
         "bracket_contract_lower_ok": bool(lower_ok.all()),
         "max_abs_diff_vs_per_call": float(np.max(np.abs(per_call_arr - many))),
@@ -374,9 +358,6 @@ def main(quick: bool = False) -> dict:
     )
     assert epsilon["bracket_contract_upper_ok"] and epsilon["bracket_contract_lower_ok"], (
         "tight_epsilon_many broke the scalar bisection's bracket contract"
-    )
-    assert epsilon["sharded_identical"], (
-        "workers='auto' tight_epsilon_many diverged from the serial sweep"
     )
     if not quick:
         assert throughput["speedup"] >= 10.0, (

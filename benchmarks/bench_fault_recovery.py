@@ -1,28 +1,19 @@
 """Fault-recovery benchmark: what surviving a failure actually costs.
 
-Two recovery paths, each timed against its undisturbed twin and gated on
-the recovery invariant (results element-wise identical — fault tolerance
-may cost time, never correctness):
-
-1. **Snapshot-fallback restore**: a persisted commit run whose newest
-   snapshot is corrupted on disk.  A resume must quarantine the damage,
-   fall back to the previous snapshot generation and replay the longer
-   journal tail — producing exactly the builds of a clean resume.  The
-   artifact records both restore times and both replay depths (measured
-   read-only with ``fsck_state_dir`` before restoring).
-
-2. **Worker-kill retry**: a sharded epsilon sweep whose first worker
-   task is killed (`os._exit`) exactly once, schedule shared across
-   processes through a counter directory.  The supervisor respawns the
-   pool and re-dispatches; the sweep must come back bit-identical to the
-   serial scan, and the artifact records the supervision overhead.
+**Snapshot-fallback restore**, timed against its undisturbed twin and
+gated on the recovery invariant (results element-wise identical — fault
+tolerance may cost time, never correctness): a persisted commit run
+whose newest snapshot is corrupted on disk.  A resume must quarantine
+the damage, fall back to the previous snapshot generation and replay the
+longer journal tail — producing exactly the builds of a clean resume.
+The artifact records both restore times and both replay depths (measured
+read-only with ``fsck_state_dir`` before restoring).
 
 Run directly or via ``make bench-smoke`` (``--quick``):
 
     PYTHONPATH=src python benchmarks/bench_fault_recovery.py --quick
 
-The correctness gates (parity, quarantine, respawn accounting) are
-asserted in both modes; ``--quick`` only shrinks the workload — there
+The correctness gates (parity, quarantine) are asserted in both modes; ``--quick`` only shrinks the workload — there
 are no timing ratios to gate, recovery cost is recorded for the
 trajectory, not thresholded.
 """
@@ -50,11 +41,8 @@ from repro.ml.models.simulated import (
     simulate_model_pair,
 )
 from repro.reliability.events import clear_events, reliability_events
-from repro.reliability.faults import FaultRule, injected_faults
 from repro.reliability.fsck import fsck_state_dir
 from repro.stats.cache import clear_all_caches
-from repro.stats.parallel import PlanningExecutor
-from repro.stats.tight_bounds import tight_epsilon_many
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -189,42 +177,6 @@ def bench_snapshot_fallback(quick: bool) -> dict:
     }
 
 
-def bench_worker_kill(quick: bool) -> dict:
-    sizes = np.unique(np.linspace(300, 2400, 12 if quick else 24).astype(int))
-    delta, tol = 1e-2, 1e-5
-
-    clear_all_caches()
-    start = time.perf_counter()
-    expected = tight_epsilon_many(sizes, delta, tol=tol)
-    serial_seconds = time.perf_counter() - start
-
-    clear_all_caches()
-    with tempfile.TemporaryDirectory() as counters:
-        rules = [FaultRule(site="executor.task", action="kill", at=1, times=1)]
-        with injected_faults(rules, counter_dir=counters):
-            with PlanningExecutor(
-                workers=2, max_retries=2, backoff=0.0, sleep=lambda _: None
-            ) as executor:
-                start = time.perf_counter()
-                got = executor.tight_epsilon_many(sizes, delta, tol=tol)
-                supervised_seconds = time.perf_counter() - start
-                respawns, degraded = executor.respawns, executor.degraded
-
-    identical = bool(np.array_equal(np.asarray(got), np.asarray(expected)))
-    assert identical, "supervised sweep diverged from the serial scan"
-    assert respawns >= 1, "the kill never reached a worker"
-    assert not degraded, "a single shared kill must not spend the retry budget"
-
-    return {
-        "shards": int(len(sizes)),
-        "serial_seconds": serial_seconds,
-        "supervised_kill_seconds": supervised_seconds,
-        "respawns": respawns,
-        "degraded": degraded,
-        "results_identical": identical,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -235,24 +187,17 @@ def main() -> int:
     payload = {
         "quick": args.quick,
         "snapshot_fallback": bench_snapshot_fallback(args.quick),
-        "worker_kill": bench_worker_kill(args.quick),
     }
     artifact = REPO_ROOT / "BENCH_fault_recovery.json"
     artifact.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     fallback = payload["snapshot_fallback"]
-    kill = payload["worker_kill"]
     print(
         f"snapshot fallback: clean restore {fallback['clean_restore_seconds']:.3f}s "
         f"({fallback['replay_commits_clean']} commits replayed) vs "
         f"fallback {fallback['fallback_restore_seconds']:.3f}s "
         f"({fallback['replay_commits_fallback']} commits, "
         f"{fallback['quarantined_files']} quarantined)"
-    )
-    print(
-        f"worker kill: serial sweep {kill['serial_seconds']:.3f}s vs supervised "
-        f"{kill['supervised_kill_seconds']:.3f}s "
-        f"({kill['respawns']} respawn(s), degraded={kill['degraded']})"
     )
     print(f"wrote {artifact.name}")
     return 0

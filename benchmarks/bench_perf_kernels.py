@@ -1,17 +1,13 @@
 """Perf benchmark: scalar vs. batch planning kernels, cold vs. warm plans.
 
-Times the layers the vectorized-kernel and parallel-planning PRs
-optimize —
+Times the layers the vectorized-kernel work optimizes —
 
 1. ``worst_case_failure_probability`` (one full worst-case-``p`` scan),
 2. ``tight_sample_size`` (the §4.3 search, the planning hot path),
 3. ``SampleSizeEstimator.plan`` cold (cache cleared) vs. warm (served from
    the process-wide plan cache),
 4. the **epsilon sweep**: cold ``tight_epsilon_many`` over a 32-size
-   sweep, serial versus sharded across worker processes through
-   ``repro.stats.parallel.PlanningExecutor`` (pool spawned outside the
-   timed region — a planning service keeps its pool resident — with
-   worker caches cold each round),
+   sweep, then its memoized repeat,
 5. the **bandwidth-bound section**: one large-``n`` heterogeneous pairs
    dispatch (~1k probes at ``n ~ 2e5``, the shape of a planning sweep's
    advisory scan) per inner loop — the pre-fusion ``reference`` loop
@@ -23,25 +19,17 @@ optimize —
 so future PRs have a trajectory.  Asserts the acceptance criteria:
 batch ``tight_sample_size`` at ``epsilon=0.02, delta=1e-3`` is >= 20x
 faster than the scalar baseline with the identical result, a warm plan
-call is served in under a millisecond, and the sharded sweep at 4
-workers is >= 2.5x the serial many-kernel with per-size brackets
-element-wise identical and the probe certificates re-checked.  The
-sweep's *speedup* gate is hardware-gated: it is enforced only when the
-host actually offers at least as many CPUs as workers (a 4-way shard of
-CPU-bound work cannot beat serial on a single-core container, exactly as
-the noisy-runner rationale skips timing gates in ``--quick``); the
-correctness gates — element-wise identity, certificates — hold
-everywhere, and the measured ratio plus ``speedup_gate_enforced`` are
-recorded in the JSON either way.  The bandwidth section follows the same
-discipline: the fused kernel must be >= 2x the reference kernel at the
-full large-``n`` workload (skipped in ``--quick``, whose shrunken probes
-don't exercise the bandwidth wall), while the identity gate (fused
-bit-identical to reference) is enforced everywhere.
+call is served in under a millisecond, and the epsilon sweep's memoized
+repeat is element-wise identical to the cold sweep with the probe
+certificates re-checked.  The bandwidth section's fused kernel must be
+>= 2x the reference kernel at the full large-``n`` workload (skipped in
+``--quick``, whose shrunken probes don't exercise the bandwidth wall),
+while the identity gate (fused bit-identical to reference) is enforced
+everywhere.
 
-Run via ``make bench-perf`` (``make bench-perf WORKERS=8`` overrides the
-shard width) or directly:
+Run via ``make bench-perf`` or directly:
 
-    PYTHONPATH=src python benchmarks/bench_perf_kernels.py [--workers N]
+    PYTHONPATH=src python benchmarks/bench_perf_kernels.py
 
 ``--quick`` (what ``make ci`` runs) is the smoke mode: the cheapest case
 per section, correctness assertions kept, the timing gates skipped —
@@ -54,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import time
 from pathlib import Path
@@ -68,7 +55,6 @@ from repro.stats.batch import (
     exact_coverage_failure_probability_pairs,
 )
 from repro.stats.cache import all_cache_info, clear_all_caches
-from repro.stats.parallel import PlanningExecutor
 from repro.stats.tight_bounds import (
     exceeds_delta_many,
     tight_epsilon_many,
@@ -92,12 +78,11 @@ WORST_CASES = [
 PLAN_CONDITION = "n - o > 0.02 +/- 0.01 /\\ n > 0.8 +/- 0.05"
 PLAN_KWARGS = {"reliability": 0.9999, "adaptivity": "full", "steps": 32}
 
-# The 32-size sweep of the sharded-planning acceptance criterion (the
-# same grid bench_commit_throughput sweeps).
+# The 32-size epsilon sweep (the same grid bench_commit_throughput
+# sweeps).
 EPSILON_SIZES = np.unique(np.linspace(1000, 10000, 32).astype(int))
 EPSILON_DELTA = 1e-3
 EPSILON_TOL = 1e-6
-DEFAULT_WORKERS = 4
 
 # The bandwidth-bound workload: a planning-sweep-shaped batch of probes
 # at n ~ 2e5 with p near 1/2 (the widest tail windows the ladder hands
@@ -189,22 +174,17 @@ def bench_plan_cache() -> dict:
     }
 
 
-def bench_epsilon_sweep(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
-    """Serial vs. sharded cold ``tight_epsilon_many`` over the 32-size sweep.
+def bench_epsilon_sweep(quick: bool = False) -> dict:
+    """Cold ``tight_epsilon_many`` over the 32-size sweep, and its repeat.
 
-    The serial leg is the many-kernel with cold caches per round; the
-    sharded leg runs the same sweep through a fresh
-    :class:`PlanningExecutor` per round — parent and worker caches cold,
-    the pool spawn excluded from the clock (a planning service keeps its
-    pool resident), the manifest merge included.  Besides the timings,
-    this section is what exercises the epsilon-side caches, so the
-    recorded ``cache_info_after`` reflects a real sweep (the layout,
-    anchor and many-sweep caches show genuine hits/misses).
+    The cold leg is the many-kernel with cold caches per round.  Besides
+    the timings, this section is what exercises the epsilon-side caches,
+    so the recorded ``cache_info_after`` reflects a real sweep (the
+    layout, anchor and many-sweep caches show genuine hits/misses).
     """
     sizes = (
         np.unique(np.linspace(1000, 2500, 4).astype(int)) if quick else EPSILON_SIZES
     )
-    workers = 2 if quick else workers
     rounds = 1 if quick else 3
 
     serial_times, serial_eps = [], None
@@ -220,22 +200,11 @@ def bench_epsilon_sweep(quick: bool = False, workers: int = DEFAULT_WORKERS) -> 
     warm_eps = tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
     t_warm = time.perf_counter() - t0
 
-    sharded_times, sharded_eps = [], None
-    for _ in range(rounds):
-        clear_all_caches()
-        with PlanningExecutor(workers).start() as executor:  # spawn off-clock
-            t0 = time.perf_counter()
-            sharded_eps = executor.tight_epsilon_many(
-                sizes, EPSILON_DELTA, tol=EPSILON_TOL
-            )
-            sharded_times.append(time.perf_counter() - t0)
-    t_sharded = statistics.median(sharded_times)
-
-    # Certificates re-checked on the sharded result with full-fidelity
+    # Certificates re-checked on the cold result with full-fidelity
     # trajectory probes: not exceeding at eps, exceeding at eps - tol.
     clear_all_caches()
-    upper_ok = ~exceeds_delta_many(sizes, sharded_eps, EPSILON_DELTA)
-    lower_ok = exceeds_delta_many(sizes, sharded_eps - EPSILON_TOL, EPSILON_DELTA)
+    upper_ok = ~exceeds_delta_many(sizes, serial_eps, EPSILON_DELTA)
+    lower_ok = exceeds_delta_many(sizes, serial_eps - EPSILON_TOL, EPSILON_DELTA)
 
     # Leave the epsilon-side caches genuinely exercised for the recorded
     # cache_info_after: one in-process sweep (anchors planted, sweep
@@ -243,25 +212,18 @@ def bench_epsilon_sweep(quick: bool = False, workers: int = DEFAULT_WORKERS) -> 
     final_eps = tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
     tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
 
-    cpus = os.cpu_count() or 1
     return {
         "testset_sizes": sizes.tolist(),
         "delta": EPSILON_DELTA,
         "tol": EPSILON_TOL,
-        "workers": workers,
-        "available_cpus": cpus,
         "serial_seconds": t_serial,
         "serial_warm_repeat_seconds": t_warm,
-        "sharded_seconds": t_sharded,
-        "sharded_speedup": t_serial / t_sharded,
         "results_identical": bool(
-            np.array_equal(serial_eps, sharded_eps)
-            and np.array_equal(serial_eps, warm_eps)
+            np.array_equal(serial_eps, warm_eps)
             and np.array_equal(serial_eps, final_eps)
         ),
         "bracket_contract_upper_ok": bool(upper_ok.all()),
         "bracket_contract_lower_ok": bool(lower_ok.all()),
-        "speedup_gate_enforced": bool(not quick and cpus >= workers),
     }
 
 
@@ -358,7 +320,7 @@ def bench_pairs_bandwidth(quick: bool = False) -> dict:
     }
 
 
-def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
+def main(quick: bool = False) -> dict:
     # Quick mode (CI smoke): the cheapest case per section, correctness
     # still asserted, timing gates skipped — the runner is shared and
     # noisy, but the artifact must be produced and schema-valid.
@@ -369,7 +331,7 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
         "worst_case_failure_probability": bench_worst_case(worst_cases),
         "tight_sample_size": bench_tight_sample_size(tight_cases),
         "sample_size_estimator_plan": bench_plan_cache(),
-        "tight_epsilon_sweep": bench_epsilon_sweep(quick, workers),
+        "tight_epsilon_sweep": bench_epsilon_sweep(quick),
         "pairs_bandwidth": bench_pairs_bandwidth(quick),
         "cache_info_after": {
             name: {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
@@ -388,10 +350,10 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
     assert plan_row["plans_identical"], "cached plan differs from cold plan"
     sweep = results["tight_epsilon_sweep"]
     assert sweep["results_identical"], (
-        "sharded tight_epsilon_many diverged from the serial sweep"
+        "memoized tight_epsilon_many diverged from the cold sweep"
     )
     assert sweep["bracket_contract_upper_ok"] and sweep["bracket_contract_lower_ok"], (
-        "sharded tight_epsilon_many broke the bracket probe certificates"
+        "tight_epsilon_many broke the bracket probe certificates"
     )
     if not quick:
         assert headline["speedup_cold"] >= 20.0, (
@@ -400,13 +362,6 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
         )
         assert plan_row["warm_is_sub_millisecond"], (
             f"warm plan took {plan_row['warm_seconds'] * 1e3:.3f} ms (>= 1 ms)"
-        )
-    if sweep["speedup_gate_enforced"]:
-        # Hardware-gated (see module docstring): a CPU-bound 4-way shard
-        # cannot beat serial on hosts with fewer cores than workers.
-        assert sweep["sharded_speedup"] >= 2.5, (
-            f"sharded tight_epsilon_many speedup {sweep['sharded_speedup']:.2f}x "
-            f"at {sweep['workers']} workers is below the required 2.5x"
         )
 
     # Bandwidth-section gates: identity always, >= 2x on the full
@@ -434,15 +389,10 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
         f"plan cold {plan_row['cold_seconds'] * 1e3:.2f}ms, "
         f"warm {plan_row['warm_seconds'] * 1e6:.0f}us"
     )
-    gate_note = (
-        "" if sweep["speedup_gate_enforced"]
-        else f" [gate not enforced: {sweep['available_cpus']} CPU(s) available]"
-    )
     print(
-        f"epsilon sweep over {len(sweep['testset_sizes'])} sizes: serial "
-        f"{sweep['serial_seconds'] * 1e3:.0f}ms, sharded at "
-        f"{sweep['workers']} workers {sweep['sharded_seconds'] * 1e3:.0f}ms "
-        f"({sweep['sharded_speedup']:.2f}x){gate_note}"
+        f"epsilon sweep over {len(sweep['testset_sizes'])} sizes: cold "
+        f"{sweep['serial_seconds'] * 1e3:.0f}ms, memoized repeat "
+        f"{sweep['serial_warm_repeat_seconds'] * 1e6:.0f}us"
     )
     tier_notes = ", ".join(
         f"{row['tier']} {row['seconds'] * 1e3:.1f}ms "
@@ -463,12 +413,5 @@ if __name__ == "__main__":
         action="store_true",
         help="CI smoke mode: cheapest cases, timing gates skipped",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=DEFAULT_WORKERS,
-        help="shard width of the epsilon-sweep section (default: 4; "
-        "see `make bench-perf WORKERS=...`)",
-    )
     args = parser.parse_args()
-    main(quick=args.quick, workers=args.workers)
+    main(quick=args.quick)

@@ -47,15 +47,10 @@ SCHEMAS = {
         "tight_epsilon_sweep.testset_sizes": list,
         "tight_epsilon_sweep.delta": NUMBER,
         "tight_epsilon_sweep.tol": NUMBER,
-        "tight_epsilon_sweep.workers": int,
-        "tight_epsilon_sweep.available_cpus": int,
         "tight_epsilon_sweep.serial_seconds": NUMBER,
-        "tight_epsilon_sweep.sharded_seconds": NUMBER,
-        "tight_epsilon_sweep.sharded_speedup": NUMBER,
         "tight_epsilon_sweep.results_identical": bool,
         "tight_epsilon_sweep.bracket_contract_upper_ok": bool,
         "tight_epsilon_sweep.bracket_contract_lower_ok": bool,
-        "tight_epsilon_sweep.speedup_gate_enforced": bool,
         "pairs_bandwidth.elements": int,
         "pairs_bandwidth.n_range": list,
         "pairs_bandwidth.window_cells": int,
@@ -90,9 +85,6 @@ SCHEMAS = {
         "tight_epsilon_many.speedup_vs_cold_per_call": NUMBER,
         "tight_epsilon_many.bracket_contract_upper_ok": bool,
         "tight_epsilon_many.bracket_contract_lower_ok": bool,
-        "tight_epsilon_many.sharded_workers": int,
-        "tight_epsilon_many.sharded_seconds": NUMBER,
-        "tight_epsilon_many.sharded_identical": bool,
     },
     "BENCH_fault_recovery.json": {
         "quick": bool,
@@ -103,12 +95,6 @@ SCHEMAS = {
         "snapshot_fallback.replay_commits_fallback": int,
         "snapshot_fallback.quarantined_files": int,
         "snapshot_fallback.results_identical": bool,
-        "worker_kill.shards": int,
-        "worker_kill.serial_seconds": NUMBER,
-        "worker_kill.supervised_kill_seconds": NUMBER,
-        "worker_kill.respawns": int,
-        "worker_kill.degraded": bool,
-        "worker_kill.results_identical": bool,
     },
     "BENCH_storage.json": {
         "quick": bool,

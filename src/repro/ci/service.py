@@ -173,8 +173,6 @@ class OperationsReport:
     snapshot_journal_sequence: int | None
     journal_sequence: int | None
     journal_lag: int | None
-    planning_degraded: bool
-    pool_respawns: int
     snapshot_fallbacks: int
     quarantined_files: int
     dead_letters: int
@@ -243,11 +241,8 @@ class OperationsReport:
                 f"(soft {soft}, hard {hard}) — "
                 f"{self.storage_level}, {mode}"
             )
-        planning = "DEGRADED to serial" if self.planning_degraded else "healthy"
         lines.append(
-            f"  reliability   : planning {planning}, "
-            f"{self.pool_respawns} pool respawn(s), "
-            f"{self.snapshot_fallbacks} snapshot fallback(s), "
+            f"  reliability   : {self.snapshot_fallbacks} snapshot fallback(s), "
             f"{self.quarantined_files} quarantined file(s), "
             f"{self.dead_letters} dead letter(s)"
         )
@@ -269,15 +264,6 @@ class CIService:
         The watched repository (a fresh one is created when omitted).
     transport:
         Notification transport for third-party signals and alarms.
-    workers:
-        Planning-executor configuration forwarded to the engine and its
-        estimator (``None`` = serial / ``$REPRO_PLAN_WORKERS``,
-        ``"auto"`` = one worker process per CPU, or an explicit count).
-        Cold plan derivations — construction, pool rotations — then run
-        in worker processes with their warm cache state merged back;
-        worker count never changes build records, signals or budgets,
-        and snapshots taken under any worker setting restore identically
-        on any other (plans are re-derived, never serialized).
     engine_kwargs:
         Extra keyword arguments forwarded to :class:`CIEngine` (e.g.
         ``estimator`` or ``enforce_testset_size``).
@@ -291,7 +277,6 @@ class CIService:
         *,
         repository: ModelRepository | None = None,
         transport: NotificationTransport | None = None,
-        workers: int | str | None = None,
         **engine_kwargs: Any,
     ):
         self.script = script
@@ -304,7 +289,6 @@ class CIService:
             testset,
             baseline_model,
             notifier=notifier,
-            workers=workers,
             **engine_kwargs,
         )
         self.repository.on_commit(self._on_commit, batch_observer=self._on_commit_batch)
@@ -474,10 +458,6 @@ class CIService:
             ),
             journal_sequence=journal_sequence,
             journal_lag=journal_lag,
-            planning_degraded=any(
-                e.kind == "planning-degraded" for e in events
-            ),
-            pool_respawns=sum(1 for e in events if e.kind == "pool-respawn"),
             snapshot_fallbacks=sum(
                 1 for e in events if e.kind == "snapshot-fallback"
             ),

@@ -6,11 +6,9 @@ integration team runs before collecting data (§2.3).  This CLI exposes it:
 ``python -m repro plan``
     Size a condition given reliability/adaptivity/steps — prints the plan
     (labels, unlabeled pool, per-commit active-labeling cost) followed by
-    the planning-cache deltas the derivation produced.  With
-    ``--workers N`` (or ``auto``) the cold derivation runs on the
-    parallel planning executor; either way the process-wide caches are
-    left warm, so operators can pre-pay planning cost before traffic
-    arrives.
+    the planning-cache deltas the derivation produced.  The process-wide
+    caches are left warm, so operators can pre-pay planning cost before
+    traffic arrives.
 
 ``python -m repro validate <script.yml>``
     Parse and validate a ``.travis.yml``-style script's ``ml:`` section,
@@ -91,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="size single-variable clauses by exact binomial inversion (§4.3)",
     )
-    plan.add_argument(
-        "--workers",
-        default=None,
-        help="planning worker processes: a count, 'auto' (one per CPU) or "
-        "'serial' (default: serial, or $REPRO_PLAN_WORKERS)",
-    )
 
     validate = sub.add_parser("validate", help="validate a script file")
     validate.add_argument("script", type=Path, help="path to the .travis.yml-style file")
@@ -164,14 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_plan(args: argparse.Namespace) -> int:
     from repro.stats.cache import all_cache_info
-    from repro.stats.parallel import resolve_workers
 
-    workers = resolve_workers(args.workers)
     before = {name: info.currsize for name, info in all_cache_info().items()}
     estimator = SampleSizeEstimator(
         optimizations="none" if args.baseline else "auto",
         use_exact_binomial=args.exact_binomial,
-        workers=args.workers,
     )
     plan = estimator.plan(
         args.condition,
@@ -183,7 +172,7 @@ def _run_plan(args: argparse.Namespace) -> int:
     )
     print(plan.describe())
     print()
-    print(f"cache deltas ({workers} worker process(es)):")
+    print("cache deltas (this process):")
     warmed = False
     for name, info in sorted(all_cache_info().items()):
         grown = info.currsize - before.get(name, 0)

@@ -173,19 +173,6 @@ class CIEngine:
         given, the engine rotates to the pool's next generation instead of
         raising on exhaustion; ``testset`` may then be ``None``, in which
         case the first generation is popped from the pool.
-    workers:
-        Planning-executor configuration forwarded to the estimator
-        (``None`` = serial / ``$REPRO_PLAN_WORKERS``, ``"auto"`` = one
-        worker process per CPU, or an explicit count; see
-        :mod:`repro.stats.parallel`).  With workers configured, cold
-        plan derivations — including the re-plan a pool rotation
-        triggers mid-queue — run in worker processes, so multi-generation
-        re-planning overlaps with serving instead of stalling it.
-        Worker count never changes plans, signals or budgets.  When a
-        custom ``estimator`` is supplied alongside a *parallel*
-        ``workers`` setting, the default planner rebuilds it — same
-        class — from its exported config with ``workers`` applied;
-        serial settings leave the supplied estimator untouched.
     backend:
         The kernel backend supplying planner and evaluator: a name
         registered with :func:`repro.core.kernel.register_backend`, a
@@ -204,14 +191,11 @@ class CIEngine:
         notifier: Callable[[str, str, str], None] | None = None,
         enforce_testset_size: bool = True,
         testset_pool: TestsetPool | None = None,
-        workers: int | str | None = None,
         backend: str | KernelBackend | None = None,
     ):
         self.script = script
         self._backend = get_backend(backend)
-        self._planner = self._backend.make_planner(
-            workers=workers, estimator=estimator
-        )
+        self._planner = self._backend.make_planner(estimator=estimator)
         self.plan: SampleSizePlan = self._compute_plan()
         self._pool: TestsetPool | None = None
         self._rotations: list[GenerationRotationEvent] = []
@@ -672,10 +656,6 @@ class CIEngine:
         condition/spec, so the cached plan comes back in microseconds),
         installs the popped testset with its budget, and emits a
         :class:`GenerationRotationEvent` through the notification channel.
-        Should the re-plan ever be cold (cleared caches, reconfigured
-        estimator), a ``workers``-configured engine derives it through
-        the parallel executor — worker processes burn the planning CPU
-        while this thread keeps serving.
         """
         assert self._pool is not None and not self._pool.is_empty
         retired_name = self.manager.released_testsets[-1].name

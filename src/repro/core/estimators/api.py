@@ -53,7 +53,6 @@ from repro.stats.cache import (
     register_restore_warmer,
 )
 from repro.stats.inequalities import BennettInequality
-from repro.stats.parallel import get_executor, resolve_workers
 from repro.stats.tight_bounds import tight_sample_size
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -105,16 +104,6 @@ class SampleSizeEstimator:
         re-planning the same condition on every commit therefore pays the
         planning cost once; see :meth:`plan_cache_info` /
         :meth:`clear_plan_cache`.
-    workers:
-        Route *cold* plan derivations through the parallel planning
-        executor (:mod:`repro.stats.parallel`): ``None`` (the default)
-        defers to ``$REPRO_PLAN_WORKERS`` and otherwise stays serial,
-        ``"auto"`` uses one worker process per CPU, an integer sets the
-        count explicitly.  Worker count never changes results — the
-        executor's manifest merge leaves this process's caches exactly
-        as warm as a serial derivation would — so ``workers`` is *not*
-        part of the plan-cache key: differently-parallel estimators
-        share plans.
 
     Examples
     --------
@@ -134,7 +123,6 @@ class SampleSizeEstimator:
         variance_bound_policy: str = "threshold",
         use_exact_binomial: bool = False,
         use_plan_cache: bool = True,
-        workers: int | str | None = None,
     ):
         if optimizations not in ("auto", "none"):
             raise InvalidParameterError(
@@ -145,38 +133,33 @@ class SampleSizeEstimator:
                 f"variance_bound_policy must be one of {self._POLICIES}, "
                 f"got {variance_bound_policy!r}"
             )
-        if workers is not None:
-            resolve_workers(workers)  # validate eagerly; resolve per call
         self.optimizations = optimizations
         self.variance_bound_policy = variance_bound_policy
         self.use_exact_binomial = bool(use_exact_binomial)
         self.use_plan_cache = bool(use_plan_cache)
-        self.workers = workers
 
     @classmethod
-    def from_config(
-        cls, config: Mapping[str, Any], **overrides: Any
-    ) -> "SampleSizeEstimator":
+    def from_config(cls, config: Mapping[str, Any]) -> "SampleSizeEstimator":
         """Rebuild an estimator from a persisted :meth:`export_config` mapping.
 
         Every path that restores an estimator from stored state goes
         through here.  Configs written by older releases may also carry
-        an accumulation-tier ``precision`` and ``kernel="numpy"``;
-        neither ever changed a plan, so both are dropped.  Any other
-        ``kernel`` (the retired Numba one) raises
-        :class:`PersistenceError`: its plans were not bit-identical to
-        the NumPy kernel's, so a restore could not reproduce them.
-        ``overrides`` replace config keys (e.g. ``workers``).
+        an accumulation-tier ``precision``, ``kernel="numpy"`` and a
+        planning process-pool size (of any value); none ever changed a
+        plan, so all three are dropped.  Any other ``kernel``
+        (the retired Numba one) raises :class:`PersistenceError`: its
+        plans were not bit-identical to the NumPy kernel's, so a restore
+        could not reproduce them.
         """
         config = dict(config)
         config.pop("precision", None)
+        config.pop("workers", None)
         kernel = config.pop("kernel", "numpy")
         if kernel != "numpy":
             raise PersistenceError(
                 f"estimator config names kernel={kernel!r}, which this release "
                 "no longer provides; its plans cannot be reproduced"
             )
-        config.update(overrides)
         return cls(**config)
 
     # -- plan cache --------------------------------------------------------------
@@ -201,7 +184,6 @@ class SampleSizeEstimator:
             "variance_bound_policy": self.variance_bound_policy,
             "use_exact_binomial": self.use_exact_binomial,
             "use_plan_cache": self.use_plan_cache,
-            "workers": self.workers,
         }
 
     @staticmethod
@@ -274,33 +256,6 @@ class SampleSizeEstimator:
             cached = _PLAN_CACHE.get(cache_key)
             if cached is not None:
                 return cached
-            workers = resolve_workers(self.workers)
-            if workers > 1:
-                # Cold derivation with a parallel executor configured:
-                # derive the plan in a worker process (this thread only
-                # merges the returned manifest — a serving thread keeps
-                # running while the planning CPU burns elsewhere), then
-                # serve it from the now-warm shared cache.  Results are
-                # identical to the serial derivation; see
-                # repro.stats.parallel for the determinism argument.
-                get_executor(workers).warm_plans(
-                    [
-                        {
-                            "condition": formula.to_source(),
-                            "delta": spec.delta,
-                            "adaptivity": spec.adaptivity.value,
-                            "steps": spec.steps,
-                            "known_variance_bound": known_variance_bound,
-                            "estimator": self.export_config(),
-                        }
-                    ]
-                )
-                # peek, not get: the miss above is this call's one
-                # recorded lookup — serving the worker-derived plan must
-                # not inflate the hit statistics operators watch.
-                cached = _PLAN_CACHE.peek(cache_key)
-                if cached is not None:
-                    return cached
 
         notes: list[str] = []
         strategies = self._choose_strategies(formula, known_variance_bound, notes)
@@ -551,15 +506,10 @@ def _warm_plan_cache(manifest: Mapping[str, Any]) -> None:
     source, delta, adaptivity, steps, variance bound, estimator config).
     Replaying the requests here repopulates the process-wide plan cache
     (and, transitively, the tight-bound caches underneath), so a restored
-    engine's re-derived plan is served warm and bit-identical.  The
-    derivation is forced serial whatever ``workers`` the snapshotted
-    estimator carried — a crash-recovery path should never block on
-    spawning a worker pool, and worker count does not affect the plan.
+    engine's re-derived plan is served warm and bit-identical.
     """
     for request in manifest.get("plans", ()):
-        estimator = SampleSizeEstimator.from_config(
-            request.get("estimator") or {}, workers="serial"
-        )
+        estimator = SampleSizeEstimator.from_config(request.get("estimator") or {})
         estimator.plan(
             request["condition"],
             delta=request["delta"],

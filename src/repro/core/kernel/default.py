@@ -20,7 +20,6 @@ from repro.core.kernel.registry import (
     register_planner,
     register_state_store,
 )
-from repro.stats.parallel import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ci.persistence import (
@@ -51,32 +50,19 @@ class DefaultPlanner:
     def build(
         cls,
         *,
-        workers: int | str | None = None,
         estimator: SampleSizeEstimator | None = None,
         config: Mapping[str, Any] | None = None,
     ) -> "DefaultPlanner":
         """The registered planner factory (see the registry docstring).
 
         ``config`` rebuilds from a persisted ``export_config()`` mapping;
-        a caller-supplied ``estimator`` combined with a *parallel*
-        ``workers`` setting is rebuilt — same class — from its exported
-        config with ``workers`` applied, so subclass planning behavior
-        survives while the engine's parallel request is honoured (a
-        serial setting leaves the supplied instance untouched).
+        a caller-supplied ``estimator`` is wrapped as is.
         """
         if config is not None:
             estimator = SampleSizeEstimator.from_config(config)
         elif estimator is None:
-            estimator = SampleSizeEstimator(workers=workers)
-        elif workers is not None and resolve_workers(workers) > 1:
-            rebuilt = estimator.export_config()
-            rebuilt["workers"] = workers
-            estimator = type(estimator)(**rebuilt)
+            estimator = SampleSizeEstimator()
         return cls(estimator)
-
-    @property
-    def workers(self) -> int | str | None:
-        return self.estimator.workers
 
     def plan_for(self, script: "CIScript") -> "SampleSizePlan":
         return self.estimator.plan(
@@ -88,9 +74,7 @@ class DefaultPlanner:
         )
 
     def replan_for(self, script: "CIScript") -> "SampleSizePlan":
-        # Same derivation; the shared plan cache makes it a lookup, and a
-        # workers-configured estimator derives cold re-plans in worker
-        # processes while the serving thread keeps draining commits.
+        # Same derivation; the shared plan cache makes it a lookup.
         return self.plan_for(script)
 
     def export_config(self) -> dict[str, Any]:

@@ -79,10 +79,6 @@ class Planner(Protocol):
     in that case — an equal-but-new object only costs a repack).
     """
 
-    @property
-    def workers(self) -> int | str | None:
-        """The parallel-planning configuration (``None`` = serial)."""
-
     def plan_for(self, script: "CIScript") -> "SampleSizePlan":
         """The plan for ``script`` (construction / restore path)."""
 

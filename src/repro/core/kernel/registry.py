@@ -10,13 +10,12 @@ own module, or even from test code) and never by editing
 
 Factories, not instances, are registered:
 
-* planner factory — ``f(*, workers=None, estimator=None, config=None)``
+* planner factory — ``f(*, estimator=None, config=None)``
   returning a :class:`~repro.core.kernel.interfaces.Planner`.  ``config``
   is a mapping previously produced by ``Planner.export_config()`` (the
   restore path); ``estimator`` is a caller-supplied estimator object the
   planner should wrap (the ``CIEngine(estimator=...)`` compatibility
-  path); ``workers`` is the parallel-planning request.  At most one of
-  ``estimator`` / ``config`` is passed per call.
+  path).  At most one of ``estimator`` / ``config`` is passed per call.
 * evaluator factory — ``f(plan, mode, *, enforce_sample_size=True)``
   returning an :class:`~repro.core.kernel.interfaces.Evaluator`.
 * state-store factory — ``f(path, *, create=True, sync=True)`` returning
@@ -106,16 +105,11 @@ class KernelBackend:
     evaluator: str = "default"
     state_store: str = "default"
 
-    def make_planner(
-        self,
-        *,
-        workers: int | str | None = None,
-        estimator: Any = None,
-    ) -> Planner:
+    def make_planner(self, *, estimator: Any = None) -> Planner:
         """A fresh planner for engine construction."""
 
         factory = _lookup(_PLANNERS, "planner", self.planner)
-        return factory(workers=workers, estimator=estimator)
+        return factory(estimator=estimator)
 
     def planner_from_config(self, config: Mapping[str, Any]) -> Planner:
         """Rebuild a planner from a persisted ``export_config()`` mapping."""

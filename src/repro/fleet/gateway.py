@@ -303,8 +303,6 @@ class CIFleet:
     transport_factory:
         Optional ``tenant_id -> NotificationTransport`` hook supplying
         each tenant's notification transport at registration/hydration.
-    workers:
-        Planning-executor configuration for newly registered tenants.
     clock:
         Monotonic-seconds source for the breakers (injectable for
         deterministic chaos tests).
@@ -328,7 +326,6 @@ class CIFleet:
         sync: bool = True,
         transport_factory: Callable[[str], NotificationTransport | None]
         | None = None,
-        workers: int | str | None = None,
         clock: Callable[[], float] | None = None,
         create: bool = True,
     ):
@@ -351,7 +348,6 @@ class CIFleet:
         self.fleet_storage = fleet_storage
         self.sync = bool(sync)
         self.transport_factory = transport_factory
-        self.workers = workers
         self._clock = clock or time.monotonic
         self._resident: OrderedDict[str, CIService] = OrderedDict()
         self._intakes: dict[str, IntakeQueue] = {}
@@ -463,7 +459,6 @@ class CIFleet:
             if repository is not None
             else ModelRepository(name=tenant_id),
             transport=self._transport(tenant_id),
-            workers=self.workers,
             **engine_kwargs,
         )
         if pool is not None:

@@ -2,10 +2,9 @@
 
 Every degraded-mode transition the reliability layer performs is
 recorded here so operators can see *that* the system healed itself, not
-just that results kept flowing: a planning pool respawned after a worker
-crash, the executor fell back to the serial backend, a restore skipped a
-corrupt snapshot and replayed a longer journal tail, a notification was
-retried or dead-lettered, a fleet tenant tripped its circuit breaker.
+just that results kept flowing: a restore skipped a corrupt snapshot
+and replayed a longer journal tail, a notification was retried or
+dead-lettered, a fleet tenant tripped its circuit breaker.
 The log is runtime operational state — like cache statistics it is
 per-process, never snapshotted, and starts empty after a restore (the
 restore's own fallback events are the first entries the new process
@@ -52,15 +51,13 @@ class ReliabilityEvent:
     Attributes
     ----------
     kind:
-        What happened — e.g. ``"pool-respawn"``, ``"planning-degraded"``,
-        ``"snapshot-quarantined"``, ``"snapshot-fallback"``,
-        ``"journal-torn-tail"``, ``"notification-retry"``,
-        ``"notification-dead-letter"``, ``"breaker-open"``,
-        ``"tenant-evicted"``.
+        What happened — e.g. ``"snapshot-quarantined"``,
+        ``"snapshot-fallback"``, ``"journal-torn-tail"``,
+        ``"notification-retry"``, ``"notification-dead-letter"``,
+        ``"breaker-open"``, ``"tenant-evicted"``.
     site:
         Where — the subsystem or injection-point name that observed the
-        failure (``"stats.parallel"``, ``"ci.persistence"``,
-        ``"fleet.gateway"``, ...).
+        failure (``"ci.persistence"``, ``"fleet.gateway"``, ...).
     detail:
         JSON-compatible context (paths, attempt counts, error strings).
     """

@@ -1,7 +1,7 @@
 """Deterministic fault injection: seeded chaos with named injection points.
 
-Production failures — a planning worker OOM-killed mid-sweep, a snapshot
-torn by a dying disk, a webhook endpoint timing out — are rare and
+Production failures — a snapshot torn by a dying disk, a full disk
+under the journal, a webhook endpoint timing out — are rare and
 unreproducible exactly when a test needs them.  This module makes them
 *scheduled*: instrumented code traverses named **injection points**
 (:func:`fault_point`), and an installed :class:`FaultInjector` decides,
@@ -12,10 +12,6 @@ Injection points wired into the system
 ========================  =====================================================
 site                      instrumented where
 ========================  =====================================================
-``executor.task``         entry of every planning-executor worker task
-                          (:mod:`repro.stats.parallel`) — ``kill`` /
-                          ``hang`` / ``raise`` here simulate crashed,
-                          wedged and flaky workers
 ``snapshot.write``        :meth:`SnapshotStore.save` — ``tear`` leaves a
                           silently truncated snapshot on disk (the
                           bit-rot / non-atomic-filesystem case)
@@ -68,30 +64,12 @@ site ``s`` under seed ``q`` draws ``Random(f"{q}:{s}:{n}").random()`` —
 a pure function of (seed, site, occurrence index), independent of call
 interleaving across sites, threads or repeated runs.  Every chaos test
 is therefore reproducible from its rule list and seed alone.
-
-Traversal counters are per-process by default.  Worker processes
-inherit the installed injector through ``fork`` (and the environment
-spec below under ``spawn``), but each counts its own traversals — a
-``kill at=1`` rule kills *every* fresh worker's first task, which is
-exactly the repeated-failure ladder the supervisor must degrade
-through.  For kill-*once* semantics pass ``counter_dir``: counters
-then live in lock-protected files shared by every process of the test.
-
-Safety
-------
-``kill`` and ``hang`` actions only ever fire inside executor worker
-processes (marked by the pool initializer via :func:`mark_worker`);
-in the parent they are skipped.  The ``executor.task`` point goes
-further: it is only *traversed* in worker processes at all, so a
-degraded-to-serial planning pass re-running the task functions in the
-parent sits outside the injection surface for every action — a
-persistent ``raise`` rule cannot crash the fallback that exists to
-survive it.
+Traversal counters and firing tallies are per injector.
 
 Environment activation: when no injector is installed,
 ``REPRO_FAULT_SPEC`` (a JSON list of rule mappings) plus
 ``REPRO_FAULT_SEED`` activate one lazily — this is how the CI chaos leg
-and spawn-context workers pick up the schedule.
+picks up the schedule.
 """
 
 from __future__ import annotations
@@ -101,7 +79,6 @@ import json
 import os
 import random
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
@@ -115,8 +92,6 @@ __all__ = [
     "get_injector",
     "fault_point",
     "injected_faults",
-    "mark_worker",
-    "in_worker",
     "seed_from_env",
     "FAULT_SPEC_ENV",
     "FAULT_SEED_ENV",
@@ -128,19 +103,16 @@ FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
 #: schedules from it); integer, default 0.
 FAULT_SEED_ENV = "REPRO_FAULT_SEED"
 
-_ACTIONS = frozenset({"raise", "kill", "hang", "tear", "drop", "errno"})
-#: Actions that must only fire inside an executor worker process.
-_WORKER_ONLY_ACTIONS = frozenset({"kill", "hang"})
+_ACTIONS = frozenset({"raise", "tear", "drop", "errno"})
 
 
 class InjectedFault(Exception):
     """An injected failure.
 
     Deliberately *not* a :class:`~repro.exceptions.ReproError`: injected
-    faults simulate infrastructure failures (a dead worker, a failing
-    disk, a flaky webhook), which the library's own error contract does
-    not cover.  The supervised executor treats it as retryable; the
-    retrying transport treats it as a delivery failure.
+    faults simulate infrastructure failures (a failing disk, a flaky
+    webhook), which the library's own error contract does not cover.
+    The retrying transport treats it as a delivery failure.
     """
 
     def __init__(self, site: str, message: str | None = None):
@@ -157,9 +129,7 @@ class FaultRule:
     site:
         The injection-point name this rule watches.
     action:
-        ``"raise"`` (raise :class:`InjectedFault`), ``"kill"``
-        (``os._exit`` — worker processes only), ``"hang"`` (sleep
-        ``hang_seconds`` — worker processes only), ``"tear"`` (the
+        ``"raise"`` (raise :class:`InjectedFault`), ``"tear"`` (the
         instrumented writer truncates its write at byte ``tear_at``),
         ``"drop"`` (the instrumented sender silently loses the message),
         ``"errno"`` (raise a real :class:`OSError` carrying
@@ -173,13 +143,10 @@ class FaultRule:
         Per-traversal firing probability for ``at=None`` rules, drawn
         deterministically from the injector seed.
     times:
-        Maximum number of firings (per process, or per ``counter_dir``
-        when the injector shares counters); ``None`` = unlimited.
+        Maximum number of firings per injector; ``None`` = unlimited.
     tear_at:
         Byte offset for ``tear`` actions (the write keeps exactly this
         many bytes).
-    hang_seconds:
-        Sleep duration for ``hang`` actions.
     errno_name:
         Symbolic errno for ``errno`` actions (``"ENOSPC"``, ``"EIO"``,
         or any name the :mod:`errno` module defines).
@@ -191,7 +158,6 @@ class FaultRule:
     probability: float = 0.0
     times: int | None = 1
     tear_at: int = 0
-    hang_seconds: float = 30.0
     errno_name: str = "ENOSPC"
 
     def __post_init__(self):
@@ -230,23 +196,11 @@ class FaultInjector:
         The fault schedule.
     seed:
         Drives the probabilistic rules (see module docstring).
-    counter_dir:
-        Optional directory for cross-process traversal counters and
-        firing tallies (lock-protected files).  Without it, counters are
-        per-process — forked workers start from the parent's counts at
-        fork time and diverge independently.
     """
 
-    def __init__(
-        self,
-        rules: Sequence[FaultRule] = (),
-        *,
-        seed: int = 0,
-        counter_dir: str | os.PathLike | None = None,
-    ):
+    def __init__(self, rules: Sequence[FaultRule] = (), *, seed: int = 0):
         self.rules = list(rules)
         self.seed = int(seed)
-        self.counter_dir = os.fspath(counter_dir) if counter_dir is not None else None
         self._counts: dict[str, int] = {}
         self._firings: dict[int, int] = {}
         self._fired: list[FiredFault] = []
@@ -260,49 +214,16 @@ class FaultInjector:
             return list(self._fired)
 
     # -- counters ------------------------------------------------------------
-    def _counter_path(self, name: str) -> str:
-        assert self.counter_dir is not None
-        safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
-        return os.path.join(self.counter_dir, safe + ".count")
-
-    def _shared_increment(self, name: str) -> int:
-        """Atomically increment a cross-process counter file; return it."""
-        import fcntl
-
-        os.makedirs(self.counter_dir, exist_ok=True)
-        path = self._counter_path(name)
-        with open(path, "a+") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            handle.seek(0)
-            raw = handle.read().strip()
-            value = int(raw) + 1 if raw else 1
-            handle.seek(0)
-            handle.truncate()
-            handle.write(str(value))
-            handle.flush()
-        return value
-
     def _increment(self, name: str) -> int:
-        if self.counter_dir is not None:
-            return self._shared_increment(name)
         with self._lock:
             self._counts[name] = self._counts.get(name, 0) + 1
             return self._counts[name]
 
     def _rule_firings(self, index: int) -> int:
-        if self.counter_dir is not None:
-            path = self._counter_path(f"rule-{index}-fired")
-            try:
-                with open(path) as handle:
-                    return int(handle.read().strip() or 0)
-            except (FileNotFoundError, ValueError):
-                return 0
         with self._lock:
             return self._firings.get(index, 0)
 
     def _record_firing(self, index: int, fault: FiredFault) -> None:
-        if self.counter_dir is not None:
-            self._shared_increment(f"rule-{index}-fired")
         with self._lock:
             self._firings[index] = self._firings.get(index, 0) + 1
             self._fired.append(fault)
@@ -315,15 +236,13 @@ class FaultInjector:
         """Evaluate one traversal of ``site``; return the firing, if any.
 
         At most one rule fires per traversal (first match in rule
-        order).  Worker-only actions never fire in the parent process.
+        order).
         """
         if not any(rule.site == site for rule in self.rules):
             return None
         occurrence = self._increment(site)
         for index, rule in enumerate(self.rules):
             if rule.site != site:
-                continue
-            if rule.action in _WORKER_ONLY_ACTIONS and not in_worker():
                 continue
             if rule.times is not None and self._rule_firings(index) >= rule.times:
                 continue
@@ -346,7 +265,6 @@ class FaultInjector:
 
 _INSTALLED: FaultInjector | None = None
 _ENV_CHECKED = False
-_IS_WORKER = False
 
 
 def install_injector(injector: FaultInjector) -> FaultInjector:
@@ -395,28 +313,14 @@ def injected_faults(
     rules: Sequence[FaultRule],
     *,
     seed: int = 0,
-    counter_dir: str | os.PathLike | None = None,
 ) -> Iterator[FaultInjector]:
     """Context manager installing (then uninstalling) an injector."""
     previous = _INSTALLED
-    injector = install_injector(
-        FaultInjector(rules, seed=seed, counter_dir=counter_dir)
-    )
+    injector = install_injector(FaultInjector(rules, seed=seed))
     try:
         yield injector
     finally:
         install_injector(previous) if previous is not None else uninstall_injector()
-
-
-def mark_worker() -> None:
-    """Mark this process as an executor worker (enables kill/hang rules)."""
-    global _IS_WORKER
-    _IS_WORKER = True
-
-
-def in_worker() -> bool:
-    """Whether this process has been marked as an executor worker."""
-    return _IS_WORKER
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +335,9 @@ def fault_point(site: str) -> FiredFault | None:
     raises a *real* :class:`OSError` with the rule's ``errno_name``
     (deliberately not an :class:`InjectedFault` — the instrumented write
     paths must survive the same exception a genuinely full or dying
-    disk produces); ``kill`` exits the process immediately (worker
-    processes only — the supervised executor sees a broken pool);
-    ``hang`` sleeps ``hang_seconds`` (worker only — the supervisor sees
-    a task timeout) and then returns; ``tear`` and ``drop`` are
-    returned to the caller, which interprets them (truncate the write
-    at ``rule.tear_at`` / lose the message).
+    disk produces); ``tear`` and ``drop`` are returned to the caller,
+    which interprets them (truncate the write at ``rule.tear_at`` / lose
+    the message).
     """
     injector = get_injector()
     if injector is None:
@@ -453,11 +354,6 @@ def fault_point(site: str) -> FiredFault | None:
             f"{os.strerror(code)} [injected at {site!r}, "
             f"occurrence {fault.occurrence}]",
         )
-    if fault.action == "kill":
-        os._exit(17)
-    if fault.action == "hang":
-        time.sleep(fault.rule.hang_seconds)
-        return None
     return fault
 
 

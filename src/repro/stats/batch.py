@@ -55,7 +55,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.stats.cache import register_cache, register_manifest_codec
+from repro.stats.cache import register_cache
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
@@ -138,27 +138,6 @@ def log_factorial_table(limit: int) -> np.ndarray:
     else:
         _TABLE_STATS["hits"] += 1
     return table
-
-
-def _ensure_table(limit: int) -> None:
-    """Grow the table to cover ``limit`` without touching hit/miss stats.
-
-    The manifest merge path uses this instead of
-    :func:`log_factorial_table`: a join of two processes' coverage is not
-    a lookup, and counting it would break merge idempotence (merging your
-    own export must leave every observable counter unchanged).
-    """
-    global _LOG_FACTORIAL
-    if len(_LOG_FACTORIAL) <= limit:
-        with _TABLE_LOCK:
-            table = _LOG_FACTORIAL
-            if len(table) <= limit:
-                new_size = max(limit + 1, 2 * len(table))
-                grown = np.empty(new_size, dtype=np.float64)
-                grown[: len(table)] = table
-                for m in range(len(table), new_size):
-                    grown[m] = math.lgamma(m + 1.0)
-                _LOG_FACTORIAL = grown
 
 
 class _TableResetProxy:
@@ -495,9 +474,8 @@ register_cache("stats.batch.pairs_layout", _PairsLayoutProxy())  # type: ignore[
 def _pairs_layout(unique_ns: tuple, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated padded log-comb segments for a set of ``n`` (cached).
 
-    Keys are ``(tuple_of_python_ints, int)`` — plain picklable scalars —
-    so layout entries travel inside cross-process cache manifests.  Each
-    entry is ``(concat, seg_bases)``.
+    Keys are ``(tuple_of_python_ints, int)``; each entry is
+    ``(concat, seg_bases)``.
     """
     key = (unique_ns, pad)
     with _TABLE_LOCK:
@@ -521,58 +499,6 @@ def _pairs_layout(unique_ns: tuple, pad: int) -> tuple[np.ndarray, np.ndarray]:
         while len(_PAIRS_LAYOUT_CACHE) > _PAIRS_LAYOUT_CACHE_SIZE:
             _PAIRS_LAYOUT_CACHE.popitem(last=False)
     return concat, seg_bases
-
-
-def _export_pairs_layout() -> list[tuple[tuple, tuple[np.ndarray, np.ndarray]]]:
-    """Manifest codec export: the layout entries, LRU order."""
-    with _TABLE_LOCK:
-        return list(_PAIRS_LAYOUT_CACHE.items())
-
-
-def _merge_pairs_layout(entries) -> None:
-    """Manifest codec merge: adopt layouts absent locally.
-
-    Layout values are pure functions of their ``(ns, pad)`` key (the
-    log-comb rows underneath are bit-deterministic), so adopt-if-absent
-    is idempotent and commutative — an entry present on both sides is
-    already identical.
-    """
-    for key, value in entries:
-        concat, seg_bases = value
-        key = (tuple(int(n) for n in key[0]), int(key[1]))
-        concat = np.asarray(concat, dtype=np.float64)
-        if concat.flags.writeable:
-            concat.flags.writeable = False
-        seg_bases = np.asarray(seg_bases, dtype=np.int64)
-        with _TABLE_LOCK:
-            if key not in _PAIRS_LAYOUT_CACHE:
-                _PAIRS_LAYOUT_CACHE[key] = (concat, seg_bases)
-                while len(_PAIRS_LAYOUT_CACHE) > _PAIRS_LAYOUT_CACHE_SIZE:
-                    _PAIRS_LAYOUT_CACHE.popitem(last=False)
-
-
-def _export_log_factorial() -> int:
-    """Manifest codec export: the table's coverage (highest ``m`` covered)."""
-    return len(_LOG_FACTORIAL) - 1
-
-
-def _merge_log_factorial(limit) -> None:
-    """Manifest codec merge: grow the table to cover the manifest's limit.
-
-    The table contents are a pure function of the limit (``math.lgamma``
-    is deterministic), so growing to the max of both sides is the join.
-    """
-    limit = int(limit)
-    if limit > 0:
-        _ensure_table(limit)
-
-
-register_manifest_codec(
-    "stats.batch.pairs_layout", _export_pairs_layout, _merge_pairs_layout
-)
-register_manifest_codec(
-    "stats.batch.log_factorial_table", _export_log_factorial, _merge_log_factorial
-)
 
 
 def exact_coverage_failure_probability_pairs(
@@ -601,9 +527,9 @@ def exact_coverage_failure_probability_pairs(
     the ladder is absolute — anchored at ``2 * slack``, never at the
     batch maximum — an element's value is a pure function of its own
     ``(n, p, epsilon, sigmas, slack)``: **bit-identical however the
-    surrounding batch is composed**, which is what lets the parallel
-    planning executor shard sweeps across processes without perturbing a
-    single probe.  Default precision matches the vec kernel: windows
+    surrounding batch is composed**, so a planning sweep returns the same
+    probe values whichever sizes it batches together.  Default precision
+    matches the vec kernel: windows
     reach at least ``_WINDOW_SIGMAS`` standard deviations past the mean,
     bounding the omitted mass below ~1.5e-14.
 
@@ -659,11 +585,10 @@ def exact_coverage_failure_probability_pairs(
     # power-of-two ladder anchored at 2*slack: a row's summation width
     # depends only on its own (n, p, eps, sigmas, slack) — never on what
     # else happens to share the dispatch — so every probe value is
-    # bit-identical however a planning sweep is batched, chunked, or
-    # sharded across worker processes.  Widening a window past its
-    # natural depth only adds padding cells (whose ``exp`` is exactly
-    # zero) or real-but-negligible deeper-tail terms, so quantization
-    # never weakens a row's accuracy guarantee.
+    # bit-identical however a planning sweep is batched or chunked.
+    # Widening a window past its natural depth only adds padding cells
+    # (whose ``exp`` is exactly zero) or real-but-negligible deeper-tail
+    # terms, so quantization never weakens a row's accuracy guarantee.
     sigma = np.sqrt(nf * pi * (1.0 - pi))
     depth = np.ceil(sigmas * sigma).astype(np.int64) + slack
     natural = np.minimum(

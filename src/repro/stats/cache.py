@@ -37,36 +37,6 @@ A restored engine therefore re-plans through a warm cache and ends up
 holding a plan bit-identical to the one it was snapshotted with, even in
 a cold interpreter.
 
-Cache-manifest contract
------------------------
-The parallel planning executor (:mod:`repro.stats.parallel`) ships warm
-state *between processes* rather than across restarts:
-
-* :func:`export_manifest` captures every registered cache's entries as
-  one picklable mapping (``repro.cache-manifest/v1``).  A cache can
-  install a :func:`register_manifest_codec` to customize what it exports
-  (the batch-kernel layout and anchor caches do); plain
-  :class:`LRUCache` instances export their items directly, and caches
-  with neither are skipped.
-* :func:`merge_manifest` folds a manifest into the live registry.  The
-  merge is **idempotent** (folding a cache's own export back in is a
-  no-op) and **commutative at the contents level** (worker manifests
-  merged in either order leave identical entries): entries absent
-  locally are adopted, and a key present on both sides deterministically
-  keeps the value whose canonical pickle is smallest — a join rule that
-  is order-independent however many manifests are folded in.  (Since
-  cache keys cover every result-affecting input and the kernels are
-  batch-composition invariant, conflicting values only ever differ when
-  two processes legitimately landed on different points of an epsilon
-  crossing band; the join just picks one deterministically.)  The only
-  caveat: merging more entries than a cache's ``maxsize`` evicts by LRU
-  order, which is insertion-order dependent — executors keep manifests
-  well under capacity.
-
-A worker spawned with the parent's manifest therefore plans against the
-parent's warm state, and the parent folding worker manifests back in
-serves subsequent single-process calls warm.
-
 Registry contents
 -----------------
 Every memoized layer registers here (asserted complete in
@@ -91,7 +61,6 @@ Every memoized layer registers here (asserted complete in
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -109,11 +78,6 @@ __all__ = [
     "register_restore_warmer",
     "restore_warmers",
     "warm_after_restore",
-    "MANIFEST_FORMAT",
-    "canonical_bytes",
-    "register_manifest_codec",
-    "export_manifest",
-    "merge_manifest",
 ]
 
 
@@ -169,20 +133,6 @@ class LRUCache:
             self._data.move_to_end(key)
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
-
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key`` without touching recency or hit/miss statistics.
-
-        The manifest merge uses this so that folding a cache's own export
-        back in is a true no-op on the cache's observable state.
-        """
-        with self._lock:
-            return self._data.get(key, default)
-
-    def items(self) -> list[tuple[Hashable, Any]]:
-        """Snapshot of every entry, least- to most-recently used."""
-        with self._lock:
-            return list(self._data.items())
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -291,114 +241,6 @@ def warm_after_restore(manifest: Mapping[str, Any] | None) -> None:
         return
     for warmer in restore_warmers().values():
         warmer(manifest)
-
-
-# ---------------------------------------------------------------------------
-# Cache manifests (the parallel-executor warm-state contract)
-# ---------------------------------------------------------------------------
-
-#: Version tag of the cross-process cache-manifest contract.
-MANIFEST_FORMAT = "repro.cache-manifest/v1"
-
-_CODECS: dict[str, tuple[Callable[[], Any], Callable[[Any], None]]] = {}
-_CODECS_LOCK = threading.Lock()
-
-
-def canonical_bytes(value: Any) -> bytes:
-    """A deterministic byte encoding used as the merge tie-break order.
-
-    Two structurally identical values (same floats, same array contents)
-    pickle to the same bytes within one interpreter version, so "keep the
-    canonically smallest value" is a commutative, associative and
-    idempotent join rule — the registry converges to the same contents
-    whatever order worker manifests are folded in.
-    """
-    return pickle.dumps(value, protocol=4)
-
-
-def register_manifest_codec(
-    name: str,
-    export: Callable[[], Any],
-    merge: Callable[[Any], None],
-) -> None:
-    """Install a custom (export, merge) pair for the cache named ``name``.
-
-    Used by caches whose registry adapter is not a plain
-    :class:`LRUCache` (the batch-kernel layout and log-factorial tables)
-    or whose values need union semantics rather than pick-one (the
-    epsilon anchor registry).  ``export()`` must return a picklable
-    payload; ``merge(payload)`` must be idempotent and commutative.
-    Registration is latest-wins, mirroring :func:`register_cache`.
-    """
-    with _CODECS_LOCK:
-        _CODECS[name] = (export, merge)
-
-
-def _codec_for(name: str) -> tuple[Callable[[], Any], Callable[[Any], None]] | None:
-    with _CODECS_LOCK:
-        return _CODECS.get(name)
-
-
-def export_manifest() -> dict[str, Any]:
-    """Capture every registered cache's warm state as one picklable mapping.
-
-    The payload maps cache names to either the cache's custom codec
-    export or, for plain :class:`LRUCache` entries, its ``(key, value)``
-    items in LRU order.  Registered adapters with no codec (and no item
-    storage) are skipped — they rebuild from scratch cheaply.
-    """
-    payload: dict[str, Any] = {}
-    for name, cache in all_caches().items():
-        codec = _codec_for(name)
-        if codec is not None:
-            payload[name] = codec[0]()
-        elif isinstance(cache, LRUCache):
-            payload[name] = cache.items()
-    return {"format": MANIFEST_FORMAT, "caches": payload}
-
-
-def merge_manifest(manifest: Mapping[str, Any] | None) -> None:
-    """Fold a manifest produced by :func:`export_manifest` into the registry.
-
-    Unknown cache names are ignored (forward compatibility with
-    manifests from newer builds); known names are merged through their
-    codec, or — for plain :class:`LRUCache` entries — with the default
-    join rule: adopt entries absent locally, and on a key conflict keep
-    the value whose :func:`canonical_bytes` encoding is smallest.  The
-    merge never touches hit/miss statistics, and folding a cache's own
-    export back in leaves it observably unchanged.
-    """
-    if not manifest:
-        return
-    fmt = manifest.get("format")
-    if fmt != MANIFEST_FORMAT:
-        raise ValueError(
-            f"unsupported cache-manifest format {fmt!r} "
-            f"(this build reads {MANIFEST_FORMAT!r})"
-        )
-    caches = all_caches()
-    for name in sorted(manifest["caches"]):
-        entries = manifest["caches"][name]
-        codec = _codec_for(name)
-        if codec is not None:
-            codec[1](entries)
-            continue
-        cache = caches.get(name)
-        if isinstance(cache, LRUCache):
-            _default_merge(cache, entries)
-
-
-def _default_merge(cache: LRUCache, entries: Any) -> None:
-    sentinel = object()
-    for key, value in entries:
-        existing = cache.peek(key, sentinel)
-        if existing is sentinel:
-            cache.put(key, value)
-            continue
-        if existing is value:
-            continue
-        if canonical_bytes(value) < canonical_bytes(existing):
-            cache.put(key, value)
 
 
 def _iter_key(args: tuple) -> Iterator[Hashable]:

@@ -75,12 +75,7 @@ from repro.stats.batch import (
     exact_coverage_failure_probability_vec,
 )
 from repro.stats.binomial import binom_cdf, binom_sf
-from repro.stats.cache import (
-    LRUCache,
-    memoize,
-    register_cache,
-    register_manifest_codec,
-)
+from repro.stats.cache import LRUCache, memoize, register_cache
 from repro.utils.validation import check_positive, check_positive_int, check_probability
 
 __all__ = [
@@ -90,10 +85,6 @@ __all__ = [
     "tight_epsilon",
     "exceeds_delta_many",
     "tight_epsilon_many",
-    "estimate_probe_cost",
-    "epsilon_sweep_shards",
-    "cached_epsilon_sweep",
-    "adopt_epsilon_sweep",
 ]
 
 _BACKENDS = ("batch", "scalar")
@@ -345,39 +336,6 @@ def _record_anchor(n: int, eps: float, key: tuple) -> None:
     entries = _EPSILON_ANCHORS.get(key) or ()
     entries = tuple(e for e in entries if e[0] != n) + ((n, eps),)
     _EPSILON_ANCHORS.put(key, entries[-_ANCHORS_PER_KEY:])
-
-
-def _export_epsilon_anchors():
-    """Manifest codec export: anchor entries per reliability-spec key."""
-    return _EPSILON_ANCHORS.items()
-
-
-def _merge_epsilon_anchors(entries) -> None:
-    """Manifest codec merge: union anchors per key (min epsilon on ties).
-
-    Anchors are advisory warm-start hints, so union semantics beat the
-    default pick-one rule: two workers sweeping disjoint size ranges both
-    contribute.  The union keeps, per ``n``, the smallest epsilon seen
-    (a commutative, idempotent join) and caps at the ``_ANCHORS_PER_KEY``
-    largest sizes; a merge that changes nothing leaves the cache
-    untouched.
-    """
-    for key, incoming in entries:
-        existing = _EPSILON_ANCHORS.peek(key) or ()
-        merged = {int(n): float(eps) for n, eps in existing}
-        for n, eps in incoming:
-            n, eps = int(n), float(eps)
-            merged[n] = min(eps, merged.get(n, eps))
-        combined = tuple(sorted(merged.items()))[-_ANCHORS_PER_KEY:]
-        if set(combined) != set(existing):
-            _EPSILON_ANCHORS.put(key, combined)
-
-
-register_manifest_codec(
-    "stats.tight_bounds.epsilon_anchors",
-    _export_epsilon_anchors,
-    _merge_epsilon_anchors,
-)
 
 
 @memoize("stats.tight_bounds.tight_epsilon", maxsize=4096)
@@ -759,38 +717,6 @@ def tight_epsilon_many(
     element feeds the warm-start anchor registry used by
     :func:`tight_epsilon`.
     """
-    ns_arr = _validate_sweep_sizes(ns, delta, tol)
-    if ns_arr.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    cached = _TIGHT_EPSILON_MANY_CACHE.get(
-        (tuple(ns_arr.tolist()), delta, tol, grid, refine)
-    )
-    if cached is not None:
-        return cached.copy()
-    return _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine)
-
-
-def _compute_epsilon_sweep(
-    ns_arr: np.ndarray,
-    delta: float,
-    tol: float,
-    grid: int,
-    refine: int,
-) -> np.ndarray:
-    """Run and memoize a sweep, *without* probing the cache first.
-
-    Callers (the public function above, the parallel executor's serial
-    fallback) own the single recorded cache lookup per logical call, so
-    the operator-visible hit/miss counters stay one-to-one with calls.
-    ``ns_arr`` must already be validated.
-    """
-    unique, inverse = np.unique(ns_arr, return_inverse=True)
-    eps_unique = _tight_epsilon_many_impl(unique, delta, tol, grid, refine)
-    key = (tuple(ns_arr.tolist()), delta, tol, grid, refine)
-    return _adopt_sweep(key, unique, inverse, eps_unique)
-
-
-def _validate_sweep_sizes(ns, delta: float, tol: float) -> np.ndarray:
     ns_arr = np.atleast_1d(np.asarray(ns)).astype(np.int64)
     if ns_arr.ndim != 1:
         raise InvalidParameterError("ns must be one-dimensional")
@@ -798,127 +724,21 @@ def _validate_sweep_sizes(ns, delta: float, tol: float) -> np.ndarray:
         raise InvalidParameterError("ns must contain positive integers")
     check_probability(delta, "delta")
     check_positive(tol, "tol")
-    return ns_arr
-
-
-def _adopt_sweep(
-    key: tuple, unique: np.ndarray, inverse: np.ndarray, eps_unique: np.ndarray
-) -> np.ndarray:
-    """Memoize a finished sweep and plant its anchors (the serial tail)."""
-    result = eps_unique[inverse]
-    anchor_key = key[1:]
+    if ns_arr.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    key = (tuple(ns_arr.tolist()), delta, tol, grid, refine)
+    cached = _TIGHT_EPSILON_MANY_CACHE.get(key)
+    if cached is not None:
+        return cached.copy()
+    unique, inverse = np.unique(ns_arr, return_inverse=True)
+    eps_unique = _tight_epsilon_many_impl(unique, delta, tol, grid, refine)
     for n, eps in zip(unique.tolist(), eps_unique.tolist()):
-        _record_anchor(int(n), float(eps), anchor_key)
+        _record_anchor(int(n), float(eps), key[1:])
+    result = eps_unique[inverse]
     stored = result.copy()
     stored.flags.writeable = False
     _TIGHT_EPSILON_MANY_CACHE.put(key, stored)
     return result
-
-
-def cached_epsilon_sweep(
-    ns,
-    delta: float,
-    *,
-    tol: float = 1e-6,
-    grid: int = 256,
-    refine: int = 2,
-) -> np.ndarray | None:
-    """The memoized :func:`tight_epsilon_many` result, or ``None``.
-
-    A pure lookup — never computes — but a *counted* one: it records the
-    hit or miss a logical sweep request implies.  The parallel executor
-    consults this before paying shard dispatch for a sweep the process
-    already owns (and then computes probe-free, so each executor call
-    still records exactly one lookup).
-    """
-    ns_arr = _validate_sweep_sizes(ns, delta, tol)
-    if ns_arr.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    cached = _TIGHT_EPSILON_MANY_CACHE.get(
-        (tuple(ns_arr.tolist()), delta, tol, grid, refine)
-    )
-    return cached.copy() if cached is not None else None
-
-
-def adopt_epsilon_sweep(
-    ns,
-    delta: float,
-    unique,
-    eps_unique,
-    *,
-    tol: float = 1e-6,
-    grid: int = 256,
-    refine: int = 2,
-) -> np.ndarray:
-    """Adopt a sweep computed elsewhere (worker shards) as if run serially.
-
-    ``unique`` must be exactly ``np.unique(ns)`` and ``eps_unique`` its
-    per-size epsilons (the concatenation of shard results).  Plants the
-    same anchors, memoizes under the same key, and returns the same
-    per-request vector the serial :func:`tight_epsilon_many` would —
-    element-wise identical because the underlying kernels are
-    batch-composition invariant.
-    """
-    ns_arr = _validate_sweep_sizes(ns, delta, tol)
-    unique_arr = np.asarray(unique, dtype=np.int64)
-    eps_arr = np.asarray(eps_unique, dtype=np.float64)
-    expected, inverse = np.unique(ns_arr, return_inverse=True)
-    if not np.array_equal(expected, unique_arr):
-        raise InvalidParameterError(
-            "adopt_epsilon_sweep: unique does not match np.unique(ns)"
-        )
-    if eps_arr.shape != unique_arr.shape:
-        raise InvalidParameterError(
-            "adopt_epsilon_sweep: eps_unique must align with unique"
-        )
-    key = (tuple(ns_arr.tolist()), delta, tol, grid, refine)
-    return _adopt_sweep(key, unique_arr, inverse, eps_arr)
-
-
-# ---------------------------------------------------------------------------
-# Shard planning (the parallel executor's work splitter)
-# ---------------------------------------------------------------------------
-
-def estimate_probe_cost(ns, *, grid: int = 256, refine: int = 2) -> np.ndarray:
-    """Relative cost estimate of one testset size's share of a sweep.
-
-    The work per probe is dominated by the tail-window pmf matrix —
-    ``grid + 1`` candidate means times an ``O(sqrt(n))`` window per
-    refinement level — so cost scales as
-    ``(refine + 1) * (grid + 1) * sqrt(n)``.  Only the ratios matter:
-    the shard planner balances cost *sums* across chunks.
-    """
-    ns_arr = np.atleast_1d(np.asarray(ns, dtype=np.float64))
-    return (refine + 1.0) * (grid + 1.0) * np.sqrt(ns_arr)
-
-
-def epsilon_sweep_shards(
-    ns, shards: int, *, grid: int = 256, refine: int = 2
-) -> list[np.ndarray]:
-    """Contiguous, cost-balanced partition of the unique testset sizes.
-
-    Returns at most ``shards`` non-empty int64 arrays whose concatenation
-    is exactly ``np.unique(ns)``; chunk boundaries are placed so each
-    chunk carries a near-equal share of :func:`estimate_probe_cost`.
-    Because the planning kernels are batch-composition invariant, each
-    shard's lockstep scan is bit-identical to its rows of the full serial
-    scan — stitching shard results back together reproduces the serial
-    sweep element-wise, whatever the partition.
-    """
-    if shards < 1:
-        raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-    unique = np.unique(np.atleast_1d(np.asarray(ns)).astype(np.int64))
-    if unique.size == 0:
-        return []
-    shards = min(int(shards), len(unique))
-    cost = estimate_probe_cost(unique, grid=grid, refine=refine)
-    cum = np.cumsum(cost)
-    targets = cum[-1] * np.arange(1, shards) / shards
-    # A size stays in the left chunk while its cumulative cost fits the
-    # chunk's target; duplicate or degenerate boundaries collapse to
-    # fewer (never empty) shards.
-    bounds = np.searchsorted(cum, targets, side="right")
-    return [piece for piece in np.split(unique, bounds) if len(piece)]
 
 
 def _tight_epsilon_many_impl(

@@ -549,31 +549,43 @@ class TestColdProcessRestore:
         return state
 
     def test_old_estimator_config_keys_restore_identically(self, world):
-        """Snapshots that carry the retired ``precision``/``kernel`` keys."""
+        """Snapshots that carry the retired ``precision``/``kernel``/``workers``."""
         from repro.stats.cache import clear_all_caches
-        from repro.stats.parallel import PlanningExecutor
 
         script, testset, baseline, models = world
         service = make_service(script, testset, baseline)
         for model in models[:2]:
             service.repository.commit(model, message=model.name)
-        state = self._legacy_state(service, precision="float32", kernel="numpy")
+        expected_state = service.export_state()
 
-        clear_all_caches()
-        restored = CIService.from_state(state)
-        requests = state["engine"]["warm_manifest"]["plans"]
-        with PlanningExecutor(2) as executor:
-            assert executor.warm_plans(requests) == len(requests)
-        assert restored.plan == service.plan
-        config = restored.engine.planner.export_config()
-        assert config == service.engine.planner.export_config()
-        assert "precision" not in config and "kernel" not in config
+        restored_services = []
+        for workers in (2, "auto"):
+            state = self._legacy_state(
+                service, precision="float32", kernel="numpy", workers=workers
+            )
+            clear_all_caches()  # a cold process: the plan is re-derived
+            restored = CIService.from_state(state)
+            assert restored.plan == service.plan
+            config = restored.engine.planner.export_config()
+            assert config == service.engine.planner.export_config()
+            for key in ("precision", "kernel", "workers"):
+                assert key not in config
+            restored_engine = restored.export_state()["engine"]
+            assert restored_engine["estimator"] == expected_state["engine"]["estimator"]
+            assert (
+                restored_engine["warm_manifest"]
+                == expected_state["engine"]["warm_manifest"]
+            )
+            restored_services.append(restored)
+
         for model in models[2:4]:
             service.repository.commit(model, message=model.name)
-            restored.repository.commit(model, message=model.name)
-        assert [b.result for b in restored.builds] == [
-            b.result for b in service.builds
-        ]
+            for restored in restored_services:
+                restored.repository.commit(model, message=model.name)
+        for restored in restored_services:
+            assert [b.result for b in restored.builds] == [
+                b.result for b in service.builds
+            ]
 
     def test_jit_kernel_config_is_refused(self, world):
         """Numba-kernel plans were not bit-identical, so they cannot restore."""

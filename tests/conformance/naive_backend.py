@@ -51,31 +51,26 @@ BACKEND_NAME = "naive"
 
 
 class NaivePlanner:
-    """Cold, serial planning: correct, cache-less, never parallel."""
+    """Cold planning: correct and cache-less."""
 
     def __init__(self, estimator: SampleSizeEstimator):
         self.estimator = estimator
 
     @classmethod
-    def build(cls, *, workers=None, estimator=None, config=None) -> "NaivePlanner":
+    def build(cls, *, estimator=None, config=None) -> "NaivePlanner":
         if config is not None:
             base = dict(config)
         elif estimator is not None:
             base = estimator.export_config()
         else:
             base = {}
-        # Whatever was asked for, plan cold and serially — the naive tier
-        # has no cache and no executor.  Plans are pure functions of the
-        # condition/spec/config, so results still match the default
-        # backend's cached, possibly-parallel derivations bit for bit.
+        # Whatever was asked for, plan cold — the naive tier has no
+        # cache.  Plans are pure functions of the condition/spec/config,
+        # so results still match the default backend's cached
+        # derivations bit for bit.
         base["use_plan_cache"] = False
-        base["workers"] = None
-        self_estimator = SampleSizeEstimator(**base)
+        self_estimator = SampleSizeEstimator.from_config(base)
         return cls(self_estimator)
-
-    @property
-    def workers(self):
-        return self.estimator.workers
 
     def _derive(self, script):
         return self.estimator.plan(

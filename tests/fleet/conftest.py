@@ -20,21 +20,17 @@ from repro.ci.service import CIService  # noqa: E402
 from repro.core.testset import TestsetPool  # noqa: E402
 from repro.fleet import CIFleet  # noqa: E402
 from repro.reliability.events import clear_events  # noqa: E402
-from repro.stats.parallel import shutdown_executors  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
 def reliability_isolation():
     faults.uninstall_injector()
     clear_events()
-    worker_flag = faults._IS_WORKER
     env_checked = faults._ENV_CHECKED
     yield
     faults.uninstall_injector()
-    faults._IS_WORKER = worker_flag
     faults._ENV_CHECKED = env_checked
     clear_events()
-    shutdown_executors()
 
 
 @pytest.fixture

@@ -1,28 +1,22 @@
 """Isolation fixtures for the chaos suite.
 
 Fault injection and the reliability event log are process-wide state;
-every test here starts and ends with no injector installed, an empty
-event log, the parent process *not* marked as a worker (a leaked worker
-mark would let a ``kill`` rule take down pytest itself), and no shared
-executors left degraded for the next test.
+every test here starts and ends with no injector installed and an
+empty event log.
 """
 
 import pytest
 
 import repro.reliability.faults as faults
 from repro.reliability.events import clear_events
-from repro.stats.parallel import shutdown_executors
 
 
 @pytest.fixture(autouse=True)
 def reliability_isolation():
     faults.uninstall_injector()
     clear_events()
-    worker_flag = faults._IS_WORKER
     env_checked = faults._ENV_CHECKED
     yield
     faults.uninstall_injector()
-    faults._IS_WORKER = worker_flag
     faults._ENV_CHECKED = env_checked
     clear_events()
-    shutdown_executors()

@@ -2,11 +2,9 @@
 
 Every chaos test in this suite leans on the injector being *scheduled*
 rather than random — these tests pin that contract down: positional and
-probabilistic rules fire reproducibly from (rules, seed) alone,
-worker-only actions never fire in the supervising parent, counters can
-be shared across processes through ``counter_dir``, and the environment
-spec activates an injector lazily (how spawn-context workers and the CI
-chaos leg pick up the schedule).
+probabilistic rules fire reproducibly from (rules, seed) alone, each
+injector counts its own traversals, and the environment spec activates
+an injector lazily (how the CI chaos leg picks up the schedule).
 """
 
 import json
@@ -115,42 +113,7 @@ class TestProbabilisticDeterminism:
         assert pattern_alone == pattern_inter
 
 
-class TestWorkerGating:
-    def test_kill_and_hang_never_fire_in_the_parent(self):
-        injector = FaultInjector(
-            [
-                FaultRule(site="s", action="kill", at=1),
-                FaultRule(site="s", action="hang", at=2),
-            ]
-        )
-        assert not faults.in_worker()
-        assert injector.check("s") is None
-        assert injector.check("s") is None
-
-    def test_worker_mark_enables_them(self):
-        injector = FaultInjector([FaultRule(site="s", action="kill", at=1)])
-        faults._IS_WORKER = True  # restored by the isolation fixture
-        fired = injector.check("s")
-        assert fired is not None and fired.action == "kill"
-
-    def test_raise_still_fires_in_the_parent(self):
-        injector = FaultInjector([FaultRule(site="s", action="raise", at=1)])
-        assert injector.check("s") is not None
-
-
 class TestSharedCounters:
-    def test_counter_dir_continues_across_injector_instances(self, tmp_path):
-        # Two instances stand in for two processes sharing the schedule:
-        # the traversal count (and the rule's firing tally) must be
-        # global, so an at=2 rule fires exactly once across both.
-        rule = FaultRule(site="s", action="raise", at=2)
-        first = FaultInjector([rule], counter_dir=tmp_path)
-        second = FaultInjector([rule], counter_dir=tmp_path)
-        assert first.check("s") is None  # global traversal 1
-        assert second.check("s") is not None  # global traversal 2
-        assert first.check("s") is None  # tally shared: already fired
-        assert second.check("s") is None
-
     def test_per_process_counters_restart_per_instance(self):
         rule = FaultRule(site="s", action="raise", at=1, times=None)
         first = FaultInjector([rule])

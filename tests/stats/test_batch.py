@@ -32,8 +32,6 @@ from repro.stats.binomial import (
 from repro.stats.cache import (
     all_cache_info,
     clear_all_caches,
-    export_manifest,
-    merge_manifest,
 )
 from repro.stats.tight_bounds import (
     exact_coverage_failure_probability,
@@ -274,23 +272,6 @@ class TestCaching:
         clear_all_caches()
         info = all_cache_info()[name]
         assert (info.hits, info.misses) == (0, 0)
-
-    def test_manifest_merge_regrows_the_table(self):
-        """A worker's join covers the manifest's limit with identical entries."""
-        clear_all_caches()
-        expected = log_factorial_table(2048).copy()
-        manifest = export_manifest()
-        clear_all_caches()  # play the fresh worker
-        merge_manifest(manifest)
-        info = all_cache_info()["stats.batch.log_factorial_table"]
-        # The join grows the table, and is not a lookup: nothing counted.
-        assert info.currsize == len(expected)
-        assert (info.hits, info.misses) == (0, 0)
-        table = log_factorial_table(2048)
-        assert np.array_equal(table[: len(expected)], expected)
-        # Merging our own export again changes nothing.
-        merge_manifest(export_manifest())
-        assert len(log_factorial_table(0)) == len(table)
 
 
 # ---------------------------------------------------------------------------

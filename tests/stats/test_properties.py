@@ -1,21 +1,18 @@
-"""Seeded property tests for the two load-bearing composition contracts.
+"""Seeded property tests for the pairs kernel's batch-composition contract.
 
 Plain stdlib ``random`` drives the generation (no new dependencies); every
 trial is wrapped so a failure names its seed — rerun with that seed to
 reproduce exactly.
 
-1. **Pairs-kernel batch-composition invariance** — the docstring promise
-   of :func:`~repro.stats.batch.exact_coverage_failure_probability_pairs`
-   that every element's value is a pure function of its own
-   ``(n, p, epsilon, sigmas, slack)``: fuse a random batch, split it at
-   random boundaries, permute it — bit-identical results however the
-   surrounding batch is composed.  This is the property the parallel
-   planning executor stands on when it shards sweeps across processes.
-
-2. **Cache-manifest merge algebra** — :func:`repro.stats.cache.merge_manifest`
-   must be idempotent (a cache's own export folds back in as a no-op)
-   and commutative at the contents level (random worker manifests merged
-   in any interleaving converge on identical entries).
+The docstring promise of
+:func:`~repro.stats.batch.exact_coverage_failure_probability_pairs` is
+that every element's value is a pure function of its own
+``(n, p, epsilon, sigmas, slack)``: fuse a random batch, split it at
+random boundaries, permute it — bit-identical results however the
+surrounding batch is composed.  That, plus lockstep phases with no
+cross-size state, keeps a
+:func:`~repro.stats.tight_bounds.tight_epsilon_many` sweep independent of
+which testset sizes it is asked about together — checked here too.
 """
 
 from __future__ import annotations
@@ -24,16 +21,9 @@ import random
 
 import numpy as np
 
-import repro.stats.cache as cache_mod
 from repro.stats.batch import exact_coverage_failure_probability_pairs
-from repro.stats.cache import (
-    MANIFEST_FORMAT,
-    LRUCache,
-    all_cache_info,
-    export_manifest,
-    merge_manifest,
-    register_cache,
-)
+from repro.stats.cache import clear_all_caches
+from repro.stats.tight_bounds import tight_epsilon_many
 
 TRIAL_SEEDS = range(10)
 
@@ -47,7 +37,7 @@ def _seeded(trial, seed: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1. Pairs-kernel batch-composition invariance
+# Pairs-kernel batch-composition invariance
 # ---------------------------------------------------------------------------
 
 
@@ -146,110 +136,25 @@ def test_pairs_kernel_singletons_match_fused_batch():
         _seeded(trial, seed)
 
 
-# ---------------------------------------------------------------------------
-# 2. Cache-manifest merge algebra
-# ---------------------------------------------------------------------------
+def test_epsilon_sweep_is_invariant_under_batch_splits():
+    """A sweep's per-size epsilons do not depend on its other sizes."""
 
-_TEMP_PREFIX = "tests.properties."
-
-
-def _with_temp_caches(count: int):
-    names = [f"{_TEMP_PREFIX}cache{i}" for i in range(count)]
-    caches = {name: register_cache(name, LRUCache(maxsize=256)) for name in names}
-    return names, caches
-
-
-def _drop_temp_caches(names) -> None:
-    with cache_mod._REGISTRY_LOCK:
-        for name in names:
-            cache_mod._REGISTRY.pop(name, None)
-
-
-def _random_worker_manifest(rng: random.Random, names) -> dict:
-    """A plausible worker export: per-cache entry lists, overlapping keys."""
-    payload = {}
-    for name in names:
-        entries = []
-        for _ in range(rng.randrange(0, 12)):
-            key = (rng.randrange(40), rng.choice("abc"))
-            if rng.random() < 0.8:
-                value = round(rng.uniform(0.0, 1.0), 6)
-            else:
-                value = [rng.randrange(10)] * rng.randrange(1, 4)
-            entries.append((key, value))
-        payload[name] = entries
-    return {"format": MANIFEST_FORMAT, "caches": payload}
-
-
-def _contents(caches) -> dict:
-    return {name: dict(cache.items()) for name, cache in caches.items()}
-
-
-def test_manifest_merge_is_commutative_under_random_interleavings():
     def trial(rng: random.Random) -> None:
-        names, caches = _with_temp_caches(3)
-        try:
-            manifests = [
-                _random_worker_manifest(rng, names)
-                for _ in range(rng.randrange(2, 6))
-            ]
-            for manifest in manifests:
-                merge_manifest(manifest)
-            forward = _contents(caches)
+        ns = np.asarray(rng.sample(range(50, 1500), k=rng.randrange(4, 9)))
+        delta = rng.choice([1e-2, 1e-3])
+        clear_all_caches()
+        fused = tight_epsilon_many(ns, delta, tol=1e-5)
+        order = list(range(len(ns)))
+        rng.shuffle(order)
+        pieces = np.empty_like(fused)
+        for part in _random_partition(rng, len(ns)):
+            idx = np.asarray(order[part])
+            clear_all_caches()
+            pieces[idx] = tight_epsilon_many(ns[idx], delta, tol=1e-5)
+        assert np.array_equal(fused, pieces), (
+            f"split changed {np.sum(fused != pieces)} of {len(ns)} epsilons "
+            f"(ns={ns.tolist()}, delta={delta})"
+        )
 
-            for cache in caches.values():
-                cache.clear()
-            shuffled = list(manifests)
-            rng.shuffle(shuffled)
-            for manifest in shuffled:
-                merge_manifest(manifest)
-            assert _contents(caches) == forward, (
-                f"{len(manifests)} worker manifests merged in two orders "
-                "left different registry contents"
-            )
-        finally:
-            _drop_temp_caches(names)
-
-    for seed in TRIAL_SEEDS:
+    for seed in range(4):
         _seeded(trial, seed)
-
-
-def test_manifest_merge_is_idempotent():
-    def trial(rng: random.Random) -> None:
-        names, caches = _with_temp_caches(2)
-        try:
-            for manifest in (
-                _random_worker_manifest(rng, names),
-                _random_worker_manifest(rng, names),
-            ):
-                merge_manifest(manifest)
-            before = _contents(caches)
-            stats_before = {name: caches[name].info() for name in names}
-
-            exported = export_manifest()
-            merge_manifest(exported)
-            merge_manifest(exported)  # twice: still a no-op
-
-            assert _contents(caches) == before, "self-merge changed entries"
-            assert {name: caches[name].info() for name in names} == stats_before, (
-                "self-merge disturbed hit/miss statistics"
-            )
-        finally:
-            _drop_temp_caches(names)
-
-    for seed in TRIAL_SEEDS:
-        _seeded(trial, seed)
-
-
-def test_full_registry_manifest_self_merge_is_a_no_op():
-    """The real registry (plan cache, layout/table codecs) obeys the law too."""
-    # Warm the kernel-layer caches with real work first.
-    exact_coverage_failure_probability_pairs(
-        np.asarray([50, 200, 1000]),
-        np.asarray([0.3, 0.5, 0.9]),
-        np.asarray([0.05, 0.02, 0.01]),
-    )
-    exported = export_manifest()
-    before = all_cache_info()
-    merge_manifest(exported)
-    assert all_cache_info() == before

@@ -78,38 +78,8 @@ class TestPlanCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "cache deltas (" in out  # worker count follows the env default
+        assert "cache deltas (" in out
         assert "estimators.plan_cache" in out
-
-    def test_plan_with_workers_prewarms_through_the_executor(self, capsys):
-        from repro.stats.cache import clear_all_caches
-
-        clear_all_caches()
-        code = main(
-            [
-                "plan",
-                "--condition", "n > 0.8 +/- 0.06",
-                "--delta", "0.001",
-                "--exact-binomial",
-                "--workers", "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cache deltas (2 worker process(es)):" in out
-        assert "stats.tight_bounds.tight_sample_size" in out
-
-    def test_plan_invalid_workers_exits_2(self, capsys):
-        code = main(
-            [
-                "plan",
-                "--condition", "n > 0.8 +/- 0.05",
-                "--delta", "0.001",
-                "--workers", "lots",
-            ]
-        )
-        assert code == 2
-        assert "workers" in capsys.readouterr().err
 
     def test_reliability_and_delta_mutually_exclusive(self):
         with pytest.raises(SystemExit):

@@ -12,8 +12,8 @@
 #                           failed check or a failed operation
 #   make test-faults      - the chaos suite: fault injection, corruption
 #                           restore, disk chaos, chaos parity
-#   make conformance      - the backend conformance kit against the stock
-#                           and naive backends (pass BACKEND=name for one)
+#   make conformance      - the conformance kit: cold-plan engine parity,
+#                           restart and chaos checks (tests/conformance)
 #   make coverage         - line coverage (pytest-cov when installed,
 #                           stdlib settrace fallback offline) + the
 #                           ratchet-only floor gate
@@ -58,12 +58,7 @@ test-faults:
 	$(PYTHON) -m pytest -q tests/reliability
 
 conformance:
-ifdef BACKEND
-	$(PYTHON) -m pytest -q tests/conformance --engine-backend $(BACKEND)
-else
-	$(PYTHON) -m pytest -q tests/conformance --engine-backend default
-	$(PYTHON) -m pytest -q tests/conformance --engine-backend naive
-endif
+	$(PYTHON) -m pytest -q tests/conformance
 
 coverage:
 	$(PYTHON) tools/run_coverage.py

@@ -162,7 +162,7 @@ def bench_snapshot_fallback(quick: bool) -> dict:
             and build_fingerprint(restored_damaged) == reference
         )
         assert identical, "fallback restore diverged from the clean run"
-        quarantined = restored_damaged._store.quarantined()
+        quarantined = restored_damaged._state_store.snapshots.quarantined()
         assert len(quarantined) == 1
         assert reliability_events("snapshot-fallback")
 

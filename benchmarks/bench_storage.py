@@ -106,8 +106,8 @@ def bench_compaction(quick: bool) -> dict:
 
         compacted_dir_bytes = directory_bytes(tmp / "compacted")
         twin_dir_bytes = directory_bytes(tmp / "uncompacted")
-        snapshots_on_disk = len(list(compacted._store.sequences()))
-        compacted_through = compacted._journal.compacted_through
+        snapshots_on_disk = len(list(compacted._state_store.snapshots.sequences()))
+        compacted_through = compacted._state_store.journal.compacted_through
 
         # Gate 1: bounded bytes.  The compacted run retains exactly
         # ``keep_snapshots`` generations and strictly fewer bytes than

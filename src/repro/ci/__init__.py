@@ -29,6 +29,7 @@ from repro.ci.notifications import (
     ConsoleTransport,
 )
 from repro.ci.persistence import (
+    DirectoryStateStore,
     EventJournal,
     JournalRecord,
     SnapshotInfo,
@@ -45,6 +46,7 @@ __all__ = [
     "NotificationTransport",
     "InMemoryEmailTransport",
     "ConsoleTransport",
+    "DirectoryStateStore",
     "EventJournal",
     "JournalRecord",
     "SnapshotInfo",

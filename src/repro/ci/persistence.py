@@ -21,7 +21,9 @@ labels the math says are spent.  This module makes the state durable:
 * :func:`open_state_dir` — the one-directory layout convention
   (``<dir>/snapshots/`` + ``<dir>/journal.jsonl``) used by
   :meth:`CIService.persist_to` / :meth:`CIService.resume` and the
-  ``repro ops`` CLI.
+  ``repro ops`` CLI;
+* :class:`DirectoryStateStore` — that pair behind the one object a
+  :class:`CIService` writes through.
 
 Crash model
 -----------
@@ -77,7 +79,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.ci.appendlog import (
     AppendLog,
@@ -111,6 +113,7 @@ __all__ = [
     "SnapshotInfo",
     "SnapshotStore",
     "open_state_dir",
+    "DirectoryStateStore",
     "encode_model",
     "decode_model",
 ]
@@ -767,3 +770,65 @@ def open_state_dir(
         SnapshotStore(directory / "snapshots"),
         EventJournal(directory / "journal.jsonl", sync=sync),
     )
+
+
+class DirectoryStateStore:
+    """A :func:`open_state_dir` layout: snapshots and journal as one object.
+
+    Composes a :class:`SnapshotStore` and an (optional)
+    :class:`EventJournal`; the pair stays reachable as :attr:`snapshots`
+    / :attr:`journal` for the service's retention and operations code.
+    The crash model is the module's: a snapshot is atomically whole or
+    absent, and a snapshot never anchors past the journal's durable end.
+    """
+
+    def __init__(self, snapshots: SnapshotStore, journal: EventJournal | None = None):
+        self.snapshots = snapshots
+        self.journal = journal
+
+    @classmethod
+    def open(
+        cls, path: str | Path, *, create: bool = True, sync: bool = True
+    ) -> "DirectoryStateStore":
+        """Open (or create) a state directory; see :func:`open_state_dir`."""
+
+        snapshots, journal = open_state_dir(path, create=create, sync=sync)
+        return cls(snapshots, journal)
+
+    @property
+    def location(self) -> str:
+        return str(self.snapshots.directory)
+
+    @property
+    def journal_sequence(self) -> int | None:
+        return None if self.journal is None else self.journal.last_sequence
+
+    def save_snapshot(self, state: Mapping[str, Any]) -> SnapshotInfo:
+        if self.journal is not None:
+            # A snapshot must never anchor past the journal's durable end,
+            # or a power loss could reuse sequences it already covers.
+            self.journal.sync()
+        sequence = self.journal_sequence
+        return self.snapshots.save(
+            dict(state), journal_sequence=0 if sequence is None else sequence
+        )
+
+    def load_latest(
+        self, *, quarantine: bool = True
+    ) -> tuple[dict[str, Any], SnapshotInfo] | None:
+        return self.snapshots.load_latest(quarantine=quarantine)
+
+    def append_event(self, type: str, payload: Mapping[str, Any]) -> None:
+        if self.journal is not None:
+            self.journal.append(type, dict(payload))
+
+    def records_of(self, type: str) -> Iterable[JournalRecord]:
+        if self.journal is None:
+            return ()
+        return self.journal.records_of(type)
+
+    def latest_info(self) -> SnapshotInfo | None:
+        return self.snapshots.latest_info()
+
+    def quarantined(self) -> list[Path]:
+        return self.snapshots.quarantined()

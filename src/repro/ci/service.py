@@ -71,6 +71,7 @@ from repro.ci.persistence import (
     RESTORE,
     ROTATION,
     SNAPSHOT,
+    DirectoryStateStore,
     EventJournal,
     SnapshotInfo,
     SnapshotStore,
@@ -79,11 +80,6 @@ from repro.ci.persistence import (
 )
 from repro.ci.repository import ModelRepository
 from repro.core.engine import CIEngine, CommitResult
-from repro.core.kernel import (
-    KernelBackend,
-    StateStore,
-    get_backend,
-)
 from repro.core.script.config import CIScript
 from repro.core.testset import Testset, TestsetPool
 from repro.exceptions import (
@@ -322,13 +318,8 @@ class CIService:
 
     def _init_runtime_state(self) -> None:
         """Persistence wiring defaults (shared by __init__ and restore)."""
-        # All durable I/O routes through the kernel StateStore seam; the
-        # _store/_journal pair mirrors the default backend's underlying
-        # snapshot store and journal (None under a foreign backend) for
-        # the retention and operations code that reads them directly.
-        self._state_store: StateStore | None = None
-        self._store: SnapshotStore | None = None
-        self._journal: EventJournal | None = None
+        # All durable I/O routes through the attached state store.
+        self._state_store: DirectoryStateStore | None = None
         self._snapshot_every: int | None = None
         self._builds_since_snapshot = 0
         self._replaying = False
@@ -342,6 +333,16 @@ class CIService:
         self._storage_read_only = False
 
     # -- inspection --------------------------------------------------------------
+    @property
+    def _store(self) -> SnapshotStore | None:
+        """The attached store's snapshots (read-only view; ``None`` if detached)."""
+        return None if self._state_store is None else self._state_store.snapshots
+
+    @property
+    def _journal(self) -> EventJournal | None:
+        """The attached store's journal (read-only view; ``None`` if detached)."""
+        return None if self._state_store is None else self._state_store.journal
+
     @property
     def builds(self) -> list[BuildRecord]:
         """All builds, in order."""
@@ -413,7 +414,7 @@ class CIService:
         events = reliability_events()
         quarantined = len(store.quarantined()) if store is not None else 0
         storage_status = None
-        if self._storage is not None and self._state_dir is not None:
+        if self._storage is not None:
             storage_status = self._storage.check(self._state_dir)
         return OperationsReport(
             repository=self.repository.name,
@@ -477,8 +478,8 @@ class CIService:
             ),
             storage_read_only=self._storage_read_only,
             journal_compacted_through=(
-                self._journal.compacted_through
-                if self._journal is not None
+                store.journal.compacted_through
+                if store is not None and store.journal is not None
                 else None
             ),
         )
@@ -665,15 +666,15 @@ class CIService:
     # -- durable state ------------------------------------------------------------
     def attach_persistence(
         self,
-        store: StateStore,
+        store: DirectoryStateStore,
         *,
         snapshot_every: int | None = None,
         keep_snapshots: int | None = 3,
         storage: StorageGovernor | None = None,
     ) -> None:
-        """Bind the service to a kernel :class:`~repro.core.kernel.StateStore`.
+        """Bind the service to a :class:`~repro.ci.persistence.DirectoryStateStore`.
 
-        With an event record available every
+        With a journal attached every
         webhook journals the commit before evaluating and the build
         trail after; ``snapshot_every=N`` also snapshots automatically
         after every ``N`` builds, bounding replay work (journal lag) at
@@ -704,22 +705,13 @@ class CIService:
                 f"keep_snapshots must be >= 1, got {keep_snapshots}"
             )
         self._state_store = store
-        self._store = getattr(store, "snapshots", None)
-        self._journal = getattr(store, "journal", None)
         self._snapshot_every = snapshot_every
         self._builds_since_snapshot = 0
         self._keep_snapshots = keep_snapshots
         self._storage = storage
-        self._state_dir = (
-            self._store.directory.parent if self._store is not None else None
-        )
+        self._state_dir = store.snapshots.directory.parent
         self._storage_read_only = False
         if storage is not None:
-            if self._state_dir is None:
-                raise PersistenceError(
-                    "a StorageGovernor needs the default directory backend; "
-                    "this state store exposes no on-disk state dir to meter"
-                )
             self.repository.add_commit_gate(self._storage_gate)
 
     def persist_to(
@@ -728,7 +720,6 @@ class CIService:
         *,
         snapshot_every: int | None = None,
         sync: bool = True,
-        backend: str | KernelBackend | None = None,
         keep_snapshots: int | None = 3,
         storage: StorageGovernor | None = None,
     ) -> SnapshotInfo:
@@ -736,16 +727,10 @@ class CIService:
 
         The initial snapshot makes the service restorable immediately —
         a crash before the first commit restores to this exact state.
-        The state store is opened through ``backend`` when given, and
-        through the engine's own kernel backend otherwise, so a service
-        running on a registered backend persists through that backend's
-        durability layer without extra wiring.  ``keep_snapshots`` and
-        ``storage`` govern disk growth — see :meth:`attach_persistence`.
+        ``keep_snapshots`` and ``storage`` govern disk growth — see
+        :meth:`attach_persistence`.
         """
-        kernel = (
-            self.engine.backend if backend is None else get_backend(backend)
-        )
-        store = kernel.open_state_store(state_dir, create=True, sync=sync)
+        store = DirectoryStateStore.open(state_dir, create=True, sync=sync)
         self.attach_persistence(
             store,
             snapshot_every=snapshot_every,
@@ -783,24 +768,21 @@ class CIService:
     def _run_retention(self) -> None:
         """Prune snapshots and compact the journal per ``keep_snapshots``.
 
-        A no-op when retention is off or the backend is foreign (no
-        directory snapshot store to prune).  Compaction's boundary is
+        A no-op when retention is off.  Compaction's boundary is
         the *oldest retained valid* snapshot's anchor, so every snapshot
         still on disk — including older generations a corrupt-newest
         fallback may restore from — replays without a gap.
         """
-        if self._keep_snapshots is None or self._store is None:
+        if self._keep_snapshots is None or self._state_store is None:
             return
-        if self._store.latest_sequence:
-            self._store.prune(keep=self._keep_snapshots)
-        if self._journal is None:
+        snapshots, journal = self._state_store.snapshots, self._state_store.journal
+        if snapshots.latest_sequence:
+            snapshots.prune(keep=self._keep_snapshots)
+        if journal is None:
             return
-        anchor = retention_anchor(self._store)
-        if (
-            anchor > self._journal.compacted_through
-            and anchor <= self._journal.last_sequence
-        ):
-            self._journal.compact(anchor)
+        anchor = retention_anchor(snapshots)
+        if anchor > journal.compacted_through and anchor <= journal.last_sequence:
+            journal.compact(anchor)
 
     def _storage_gate(self, count: int) -> None:
         """Commit-admission gate installed when a governor is attached.
@@ -815,7 +797,7 @@ class CIService:
         watermark.  Never gates replay — restore must work on a full
         disk.
         """
-        if self._storage is None or self._state_dir is None or self._replaying:
+        if self._storage is None or self._replaying:
             return
         status = self._storage.check(self._state_dir)
         if status.level == "soft":
@@ -894,7 +876,7 @@ class CIService:
     ) -> "CIService":
         """Rebuild a service from :meth:`export_state` output.
 
-        Rebuilds the engine (re-deriving plans through warm caches),
+        Rebuilds the engine (re-deriving the plan from the estimator config),
         rewires the repository webhook, and reattaches the runtime-only
         ``transport``.  Journal replay is :meth:`restore`'s job, not
         this method's.
@@ -934,7 +916,7 @@ class CIService:
     @classmethod
     def restore(
         cls,
-        store: StateStore,
+        store: DirectoryStateStore,
         *,
         transport: NotificationTransport | None = None,
         snapshot_every: int | None = None,
@@ -998,17 +980,11 @@ class CIService:
         transport: NotificationTransport | None = None,
         snapshot_every: int | None = None,
         record: bool = True,
-        backend: str | KernelBackend | None = None,
         keep_snapshots: int | None = 3,
         storage: StorageGovernor | None = None,
     ) -> "CIService":
-        """:meth:`restore` from a persisted state directory.
-
-        ``backend`` selects whose state-store layer reads the directory
-        (``None`` = ``"default"``, the :func:`open_state_dir` layout) —
-        it must match the backend that persisted it.
-        """
-        store = get_backend(backend).open_state_store(state_dir, create=False)
+        """:meth:`restore` from a persisted state directory."""
+        store = DirectoryStateStore.open(state_dir, create=False)
         return cls.restore(
             store,
             transport=transport,

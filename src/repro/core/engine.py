@@ -4,24 +4,15 @@
 
 * a :class:`~repro.core.script.CIScript` (condition, reliability, mode,
   adaptivity, steps);
-* a kernel backend (:mod:`repro.core.kernel`) supplying the
-  :class:`~repro.core.kernel.interfaces.Planner` that produces the
-  :class:`~repro.core.estimators.plans.SampleSizePlan` and the
-  :class:`~repro.core.kernel.interfaces.Evaluator` applying the §3.5
-  interval semantics per commit (the ``"default"`` backend wraps
-  :class:`~repro.core.estimators.SampleSizeEstimator` and
-  :class:`~repro.core.evaluation.ConditionEvaluator`);
+* a :class:`~repro.core.estimators.SampleSizeEstimator` producing the
+  :class:`~repro.core.estimators.plans.SampleSizePlan`, and a
+  :class:`~repro.core.evaluation.ConditionEvaluator` applying the §3.5
+  interval semantics per commit;
 * a :class:`~repro.core.testset.TestsetManager` tracking statistical
   budget, with the :class:`~repro.core.alarm.NewTestsetAlarm` watching it.
 
-The engine itself is pure orchestration: it owns the budget accounting,
-the signal routing, the pool rotations and the durable-state contract,
-and reaches planning/evaluation only through the backend's protocols —
-a new planning tier or serving kernel registers itself
-(:func:`repro.core.kernel.register_backend`) and is selected with the
-``backend=`` keyword, with zero edits here.  The conformance kit under
-``tests/conformance/`` certifies any registered backend element-wise
-against the stock one.
+The engine owns the budget accounting, the signal routing, the pool
+rotations and the durable-state contract.
 
 Signal routing per adaptivity mode (§2.2, §3.2–3.4):
 
@@ -50,8 +41,8 @@ budget is spent.  Attaching a :class:`~repro.core.testset.TestsetPool`
 (:meth:`CIEngine.install_testset_pool`, or the ``testset_pool`` keyword)
 switches the engine to *pool-aware* mode: on exhaustion — and on the
 retirement alarms that cause it — ``submit`` / ``submit_many`` rotate to
-the pool's next generation automatically (re-planning through the cached
-:class:`SampleSizeEstimator` plans and re-batching the in-flight
+the pool's next generation automatically (keeping the plan, which depends
+only on the script and the estimator, and re-batching the in-flight
 remainder), emit a :class:`~repro.core.testset.GenerationRotationEvent`
 through the notification channel, and keep draining.  The exhaustion
 error then surfaces only when the pool is truly dry.
@@ -60,10 +51,10 @@ Durability: the engine's guarantees hinge on state that must never
 silently reset — the per-testset budget accounting, the adaptivity-mode
 history, the pool of unreleased generations.  :meth:`CIEngine.export_state`
 / :meth:`CIEngine.from_state` (and plain pickling, which delegates to
-them) capture exactly that state; cached plan and evaluator objects are
-*re-derived* through the estimator on restore — warmed via the snapshot's
-plan manifest — never serialized.  See :mod:`repro.ci.persistence` for
-the snapshot/journal machinery built on this contract.
+them) capture exactly that state; the plan and evaluator are *re-derived*
+through the estimator on restore, never serialized.  See
+:mod:`repro.ci.persistence` for the snapshot/journal machinery built on
+this contract.
 """
 
 from __future__ import annotations
@@ -77,8 +68,7 @@ from repro.core.alarm import AlarmEvent, AlarmReason, NewTestsetAlarm
 from repro.core.estimators.adaptivity import Adaptivity
 from repro.core.estimators.api import SampleSizeEstimator
 from repro.core.estimators.plans import SampleSizePlan
-from repro.core.evaluation import EvaluationResult
-from repro.core.kernel import KernelBackend, get_backend
+from repro.core.evaluation import ConditionEvaluator, EvaluationResult
 from repro.core.script.config import CIScript
 from repro.core.testset import (
     GenerationRotationEvent,
@@ -91,7 +81,6 @@ from repro.exceptions import (
     PersistenceError,
     TestsetSizeError,
 )
-from repro.stats.cache import warm_after_restore
 from repro.stats.estimation import PairedSample, PairedSampleBatch
 
 __all__ = ["CommitResult", "CIEngine", "ENGINE_STATE_FORMAT"]
@@ -157,9 +146,6 @@ class CIEngine:
     estimator:
         Optional custom :class:`SampleSizeEstimator` (defaults to
         optimizations on, honouring the script's ``variance_bound``).
-        Handed to the backend's planner factory; the ``"default"``
-        backend wraps it in a
-        :class:`~repro.core.kernel.DefaultPlanner`.
     notifier:
         Callable ``(email, subject, body)`` used for third-party signal
         delivery under ``adaptivity: none``; also receives alarm emails.
@@ -173,12 +159,6 @@ class CIEngine:
         given, the engine rotates to the pool's next generation instead of
         raising on exhaustion; ``testset`` may then be ``None``, in which
         case the first generation is popped from the pool.
-    backend:
-        The kernel backend supplying planner and evaluator: a name
-        registered with :func:`repro.core.kernel.register_backend`, a
-        :class:`~repro.core.kernel.KernelBackend` instance, or ``None``
-        for ``"default"`` (the stock
-        :class:`SampleSizeEstimator`/:class:`ConditionEvaluator` pair).
     """
 
     def __init__(
@@ -191,11 +171,9 @@ class CIEngine:
         notifier: Callable[[str, str, str], None] | None = None,
         enforce_testset_size: bool = True,
         testset_pool: TestsetPool | None = None,
-        backend: str | KernelBackend | None = None,
     ):
         self.script = script
-        self._backend = get_backend(backend)
-        self._planner = self._backend.make_planner(estimator=estimator)
+        self.estimator = estimator if estimator is not None else SampleSizeEstimator()
         self.plan: SampleSizePlan = self._compute_plan()
         self._pool: TestsetPool | None = None
         self._rotations: list[GenerationRotationEvent] = []
@@ -219,7 +197,7 @@ class CIEngine:
         self.manager = TestsetManager(testset, budget=budget)
         self.alarm = NewTestsetAlarm()
         self.notifier = notifier
-        self.evaluator = self._backend.make_evaluator(
+        self.evaluator = ConditionEvaluator(
             self.plan, script.mode, enforce_sample_size=enforce_testset_size
         )
         self.active_model = baseline_model
@@ -229,16 +207,6 @@ class CIEngine:
             self.install_testset_pool(testset_pool)
 
     # -- inspection -------------------------------------------------------------
-    @property
-    def backend(self) -> KernelBackend:
-        """The kernel backend this engine orchestrates over."""
-        return self._backend
-
-    @property
-    def planner(self):
-        """The backend's :class:`~repro.core.kernel.interfaces.Planner`."""
-        return self._planner
-
     @property
     def results(self) -> list[CommitResult]:
         """All commit results, in order."""
@@ -520,12 +488,11 @@ class CIEngine:
         *configuration*, testset manager (active generation, uses,
         remaining budget, released sets), alarm events, active-model
         baseline and its cached predictions, the commit-result history,
-        the testset pool and the rotation log — plus a *warm manifest*
-        naming the plan requests behind the state.  Deliberately absent:
+        the testset pool and the rotation log.  Deliberately absent:
 
         * the :class:`SampleSizePlan` and the evaluator — derived
-          objects, re-derived through the backend's planner (and the
-          warm manifest) on restore, never serialized;
+          objects, re-derived through the estimator on restore, never
+          serialized;
         * the ``notifier`` — runtime wiring, re-supplied to
           :meth:`from_state`;
         * pool low-watermark callbacks and alarm subscribers — runtime
@@ -533,9 +500,8 @@ class CIEngine:
         """
         return {
             "format": ENGINE_STATE_FORMAT,
-            "backend": self._backend.name,
             "script": self.script,
-            "estimator": self._planner.export_config(),
+            "estimator": self.estimator.export_config(),
             "manager": self.manager,
             "alarm": self.alarm,
             "active_model": self.active_model,
@@ -544,17 +510,7 @@ class CIEngine:
             "pool": self._pool,
             "rotations": list(self._rotations),
             "enforce_sample_size": self.evaluator.enforce_sample_size,
-            "warm_manifest": self.warm_manifest(),
         }
-
-    def warm_manifest(self) -> dict[str, Any]:
-        """The plan requests a restorer must replay to warm the caches.
-
-        Consumed by :func:`repro.stats.cache.warm_after_restore` (the
-        estimator layer's restore warmer re-derives each request into the
-        process-wide plan cache before the engine re-plans).
-        """
-        return {"plans": self._planner.plan_requests(self.script)}
 
     @classmethod
     def from_state(
@@ -565,9 +521,11 @@ class CIEngine:
     ) -> "CIEngine":
         """Rebuild an engine from :meth:`export_state` output.
 
-        Warms the shared caches from the state's manifest, re-derives the
-        plan through the backend's planner (bit-identical by purity),
-        rebuilds the evaluator, and rewires the runtime-only ``notifier``.
+        Re-derives the plan through the persisted estimator config
+        (bit-identical by purity), rebuilds the evaluator, and rewires the
+        runtime-only ``notifier``.  States written by earlier releases may
+        carry ``backend`` and ``warm_manifest`` keys; the manifest is
+        ignored, and any backend but ``"default"`` is refused.
         """
         engine = object.__new__(cls)
         engine._apply_state(state, notifier=notifier)
@@ -585,17 +543,19 @@ class CIEngine:
                 f"unsupported engine state format {fmt!r} "
                 f"(this build reads {ENGINE_STATE_FORMAT!r})"
             )
-        warm_after_restore(state["warm_manifest"])
+        backend = state.get("backend", "default")
+        if backend != "default":
+            raise PersistenceError(
+                f"engine state names backend {backend!r}; this build runs "
+                "only the stock estimator and evaluator ('default')"
+            )
         self.script = state["script"]
-        # Snapshots written before the kernel seam carry no backend key;
-        # they restore onto the stock components, exactly as they ran.
-        self._backend = get_backend(state.get("backend", "default"))
-        self._planner = self._backend.planner_from_config(state["estimator"])
+        self.estimator = SampleSizeEstimator.from_config(state["estimator"])
         self.plan = self._compute_plan()
         self.manager = state["manager"]
         self.alarm = state["alarm"]
         self.notifier = notifier
-        self.evaluator = self._backend.make_evaluator(
+        self.evaluator = ConditionEvaluator(
             self.plan,
             self.script.mode,
             enforce_sample_size=state["enforce_sample_size"],
@@ -615,8 +575,15 @@ class CIEngine:
 
     # -- internals ------------------------------------------------------------
     def _compute_plan(self) -> SampleSizePlan:
-        """The script's plan, derived through the backend's planner."""
-        return self._planner.plan_for(self.script)
+        """The script's plan, derived through the estimator."""
+        script = self.script
+        return self.estimator.plan(
+            script.condition,
+            delta=script.delta,
+            adaptivity=script.adaptivity,
+            steps=script.steps,
+            known_variance_bound=script.variance_bound,
+        )
 
     def _check_initial_size(self, testset: Testset, enforce: bool) -> None:
         if enforce and testset.size < self.plan.pool_size:
@@ -651,10 +618,10 @@ class CIEngine:
     def _rotate_from_pool(self) -> GenerationRotationEvent:
         """Install the pool's next generation over the retired one.
 
-        Re-plans through the process-wide plan cache (each generation
+        The plan and evaluator carry over unchanged: each generation
         restarts the ``H``-step reliability accounting with the same
-        condition/spec, so the cached plan comes back in microseconds),
-        installs the popped testset with its budget, and emits a
+        script and estimator, so the plan is the same.  Installs the
+        popped testset with its budget and emits a
         :class:`GenerationRotationEvent` through the notification channel.
         """
         assert self._pool is not None and not self._pool.is_empty
@@ -671,18 +638,6 @@ class CIEngine:
                 f"{self.plan.pool_size}; replace it before commits can rotate"
             )
         testset, budget = self._pool.pop()
-        plan = self._planner.replan_for(self.script)
-        if plan is not self.plan:
-            # The planner normally hands back the very plan object this
-            # engine already evaluates with (same condition/spec/config);
-            # only a genuinely different plan warrants a fresh evaluator
-            # (and the loss of its memoized per-clause batch kernel).
-            self.plan = plan
-            self.evaluator = self._backend.make_evaluator(
-                plan,
-                self.script.mode,
-                enforce_sample_size=self.evaluator.enforce_sample_size,
-            )
         from_generation = self.manager.generation
         self._install_testset(testset, budget=budget)
         event = GenerationRotationEvent(
@@ -706,6 +661,7 @@ class CIEngine:
                 event.message,
             )
         return event
+
     def _maybe_alarm(
         self, truly_passed: bool, uses: int, testset: Testset
     ) -> AlarmEvent | None:

@@ -50,7 +50,6 @@ from repro.stats.cache import (
     CacheInfo,
     LRUCache,
     register_cache,
-    register_restore_warmer,
 )
 from repro.stats.inequalities import BennettInequality
 from repro.stats.tight_bounds import tight_sample_size
@@ -492,31 +491,3 @@ class SampleSizeEstimator:
             adaptivity = Adaptivity.parse(str(adaptivity))
         steps = check_positive_int(steps, "steps")
         return _ReliabilitySpec(delta=delta, adaptivity=adaptivity, steps=steps)
-
-
-# ---------------------------------------------------------------------------
-# Restore warmer: re-derive snapshot-manifested plans into the shared cache
-# ---------------------------------------------------------------------------
-
-def _warm_plan_cache(manifest: Mapping[str, Any]) -> None:
-    """Re-derive every plan request named in a snapshot's warm manifest.
-
-    Engine snapshots never serialize :class:`SampleSizePlan` objects; they
-    carry ``manifest["plans"]`` — a list of plan *requests* (condition
-    source, delta, adaptivity, steps, variance bound, estimator config).
-    Replaying the requests here repopulates the process-wide plan cache
-    (and, transitively, the tight-bound caches underneath), so a restored
-    engine's re-derived plan is served warm and bit-identical.
-    """
-    for request in manifest.get("plans", ()):
-        estimator = SampleSizeEstimator.from_config(request.get("estimator") or {})
-        estimator.plan(
-            request["condition"],
-            delta=request["delta"],
-            adaptivity=request["adaptivity"],
-            steps=request["steps"],
-            known_variance_bound=request.get("known_variance_bound"),
-        )
-
-
-register_restore_warmer("estimators.plan_cache", _warm_plan_cache)

@@ -3,9 +3,9 @@
 :class:`CIFleet` multiplexes N tenant repositories over shared
 infrastructure, the ROADMAP's "millions of users" shape.  Each tenant is
 a full :class:`~repro.ci.service.CIService` with its own state directory
-(PR 4 snapshot + journal) plus a durable intake queue; the gateway adds
-the three things a shared deployment needs that a single service does
-not:
+(a :class:`~repro.ci.persistence.DirectoryStateStore`: snapshots plus
+journal) and a durable intake queue; the gateway adds the three things a
+shared deployment needs that a single service does not:
 
 * **Bounded residency.**  Live engines are held in an LRU of at most
   ``max_resident`` tenants.  Eviction releases the service and writes
@@ -57,9 +57,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.ci.notifications import NotificationTransport
+from repro.ci.persistence import DirectoryStateStore
 from repro.ci.repository import ModelRepository
 from repro.ci.service import BuildRecord, CIService, OperationsReport
-from repro.core.kernel import get_backend
 from repro.core.script.config import CIScript
 from repro.core.testset import Testset, TestsetPool
 from repro.exceptions import (
@@ -501,9 +501,7 @@ class CIFleet:
         directory = self._require_tenant(tenant_id)
         try:
             fault_point("fleet.hydrate")
-            store = get_backend().open_state_store(
-                directory, create=False, sync=self.sync
-            )
+            store = DirectoryStateStore.open(directory, create=False, sync=self.sync)
             service = CIService.restore(
                 store,
                 transport=self._transport(tenant_id),
@@ -976,9 +974,7 @@ class CIFleet:
         service = self._resident.get(tenant_id)
         if service is None:
             directory = self._require_tenant(tenant_id)
-            store = get_backend().open_state_store(
-                directory, create=False, sync=self.sync
-            )
+            store = DirectoryStateStore.open(directory, create=False, sync=self.sync)
             service = CIService.restore(
                 store,
                 record=False,

@@ -24,19 +24,6 @@ only reasons to clear are benchmarking cold paths and reclaiming memory.
 ``clear_all_caches()`` is the single entry point; individual caches can be
 cleared through ``all_caches()[name].clear()``.
 
-Restore-warm contract
----------------------
-Cached objects are never serialized: a snapshot of engine/service state
-(:mod:`repro.ci.persistence`) carries a *warm manifest* — the plan
-requests behind the state — instead of the plan objects themselves.  On
-restore, :func:`warm_after_restore` hands that manifest to every
-registered *restore warmer* (:func:`register_restore_warmer`); the
-estimator layer registers one that re-derives each requested plan, which
-transitively repopulates the tight-bound and layout caches underneath.
-A restored engine therefore re-plans through a warm cache and ends up
-holding a plan bit-identical to the one it was snapshotted with, even in
-a cold interpreter.
-
 Registry contents
 -----------------
 Every memoized layer registers here (asserted complete in
@@ -75,9 +62,6 @@ __all__ = [
     "all_caches",
     "all_cache_info",
     "clear_all_caches",
-    "register_restore_warmer",
-    "restore_warmers",
-    "warm_after_restore",
 ]
 
 
@@ -196,51 +180,6 @@ def clear_all_caches() -> None:
     """Invalidate every registered cache (plans, tight bounds, tables)."""
     for cache in all_caches().values():
         cache.clear()
-
-
-# ---------------------------------------------------------------------------
-# Restore warmers
-# ---------------------------------------------------------------------------
-
-_WARMERS: dict[str, Callable[[Mapping[str, Any]], None]] = {}
-_WARMERS_LOCK = threading.Lock()
-
-
-def register_restore_warmer(
-    name: str, warmer: Callable[[Mapping[str, Any]], None]
-) -> Callable[[Mapping[str, Any]], None]:
-    """Register a callable that re-derives cached state after a restore.
-
-    A warmer receives the *warm manifest* a snapshot carried (a plain
-    mapping; the keys each layer consumes are its own contract — the
-    estimator layer reads ``manifest["plans"]``) and repopulates whatever
-    caches it owns.  Registration is latest-wins under a repeated name,
-    mirroring :func:`register_cache`.
-    """
-    with _WARMERS_LOCK:
-        _WARMERS[name] = warmer
-    return warmer
-
-
-def restore_warmers() -> Mapping[str, Callable[[Mapping[str, Any]], None]]:
-    """Snapshot of every registered restore warmer, by name."""
-    with _WARMERS_LOCK:
-        return dict(_WARMERS)
-
-
-def warm_after_restore(manifest: Mapping[str, Any] | None) -> None:
-    """Run every registered restore warmer against ``manifest``.
-
-    Called by the persistence layer before a restored engine re-derives
-    its plan, so the derivation is served from warm caches.  A ``None``
-    (or empty) manifest is a no-op; warmer exceptions propagate — a
-    restore would rather fail loudly than come back with silently cold
-    caches and a plan of unknown provenance.
-    """
-    if not manifest:
-        return
-    for warmer in restore_warmers().values():
-        warmer(manifest)
 
 
 def _iter_key(args: tuple) -> Iterator[Hashable]:

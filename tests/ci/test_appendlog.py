@@ -20,12 +20,12 @@ from repro.ci.persistence import (
     COMMIT_RECEIVED,
     PROMOTION,
     SNAPSHOT,
+    DirectoryStateStore,
     EventJournal,
     JournalRecord,
     SnapshotStore,
     scan_journal,
 )
-from repro.core.kernel.default import DirectoryStateStore
 from repro.exceptions import PersistenceError
 from repro.fleet.intake import IntakeQueue, IntakeRecord, scan_intake
 from repro.ml.models.base import FixedPredictionModel

@@ -229,7 +229,7 @@ def make_compacted_state_dir(tmp_path):
 class TestFsckOnCompactedDirs:
     def test_compacted_dir_is_restorable(self, tmp_path):
         state_dir, service = make_compacted_state_dir(tmp_path)
-        assert service._journal.compacted_through > 0
+        assert service._state_store.journal.compacted_through > 0
         report = fsck_state_dir(state_dir)
         assert report.restorable
         assert report.journal.compacted_through > 0
@@ -247,9 +247,9 @@ class TestFsckOnCompactedDirs:
         state_dir, service = make_compacted_state_dir(tmp_path)
         # Simulate the corruption fsck exists to catch: compact beyond the
         # newest snapshot's anchor, leaving an unreplayable gap.
-        service._journal.compact(service._journal.last_sequence)
-        anchor = service._store.latest_info().journal_sequence
-        assert service._journal.compacted_through > anchor
+        service._state_store.journal.compact(service._state_store.journal.last_sequence)
+        anchor = service._state_store.snapshots.latest_info().journal_sequence
+        assert service._state_store.journal.compacted_through > anchor
         report = fsck_state_dir(state_dir)
         assert not report.restorable
 
@@ -264,7 +264,7 @@ class TestFsckOnCompactedDirs:
         )
         for model in models[:4]:
             service.repository.commit(model, message=model.name)
-        service._journal.close()
+        service._state_store.journal.close()
         report = maintain_state_dir(tmp_path / "state", keep=2, sync=False)
         assert report.pruned_snapshots > 0
         assert report.dropped_records > 0
@@ -288,7 +288,7 @@ class TestRetentionCadence:
             service.repository.commit(model, message=model.name)
         on_disk = list((tmp_path / "state" / "snapshots").glob("snapshot-*.pkl"))
         assert len(on_disk) == 3
-        assert service._journal.compacted_through > 0
+        assert service._state_store.journal.compacted_through > 0
 
     def test_prune_never_removes_the_newest_valid_snapshot(self, tmp_path):
         script = make_script("full")
@@ -299,7 +299,7 @@ class TestRetentionCadence:
         )
         for model in models[:3]:
             service.repository.commit(model, message=model.name)
-        newest = service._store.latest_info()
+        newest = service._state_store.snapshots.latest_info()
         assert newest is not None and newest.path.exists()
         restored = CIService.resume(tmp_path / "state", record=False)
         assert len(restored.repository) == 3
@@ -315,7 +315,7 @@ class TestRetentionCadence:
             service.repository.commit(model, message=model.name)
         on_disk = list((tmp_path / "state" / "snapshots").glob("snapshot-*.pkl"))
         assert len(on_disk) == 5  # the initial snapshot plus one per commit
-        assert service._journal.compacted_through == 0
+        assert service._state_store.journal.compacted_through == 0
 
 
 # ---------------------------------------------------------------------------

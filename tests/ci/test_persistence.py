@@ -14,6 +14,7 @@ from repro.ci.persistence import (
     RESTORE,
     SNAPSHOT,
     SNAPSHOT_FORMAT_VERSION,
+    DirectoryStateStore,
     EventJournal,
     SnapshotStore,
     decode_model,
@@ -23,7 +24,6 @@ from repro.ci.persistence import (
 from repro.ci.repository import ModelRepository
 from repro.ci.service import CIService
 from repro.core.estimators.api import SampleSizeEstimator
-from repro.core.kernel import DirectoryStateStore, get_backend
 from repro.core.script.config import CIScript
 from repro.core.testset import Testset
 from repro.exceptions import PersistenceError
@@ -297,11 +297,11 @@ class TestServicePersistence:
         service = make_service(script, testset, baseline)
         service.persist_to(tmp_path / "state")
         service.repository.commit(models[0], message="m0")
-        types = [r.type for r in service._journal.records()]
+        types = [r.type for r in service._state_store.journal.records()]
         assert types.index(COMMIT_RECEIVED) < types.index(BUILD_RECORDED)
 
     def test_restore_without_snapshot_raises(self, tmp_path):
-        store = get_backend().open_state_store(tmp_path / "state")
+        store = DirectoryStateStore.open(tmp_path / "state")
         with pytest.raises(PersistenceError, match="no snapshot"):
             CIService.restore(store)
 
@@ -311,7 +311,7 @@ class TestServicePersistence:
         service.persist_to(tmp_path / "state")
         service.repository.commit(models[0], message="m0")
         restored = CIService.resume(tmp_path / "state")
-        restores = list(restored._journal.records_of(RESTORE))
+        restores = list(restored._state_store.journal.records_of(RESTORE))
         assert len(restores) == 1
         assert restores[0].payload["replayed_commits"] == 1
 
@@ -320,7 +320,7 @@ class TestServicePersistence:
         service = make_service(script, testset, baseline)
         service.persist_to(tmp_path / "state")
         service.repository.commit(models[0], message="m0")
-        before = service._journal.last_sequence
+        before = service._state_store.journal.last_sequence
         CIService.resume(tmp_path / "state", record=False)
         assert EventJournal(tmp_path / "state" / "journal.jsonl").last_sequence == before
 
@@ -342,7 +342,7 @@ class TestServicePersistence:
         script, testset, baseline, models = world
         service = make_service(script, testset, baseline)
         service.persist_to(tmp_path / "state")
-        journal = service._journal
+        journal = service._state_store.journal
         # a journaled commit two sequences ahead of the snapshot head
         journal.append(
             COMMIT_RECEIVED,
@@ -384,7 +384,7 @@ class TestServicePersistence:
 
         service = make_service(script, testset, baseline)
         service.persist_to(tmp_path / "state")
-        service._journal.append(
+        service._state_store.journal.append(
             COMMIT_RECEIVED,
             {
                 "sequence": 0,
@@ -422,8 +422,8 @@ class TestServicePersistence:
         for model in models[:4]:
             service.repository.commit(model, message=model.name)
         # initial snapshot + one per two builds
-        assert service._store.sequences() == [1, 2, 3]
-        snapshots = list(service._journal.records_of(SNAPSHOT))
+        assert service._state_store.snapshots.sequences() == [1, 2, 3]
+        snapshots = list(service._state_store.journal.records_of(SNAPSHOT))
         assert len(snapshots) == 3
 
     def test_snapshot_every_validated(self, world, tmp_path):
@@ -460,10 +460,9 @@ class TestServicePersistence:
 class TestColdProcessRestore:
     """Restore into a cold interpreter: caches cleared, plans re-derived.
 
-    Cached plan objects are never serialized — snapshots carry a warm
-    manifest of plan *requests* instead, and
-    :func:`repro.stats.cache.warm_after_restore` replays them on restore.
-    Clearing every process-wide cache before restoring therefore
+    Cached plan objects are never serialized — snapshots carry the
+    estimator config instead, and the restored engine plans once through
+    it.  Clearing every process-wide cache before restoring therefore
     simulates a genuinely fresh interpreter, and the re-derived plan must
     come back bit-identical (plans are pure functions of condition, spec
     and estimator config).
@@ -501,7 +500,7 @@ class TestColdProcessRestore:
         state, _ = store.load_latest()
         restored = CIEngine.from_state(state)
 
-        # the warm manifest re-derived the plan into the shared cache...
+        # the restore re-derived the plan into the shared cache...
         info = SampleSizeEstimator.plan_cache_info()
         assert info.currsize >= 1
         # ...bit-identically (dataclass equality covers every field)...
@@ -541,11 +540,27 @@ class TestColdProcessRestore:
 
     @staticmethod
     def _legacy_state(service, **legacy):
-        """The service's state as an older release persisted it."""
+        """The service's state as an older release persisted it.
+
+        Older releases also wrote the engine's ``backend`` name and a warm
+        manifest of plan requests, each carrying the estimator config.
+        """
         state = pickle.loads(pickle.dumps(service.export_state()))
-        state["engine"]["estimator"].update(legacy)
-        for request in state["engine"]["warm_manifest"]["plans"]:
-            request["estimator"].update(legacy)
+        engine = state["engine"]
+        engine["estimator"].update(legacy)
+        engine["backend"] = "default"
+        engine["warm_manifest"] = {
+            "plans": [
+                {
+                    "condition": service.script.condition_source,
+                    "delta": service.script.delta,
+                    "adaptivity": service.script.adaptivity.value,
+                    "steps": service.script.steps,
+                    "known_variance_bound": service.script.variance_bound,
+                    "estimator": dict(engine["estimator"]),
+                }
+            ]
+        }
         return state
 
     def test_old_estimator_config_keys_restore_identically(self, world):
@@ -566,16 +581,12 @@ class TestColdProcessRestore:
             clear_all_caches()  # a cold process: the plan is re-derived
             restored = CIService.from_state(state)
             assert restored.plan == service.plan
-            config = restored.engine.planner.export_config()
-            assert config == service.engine.planner.export_config()
+            config = restored.engine.estimator.export_config()
+            assert config == service.engine.estimator.export_config()
             for key in ("precision", "kernel", "workers"):
                 assert key not in config
             restored_engine = restored.export_state()["engine"]
             assert restored_engine["estimator"] == expected_state["engine"]["estimator"]
-            assert (
-                restored_engine["warm_manifest"]
-                == expected_state["engine"]["warm_manifest"]
-            )
             restored_services.append(restored)
 
         for model in models[2:4]:
@@ -589,18 +600,27 @@ class TestColdProcessRestore:
 
     def test_jit_kernel_config_is_refused(self, world):
         """Numba-kernel plans were not bit-identical, so they cannot restore."""
-        from repro.core.kernel import DefaultPlanner
-        from repro.stats.cache import warm_after_restore
-
         script, testset, baseline, _ = world
         service = make_service(script, testset, baseline)
         state = self._legacy_state(service, kernel="jit")
         with pytest.raises(PersistenceError, match="kernel='jit'"):
             CIService.from_state(state)
         with pytest.raises(PersistenceError, match="kernel='jit'"):
-            DefaultPlanner.build(config=state["engine"]["estimator"])
-        with pytest.raises(PersistenceError, match="kernel='jit'"):
-            warm_after_restore(state["engine"]["warm_manifest"])
+            SampleSizeEstimator.from_config(state["engine"]["estimator"])
+
+    def test_foreign_backend_state_is_refused(self, world, tmp_path):
+        """A state naming a backend other than the stock one fails as a
+        persistence error, not a lookup crash."""
+        script, testset, baseline, models = world
+        service = make_service(script, testset, baseline)
+        service.persist_to(tmp_path / "state")
+        service.repository.commit(models[0], message="m0")
+        snapshots = SnapshotStore(tmp_path / "state" / "snapshots")
+        saved, info = snapshots.load_latest()
+        saved["engine"]["backend"] = "naive"
+        snapshots.save(saved, journal_sequence=info.journal_sequence)
+        with pytest.raises(PersistenceError, match="'naive'"):
+            CIService.resume(tmp_path / "state")
 
 
 class TestOperationsReport:
@@ -647,7 +667,7 @@ class TestOperationsReport:
         script, testset, baseline, _ = world
         service = make_service(script, testset, baseline)
         info = service.persist_to(tmp_path / "state")
-        store = service._store
+        store = service._state_store.snapshots
         info.path.write_bytes(b"unreadable")  # a disk read would explode
         assert store.latest_info() == info
         assert service.operations().snapshot_sequence == info.sequence

@@ -1,16 +1,16 @@
-"""Fixture factories of the backend conformance kit.
+"""Fixture factories of the conformance kit.
 
-The suite certifies one backend per run — selected with
-``--engine-backend <name>`` (default ``"default"``) — by comparing its
-observable behavior element-wise against *reference* engines/services
-built on the stock components.  CI runs it once per registered backend;
-a new backend earns its registration by passing with
+The kit certifies the stock engine stack — ``SampleSizeEstimator``,
+``ConditionEvaluator`` and ``DirectoryStateStore`` — by comparing its
+observable behavior element-wise against *reference* engines/services.
+Fixtures come in pairs: ``engine_factory`` / ``service_factory`` build
+the engine under test on a cache-less estimator
+(``SampleSizeEstimator(use_plan_cache=False)``), so every plan it holds
+is a cold derivation; their ``reference_*`` twins plan through the
+shared plan cache.  Plans are pure functions of condition, spec and
+estimator config, so the two must agree bit for bit.
 
-    pytest tests/conformance --engine-backend <name>
-
-and nothing else.  Fixtures come in pairs: ``engine_factory`` /
-``service_factory`` build on the backend under test, their
-``reference_*`` twins on ``"default"``.
+    pytest tests/conformance
 """
 
 from __future__ import annotations
@@ -20,28 +20,26 @@ import pytest
 from repro.ci.repository import ModelRepository
 from repro.ci.service import CIService
 from repro.core.engine import CIEngine
-from repro.core.kernel import KernelBackend, available_backends, get_backend
+from repro.core.estimators.api import SampleSizeEstimator
 from repro.core.testset import TestsetPool
-
-import tests.conformance.naive_backend  # noqa: F401  (registers "naive")
 
 ADAPTIVITY_MODES = ["full", "none -> third-party@example.com", "firstChange"]
 
 
-@pytest.fixture(scope="session")
-def backend_name(request) -> str:
-    name = request.config.getoption("--engine-backend")
-    if name not in available_backends():
-        raise pytest.UsageError(
-            f"--engine-backend {name!r} is not registered; "
-            f"known backends: {', '.join(available_backends())}"
-        )
-    return name
+def cold_estimator() -> SampleSizeEstimator:
+    """The estimator under test: every plan is derived from scratch."""
+    return SampleSizeEstimator(use_plan_cache=False)
 
 
-@pytest.fixture(scope="session")
-def backend(backend_name) -> KernelBackend:
-    return get_backend(backend_name)
+def plan_for(estimator, script):
+    """``estimator``'s plan for ``script``, as the engine requests it."""
+    return estimator.plan(
+        script.condition,
+        delta=script.delta,
+        adaptivity=script.adaptivity,
+        steps=script.steps,
+        known_variance_bound=script.variance_bound,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -50,41 +48,37 @@ def world(parity_world_cache):
     return parity_world_cache
 
 
+def _engine(script, testsets, baseline, **kwargs):
+    return CIEngine(
+        script,
+        testsets[0],
+        baseline,
+        testset_pool=TestsetPool(list(testsets[1:])),
+        **kwargs,
+    )
+
+
 @pytest.fixture
-def engine_factory(backend_name):
-    """Build a pool-aware engine on the backend under test."""
+def engine_factory():
+    """Build a pool-aware engine on the cache-less estimator."""
 
     def build(script, testsets, baseline, **kwargs):
-        return CIEngine(
-            script,
-            testsets[0],
-            baseline,
-            testset_pool=TestsetPool(list(testsets[1:])),
-            backend=backend_name,
-            **kwargs,
-        )
+        return _engine(script, testsets, baseline, estimator=cold_estimator(), **kwargs)
 
     return build
 
 
 @pytest.fixture
 def reference_engine_factory():
-    """The same engine shape on the stock backend (the parity oracle)."""
+    """The same engine shape on the default estimator (the parity oracle)."""
 
     def build(script, testsets, baseline, **kwargs):
-        return CIEngine(
-            script,
-            testsets[0],
-            baseline,
-            testset_pool=TestsetPool(list(testsets[1:])),
-            **kwargs,
-        )
+        return _engine(script, testsets, baseline, **kwargs)
 
     return build
 
 
-def _service(script, testsets, baseline, backend_name=None):
-    kwargs = {} if backend_name is None else {"backend": backend_name}
+def _service(script, testsets, baseline, **kwargs):
     service = CIService(
         script,
         testsets[0],
@@ -97,11 +91,11 @@ def _service(script, testsets, baseline, backend_name=None):
 
 
 @pytest.fixture
-def service_factory(backend_name):
-    """Build a pool-aware service whose engine runs the backend under test."""
+def service_factory():
+    """Build a pool-aware service whose engine plans on the cache-less estimator."""
 
     def build(script, testsets, baseline):
-        return _service(script, testsets, baseline, backend_name=backend_name)
+        return _service(script, testsets, baseline, estimator=cold_estimator())
 
     return build
 

@@ -1,6 +1,6 @@
 """Chaos leg: crash injection at every durable-write boundary.
 
-A proxy store delegates to the backend's real ``StateStore`` and raises
+A proxy store delegates to a real ``DirectoryStateStore`` and raises
 a :class:`SimulatedCrash` at the Nth ``append_event`` — either *before*
 delegating (the event is lost with the process) or *after* (the event is
 durable, the acknowledgment is lost).  Sweeping N over every append of a
@@ -10,6 +10,7 @@ from the surviving files converges on the uninterrupted reference.
 
 import pytest
 
+from repro.ci.persistence import DirectoryStateStore
 from repro.ci.service import CIService
 
 from tests.ci.test_restart_parity import assert_parity, finish_queue
@@ -20,7 +21,7 @@ class SimulatedCrash(RuntimeError):
 
 
 class CrashingStateStore:
-    """A conforming StateStore that dies at the Nth event append.
+    """A state store proxy that dies at the Nth event append.
 
     ``crash_at=None`` never crashes (used to count a run's appends).
     ``before=True`` crashes before the write reaches the inner store —
@@ -33,6 +34,14 @@ class CrashingStateStore:
         self._crash_at = crash_at
         self._before = before
         self.appends = 0
+
+    @property
+    def snapshots(self):
+        return self._inner.snapshots
+
+    @property
+    def journal(self):
+        return self._inner.journal
 
     @property
     def location(self):
@@ -67,12 +76,12 @@ class CrashingStateStore:
 
 
 def _run_with_proxy(
-    service_factory, backend, world_tuple, state_dir, crash_at=None, *, before=True
+    service_factory, world_tuple, state_dir, crash_at=None, *, before=True
 ):
     """Drive a full run through a crash proxy; report whether it crashed."""
     script, testsets, baseline, models = world_tuple
     service = service_factory(script, testsets, baseline)
-    inner = backend.open_state_store(state_dir, create=True)
+    inner = DirectoryStateStore.open(state_dir, create=True)
     proxy = CrashingStateStore(inner, crash_at, before=before)
     service.attach_persistence(proxy)
     crashed = False
@@ -87,7 +96,7 @@ def _run_with_proxy(
 
 @pytest.mark.parametrize("before", [True, False], ids=["lost-write", "unacked-write"])
 def test_crash_at_every_append_restores_identically(
-    before, tmp_path, world, service_factory, reference_service_factory, backend
+    before, tmp_path, world, service_factory, reference_service_factory
 ):
     world_tuple = world("full")
     script, testsets, baseline, models = world_tuple
@@ -98,7 +107,7 @@ def test_crash_at_every_append_restores_identically(
 
     # Calibration run: how many appends does an uninterrupted run make?
     calibration, crashed = _run_with_proxy(
-        service_factory, backend, world_tuple, tmp_path / "calibration"
+        service_factory, world_tuple, tmp_path / "calibration"
     )
     assert not crashed
     total_appends = calibration.appends
@@ -107,19 +116,19 @@ def test_crash_at_every_append_restores_identically(
     for n in range(1, total_appends + 1):
         state_dir = tmp_path / f"{'lost' if before else 'unacked'}-{n:03d}"
         proxy, crashed = _run_with_proxy(
-            service_factory, backend, world_tuple, state_dir, n, before=before
+            service_factory, world_tuple, state_dir, n, before=before
         )
         assert crashed, f"append #{n} should have crashed"
-        # The process is gone; reopen the directory through the backend
-        # and restore from whatever writes completed.
-        survivor = backend.open_state_store(state_dir, create=False)
+        # The process is gone; reopen the directory and restore from
+        # whatever writes completed.
+        survivor = DirectoryStateStore.open(state_dir, create=False)
         restored = CIService.restore(survivor)
         finish_queue(restored, models)
         assert_parity(reference, restored)
 
 
 def test_crash_during_restore_replay_leaves_directory_restorable(
-    tmp_path, world, service_factory, reference_service_factory, backend
+    tmp_path, world, service_factory, reference_service_factory
 ):
     """A crash while the *restore* itself journals must also be survivable."""
     world_tuple = world("full")
@@ -131,7 +140,7 @@ def test_crash_during_restore_replay_leaves_directory_restorable(
 
     state_dir = tmp_path / "restore-crash"
     service = service_factory(script, testsets, baseline)
-    service.attach_persistence(backend.open_state_store(state_dir, create=True))
+    service.attach_persistence(DirectoryStateStore.open(state_dir, create=True))
     service.snapshot()
     for model in models[:5]:
         service.repository.commit(model, message=model.name)
@@ -139,12 +148,12 @@ def test_crash_during_restore_replay_leaves_directory_restorable(
 
     # Second incarnation crashes on its very first durable write.
     proxy = CrashingStateStore(
-        backend.open_state_store(state_dir, create=False), 1, before=True
+        DirectoryStateStore.open(state_dir, create=False), 1, before=True
     )
     with pytest.raises(SimulatedCrash):
         CIService.restore(proxy)
 
     # Third incarnation restores cleanly and converges.
-    restored = CIService.restore(backend.open_state_store(state_dir, create=False))
+    restored = CIService.restore(DirectoryStateStore.open(state_dir, create=False))
     finish_queue(restored, models)
     assert_parity(reference, restored)

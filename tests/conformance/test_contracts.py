@@ -1,39 +1,36 @@
-"""Manifest / state-format / component-contract checks.
+"""State-format and component-contract checks.
 
-Everything here is about the seams themselves: the ``repro.ci-engine/v1``
-state format, the warm-manifest replay, the planner-config round trip,
-evaluator prepack purity, the raw ``StateStore`` read/write contract —
-and the headline guarantee that a backend registers without a single
-edit to ``core/engine.py``.
+Everything here is about the contracts the engine stack rests on: the
+``repro.ci-engine/v1`` state format, a cold-cache ``from_state``, the
+estimator-config round trip, evaluator prepack purity and the raw
+``DirectoryStateStore`` read/write contract.
 """
 
 import pickle
-from pathlib import Path
 
 import pytest
 
-import repro.core.engine as engine_module
-from repro.ci.persistence import BUILD_RECORDED, COMMIT_RECEIVED
+from repro.ci.persistence import BUILD_RECORDED, COMMIT_RECEIVED, DirectoryStateStore
 from repro.core.engine import ENGINE_STATE_FORMAT, CIEngine
-from repro.stats.cache import clear_all_caches, warm_after_restore
+from repro.core.estimators.api import SampleSizeEstimator
+from repro.core.evaluation import ConditionEvaluator
+from repro.stats.cache import clear_all_caches
 from repro.stats.estimation import PairedSample
 
+from tests.conformance.conftest import cold_estimator, plan_for
 
-def test_export_state_keeps_v1_format_and_names_the_backend(
-    world, engine_factory, backend_name
-):
+
+def test_export_state_keeps_v1_format(world, engine_factory):
     script, testsets, baseline, models = world("full")
     engine = engine_factory(script, testsets, baseline)
     state = engine.export_state()
     assert state["format"] == ENGINE_STATE_FORMAT == "repro.ci-engine/v1"
-    assert state["backend"] == backend_name
+    assert "backend" not in state and "warm_manifest" not in state
     # The whole export must survive a pickle round trip (snapshot payload).
-    assert pickle.loads(pickle.dumps(state))["backend"] == backend_name
+    assert pickle.loads(pickle.dumps(state))["estimator"] == state["estimator"]
 
 
-def test_from_state_resumes_element_wise_with_cold_caches(
-    world, engine_factory, backend_name
-):
+def test_from_state_resumes_element_wise_with_cold_caches(world, engine_factory):
     script, testsets, baseline, models = world("full")
     engine = engine_factory(script, testsets, baseline)
     twin = engine_factory(script, testsets, baseline)
@@ -43,7 +40,7 @@ def test_from_state_resumes_element_wise_with_cold_caches(
     frozen = pickle.dumps(engine.export_state())
     clear_all_caches()
     restored = CIEngine.from_state(pickle.loads(frozen))
-    assert restored.backend.name == backend_name
+    assert restored.estimator.export_config() == engine.estimator.export_config()
     assert restored.plan == engine.plan
     for model in models[4:]:
         assert restored.submit(model) == twin.submit(model)
@@ -51,28 +48,17 @@ def test_from_state_resumes_element_wise_with_cold_caches(
     assert restored.rotations == twin.rotations
 
 
-def test_warm_manifest_replay_rederives_the_same_plan(world, engine_factory):
+def test_planner_config_round_trip_plans_identically(world):
     script, testsets, baseline, models = world("full")
-    engine = engine_factory(script, testsets, baseline)
-    manifest = engine.warm_manifest()
-    assert manifest["plans"], "manifest must name at least one plan request"
-    clear_all_caches()
-    warm_after_restore(manifest)
-    assert engine.planner.replan_for(script) == engine.plan
+    estimator = cold_estimator()
+    clone = SampleSizeEstimator.from_config(estimator.export_config())
+    assert plan_for(clone, script) == plan_for(estimator, script)
+    assert clone.export_config() == estimator.export_config()
 
 
-def test_planner_config_round_trip_plans_identically(world, backend):
+def test_prepack_is_idempotent_and_pure(world):
     script, testsets, baseline, models = world("full")
-    planner = backend.make_planner()
-    clone = backend.planner_from_config(planner.export_config())
-    assert clone.plan_for(script) == planner.plan_for(script)
-    assert clone.export_config() == planner.export_config()
-
-
-def test_prepack_is_idempotent_and_pure(world, backend):
-    script, testsets, baseline, models = world("full")
-    plan = backend.make_planner().plan_for(script)
-    evaluator = backend.make_evaluator(plan, script.mode)
+    evaluator = ConditionEvaluator(plan_for(cold_estimator(), script), script.mode)
     testset = testsets[0]
     old_predictions = testset.predict_with(baseline)
 
@@ -90,22 +76,21 @@ def test_prepack_is_idempotent_and_pure(world, backend):
     assert after == before
 
 
-def test_state_store_contract(backend, tmp_path):
-    store = backend.open_state_store(tmp_path / "state", create=True)
+def test_state_store_contract(tmp_path):
+    store = DirectoryStateStore.open(tmp_path / "state", create=True)
     assert store.load_latest() is None
     assert store.latest_info() is None
     assert list(store.quarantined()) == []
 
     base = store.journal_sequence
-    if base is not None:
-        store.append_event(COMMIT_RECEIVED, {"sequence": 0, "which": "first"})
-        store.append_event(BUILD_RECORDED, {"build_number": 1})
-        store.append_event(COMMIT_RECEIVED, {"sequence": 1, "which": "second"})
-        assert store.journal_sequence == base + 3
-        records = list(store.records_of(COMMIT_RECEIVED))
-        assert [r.payload["which"] for r in records] == ["first", "second"]
-        assert [r.sequence for r in records] == [base + 1, base + 3]
-        assert all(r.type == COMMIT_RECEIVED for r in records)
+    store.append_event(COMMIT_RECEIVED, {"sequence": 0, "which": "first"})
+    store.append_event(BUILD_RECORDED, {"build_number": 1})
+    store.append_event(COMMIT_RECEIVED, {"sequence": 1, "which": "second"})
+    assert store.journal_sequence == base + 3
+    records = list(store.records_of(COMMIT_RECEIVED))
+    assert [r.payload["which"] for r in records] == ["first", "second"]
+    assert [r.sequence for r in records] == [base + 1, base + 3]
+    assert all(r.type == COMMIT_RECEIVED for r in records)
 
     info = store.save_snapshot({"format": "conformance-probe", "value": 7})
     assert info.sequence >= 1
@@ -120,24 +105,12 @@ def test_state_store_contract(backend, tmp_path):
     assert store.load_latest()[0]["value"] == 8
 
     # Reopen from disk: everything above must be durable.
-    reopened = backend.open_state_store(tmp_path / "state", create=False)
+    reopened = DirectoryStateStore.open(tmp_path / "state", create=False)
     assert reopened.load_latest()[0]["value"] == 8
     assert reopened.journal_sequence == store.journal_sequence
     assert str(tmp_path / "state") in reopened.location
 
 
-def test_open_missing_state_dir_without_create_fails(backend, tmp_path):
+def test_open_missing_state_dir_without_create_fails(tmp_path):
     with pytest.raises(Exception):
-        backend.open_state_store(tmp_path / "does-not-exist", create=False)
-
-
-def test_backend_plugs_in_with_zero_engine_edits(backend_name):
-    source = Path(engine_module.__file__).read_text(encoding="utf-8")
-    assert "naive" not in source, (
-        "core/engine.py must never special-case the reference backend"
-    )
-    if backend_name != "default":
-        assert backend_name not in source, (
-            f"core/engine.py must not mention backend {backend_name!r}; "
-            "backends plug in through repro.core.kernel registration only"
-        )
+        DirectoryStateStore.open(tmp_path / "does-not-exist", create=False)

@@ -1,4 +1,4 @@
-"""Element-wise parity: the backend under test vs the stock components.
+"""Element-wise parity: the cache-less engine under test vs the reference.
 
 The paper's correctness criterion everywhere in this repo is element-wise
 equality, and the conformance kit applies it to whole engine lifetimes:
@@ -11,9 +11,10 @@ path.
 import numpy as np
 import pytest
 
+from repro.core.evaluation import ConditionEvaluator
 from repro.stats.estimation import PairedSampleBatch
 
-from tests.conformance.conftest import ADAPTIVITY_MODES
+from tests.conformance.conftest import ADAPTIVITY_MODES, cold_estimator, plan_for
 
 
 @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
@@ -41,8 +42,8 @@ def test_submit_stream_is_element_wise_identical(
 def test_submit_many_matches_reference_sequential_loop(
     adaptivity, world, engine_factory, reference_engine_factory
 ):
-    # The strongest cross-check in one assertion: the backend's batched
-    # drain against the stock backend's one-at-a-time loop.
+    # The strongest cross-check in one assertion: the batched drain under
+    # test against the reference engine's one-at-a-time loop.
     script, testsets, baseline, models = world(adaptivity)
     engine = engine_factory(script, testsets, baseline)
     reference = reference_engine_factory(script, testsets, baseline)
@@ -72,11 +73,9 @@ def test_service_batch_ingest_parity(
     assert [b.generation for b in got] == [b.generation for b in ref]
 
 
-def test_evaluate_batch_equals_scalar_evaluate_per_element(world, backend):
+def test_evaluate_batch_equals_scalar_evaluate_per_element(world):
     script, testsets, baseline, models = world("full")
-    planner = backend.make_planner()
-    plan = planner.plan_for(script)
-    evaluator = backend.make_evaluator(plan, script.mode)
+    evaluator = ConditionEvaluator(plan_for(cold_estimator(), script), script.mode)
     testset = testsets[0]
     batch = PairedSampleBatch(
         old_predictions=testset.predict_with(baseline),

@@ -1,8 +1,8 @@
-"""Restart parity through the backend's own state store.
+"""Restart parity through the state directory.
 
 The crash model matches ``tests/ci/test_restart_parity.py``: the process
 loses all in-memory state but the files a durable write completed are
-intact.  A conforming ``StateStore`` must let ``CIService.resume`` pick
+intact.  The ``DirectoryStateStore`` must let ``CIService.resume`` pick
 up from *any* commit boundary and converge — element for element — on
 the uninterrupted reference run.
 """
@@ -16,7 +16,7 @@ from tests.conformance.conftest import ADAPTIVITY_MODES
 
 
 def _persisted_prefix(service_factory, world_tuple, state_dir, k, **persist_kwargs):
-    """Run a backend-persisted service for the first ``k`` commits, then 'crash'."""
+    """Run a persisted service for the first ``k`` commits, then 'crash'."""
     script, testsets, baseline, models = world_tuple
     service = service_factory(script, testsets, baseline)
     service.persist_to(state_dir, **persist_kwargs)
@@ -28,7 +28,7 @@ def _persisted_prefix(service_factory, world_tuple, state_dir, k, **persist_kwar
 
 @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
 def test_every_commit_boundary_resumes_identically(
-    adaptivity, tmp_path, world, service_factory, reference_service_factory, backend_name
+    adaptivity, tmp_path, world, service_factory, reference_service_factory
 ):
     world_tuple = world(adaptivity)
     script, testsets, baseline, models = world_tuple
@@ -39,14 +39,14 @@ def test_every_commit_boundary_resumes_identically(
     for k in range(len(models) + 1):
         state_dir = tmp_path / f"prefix-{k:02d}"
         _persisted_prefix(service_factory, world_tuple, state_dir, k)
-        restored = CIService.resume(state_dir, backend=backend_name)
+        restored = CIService.resume(state_dir)
         finish_queue(restored, models)
         assert_parity(reference, restored)
 
 
 @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
 def test_snapshot_cadence_resumes_identically(
-    adaptivity, tmp_path, world, service_factory, reference_service_factory, backend_name
+    adaptivity, tmp_path, world, service_factory, reference_service_factory
 ):
     world_tuple = world(adaptivity)
     script, testsets, baseline, models = world_tuple
@@ -57,13 +57,13 @@ def test_snapshot_cadence_resumes_identically(
     for k in (4, 7, len(models)):
         state_dir = tmp_path / f"cadence-{k:02d}"
         _persisted_prefix(service_factory, world_tuple, state_dir, k, snapshot_every=3)
-        store = CIService.resume(state_dir, backend=backend_name)
+        store = CIService.resume(state_dir)
         finish_queue(store, models)
         assert_parity(reference, store)
 
 
 def test_double_resume_is_idempotent(
-    tmp_path, world, service_factory, reference_service_factory, backend_name
+    tmp_path, world, service_factory, reference_service_factory
 ):
     """Resuming the same directory twice never double-spends budget.
 
@@ -81,11 +81,11 @@ def test_double_resume_is_idempotent(
     state_dir = tmp_path / "twice"
     _persisted_prefix(service_factory, world_tuple, state_dir, 6)
 
-    first = CIService.resume(state_dir, backend=backend_name)
+    first = CIService.resume(state_dir)
     finish_queue(first, models)
     assert_parity(reference, first)
 
-    second = CIService.resume(state_dir, backend=backend_name)
+    second = CIService.resume(state_dir)
     # ``first`` journaled commits 7..N into the directory, so the replay
     # alone must reach the finished state; finish_queue is then a no-op.
     finish_queue(second, models)
@@ -93,13 +93,13 @@ def test_double_resume_is_idempotent(
 
 
 def test_resume_reports_backend_store_operations(
-    tmp_path, world, service_factory, backend_name
+    tmp_path, world, service_factory
 ):
     world_tuple = world("full")
     script, testsets, baseline, models = world_tuple
     _persisted_prefix(service_factory, world_tuple, tmp_path / "ops", 3)
-    restored = CIService.resume(tmp_path / "ops", backend=backend_name)
+    restored = CIService.resume(tmp_path / "ops")
     ops = restored.operations()
     assert ops.persistence_attached is True
     assert ops.journal_sequence is not None and ops.journal_sequence >= 3
-    assert restored.engine.backend.name == backend_name
+    assert restored.engine.estimator.use_plan_cache is False

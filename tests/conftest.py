@@ -15,20 +15,6 @@ settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--engine-backend",
-        action="store",
-        default="default",
-        help=(
-            "kernel backend name the conformance suite certifies "
-            "(tests/conformance/): 'default' for the stock components, "
-            "'naive' for the reference backend, or any name registered "
-            "via repro.core.kernel.register_backend"
-        ),
-    )
-
-
 @pytest.fixture(scope="session")
 def parity_world_cache():
     """Session-cached parity worlds: ``(script, testsets, baseline, models)``.

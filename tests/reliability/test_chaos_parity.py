@@ -168,7 +168,7 @@ def test_corrupt_snapshot_restores_identically(adaptivity, tmp_path):
     # -- resume in a "new process": cold caches ---------------------------
     clear_all_caches()
     restored = CIService.resume(tmp_path / "state")
-    assert restored._store.quarantined()  # the damage was moved aside
+    assert restored._state_store.snapshots.quarantined()  # the damage was moved aside
     assert reliability_events("snapshot-fallback")
     finish_queue(restored, models)
     assert_parity(reference, restored)

@@ -128,7 +128,7 @@ class TestInspectingDamagedDirs:
         truncate(snapshots[-1])
         restored = CIService.resume(state)  # quarantines the damage
         finish_queue(restored, models)
-        assert restored._store.quarantined()
+        assert restored._state_store.snapshots.quarantined()
 
         listing = sorted(p.name for p in (state / "snapshots").iterdir())
         journal_bytes = (state / "journal.jsonl").read_bytes()

@@ -126,8 +126,8 @@ class TestServiceDegrade:
         assert _events("storage-soft-watermark")
         # Reclamation really ran: a single retained generation and a
         # checkpoint-truncated journal.
-        assert len(list(service._store.sequences())) == 1
-        assert service._journal.compacted_through > 0
+        assert len(list(service._state_store.snapshots.sequences())) == 1
+        assert service._state_store.journal.compacted_through > 0
         assert service.operations().storage_level == "soft"
 
     def test_hard_watermark_degrades_and_recovers(self, tmp_path):
@@ -144,7 +144,7 @@ class TestServiceDegrade:
         filler = state_dir / "runaway.bin"
         filler.write_bytes(b"\0" * (25 * base))
 
-        journal_before = service._journal.last_sequence
+        journal_before = service._state_store.journal.last_sequence
         builds_before = len(service.builds)
         for attempt in range(2):
             with pytest.raises(StorageExhaustedError) as excinfo:
@@ -154,7 +154,7 @@ class TestServiceDegrade:
         # recorded once (on the transition), not per rejected commit.
         assert len(service.repository) == 1
         assert len(service.builds) == builds_before
-        assert service._journal.last_sequence == journal_before
+        assert service._state_store.journal.last_sequence == journal_before
         assert len(_events("storage-degraded-read-only")) == 1
 
         report = service.operations()

@@ -172,6 +172,18 @@ def state_dir(tmp_path):
     return directory
 
 
+
+@pytest.fixture()
+def foreign_backend_state_dir(state_dir):
+    """``state_dir`` whose newest snapshot names a backend this build lacks."""
+    from repro.ci.persistence import SnapshotStore
+
+    snapshots = SnapshotStore(state_dir / "snapshots")
+    state, info = snapshots.load_latest()
+    state["engine"]["backend"] = "naive"
+    snapshots.save(state, journal_sequence=info.journal_sequence)
+    return state_dir
+
 class TestOpsCommand:
     def test_prints_report_table(self, state_dir, capsys):
         code = main(["ops", str(state_dir)])
@@ -190,6 +202,15 @@ class TestOpsCommand:
         assert payload["commits_evaluated"] == 1
         assert payload["persistence_attached"] is True
         assert payload["journal_lag"] >= 1
+
+    def test_foreign_backend_snapshot_is_a_clean_error(
+        self, foreign_backend_state_dir, capsys
+    ):
+        code = main(["ops", str(foreign_backend_state_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "'naive'" in err
 
     def test_inspection_does_not_mutate_journal(self, state_dir):
         from repro.ci.persistence import EventJournal

@@ -20,8 +20,9 @@
 #   make docs             - doctests over README.md and docs/*.md code blocks
 #   make bench-perf       - scalar-vs-batch perf kernels benchmark
 #                           (writes BENCH_perf_kernels.json)
-#   make bench-throughput - batched commit-evaluation + epsilon planning
-#                           benchmark (writes BENCH_commit_throughput.json)
+#   make bench-throughput - batched commit-evaluation benchmark, single
+#                           and multi-generation (writes
+#                           BENCH_commit_throughput.json)
 #   make bench-fleet      - multi-tenant fleet parity + overload gate
 #                           (writes BENCH_fleet.json)
 #   make bench-storage    - journal compaction + disk-budget gates

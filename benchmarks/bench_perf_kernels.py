@@ -6,11 +6,8 @@ Times the layers the vectorized-kernel work optimizes —
 2. ``tight_sample_size`` (the §4.3 search, the planning hot path),
 3. ``SampleSizeEstimator.plan`` cold (cache cleared) vs. warm (served from
    the process-wide plan cache),
-4. the **epsilon sweep**: cold ``tight_epsilon_many`` over a 32-size
-   sweep, then its memoized repeat,
-5. the **bandwidth-bound section**: one large-``n`` heterogeneous pairs
-   dispatch (~1k probes at ``n ~ 2e5``, the shape of a planning sweep's
-   advisory scan) per inner loop — the pre-fusion ``reference`` loop
+4. the **bandwidth-bound section**: one large-``n`` heterogeneous pairs
+   dispatch (~1k probes at ``n ~ 2e5``, ``p`` near 1/2) per inner loop — the pre-fusion ``reference`` loop
    and the cache-blocked fused kernel — with bytes-touched accounting:
    gathered window cells x per-cell bytes, and the effective gather
    bandwidth each loop sustains,
@@ -18,10 +15,8 @@ Times the layers the vectorized-kernel work optimizes —
 — and writes the numbers to ``BENCH_perf_kernels.json`` in the repo root
 so future PRs have a trajectory.  Asserts the acceptance criteria:
 batch ``tight_sample_size`` at ``epsilon=0.02, delta=1e-3`` is >= 20x
-faster than the scalar baseline with the identical result, a warm plan
-call is served in under a millisecond, and the epsilon sweep's memoized
-repeat is element-wise identical to the cold sweep with the probe
-certificates re-checked.  The bandwidth section's fused kernel must be
+faster than the scalar baseline with the identical result, and a warm
+plan call is served in under a millisecond.  The bandwidth section's fused kernel must be
 >= 2x the reference kernel at the full large-``n`` workload (skipped in
 ``--quick``, whose shrunken probes don't exercise the bandwidth wall),
 while the identity gate (fused bit-identical to reference) is enforced
@@ -55,12 +50,7 @@ from repro.stats.batch import (
     exact_coverage_failure_probability_pairs,
 )
 from repro.stats.cache import all_cache_info, clear_all_caches
-from repro.stats.tight_bounds import (
-    exceeds_delta_many,
-    tight_epsilon_many,
-    tight_sample_size,
-    worst_case_failure_probability,
-)
+from repro.stats.tight_bounds import tight_sample_size, worst_case_failure_probability
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_perf_kernels.json"
@@ -78,14 +68,7 @@ WORST_CASES = [
 PLAN_CONDITION = "n - o > 0.02 +/- 0.01 /\\ n > 0.8 +/- 0.05"
 PLAN_KWARGS = {"reliability": 0.9999, "adaptivity": "full", "steps": 32}
 
-# The 32-size epsilon sweep (the same grid bench_commit_throughput
-# sweeps).
-EPSILON_SIZES = np.unique(np.linspace(1000, 10000, 32).astype(int))
-EPSILON_DELTA = 1e-3
-EPSILON_TOL = 1e-6
-
-# The bandwidth-bound workload: a planning-sweep-shaped batch of probes
-# at n ~ 2e5 with p near 1/2 (the widest tail windows the ladder hands
+# The bandwidth-bound workload: a batch of probes at n ~ 2e5 with p near 1/2 (the widest tail windows the ladder hands
 # out), where the pairs kernel's cost is dominated by streaming the
 # gathered log-comb windows through memory rather than by arithmetic.
 PAIRS_SEED = 20260807
@@ -174,59 +157,6 @@ def bench_plan_cache() -> dict:
     }
 
 
-def bench_epsilon_sweep(quick: bool = False) -> dict:
-    """Cold ``tight_epsilon_many`` over the 32-size sweep, and its repeat.
-
-    The cold leg is the many-kernel with cold caches per round.  Besides
-    the timings, this section is what exercises the epsilon-side caches,
-    so the recorded ``cache_info_after`` reflects a real sweep (the
-    layout, anchor and many-sweep caches show genuine hits/misses).
-    """
-    sizes = (
-        np.unique(np.linspace(1000, 2500, 4).astype(int)) if quick else EPSILON_SIZES
-    )
-    rounds = 1 if quick else 3
-
-    serial_times, serial_eps = [], None
-    for _ in range(rounds):
-        clear_all_caches()
-        t0 = time.perf_counter()
-        serial_eps = tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
-        serial_times.append(time.perf_counter() - t0)
-    t_serial = statistics.median(serial_times)
-
-    # Warm repeat: the sweep memo serves the whole vector.
-    t0 = time.perf_counter()
-    warm_eps = tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
-    t_warm = time.perf_counter() - t0
-
-    # Certificates re-checked on the cold result with full-fidelity
-    # trajectory probes: not exceeding at eps, exceeding at eps - tol.
-    clear_all_caches()
-    upper_ok = ~exceeds_delta_many(sizes, serial_eps, EPSILON_DELTA)
-    lower_ok = exceeds_delta_many(sizes, serial_eps - EPSILON_TOL, EPSILON_DELTA)
-
-    # Leave the epsilon-side caches genuinely exercised for the recorded
-    # cache_info_after: one in-process sweep (anchors planted, sweep
-    # memoized) plus one memo hit.
-    final_eps = tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
-    tight_epsilon_many(sizes, EPSILON_DELTA, tol=EPSILON_TOL)
-
-    return {
-        "testset_sizes": sizes.tolist(),
-        "delta": EPSILON_DELTA,
-        "tol": EPSILON_TOL,
-        "serial_seconds": t_serial,
-        "serial_warm_repeat_seconds": t_warm,
-        "results_identical": bool(
-            np.array_equal(serial_eps, warm_eps)
-            and np.array_equal(serial_eps, final_eps)
-        ),
-        "bracket_contract_upper_ok": bool(upper_ok.all()),
-        "bracket_contract_lower_ok": bool(lower_ok.all()),
-    }
-
-
 def _window_cells(ns, ps, eps) -> int:
     """Total gathered window cells of one pairs dispatch (both tails).
 
@@ -253,13 +183,13 @@ def _window_cells(ns, ps, eps) -> int:
 def bench_pairs_bandwidth(quick: bool = False) -> dict:
     """Per-loop large-``n`` pairs dispatches with bytes-touched accounting.
 
-    Times ``exact_coverage_failure_probability_pairs`` on one
-    planning-sweep-shaped batch — per-element ``(n, p, eps)`` triples at
-    ``n ~ 2e5``, ``p`` near 1/2 — for each inner loop: the pre-fusion
+    Times ``exact_coverage_failure_probability_pairs`` on one batch of
+    per-element ``(n, p, eps)`` triples at ``n ~ 2e5``, ``p`` near 1/2 —
+    for each inner loop: the pre-fusion
     ``reference`` loop (the yardstick and oracle) and the cache-blocked
     fused kernel (must be bit-identical and, at the full workload, beat
-    reference by >= 2x).  The shared layout is built off-clock (a
-    planning service keeps it resident) and each loop's time is the
+    reference by >= 2x).  The shared layout is built off-clock (the
+    layout cache keeps it resident) and each loop's time is the
     fastest of ``repeats`` runs — the standard noise-robust estimator
     for bandwidth-bound loops.
     """
@@ -331,7 +261,6 @@ def main(quick: bool = False) -> dict:
         "worst_case_failure_probability": bench_worst_case(worst_cases),
         "tight_sample_size": bench_tight_sample_size(tight_cases),
         "sample_size_estimator_plan": bench_plan_cache(),
-        "tight_epsilon_sweep": bench_epsilon_sweep(quick),
         "pairs_bandwidth": bench_pairs_bandwidth(quick),
         "cache_info_after": {
             name: {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
@@ -348,13 +277,6 @@ def main(quick: bool = False) -> dict:
     assert headline["results_equal"], "batch and scalar tight_sample_size diverged"
     plan_row = results["sample_size_estimator_plan"]
     assert plan_row["plans_identical"], "cached plan differs from cold plan"
-    sweep = results["tight_epsilon_sweep"]
-    assert sweep["results_identical"], (
-        "memoized tight_epsilon_many diverged from the cold sweep"
-    )
-    assert sweep["bracket_contract_upper_ok"] and sweep["bracket_contract_lower_ok"], (
-        "tight_epsilon_many broke the bracket probe certificates"
-    )
     if not quick:
         assert headline["speedup_cold"] >= 20.0, (
             f"tight_sample_size speedup {headline['speedup_cold']:.1f}x is below "
@@ -388,11 +310,6 @@ def main(quick: bool = False) -> dict:
     print(
         f"plan cold {plan_row['cold_seconds'] * 1e3:.2f}ms, "
         f"warm {plan_row['warm_seconds'] * 1e6:.0f}us"
-    )
-    print(
-        f"epsilon sweep over {len(sweep['testset_sizes'])} sizes: cold "
-        f"{sweep['serial_seconds'] * 1e3:.0f}ms, memoized repeat "
-        f"{sweep['serial_warm_repeat_seconds'] * 1e6:.0f}us"
     )
     tier_notes = ", ".join(
         f"{row['tier']} {row['seconds'] * 1e3:.1f}ms "

@@ -44,13 +44,6 @@ SCHEMAS = {
         "sample_size_estimator_plan.warm_seconds": NUMBER,
         "sample_size_estimator_plan.plans_identical": bool,
         "sample_size_estimator_plan.samples": int,
-        "tight_epsilon_sweep.testset_sizes": list,
-        "tight_epsilon_sweep.delta": NUMBER,
-        "tight_epsilon_sweep.tol": NUMBER,
-        "tight_epsilon_sweep.serial_seconds": NUMBER,
-        "tight_epsilon_sweep.results_identical": bool,
-        "tight_epsilon_sweep.bracket_contract_upper_ok": bool,
-        "tight_epsilon_sweep.bracket_contract_lower_ok": bool,
         "pairs_bandwidth.elements": int,
         "pairs_bandwidth.n_range": list,
         "pairs_bandwidth.window_cells": int,
@@ -79,12 +72,6 @@ SCHEMAS = {
         "multi_generation_throughput.rotations": int,
         "multi_generation_throughput.speedup": NUMBER,
         "multi_generation_throughput.results_identical": bool,
-        "tight_epsilon_many.testset_sizes": list,
-        "tight_epsilon_many.delta": NUMBER,
-        "tight_epsilon_many.many_seconds": NUMBER,
-        "tight_epsilon_many.speedup_vs_cold_per_call": NUMBER,
-        "tight_epsilon_many.bracket_contract_upper_ok": bool,
-        "tight_epsilon_many.bracket_contract_lower_ok": bool,
     },
     "BENCH_fault_recovery.json": {
         "quick": bool,

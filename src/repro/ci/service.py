@@ -72,9 +72,7 @@ from repro.ci.persistence import (
     ROTATION,
     SNAPSHOT,
     DirectoryStateStore,
-    EventJournal,
     SnapshotInfo,
-    SnapshotStore,
     decode_model,
     encode_model,
 )
@@ -333,16 +331,6 @@ class CIService:
         self._storage_read_only = False
 
     # -- inspection --------------------------------------------------------------
-    @property
-    def _store(self) -> SnapshotStore | None:
-        """The attached store's snapshots (read-only view; ``None`` if detached)."""
-        return None if self._state_store is None else self._state_store.snapshots
-
-    @property
-    def _journal(self) -> EventJournal | None:
-        """The attached store's journal (read-only view; ``None`` if detached)."""
-        return None if self._state_store is None else self._state_store.journal
-
     @property
     def builds(self) -> list[BuildRecord]:
         """All builds, in order."""

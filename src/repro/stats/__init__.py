@@ -25,23 +25,13 @@ from repro.stats.binomial import (
     binomial_tail_inversion_lower,
 )
 from repro.stats.batch import (
-    binom_cdf_vec,
-    binom_logpmf_vec,
-    binom_pmf_vec,
-    binom_sf_vec,
-    binomial_tail_inversion_lower_vec,
-    binomial_tail_inversion_upper_vec,
-    clopper_pearson_interval_vec,
     exact_coverage_failure_probability_pairs,
     exact_coverage_failure_probability_vec,
 )
 from repro.stats.cache import all_cache_info, clear_all_caches
 from repro.stats.tight_bounds import (
     exact_coverage_failure_probability,
-    exceeds_delta_many,
     tight_sample_size,
-    tight_epsilon,
-    tight_epsilon_many,
 )
 from repro.stats.estimation import (
     PairedSample,
@@ -71,22 +61,12 @@ __all__ = [
     "clopper_pearson_interval",
     "binomial_tail_inversion_upper",
     "binomial_tail_inversion_lower",
-    "binom_logpmf_vec",
-    "binom_pmf_vec",
-    "binom_cdf_vec",
-    "binom_sf_vec",
-    "clopper_pearson_interval_vec",
-    "binomial_tail_inversion_upper_vec",
-    "binomial_tail_inversion_lower_vec",
     "exact_coverage_failure_probability_vec",
     "exact_coverage_failure_probability_pairs",
     "all_cache_info",
     "clear_all_caches",
     "exact_coverage_failure_probability",
     "tight_sample_size",
-    "tight_epsilon",
-    "tight_epsilon_many",
-    "exceeds_delta_many",
     "PairedSample",
     "PairedSampleBatch",
     "estimate_accuracy",

@@ -1,17 +1,12 @@
-"""Vectorized batch counterparts of the exact binomial machinery.
+"""Vectorized kernels for the exact coverage failure probability.
 
 :mod:`repro.stats.binomial` keeps a scalar interface — one ``(k, n, p)``
 triple at a time, full float64 precision via ``math.lgamma``.  The
 planning hot path, however, is intrinsically batched: the §4.3 tight
 bound scans hundreds of candidate means ``p`` per refinement pass, for a
 dozen bisection probes over ``n``, per clause, per plan.  This module
-provides NumPy-native kernels for exactly those shapes:
+provides NumPy-native kernels for exactly that shape:
 
-* :func:`binom_logpmf_vec` / :func:`binom_pmf_vec` /
-  :func:`binom_cdf_vec` / :func:`binom_sf_vec` — broadcasting versions of
-  the scalar functions, sharing one process-wide log-factorial table (an
-  ``lgamma`` table built with ``math.lgamma`` so the log-pmf values are
-  bit-identical to the scalar path);
 * :func:`exact_coverage_failure_probability_vec` — the tight-bound inner
   loop, evaluating ``Pr[|Binomial(n,p)/n - p| > eps]`` for an entire grid
   of ``p`` in one shot.  Each tail is summed over a window of
@@ -20,30 +15,26 @@ provides NumPy-native kernels for exactly those shapes:
   enforce; see ``_WINDOW_SIGMAS``), so a grid scan costs a few blocks
   of ``exp`` calls instead of thousands of Python-level loops;
 * :func:`exact_coverage_failure_probability_pairs` — the heterogeneous
-  counterpart: element-wise ``(n, p, epsilon)`` triples, so a *vector of
-  probes with different testset sizes* — the epsilon-side planning
-  workload — evaluates in a single kernel dispatch.  The per-``n`` padded
-  log-binomial rows are concatenated into one array and every tail window
-  gathers from it, whatever its ``n``.  Both kernels sum their windows
-  in one cache-blocked fused loop with fixed-order row reductions;
-* vectorized exact-confidence counterparts:
-  :func:`binomial_tail_inversion_upper_vec` /
-  :func:`binomial_tail_inversion_lower_vec` /
-  :func:`clopper_pearson_interval_vec` (element-wise bisections run in
-  lockstep across the whole batch).
+  counterpart over element-wise ``(n, p, epsilon)`` triples.  The
+  per-``n`` padded log-binomial rows are concatenated into one array and
+  every tail window gathers from it, whatever its ``n``.  No plan calls
+  it: it is the oracle the grid kernel is tested against (its
+  ``impl="reference"`` loop) and the yardstick of the fused loop's
+  bandwidth benchmark.
 
-Every kernel is cross-checked against the scalar implementation in
-``tests/stats/test_batch.py`` (agreement to ``<= 1e-10`` including the
-``p in {0, 1}`` and ``k in {0, n}`` boundaries).
+Both kernels sum their windows in one cache-blocked fused loop with
+fixed-order row reductions, and both are cross-checked against the
+scalar implementation in ``tests/stats/test_batch.py`` (agreement to
+``<= 1e-10`` including the ``p in {0, 1}`` boundaries).
 
-These are the *planning-side* kernels (sizing testsets, sweeping
-epsilons); the *serving-side* batching — evaluating many committed models
-against one baseline — lives in
+These are the *planning-side* kernels; the *serving-side* batching —
+evaluating many committed models against one baseline — lives in
 :class:`repro.stats.estimation.PairedSampleBatch` and
 :meth:`repro.core.evaluation.ConditionEvaluator.evaluate_batch`.  The
-process-wide state this module keeps (the log-factorial table, the
-pairs-kernel segment layout) self-registers in :mod:`repro.stats.cache`,
-so :func:`repro.stats.cache.clear_all_caches` covers it.
+process-wide state this module keeps (the log-factorial table and the
+per-``n`` log-binomial rows, the pairs-kernel segment layout)
+self-registers in :mod:`repro.stats.cache`, so
+:func:`repro.stats.cache.clear_all_caches` covers it.
 """
 
 from __future__ import annotations
@@ -60,18 +51,12 @@ from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
     "log_factorial_table",
-    "binom_logpmf_vec",
-    "binom_pmf_vec",
-    "binom_cdf_vec",
-    "binom_sf_vec",
     "exact_coverage_failure_probability_vec",
     "exact_coverage_failure_probability_pairs",
-    "binomial_tail_inversion_upper_vec",
-    "binomial_tail_inversion_lower_vec",
-    "clopper_pearson_interval_vec",
 ]
 
-# How many rows x columns a pmf work matrix may hold before we chunk.
+# How many rows x columns the reference pairs loop's work matrix may hold
+# before it chunks.
 _MAX_MATRIX_CELLS = 4_000_000
 
 # Inner-loop implementations of the pairs kernel.  "fused" (default)
@@ -186,151 +171,6 @@ def _log_comb_row(n: int) -> np.ndarray:
         while len(_LOG_COMB_CACHE) > _LOG_COMB_CACHE_SIZE:
             _LOG_COMB_CACHE.popitem(last=False)
     return row
-
-
-# ---------------------------------------------------------------------------
-# Validation / broadcasting helpers
-# ---------------------------------------------------------------------------
-
-def _broadcast_knp(k, n, p) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    k = np.asarray(k)
-    n = np.asarray(n)
-    p = np.asarray(p, dtype=np.float64)
-    if not np.issubdtype(k.dtype, np.integer):
-        kf = np.asarray(k, dtype=np.float64)
-        if not np.all(kf == np.floor(kf)):
-            raise InvalidParameterError("k must contain integers")
-        k = kf.astype(np.int64)
-    if not np.issubdtype(n.dtype, np.integer):
-        nf = np.asarray(n, dtype=np.float64)
-        if not np.all(nf == np.floor(nf)):
-            raise InvalidParameterError("n must contain integers")
-        n = nf.astype(np.int64)
-    k, n, p = np.broadcast_arrays(k, n, p)
-    shape = k.shape
-    k = np.atleast_1d(k).astype(np.int64).ravel()
-    n = np.atleast_1d(n).astype(np.int64).ravel()
-    p = np.atleast_1d(p).ravel()
-    if np.any(n < 1):
-        raise InvalidParameterError("n must contain positive integers")
-    if np.any((k < 0) | (k > n)):
-        raise InvalidParameterError("k must satisfy 0 <= k <= n")
-    if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
-        raise InvalidParameterError("p must lie in [0, 1]")
-    return k, n, p, shape
-
-
-def _restore(values: np.ndarray, shape: tuple):
-    values = values.reshape(shape)
-    if shape == ():
-        return float(values)
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Elementwise pmf
-# ---------------------------------------------------------------------------
-
-def binom_logpmf_vec(k, n, p):
-    """Vectorized ``log Pr[Binomial(n, p) = k]`` (broadcasts its arguments).
-
-    Matches :func:`repro.stats.binomial.binom_logpmf` bit for bit on the
-    interior and returns ``-inf`` for impossible boundary outcomes.
-    """
-    k, n, p, shape = _broadcast_knp(k, n, p)
-    table = log_factorial_table(int(n.max()) if n.size else 0)
-    out = np.full(k.shape, -np.inf, dtype=np.float64)
-    interior = (p > 0.0) & (p < 1.0)
-    if np.any(interior):
-        ki, ni, pi = k[interior], n[interior], p[interior]
-        log_comb = table[ni] - table[ki] - table[ni - ki]
-        out[interior] = log_comb + ki * np.log(pi) + (ni - ki) * np.log1p(-pi)
-    out[(p == 0.0) & (k == 0)] = 0.0
-    out[(p == 1.0) & (k == n)] = 0.0
-    return _restore(out, shape)
-
-
-def binom_pmf_vec(k, n, p):
-    """Vectorized ``Pr[Binomial(n, p) = k]``."""
-    lp = np.asarray(binom_logpmf_vec(k, n, p))
-    out = np.where(np.isneginf(lp), 0.0, np.exp(lp))
-    return _restore(out, np.shape(lp))
-
-
-# ---------------------------------------------------------------------------
-# CDF / SF over batches
-# ---------------------------------------------------------------------------
-
-def _tail_sums_fixed_n(n: int, k: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower (``sum_{0..k}``) and upper (``sum_{k+1..n}``) pmf sums.
-
-    ``p`` must be interior (0 < p < 1).  Each tail is summed directly over
-    its own terms (not via ``1 - other``), preserving relative precision
-    for tiny tails; rows are chunked so the work matrix stays small.
-    """
-    log_comb = _log_comb_row(n)
-    lower = np.empty(p.shape, dtype=np.float64)
-    upper = np.empty(p.shape, dtype=np.float64)
-    chunk = max(1, _MAX_MATRIX_CELLS // (n + 1))
-    ks = np.arange(n + 1, dtype=np.float64)
-    for start in range(0, len(p), chunk):
-        sl = slice(start, start + chunk)
-        pc, kc = p[sl], k[sl]
-        logpmf = (
-            log_comb[None, :]
-            + ks[None, :] * np.log(pc)[:, None]
-            + (n - ks)[None, :] * np.log1p(-pc)[:, None]
-        )
-        pmf = np.exp(logpmf)
-        prefix = np.cumsum(pmf, axis=1)
-        suffix = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-        rows = np.arange(len(pc))
-        lower[sl] = prefix[rows, kc]
-        upper[sl] = np.where(kc < n, suffix[rows, np.minimum(kc + 1, n)], 0.0)
-    return lower, upper
-
-
-def binom_cdf_vec(k, n, p):
-    """Vectorized ``Pr[Binomial(n, p) <= k]`` (broadcasts its arguments).
-
-    Mirrors the scalar branch selection: the smaller tail is summed
-    directly and the larger obtained by complement, keeping agreement with
-    :func:`repro.stats.binomial.binom_cdf` to ``<= 1e-10``.  Designed for
-    the moderate ``n`` of planning workloads (work is chunked at a few
-    million pmf terms per slab).
-    """
-    k, n, p, shape = _broadcast_knp(k, n, p)
-    out = np.empty(k.shape, dtype=np.float64)
-    out[p == 0.0] = 1.0
-    out[p == 1.0] = np.where(k[p == 1.0] == n[p == 1.0], 1.0, 0.0)
-    interior = (p > 0.0) & (p < 1.0)
-    for nv in np.unique(n[interior]) if np.any(interior) else ():
-        sel = interior & (n == nv)
-        ki, pi = k[sel], p[sel]
-        lower, upper = _tail_sums_fixed_n(int(nv), ki, pi)
-        mean = nv * pi
-        vals = np.where(ki >= mean, np.maximum(0.0, 1.0 - upper), np.minimum(1.0, lower))
-        vals = np.where(ki == nv, 1.0, vals)
-        out[sel] = vals
-    return _restore(np.clip(out, 0.0, 1.0), shape)
-
-
-def binom_sf_vec(k, n, p):
-    """Vectorized survival function ``Pr[Binomial(n, p) > k]``."""
-    k, n, p, shape = _broadcast_knp(k, n, p)
-    out = np.empty(k.shape, dtype=np.float64)
-    out[p == 0.0] = 0.0
-    out[p == 1.0] = np.where(k[p == 1.0] == n[p == 1.0], 0.0, 1.0)
-    interior = (p > 0.0) & (p < 1.0)
-    for nv in np.unique(n[interior]) if np.any(interior) else ():
-        sel = interior & (n == nv)
-        ki, pi = k[sel], p[sel]
-        lower, upper = _tail_sums_fixed_n(int(nv), ki, pi)
-        mean = nv * pi
-        vals = np.where(ki + 1 <= mean, np.maximum(0.0, 1.0 - lower), np.minimum(1.0, upper))
-        vals = np.where(ki == nv, 0.0, vals)
-        out[sel] = vals
-    return _restore(np.clip(out, 0.0, 1.0), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +346,13 @@ def exact_coverage_failure_probability_pairs(
     p_values,
     epsilons,
     *,
-    window_sigmas: float | None = None,
-    window_slack: int | None = None,
     impl: str | None = None,
 ):
     """Element-wise exact ``Pr[|Binomial(n_i, p_i)/n_i - p_i| > eps_i]``.
 
     The heterogeneous counterpart of
     :func:`exact_coverage_failure_probability_vec`: every element carries
-    its own ``(n, p, epsilon)`` triple, so a whole vector of planning
-    probes — e.g. one bisection midpoint per testset size — costs one
+    its own ``(n, p, epsilon)`` triple, and a whole vector costs one
     kernel dispatch regardless of how many distinct ``n`` appear.
 
     The padded ``log C(n, .)`` rows of every distinct ``n`` are laid out
@@ -524,21 +361,12 @@ def exact_coverage_failure_probability_pairs(
     (extra positions beyond the natural depth either fall on padding
     cells whose ``exp`` is exactly zero or pick up real-but-negligible
     terms deeper in the tail, which only *improves* accuracy).  Because
-    the ladder is absolute — anchored at ``2 * slack``, never at the
+    the ladder is absolute — anchored at ``2 * _WINDOW_SLACK``, never at the
     batch maximum — an element's value is a pure function of its own
-    ``(n, p, epsilon, sigmas, slack)``: **bit-identical however the
-    surrounding batch is composed**, so a planning sweep returns the same
-    probe values whichever sizes it batches together.  Default precision
-    matches the vec kernel: windows
-    reach at least ``_WINDOW_SIGMAS`` standard deviations past the mean,
-    bounding the omitted mass below ~1.5e-14.
-
-    ``window_sigmas`` / ``window_slack`` trade accuracy for speed: the
-    omitted tail mass is below ``~exp(-window_sigmas**2 / 2)``, and the
-    truncation only ever *under*-estimates the failure probability — a
-    one-sided error the epsilon-side probe machinery relies on (a
-    truncated-window exceedance certificate is sound for the full-window
-    value).
+    ``(n, p, epsilon)``: **bit-identical however the surrounding batch is
+    composed**.  Precision matches the vec kernel: windows reach at least
+    ``_WINDOW_SIGMAS`` standard deviations past the mean, bounding the
+    omitted mass below ~1.5e-14.
 
     ``impl`` selects the inner loop: ``"fused"`` (default —
     cache-blocked, fused gather/exp/reduce) or ``"reference"`` (the
@@ -554,10 +382,6 @@ def exact_coverage_failure_probability_pairs(
     ns = np.atleast_1d(np.asarray(ns))
     p = np.atleast_1d(np.asarray(p_values, dtype=np.float64))
     eps = np.atleast_1d(np.asarray(epsilons, dtype=np.float64))
-    sigmas = _WINDOW_SIGMAS if window_sigmas is None else float(window_sigmas)
-    slack = _WINDOW_SLACK if window_slack is None else int(window_slack)
-    if sigmas <= 0 or slack < 1:
-        raise InvalidParameterError("window_sigmas and window_slack must be positive")
     ns, p, eps = np.broadcast_arrays(ns, p, eps)
     ns = ns.astype(np.int64)
     if ns.size == 0:
@@ -583,19 +407,19 @@ def exact_coverage_failure_probability_pairs(
 
     # Per-element natural window depth, then quantized onto an *absolute*
     # power-of-two ladder anchored at 2*slack: a row's summation width
-    # depends only on its own (n, p, eps, sigmas, slack) — never on what
-    # else happens to share the dispatch — so every probe value is
-    # bit-identical however a planning sweep is batched or chunked.
+    # depends only on its own (n, p, eps) — never on what else happens to
+    # share the dispatch — so every value is bit-identical however the
+    # batch is split or ordered.
     # Widening a window past its natural depth only adds padding cells
     # (whose ``exp`` is exactly zero) or real-but-negligible deeper-tail
     # terms, so quantization never weakens a row's accuracy guarantee.
     sigma = np.sqrt(nf * pi * (1.0 - pi))
-    depth = np.ceil(sigmas * sigma).astype(np.int64) + slack
+    depth = np.ceil(_WINDOW_SIGMAS * sigma).astype(np.int64) + _WINDOW_SLACK
     natural = np.minimum(
         ni + 1,
-        np.maximum(slack, depth - np.floor(ei * nf).astype(np.int64) + 2),
+        np.maximum(_WINDOW_SLACK, depth - np.floor(ei * nf).astype(np.int64) + 2),
     )
-    ladder = [2 * slack]
+    ladder = [2 * _WINDOW_SLACK]
     while ladder[-1] < int(natural.max()):
         ladder.append(2 * ladder[-1])
     ladder_arr = np.asarray(ladder, dtype=np.int64)
@@ -603,9 +427,9 @@ def exact_coverage_failure_probability_pairs(
 
     # One concatenated array of padded log-comb segments, one per unique n.
     # The pad covers the deepest window any element can ask for; it is
-    # quantized upward to a power of two so that the many dispatches of a
-    # planning sweep (same ns, slightly different windows) share one
-    # cached layout instead of rebuilding the concatenation every call.
+    # quantized upward to a power of two so that repeated dispatches over
+    # the same ns (slightly different windows) share one cached layout
+    # instead of rebuilding the concatenation every call.
     unique_ns, inv = np.unique(ni, return_inverse=True)
     eps_max = np.zeros(len(unique_ns))
     np.maximum.at(eps_max, inv, ei)
@@ -664,80 +488,3 @@ def exact_coverage_failure_probability_pairs(
     out[interior] = np.minimum(1.0, sums[:m] + sums[m:])
     return out
 
-
-# ---------------------------------------------------------------------------
-# Vectorized exact confidence machinery
-# ---------------------------------------------------------------------------
-
-def _bisect_vec(k, n, delta, predicate_hi, lo, hi, tol):
-    """Lockstep bisection: keep ``lo`` where the predicate holds at mid."""
-    # Brackets have width <= 1, so ceil(log2(1/tol)) iterations suffice.
-    iterations = max(1, int(math.ceil(math.log2(max(2.0, 1.0 / tol)))))
-    for _ in range(iterations):
-        if not np.any(hi - lo > tol):
-            break
-        mid = (lo + hi) / 2.0
-        keep = predicate_hi(k, n, mid, delta)
-        lo = np.where(keep, mid, lo)
-        hi = np.where(keep, hi, mid)
-    return lo, hi
-
-
-def binomial_tail_inversion_upper_vec(k, n, delta, *, tol: float = 1e-12):
-    """Vectorized Langford upper bound ``max {p : Pr[Bin(n,p) <= k] >= delta}``.
-
-    Broadcasts ``(k, n, delta)``; agrees with the scalar
-    :func:`repro.stats.binomial.binomial_tail_inversion_upper` to the
-    bisection tolerance.
-    """
-    delta_arr = np.asarray(delta, dtype=np.float64)
-    if np.any((delta_arr <= 0.0) | (delta_arr >= 1.0)):
-        raise InvalidParameterError("delta must lie in (0, 1)")
-    k, n, delta_b, shape = _broadcast_knp(k, n, delta_arr)
-    lo = k / n
-    hi = np.ones_like(lo)
-    at_mle = np.asarray(binom_cdf_vec(k, n, lo))
-    lo = np.where(np.atleast_1d(at_mle).ravel() < delta_b, 0.0, lo)
-
-    def keep(kk, nn, mid, dd):
-        return np.atleast_1d(np.asarray(binom_cdf_vec(kk, nn, mid))).ravel() >= dd
-
-    lo, hi = _bisect_vec(k, n, delta_b, keep, lo, hi, tol)
-    out = np.where(k == n, 1.0, lo)
-    return _restore(out, shape)
-
-
-def binomial_tail_inversion_lower_vec(k, n, delta, *, tol: float = 1e-12):
-    """Vectorized lower bound ``min {p : Pr[Bin(n,p) >= k] >= delta}``."""
-    delta_arr = np.asarray(delta, dtype=np.float64)
-    if np.any((delta_arr <= 0.0) | (delta_arr >= 1.0)):
-        raise InvalidParameterError("delta must lie in (0, 1)")
-    k, n, delta_b, shape = _broadcast_knp(k, n, delta_arr)
-    zero = k == 0
-    ks = np.maximum(k, 1)  # bisection operand for the non-degenerate rows
-    lo = np.zeros(k.shape, dtype=np.float64)
-    hi = k / n
-    at_mle = np.atleast_1d(np.asarray(binom_sf_vec(ks - 1, n, np.where(zero, 0.5, hi)))).ravel()
-    hi = np.where((~zero) & (at_mle < delta_b), 1.0, hi)
-
-    def keep_lo(kk, nn, mid, dd):
-        # Mirrored roles: lo advances exactly when the SF predicate fails
-        # at mid (hi shrinks onto the smallest p where it still holds).
-        return np.atleast_1d(np.asarray(binom_sf_vec(kk - 1, nn, mid))).ravel() < dd
-
-    lo, hi = _bisect_vec(ks, n, delta_b, keep_lo, lo, hi, tol)
-    out = np.where(zero, 0.0, hi)
-    return _restore(out, shape)
-
-
-def clopper_pearson_interval_vec(k, n, delta, *, tol: float = 1e-12):
-    """Vectorized exact two-sided Clopper–Pearson interval.
-
-    Returns ``(lower, upper)`` arrays; each side inverts its binomial tail
-    at level ``delta / 2`` exactly like the scalar
-    :func:`repro.stats.binomial.clopper_pearson_interval`.
-    """
-    delta_arr = np.asarray(delta, dtype=np.float64)
-    lower = binomial_tail_inversion_lower_vec(k, n, delta_arr / 2.0, tol=tol)
-    upper = binomial_tail_inversion_upper_vec(k, n, delta_arr / 2.0, tol=tol)
-    return lower, upper

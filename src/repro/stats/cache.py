@@ -34,16 +34,10 @@ Every memoized layer registers here (asserted complete in
 * ``stats.batch.log_factorial_table`` — the shared ``lgamma`` table (and
   the per-``n`` log-binomial rows derived from it);
 * ``stats.batch.pairs_layout`` — concatenated padded log-binomial
-  segments reused across the heterogeneous multi-``(n, p, eps)`` kernel
-  dispatches of a planning sweep;
+  segments reused across dispatches of the heterogeneous
+  multi-``(n, p, eps)`` kernel;
 * ``stats.tight_bounds.worst_case`` / ``exceeds_delta`` /
-  ``tight_sample_size`` / ``tight_epsilon`` — the memoized §4.3 scans and
-  searches;
-* ``stats.tight_bounds.tight_epsilon_many`` — whole batched epsilon
-  sweeps, keyed on the full testset-size vector;
-* ``stats.tight_bounds.epsilon_anchors`` — recent ``(n, epsilon)``
-  results per reliability spec, used to warm-start the bisection bracket
-  of nearby testset sizes.
+  ``tight_sample_size`` — the memoized §4.3 scans and search.
 """
 
 from __future__ import annotations

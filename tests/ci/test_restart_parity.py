@@ -173,7 +173,7 @@ def test_every_journal_boundary_restores_identically(adaptivity, tmp_path):
     )
     assert_parity(reference, persisted)  # journaling itself changes nothing
 
-    total = persisted._journal.last_sequence
+    total = persisted._state_store.journal.last_sequence
     assert total > len(models)  # commit-received + build trail per commit
     for boundary in range(total + 1):
         crash_dir = tmp_path / f"crash-{boundary:03d}"
@@ -193,9 +193,9 @@ def test_snapshot_cadence_boundaries_restore_identically(adaptivity, tmp_path):
     persisted = run_persisted(
         script, testsets, baseline, models, tmp_path / "state", snapshot_every=3
     )
-    assert persisted._store.latest_sequence > 1  # cadence actually snapshotted
+    assert persisted._state_store.snapshots.latest_sequence > 1  # cadence actually snapshotted
 
-    total = persisted._journal.last_sequence
+    total = persisted._state_store.journal.last_sequence
     for boundary in range(total + 1):
         crash_dir = tmp_path / f"crash-{boundary:03d}"
         crash_copy(tmp_path / "state", crash_dir, boundary)
@@ -219,7 +219,7 @@ def test_batch_ingest_crash_boundaries_restore_identically(tmp_path):
     persisted.process_batch(models)
     assert_parity(reference, persisted)
 
-    total = persisted._journal.last_sequence
+    total = persisted._state_store.journal.last_sequence
     for boundary in range(total + 1):
         crash_dir = tmp_path / f"crash-{boundary:03d}"
         crash_copy(tmp_path / "state", crash_dir, boundary)

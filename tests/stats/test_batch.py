@@ -10,24 +10,9 @@ from hypothesis import strategies as st
 from repro.exceptions import InvalidParameterError
 from repro.stats import tight_bounds
 from repro.stats.batch import (
-    binom_cdf_vec,
-    binom_logpmf_vec,
-    binom_pmf_vec,
-    binom_sf_vec,
-    binomial_tail_inversion_lower_vec,
-    binomial_tail_inversion_upper_vec,
-    clopper_pearson_interval_vec,
     exact_coverage_failure_probability_pairs,
     exact_coverage_failure_probability_vec,
     log_factorial_table,
-)
-from repro.stats.binomial import (
-    binom_cdf,
-    binom_logpmf,
-    binom_sf,
-    binomial_tail_inversion_lower,
-    binomial_tail_inversion_upper,
-    clopper_pearson_interval,
 )
 from repro.stats.cache import (
     all_cache_info,
@@ -35,68 +20,11 @@ from repro.stats.cache import (
 )
 from repro.stats.tight_bounds import (
     exact_coverage_failure_probability,
-    tight_epsilon,
     tight_sample_size,
     worst_case_failure_probability,
 )
 
 TOL = 1e-10
-
-# Boundary-heavy probability strategy: interior values plus the exact
-# endpoints the scalar code special-cases.
-probabilities = st.one_of(
-    st.sampled_from([0.0, 1.0]),
-    st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
-)
-
-
-def _random_knp(data, m=12, max_n=2000):
-    ns = data.draw(
-        st.lists(st.integers(min_value=1, max_value=max_n), min_size=m, max_size=m)
-    )
-    ks = [data.draw(st.integers(min_value=0, max_value=n)) for n in ns]
-    ps = data.draw(st.lists(probabilities, min_size=m, max_size=m))
-    # Force the k in {0, n} boundaries into every batch.
-    ks[0], ks[1] = 0, ns[1]
-    return np.array(ks), np.array(ns), np.array(ps)
-
-
-class TestElementwiseAgreement:
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_logpmf(self, data):
-        k, n, p = _random_knp(data)
-        vec = binom_logpmf_vec(k, n, p)
-        scalar = np.array(
-            [binom_logpmf(int(ki), int(ni), float(pi)) for ki, ni, pi in zip(k, n, p)]
-        )
-        finite = np.isfinite(scalar)
-        assert np.array_equal(np.isfinite(vec), finite)
-        assert np.max(np.abs(vec[finite] - scalar[finite]), initial=0.0) <= TOL
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_pmf_cdf_sf(self, data):
-        k, n, p = _random_knp(data)
-        cdf = binom_cdf_vec(k, n, p)
-        sf = binom_sf_vec(k, n, p)
-        for i in range(len(k)):
-            ki, ni, pi = int(k[i]), int(n[i]), float(p[i])
-            assert cdf[i] == pytest.approx(binom_cdf(ki, ni, pi), abs=TOL)
-            assert sf[i] == pytest.approx(binom_sf(ki, ni, pi), abs=TOL)
-            assert cdf[i] + sf[i] == pytest.approx(1.0, abs=1e-9)
-
-    def test_scalar_inputs_return_floats(self):
-        assert binom_cdf_vec(3, 10, 0.5) == pytest.approx(binom_cdf(3, 10, 0.5), abs=TOL)
-        assert isinstance(binom_pmf_vec(3, 10, 0.5), float)
-
-    def test_invalid_inputs_raise(self):
-        with pytest.raises(InvalidParameterError):
-            binom_cdf_vec([1], [0], [0.5])
-        with pytest.raises(InvalidParameterError):
-            binom_cdf_vec([5], [4], [0.5])
-        with pytest.raises(InvalidParameterError):
-            binom_cdf_vec([1], [4], [1.5])
 
 
 class TestCoverageKernel:
@@ -169,33 +97,29 @@ class TestCoverageKernelAtPlanningScale:
         assert batch == pytest.approx(scalar, abs=TOL)
 
 
-class TestConfidenceAgreement:
-    @given(st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_tail_inversions(self, data):
-        k, n, _ = _random_knp(data, m=6, max_n=400)
-        delta = data.draw(st.floats(min_value=1e-6, max_value=0.4))
-        upper = binomial_tail_inversion_upper_vec(k, n, delta)
-        lower = binomial_tail_inversion_lower_vec(k, n, delta)
-        for i in range(len(k)):
-            ki, ni = int(k[i]), int(n[i])
-            assert upper[i] == pytest.approx(
-                binomial_tail_inversion_upper(ki, ni, delta), abs=1e-9
-            )
-            assert lower[i] == pytest.approx(
-                binomial_tail_inversion_lower(ki, ni, delta), abs=1e-9
-            )
+class TestPairsKernel:
+    def test_matches_scalar_on_random_triples(self):
+        rng = np.random.default_rng(0)
+        ns = rng.integers(1, 1500, size=60)
+        ps = rng.random(60)
+        ps[:3] = [0.0, 1.0, 0.5]
+        eps = rng.uniform(0.01, 0.5, size=60)
+        got = exact_coverage_failure_probability_pairs(ns, ps, eps)
+        want = np.array(
+            [
+                exact_coverage_failure_probability(int(n), float(p), float(e))
+                for n, p, e in zip(ns, ps, eps)
+            ]
+        )
+        assert np.max(np.abs(got - want)) <= TOL
 
-    @given(st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_clopper_pearson(self, data):
-        k, n, _ = _random_knp(data, m=4, max_n=300)
-        delta = data.draw(st.floats(min_value=1e-5, max_value=0.2))
-        lo, hi = clopper_pearson_interval_vec(k, n, delta)
-        for i in range(len(k)):
-            slo, shi = clopper_pearson_interval(int(k[i]), int(n[i]), delta)
-            assert lo[i] == pytest.approx(slo, abs=1e-9)
-            assert hi[i] == pytest.approx(shi, abs=1e-9)
+    def test_invalid_inputs(self):
+        with pytest.raises(InvalidParameterError):
+            exact_coverage_failure_probability_pairs([0], [0.5], [0.1])
+        with pytest.raises(InvalidParameterError):
+            exact_coverage_failure_probability_pairs([10], [1.5], [0.1])
+        with pytest.raises(InvalidParameterError):
+            exact_coverage_failure_probability_pairs([10], [0.5], [0.0])
 
 
 class TestBackendsAgree:
@@ -215,12 +139,6 @@ class TestBackendsAgree:
         batch = worst_case_failure_probability(n, epsilon, backend="batch")
         scalar = worst_case_failure_probability(n, epsilon, backend="scalar")
         assert batch == pytest.approx(scalar, abs=TOL)
-
-    def test_tight_epsilon_backends_equal(self):
-        clear_all_caches()
-        batch = tight_epsilon(500, 1e-3, backend="batch")
-        scalar = tight_epsilon(500, 1e-3, backend="scalar")
-        assert batch == pytest.approx(scalar, abs=1e-9)
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(InvalidParameterError):

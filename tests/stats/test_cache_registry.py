@@ -19,7 +19,8 @@ import repro.core.estimators
 import repro.stats
 from repro.core.estimators.api import SampleSizeEstimator
 from repro.stats.cache import LRUCache, all_cache_info, all_caches, clear_all_caches
-from repro.stats.tight_bounds import tight_epsilon, tight_epsilon_many
+from repro.stats.batch import exact_coverage_failure_probability_pairs
+from repro.stats.tight_bounds import tight_sample_size, worst_case_failure_probability
 
 # Registered through custom registry adapters rather than plain LRUCache
 # instances (the shared lgamma table and the concatenated pairs layout);
@@ -61,7 +62,7 @@ def test_every_discovered_cache_is_registered():
     discovered = _discovered_caches()
     # The scan must actually see the known layers — guard against the
     # walk silently going blind after a refactor.
-    assert len(discovered) >= 7, sorted(path for path, _ in discovered.values())
+    assert len(discovered) >= 4, sorted(path for path, _ in discovered.values())
     unregistered = [
         path for path, cache in discovered.values() if id(cache) not in registered_ids
     ]
@@ -92,26 +93,38 @@ def test_non_lru_registry_entries_are_the_known_proxies():
     assert non_lru == KNOWN_NON_LRU_ENTRIES
 
 
+def _warm_planning_caches():
+    """One call through each memoized planning layer; returns the results."""
+    size = tight_sample_size(0.1, 1e-2)
+    worst = worst_case_failure_probability(120, 0.1)
+    pairs = exact_coverage_failure_probability_pairs(
+        np.array([90, 160]), np.array([0.3, 0.5]), np.array([0.1, 0.05])
+    )
+    return size, worst, pairs
+
+
 def test_clear_all_caches_reaches_every_registry_entry():
     # Warm every layer the batched-evaluation stack touches.
     SampleSizeEstimator().plan("n > 0.7 +/- 0.1", delta=1e-2, steps=2)
-    tight_epsilon(120, 1e-2, tol=1e-5)
-    tight_epsilon_many(np.array([90, 160]), 1e-2, tol=1e-5)
+    _warm_planning_caches()
     warmed = {
         name
         for name, info in all_cache_info().items()
         if info.currsize > 0
     }
     assert "estimators.plan_cache" in warmed
-    assert "stats.tight_bounds.tight_epsilon_many" in warmed
-    assert "stats.tight_bounds.epsilon_anchors" in warmed
+    assert "stats.tight_bounds.tight_sample_size" in warmed
+    assert "stats.tight_bounds.worst_case" in warmed
+    assert "stats.batch.pairs_layout" in warmed
     clear_all_caches()
     for name, info in all_cache_info().items():
         assert info.currsize <= 1, f"cache {name!r} not cleared"
 
 
 def test_cleared_caches_recompute_identically():
-    eps_warm = tight_epsilon_many(np.array([110, 330]), 1e-2, tol=1e-5)
+    size_warm, worst_warm, pairs_warm = _warm_planning_caches()
     clear_all_caches()
-    eps_cold = tight_epsilon_many(np.array([110, 330]), 1e-2, tol=1e-5)
-    assert np.array_equal(eps_warm, eps_cold)
+    size_cold, worst_cold, pairs_cold = _warm_planning_caches()
+    assert size_warm == size_cold
+    assert worst_warm == worst_cold
+    assert np.array_equal(pairs_warm, pairs_cold)

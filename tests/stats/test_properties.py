@@ -7,12 +7,9 @@ reproduce exactly.
 The docstring promise of
 :func:`~repro.stats.batch.exact_coverage_failure_probability_pairs` is
 that every element's value is a pure function of its own
-``(n, p, epsilon, sigmas, slack)``: fuse a random batch, split it at
-random boundaries, permute it — bit-identical results however the
-surrounding batch is composed.  That, plus lockstep phases with no
-cross-size state, keeps a
-:func:`~repro.stats.tight_bounds.tight_epsilon_many` sweep independent of
-which testset sizes it is asked about together — checked here too.
+``(n, p, epsilon)``: fuse a random batch, split it at random boundaries,
+permute it — bit-identical results however the surrounding batch is
+composed.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ import random
 import numpy as np
 
 from repro.stats.batch import exact_coverage_failure_probability_pairs
-from repro.stats.cache import clear_all_caches
-from repro.stats.tight_bounds import tight_epsilon_many
 
 TRIAL_SEEDS = range(10)
 
@@ -56,16 +51,6 @@ def _random_triples(rng: random.Random, size: int):
     return np.asarray(ns), np.asarray(ps), np.asarray(epss)
 
 
-def _random_window(rng: random.Random):
-    """Either the default window or a random-but-shared (sigmas, slack)."""
-    if rng.random() < 0.5:
-        return {}
-    return {
-        "window_sigmas": rng.uniform(3.0, 10.0),
-        "window_slack": rng.randrange(1, 8),
-    }
-
-
 def _random_partition(rng: random.Random, size: int) -> list[slice]:
     cuts = sorted(rng.sample(range(1, size), k=min(rng.randrange(1, 6), size - 1)))
     bounds = [0, *cuts, size]
@@ -76,18 +61,15 @@ def test_pairs_kernel_is_invariant_under_batch_splits():
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 64)
         ns, ps, epss = _random_triples(rng, size)
-        window = _random_window(rng)
-        fused = exact_coverage_failure_probability_pairs(ns, ps, epss, **window)
+        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
         pieces = [
-            exact_coverage_failure_probability_pairs(
-                ns[part], ps[part], epss[part], **window
-            )
+            exact_coverage_failure_probability_pairs(ns[part], ps[part], epss[part])
             for part in _random_partition(rng, size)
         ]
         chunked = np.concatenate(pieces)
         assert np.array_equal(fused, chunked), (
             f"split changed {np.sum(fused != chunked)} of {size} elements "
-            f"(max delta {np.max(np.abs(fused - chunked)):.3e}, window={window})"
+            f"(max delta {np.max(np.abs(fused - chunked)):.3e})"
         )
 
     for seed in TRIAL_SEEDS:
@@ -98,14 +80,11 @@ def test_pairs_kernel_is_invariant_under_permutation():
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 64)
         ns, ps, epss = _random_triples(rng, size)
-        window = _random_window(rng)
-        fused = exact_coverage_failure_probability_pairs(ns, ps, epss, **window)
+        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
         order = list(range(size))
         rng.shuffle(order)
         idx = np.asarray(order)
-        shuffled = exact_coverage_failure_probability_pairs(
-            ns[idx], ps[idx], epss[idx], **window
-        )
+        shuffled = exact_coverage_failure_probability_pairs(ns[idx], ps[idx], epss[idx])
         unshuffled = np.empty_like(shuffled)
         unshuffled[idx] = shuffled
         assert np.array_equal(fused, unshuffled), (
@@ -133,28 +112,4 @@ def test_pairs_kernel_singletons_match_fused_batch():
             )
 
     for seed in TRIAL_SEEDS:
-        _seeded(trial, seed)
-
-
-def test_epsilon_sweep_is_invariant_under_batch_splits():
-    """A sweep's per-size epsilons do not depend on its other sizes."""
-
-    def trial(rng: random.Random) -> None:
-        ns = np.asarray(rng.sample(range(50, 1500), k=rng.randrange(4, 9)))
-        delta = rng.choice([1e-2, 1e-3])
-        clear_all_caches()
-        fused = tight_epsilon_many(ns, delta, tol=1e-5)
-        order = list(range(len(ns)))
-        rng.shuffle(order)
-        pieces = np.empty_like(fused)
-        for part in _random_partition(rng, len(ns)):
-            idx = np.asarray(order[part])
-            clear_all_caches()
-            pieces[idx] = tight_epsilon_many(ns[idx], delta, tol=1e-5)
-        assert np.array_equal(fused, pieces), (
-            f"split changed {np.sum(fused != pieces)} of {len(ns)} epsilons "
-            f"(ns={ns.tolist()}, delta={delta})"
-        )
-
-    for seed in range(4):
         _seeded(trial, seed)

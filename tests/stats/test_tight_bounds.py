@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.stats.tight_bounds import (
     exact_coverage_failure_probability,
-    tight_epsilon,
     tight_sample_size,
     worst_case_failure_probability,
 )
@@ -178,12 +177,19 @@ class TestTightSampleSize:
         assert tight_sample_size(epsilon, delta) == size
 
 
-class TestTightEpsilon:
-    def test_inverse_of_sample_size(self):
-        eps, delta = 0.07, 0.01
-        n = tight_sample_size(eps, delta)
-        achieved = tight_epsilon(n, delta)
-        assert achieved <= eps + 1e-3
-
-    def test_decreasing_in_n(self):
-        assert tight_epsilon(4000, 0.01) < tight_epsilon(400, 0.01)
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda **scan: tight_sample_size(0.02, 1e-3, **scan),
+        lambda **scan: worst_case_failure_probability(6800, 0.02, **scan),
+    ],
+    ids=["tight_sample_size", "worst_case_failure_probability"],
+)
+@pytest.mark.parametrize(
+    "scan", [{"refine": -1}, {"grid": 1}, {"grid": 0}], ids=["refine-1", "grid1", "grid0"]
+)
+def test_degenerate_scan_grid_is_rejected(search, scan):
+    # A scan that never looks inside (0, 1) sees zero failure probability,
+    # so the search would accept n = 1 instead of the true 6800.
+    with pytest.raises(InvalidParameterError):
+        search(**scan)

@@ -1,18 +1,25 @@
 """Fleet benchmark: the multi-tenant parity gate plus overload accounting.
 
-Two legs, both gated on correctness in addition to being timed:
+Three legs, all gated on correctness in addition to being timed:
 
 1. **Parity under churn** — 100+ simulated tenants (``--quick``: 12)
    split across all three adaptivity modes, their traffic interleaved
-   through one :class:`~repro.fleet.CIFleet` whose LRU is far smaller
-   than the tenant count, so every round of submissions evicts and
-   rehydrates engines.  The gate: every tenant's build fingerprint is
-   element-wise identical to an isolated ``CIService`` run of the same
-   world.  The artifact records the hydration/eviction churn and the
-   gateway's overhead against the N-isolated-services baseline, as both
-   times and their ratio (``fleet_isolated_ratio``, recorded only).
+   round-robin through one :class:`~repro.fleet.CIFleet` whose residency
+   cap is far smaller than the tenant count, so every submission evicts
+   and rehydrates an engine (no residency policy helps cyclic traffic).
+   The gate: every tenant's build fingerprint is element-wise identical
+   to an isolated ``CIService`` run of the same world.  The artifact
+   records the hydration/eviction churn, the hit ratio and the gateway's
+   overhead against the N-isolated-services baseline, as both times and
+   their ratio (``fleet_isolated_ratio``, recorded only).
 
-2. **Overload shedding** — a hot-tenant burst exceeding both admission
+2. **Parity under skew** — the same tenants and the same number of
+   submissions, but each tenant gets its Zipf(1.1) share of them in a
+   seeded order, so a few hot tenants carry most of the traffic.  Same
+   gate; the artifact records hydrations and the hit ratio, which the
+   frequency-aware residency policy raises by keeping hot tenants live.
+
+3. **Overload shedding** — a hot-tenant burst exceeding both admission
    bounds.  The gate: every submission is either durably accepted (and
    eventually processed) or rejected with a typed admission error —
    accepted + rejected == attempted, none silently dropped.
@@ -66,7 +73,7 @@ def make_script(adaptivity):
     )
 
 
-def make_world(script, commits, seed):
+def make_world(script, commits, seed, generations=2):
     plan = SampleSizeEstimator().plan(
         script.condition,
         delta=script.delta,
@@ -96,7 +103,7 @@ def make_world(script, commits, seed):
     rng = np.random.default_rng(seed + 1)
     pool = [
         Testset(labels=rng.integers(0, 2, size=plan.pool_size), name=f"gen-{g}")
-        for g in range(1, 3)
+        for g in range(1, generations + 1)
     ]
     return Testset(labels=labels, name="gen-0"), pool, pair.old_model, models
 
@@ -115,19 +122,12 @@ def fingerprint(service):
     ]
 
 
-def bench_parity(quick: bool) -> dict:
-    tenants = 12 if quick else 102
-    commits = 2 if quick else 3
-    max_resident = 3 if quick else 8
-    scripts = {mode: make_script(mode) for mode in ADAPTIVITY_MODES}
-    worlds = {}
-    for index in range(tenants):
-        mode = ADAPTIVITY_MODES[index % len(ADAPTIVITY_MODES)]
-        worlds[f"t-{index:03d}"] = (
-            mode,
-            make_world(scripts[mode], commits, seed=index),
-        )
+def run_fleet_leg(scripts, worlds, order, max_resident) -> dict:
+    """Submit ``order`` (tenant ids) through one fleet; gate on parity.
 
+    Each tenant's ``k``-th appearance in ``order`` submits its ``k``-th
+    model.  Returns the churn counts, timings and the parity verdict.
+    """
     clear_all_caches()
     with tempfile.TemporaryDirectory() as tmp:
         fleet = CIFleet(
@@ -144,14 +144,14 @@ def bench_parity(quick: bool) -> dict:
                 repository=ModelRepository(nonce=f"bench-{tenant_id}"),
                 pool=TestsetPool(pool),
             )
-        # Mixed traffic: round-robin interleaving, so every consecutive
-        # pair of submissions hits a different tenant and the LRU churns.
-        for index in range(commits):
-            for tenant_id, (_, world) in worlds.items():
-                fleet.submit(tenant_id, world[3][index], message=f"c{index}")
+        sent = dict.fromkeys(worlds, 0)
+        for tenant_id in order:
+            index = sent[tenant_id]
+            sent[tenant_id] += 1
+            fleet.submit(tenant_id, worlds[tenant_id][1][3][index], message=f"c{index}")
         fleet_seconds = time.perf_counter() - start
-        hydrations, evictions = fleet.hydrations, fleet.evictions
-        assert evictions > 0, "LRU never churned; max_resident too generous"
+        hits, hydrations, evictions = fleet.hits, fleet.hydrations, fleet.evictions
+        assert evictions > 0, "residency never churned; max_resident too generous"
 
         fleet_prints = {
             tenant_id: fingerprint(fleet.service(tenant_id))
@@ -177,18 +177,76 @@ def bench_parity(quick: bool) -> dict:
     assert identical, "fleet diverged from isolated per-tenant services"
 
     return {
-        "tenants": tenants,
+        "tenants": len(worlds),
         "modes": len(ADAPTIVITY_MODES),
-        "commits_per_tenant": commits,
+        "submissions": len(order),
         "max_resident": max_resident,
         "hydrations": hydrations,
         "evictions": evictions,
+        # Lookups the residency policy served without a hydration.
+        "hit_ratio": hits / (hits + hydrations),
         "fleet_seconds": fleet_seconds,
         "isolated_seconds": isolated_seconds,
         # Recorded, not gated: the gateway's wall-time overhead factor.
         "fleet_isolated_ratio": fleet_seconds / isolated_seconds,
         "results_identical": identical,
     }
+
+
+def fleet_shape(quick: bool) -> tuple[int, int, int]:
+    """(tenants, commits per tenant on average, max_resident)."""
+    return (12, 2, 3) if quick else (102, 3, 8)
+
+
+def bench_parity(quick: bool) -> dict:
+    tenants, commits, max_resident = fleet_shape(quick)
+    scripts = {mode: make_script(mode) for mode in ADAPTIVITY_MODES}
+    worlds = {}
+    for index in range(tenants):
+        mode = ADAPTIVITY_MODES[index % len(ADAPTIVITY_MODES)]
+        worlds[f"t-{index:03d}"] = (
+            mode,
+            make_world(scripts[mode], commits, seed=index),
+        )
+    # Mixed traffic: round-robin interleaving, so every consecutive
+    # pair of submissions hits a different tenant and residency churns.
+    order = [tenant_id for _ in range(commits) for tenant_id in worlds]
+    leg = run_fleet_leg(scripts, worlds, order, max_resident)
+    leg["commits_per_tenant"] = commits
+    return leg
+
+
+def zipf_counts(tenants: int, total: int) -> list[int]:
+    """Each tenant's Zipf(1.1) share of ``total`` (largest remainders)."""
+    weights = 1.0 / np.arange(1, tenants + 1) ** 1.1
+    shares = total * weights / weights.sum()
+    counts = np.floor(shares).astype(int)
+    short = total - int(counts.sum())
+    counts[np.argsort(counts - shares, kind="stable")[:short]] += 1
+    return [int(count) for count in counts]
+
+
+def bench_skewed(quick: bool, seed: int = 7) -> dict:
+    tenants, commits, max_resident = fleet_shape(quick)
+    counts = zipf_counts(tenants, tenants * commits)
+    scripts = {mode: make_script(mode) for mode in ADAPTIVITY_MODES}
+    worlds = {}
+    for index, count in enumerate(counts):
+        mode = ADAPTIVITY_MODES[index % len(ADAPTIVITY_MODES)]
+        # Every commit may retire a generation in firstChange mode.
+        worlds[f"t-{index:03d}"] = (
+            mode,
+            make_world(scripts[mode], count, seed=index, generations=count + 2),
+        )
+    order = [
+        tenant_id
+        for tenant_id, (_, world) in worlds.items()
+        for _ in range(len(world[3]))
+    ]
+    order = [order[i] for i in np.random.default_rng(seed).permutation(len(order))]
+    leg = run_fleet_leg(scripts, worlds, order, max_resident)
+    leg["hottest_tenant_submissions"] = max(counts)
+    return leg
 
 
 def bench_overload(quick: bool) -> dict:
@@ -248,22 +306,25 @@ def main() -> int:
     payload = {
         "quick": args.quick,
         "parity": bench_parity(args.quick),
+        "skewed": bench_skewed(args.quick),
         "overload": bench_overload(args.quick),
     }
     artifact = REPO_ROOT / "BENCH_fleet.json"
     artifact.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    parity = payload["parity"]
     overload = payload["overload"]
-    print(
-        f"parity: {parity['tenants']} tenants x {parity['commits_per_tenant']} "
-        f"commits across {parity['modes']} modes, LRU cap {parity['max_resident']} "
-        f"({parity['hydrations']} hydration(s), {parity['evictions']} eviction(s)): "
-        f"fleet {parity['fleet_seconds']:.3f}s vs isolated "
-        f"{parity['isolated_seconds']:.3f}s "
-        f"({parity['fleet_isolated_ratio']:.1f}x), "
-        f"identical={parity['results_identical']}"
-    )
+    for name in ("parity", "skewed"):
+        leg = payload[name]
+        print(
+            f"{name}: {leg['tenants']} tenants, {leg['submissions']} "
+            f"submissions across {leg['modes']} modes, residency cap "
+            f"{leg['max_resident']} ({leg['hydrations']} hydration(s), "
+            f"{leg['evictions']} eviction(s), hit ratio "
+            f"{leg['hit_ratio']:.2f}): fleet {leg['fleet_seconds']:.3f}s vs "
+            f"isolated {leg['isolated_seconds']:.3f}s "
+            f"({leg['fleet_isolated_ratio']:.1f}x), "
+            f"identical={leg['results_identical']}"
+        )
     print(
         f"overload: {overload['attempted']} attempted -> {overload['accepted']} "
         f"accepted, {overload['rejected']} rejected, {overload['processed']} "

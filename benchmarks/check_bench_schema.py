@@ -113,13 +113,27 @@ SCHEMAS = {
         "parity.tenants": int,
         "parity.modes": int,
         "parity.commits_per_tenant": int,
+        "parity.submissions": int,
         "parity.max_resident": int,
         "parity.hydrations": int,
         "parity.evictions": int,
+        "parity.hit_ratio": NUMBER,
         "parity.fleet_seconds": NUMBER,
         "parity.isolated_seconds": NUMBER,
         "parity.fleet_isolated_ratio": NUMBER,
         "parity.results_identical": bool,
+        "skewed.tenants": int,
+        "skewed.modes": int,
+        "skewed.submissions": int,
+        "skewed.hottest_tenant_submissions": int,
+        "skewed.max_resident": int,
+        "skewed.hydrations": int,
+        "skewed.evictions": int,
+        "skewed.hit_ratio": NUMBER,
+        "skewed.fleet_seconds": NUMBER,
+        "skewed.isolated_seconds": NUMBER,
+        "skewed.fleet_isolated_ratio": NUMBER,
+        "skewed.results_identical": bool,
         "overload.attempted": int,
         "overload.accepted": int,
         "overload.rejected": int,

@@ -79,7 +79,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.ci.appendlog import (
     AppendLog,
@@ -111,6 +111,7 @@ __all__ = [
     "JournalScan",
     "scan_journal",
     "SnapshotInfo",
+    "Retention",
     "SnapshotStore",
     "open_state_dir",
     "DirectoryStateStore",
@@ -474,6 +475,20 @@ class SnapshotInfo:
     path: Path
 
 
+class Retention(NamedTuple):
+    """What one :meth:`SnapshotStore.retain` pass did and found.
+
+    ``anchor`` is the journal sequence of the *oldest retained valid*
+    snapshot (0 for none): the safe journal-compaction boundary, since
+    every snapshot still in the store anchors at or past it, so replay
+    from any of them — including an older generation reached by
+    corruption fallback — never lands in a compacted gap.
+    """
+
+    pruned: list[Path]
+    anchor: int
+
+
 class SnapshotStore:
     """Versioned, atomically-written snapshots of exported CI state.
 
@@ -575,26 +590,38 @@ class SnapshotStore:
     def prune(self, keep: int = 1) -> list[Path]:
         """Delete old *valid* snapshots, keeping the newest ``keep`` of them.
 
-        Only snapshots that verify (envelope readable, checksum intact)
-        are ever deleted: pruning on sequence number alone could, after
-        the latest snapshot was corrupted, remove the only restorable
-        generation while keeping the damaged one.  Corrupt files are
-        never deleted here — they are :meth:`load_latest`'s to
+        Returns the deleted paths; see :meth:`retain`.
+        """
+        return self.retain(keep).pruned
+
+    def retain(self, keep: int) -> Retention:
+        """Keep the newest ``keep`` valid snapshots; return what was pruned
+        and the oldest retained anchor.
+
+        One verified pass: each envelope is read and checksummed once
+        (payloads are not unpickled).  Only snapshots that verify are
+        ever deleted or anchor: pruning on sequence number alone could,
+        after the latest snapshot was corrupted, remove the only
+        restorable generation while keeping the damaged one.  Corrupt
+        files are never deleted here — they are :meth:`load_latest`'s to
         quarantine and ``repro ops --fsck``'s to report.
         """
         if keep < 1:
             raise PersistenceError(f"keep must be >= 1, got {keep}")
-        entries = self._entries()
-        valid = [sequence for sequence, path in entries if self.verify(sequence)]
-        keep_sequences = set(valid[-keep:])
-        removed = []
-        for sequence, path in entries:
-            if sequence in keep_sequences or sequence not in valid:
+        valid = []
+        for sequence, path in self._entries():
+            try:
+                envelope, _ = self._read_envelope(sequence)
+            except PersistenceError:
                 continue
+            valid.append((sequence, path, int(envelope.get("journal_sequence", 0))))
+        pruned = []
+        for sequence, path, _ in valid[:-keep]:
             path.unlink()
             self._info_cache.pop(sequence, None)
-            removed.append(path)
-        return removed
+            pruned.append(path)
+        anchor = min((anchor for _, _, anchor in valid[-keep:]), default=0)
+        return Retention(pruned=pruned, anchor=anchor)
 
     # -- reading -------------------------------------------------------------
     def _read_envelope(self, sequence: int) -> tuple[dict[str, Any], Path]:

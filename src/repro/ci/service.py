@@ -88,7 +88,7 @@ from repro.exceptions import (
 )
 from repro.reliability.events import record_event, reliability_events
 from repro.reliability.faults import InjectedFault
-from repro.reliability.storage import StorageGovernor, retention_anchor
+from repro.reliability.storage import StorageGovernor
 
 __all__ = ["BuildRecord", "CIService", "OperationsReport", "SERVICE_STATE_FORMAT"]
 
@@ -335,6 +335,11 @@ class CIService:
     def builds(self) -> list[BuildRecord]:
         """All builds, in order."""
         return list(self._builds)
+
+    @property
+    def last_build(self) -> BuildRecord | None:
+        """The newest build (``None`` before the first), without copying."""
+        return self._builds[-1] if self._builds else None
 
     @property
     def active_model(self) -> Any:
@@ -764,11 +769,9 @@ class CIService:
         if self._keep_snapshots is None or self._state_store is None:
             return
         snapshots, journal = self._state_store.snapshots, self._state_store.journal
-        if snapshots.latest_sequence:
-            snapshots.prune(keep=self._keep_snapshots)
+        anchor = snapshots.retain(self._keep_snapshots).anchor
         if journal is None:
             return
-        anchor = retention_anchor(snapshots)
         if anchor > journal.compacted_through and anchor <= journal.last_sequence:
             journal.compact(anchor)
 

@@ -52,7 +52,8 @@ class Testset:
         Model inputs aligned with ``labels``.  For simulated experiments
         this is typically ``np.arange(N)`` — simulated models map example
         indices to predictions — but any array a model's ``predict``
-        accepts works.
+        accepts works.  The default column is not pickled: unpickling
+        re-derives it, so snapshots do not carry it.
     name:
         Human-readable identifier used in alarms and logs.
     """
@@ -79,6 +80,22 @@ class Testset:
                     f"features ({len(self.features)}) and labels "
                     f"({len(self.labels)}) must align"
                 )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The default features column is re-derived on load rather than
+        # written: it is half of a simulated testset's snapshot bytes.
+        state = self.__dict__.copy()
+        default = np.arange(len(self.labels))
+        if self.features.dtype == default.dtype and np.array_equal(
+            self.features, default
+        ):
+            state["features"] = None
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if self.features is None:
+            self.features = np.arange(len(self.labels))
 
     def __len__(self) -> int:
         return len(self.labels)

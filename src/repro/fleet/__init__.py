@@ -2,9 +2,9 @@
 
 The :class:`CIFleet` gateway owns N tenant state directories and routes
 webhook-style submissions to per-tenant
-:class:`~repro.ci.service.CIService` instances, hydrated lazily from the
-PR 4 snapshot + journal contract and held in a bounded LRU.  In front of
-each tenant sit a durable intake queue (:class:`IntakeQueue`), admission
+:class:`~repro.ci.service.CIService` instances, hydrated lazily from
+their snapshots + journal and held in a bounded resident set that keeps
+frequently used tenants live.  In front of each tenant sit a durable intake queue (:class:`IntakeQueue`), admission
 control (:class:`AdmissionPolicy`), and a circuit breaker
 (:class:`CircuitBreaker`).  See :mod:`repro.fleet.gateway` for the full
 contract and ``docs/fleet.md`` for a quickstart.

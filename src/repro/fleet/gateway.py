@@ -7,16 +7,22 @@ a full :class:`~repro.ci.service.CIService` with its own state directory
 journal) and a durable intake queue; the gateway adds the three things a
 shared deployment needs that a single service does not:
 
-* **Bounded residency.**  Live engines are held in an LRU of at most
-  ``max_resident`` tenants.  Eviction releases the service and writes
-  nothing — every commit is already in the tenant journal, and the
-  intake compacts at the ``snapshot_every`` cadence instead.  The next
-  submission hydrates it back
-  from the newest snapshot plus the journal tail (``CIService.restore``,
-  the path every crash takes — element-wise identical to never having
-  been evicted); the tenant's ``snapshot_every`` cadence bounds that
-  replay.  A thousand registered tenants cost the memory of
-  ``max_resident`` engines.
+* **Bounded residency.**  At most ``max_resident`` tenant engines are
+  live.  Each tenant carries an access count, bumped on every
+  :meth:`CIFleet.service` lookup and halved (floor) for every tenant
+  each ``16 * max_resident`` lookups, so a tenant whose traffic stops
+  ages out.  Over capacity, the resident with the lowest count is
+  evicted first, the least recently used among equal counts (plain LRU
+  when counts tie); the tenant being served is never the victim.
+  Eviction releases the service and writes nothing — every commit is
+  already in the tenant journal, and the intake compacts at the
+  ``snapshot_every`` cadence instead.  The next submission hydrates it
+  back from the newest snapshot plus the journal tail
+  (``CIService.restore``, the path every crash takes — element-wise
+  identical to never having been evicted); the tenant's
+  ``snapshot_every`` cadence bounds that replay.  Residency decides only
+  *when* a tenant pays that hydration, never a result.  A thousand
+  registered tenants cost the memory of ``max_resident`` engines.
 * **Admission control and durable intake.**  A submission is either
   rejected *at the door* with a typed
   :class:`~repro.exceptions.AdmissionError` (fleet overload, tenant
@@ -91,6 +97,8 @@ __all__ = [
 ]
 
 _TENANT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
+# Access counts are halved once every this many lookups per resident slot.
+_AGING_LOOKUPS_PER_SLOT = 16
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,8 @@ class FleetReport:
     accepted: int
     processed: int
     rejections: Mapping[str, int]
+    hits: int
+    hit_ratio: float
     hydrations: int
     evictions: int
     breakers_open: int
@@ -154,8 +164,9 @@ class FleetReport:
             f"{self.rejections.get('tenant-quota', 0)} over quota, "
             f"{self.rejections.get('tenant-quarantined', 0)} quarantined, "
             f"{self.rejections.get('storage-exhausted', 0)} storage-exhausted)",
-            f"  lifecycle     : {self.hydrations} hydration(s), "
-            f"{self.evictions} eviction(s)",
+            f"  lifecycle     : {self.hits} hit(s) "
+            f"(hit ratio {self.hit_ratio:.2f}), {self.hydrations} "
+            f"hydration(s), {self.evictions} eviction(s)",
             f"  breakers      : {self.breakers_open} open, "
             f"{self.breakers_half_open} half-open "
             f"of {self.tenants_registered}",
@@ -265,7 +276,10 @@ class CIFleet:
         ``intake.jsonl``).  An existing root's tenants are discovered
         from disk and hydrated lazily.
     max_resident:
-        LRU capacity: how many tenant engines stay live at once.
+        Residency capacity: how many tenant engines stay live at once.
+        It also sets the aging period of the access counts that pick
+        eviction victims (every ``16 * max_resident`` lookups; see the
+        module docstring).
     admission:
         The :class:`AdmissionPolicy` enforced at the door.
     failure_threshold / cooldown_seconds:
@@ -349,12 +363,23 @@ class CIFleet:
         self.sync = bool(sync)
         self.transport_factory = transport_factory
         self._clock = clock or time.monotonic
+        # Live services, least recently used first.
         self._resident: OrderedDict[str, CIService] = OrderedDict()
+        # Aged access counts (zero counts are dropped) and lookups so far.
+        self._frequency: dict[str, int] = {}
+        self._lookups = 0
         self._intakes: dict[str, IntakeQueue] = {}
         # Registered tenant ids for the admission scan: read from disk on
         # first use, then extended by register() (single-writer root).
         self._registered: list[str] | None = None
+        # Running fleet-wide pending total: each open queue's depth as
+        # last counted.  A dropped queue handle keeps its count until
+        # _total_pending reopens it and recounts from disk.
+        self._pending_counts: dict[str, int] = {}
+        self._pending_total = 0
+        self._reopen: set[str] = set()
         self._breakers: dict[str, CircuitBreaker] = {}
+        self.hits = 0
         self.hydrations = 0
         self.evictions = 0
         self.accepted = 0
@@ -420,7 +445,20 @@ class CIFleet:
             directory = self._require_tenant(tenant_id)
             queue = IntakeQueue(directory / "intake.jsonl", sync=self.sync)
             self._intakes[tenant_id] = queue
+            self._reopen.discard(tenant_id)
+            self._count_pending(tenant_id, queue)
         return queue
+
+    def _count_pending(self, tenant_id: str, queue: IntakeQueue) -> None:
+        """Fold the queue's current depth into the running total."""
+        depth = queue.pending_count
+        self._pending_total += depth - self._pending_counts.get(tenant_id, 0)
+        self._pending_counts[tenant_id] = depth
+
+    def _drop_intake(self, tenant_id: str) -> None:
+        """Drop a queue handle after a failed write (reopened like a restart)."""
+        self._intakes.pop(tenant_id, None)
+        self._reopen.add(tenant_id)
 
     def _transport(self, tenant_id: str) -> NotificationTransport | None:
         if self.transport_factory is None:
@@ -441,7 +479,7 @@ class CIFleet:
     ) -> CIService:
         """Create a tenant: state dir, first snapshot, empty intake queue.
 
-        The returned service is resident (and may evict the LRU tenant).
+        The returned service is resident (and may evict another tenant).
         All subsequent writes to the tenant must flow through
         :meth:`enqueue`/:meth:`submit` — the intake queue's sequence
         accounting assumes it is the only write path.
@@ -481,21 +519,35 @@ class CIFleet:
         self._enforce_capacity()
         return service
 
-    # -- residency (LRU + hydration) ----------------------------------------
+    # -- residency (aged access counts + hydration) --------------------------
     @property
     def resident_tenants(self) -> list[str]:
         """Currently live tenants, least-recently-used first."""
         return list(self._resident)
 
+    def _count_lookup(self, tenant_id: str) -> None:
+        self._frequency[tenant_id] = self._frequency.get(tenant_id, 0) + 1
+        self._lookups += 1
+        if self._lookups % (_AGING_LOOKUPS_PER_SLOT * self.max_resident) == 0:
+            self._frequency = {
+                tenant: count // 2
+                for tenant, count in self._frequency.items()
+                if count > 1
+            }
+
     def service(self, tenant_id: str) -> CIService:
         """The tenant's live service, hydrating from disk when evicted.
+
+        Every call counts as an access for the residency policy.
 
         Fault-injection point: ``fleet.hydrate`` (``raise`` simulates a
         failing cold resume; the failure counts against the tenant's
         circuit breaker and the fleet keeps serving everyone else).
         """
+        self._count_lookup(tenant_id)
         service = self._resident.get(tenant_id)
         if service is not None:
+            self.hits += 1
             self._resident.move_to_end(tenant_id)
             return service
         directory = self._require_tenant(tenant_id)
@@ -565,9 +617,14 @@ class CIFleet:
 
     def _enforce_capacity(self) -> None:
         while len(self._resident) > self.max_resident:
-            # Candidates in LRU order, sparing the most-recently-used
-            # entry — that is the tenant currently being served.
-            for tenant_id in list(self._resident)[:-1]:
+            # Spare the most recently used entry — the tenant being
+            # served.  The sort is stable, so equal counts stay in LRU
+            # order.
+            candidates = sorted(
+                list(self._resident)[:-1],
+                key=lambda tenant: self._frequency.get(tenant, 0),
+            )
+            for tenant_id in candidates:
                 if self._try_evict(tenant_id):
                     break
             else:
@@ -636,13 +693,16 @@ class CIFleet:
     # -- the front door ------------------------------------------------------
     def _total_pending(self) -> int:
         # Runs on every submission, so it must not list the tenants
-        # directory; tenants() stays disk-backed for read-only inspectors.
+        # directory or visit every queue; tenants() stays disk-backed for
+        # read-only inspectors.  The first call opens every queue (each
+        # open adds its depth to the running total).
         if self._registered is None:
             self._registered = self.tenants()
-        return sum(
-            self._intake(tenant_id).pending_count
-            for tenant_id in self._registered
-        )
+            for tenant_id in self._registered:
+                self._intake(tenant_id)
+        for tenant_id in list(self._reopen):
+            self._intake(tenant_id)
+        return self._pending_total
 
     def enqueue(
         self,
@@ -703,8 +763,9 @@ class CIFleet:
             # drop the handle so the next open heals it exactly like a
             # restart would.  By the crash model the submission was not
             # accepted.
-            self._intakes.pop(tenant_id, None)
+            self._drop_intake(tenant_id)
             raise
+        self._count_pending(tenant_id, queue)
         self.accepted += 1
         return record
 
@@ -719,7 +780,7 @@ class CIFleet:
             # next open heals it like a restart.  The processed build is
             # safe in the tenant journal — the next drain re-acks the
             # entry by sequence without re-running it.
-            self._intakes.pop(tenant_id, None)
+            self._drop_intake(tenant_id)
             record_event(
                 "intake-ack-failed",
                 "fleet.gateway",
@@ -728,6 +789,7 @@ class CIFleet:
                 error=str(exc),
             )
             raise
+        self._count_pending(tenant_id, queue)
         if queue.acked_count >= self.snapshot_every:
             try:
                 queue.compact()
@@ -814,7 +876,7 @@ class CIFleet:
                 raise
             self._ack(tenant_id, queue, entry.repo_sequence)
             self.processed += 1
-            builds.append(service.builds[-1])
+            builds.append(service.last_build)
         breaker.record_success()
         return builds
 
@@ -951,6 +1013,12 @@ class CIFleet:
             accepted=self.accepted,
             processed=self.processed,
             rejections=dict(self.rejections),
+            hits=self.hits,
+            hit_ratio=(
+                self.hits / (self.hits + self.hydrations)
+                if self.hits + self.hydrations
+                else 0.0
+            ),
             hydrations=self.hydrations,
             evictions=self.evictions,
             breakers_open=open_count,

@@ -43,7 +43,6 @@ __all__ = [
     "StorageGovernor",
     "MaintenanceReport",
     "directory_bytes",
-    "retention_anchor",
     "maintain_state_dir",
 ]
 
@@ -191,28 +190,6 @@ class MaintenanceReport:
     bytes_after: int
 
 
-def retention_anchor(store) -> int:
-    """Journal sequence of the *oldest retained valid* snapshot (0 if none).
-
-    This is the safe compaction boundary after a prune: every snapshot
-    still in the store anchors at or past it, so replay from any of
-    them — including an older generation reached by corruption
-    fallback — never lands in a compacted gap.
-    """
-    from repro.exceptions import PersistenceError
-
-    anchors = []
-    for sequence, _path in store._entries():
-        try:
-            # Checksums the envelope without unpickling the payload;
-            # corrupt/unsupported generations are simply not anchors.
-            envelope, _ = store._read_envelope(sequence)
-        except PersistenceError:
-            continue
-        anchors.append(int(envelope.get("journal_sequence", 0)))
-    return min(anchors) if anchors else 0
-
-
 def maintain_state_dir(
     state_dir: str | Path,
     *,
@@ -239,8 +216,7 @@ def maintain_state_dir(
         store = SnapshotStore(state_dir / "snapshots")
     if journal is None:
         journal = EventJournal(state_dir / "journal.jsonl", sync=sync)
-    pruned = store.prune(keep=keep) if store.latest_sequence else []
-    anchor = retention_anchor(store)
+    pruned, anchor = store.retain(keep)
     dropped = 0
     if anchor > journal.compacted_through and anchor <= journal.last_sequence:
         dropped = journal.compact(anchor)

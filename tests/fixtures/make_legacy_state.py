@@ -1,0 +1,89 @@
+"""Write the cross-version restore fixture ``legacy_state.tar.gz``.
+
+Run from the repository root against the build whose on-disk state the
+fixture should capture (the fixture in the tree was written by commit
+``713d042``, before ``Testset`` stopped pickling its default features
+column):
+
+    git archive 713d042 | tar -x -C /tmp/old
+    PYTHONPATH=/tmp/old/src python tests/fixtures/make_legacy_state.py
+
+The archive holds, for each adaptivity mode of the restart-parity
+suite, a ``persist_to`` state dir cut off half-way through its commit
+queue (``service-<i>/``), and one fleet root with a tenant per mode,
+half-way through its submissions plus one accepted-but-unprocessed
+entry each (``fleet/``).  ``tests/ci/test_legacy_restore.py`` resumes
+both and finishes the queues.
+"""
+
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, "tests/ci")
+sys.path.insert(0, ".")
+from test_restart_parity import (  # noqa: E402
+    ADAPTIVITY_MODES,
+    make_script,
+    make_service,
+    make_world,
+)
+
+from repro.fleet import CIFleet  # noqa: E402
+from tests.fleet.conftest import register_tenant  # noqa: E402
+
+COMMITS = 8
+CUT = 4
+SNAPSHOT_EVERY = 3
+ARCHIVE = Path(__file__).with_name("legacy_state.tar.gz")
+
+
+def world(adaptivity, seed):
+    script = make_script(adaptivity)
+    testsets, baseline, models = make_world(script, commits=COMMITS, seed=seed)
+    return script, testsets, baseline, models
+
+
+def write_services(root):
+    for index, mode in enumerate(ADAPTIVITY_MODES):
+        script, testsets, baseline, models = world(mode, seed=index)
+        service = make_service(script, testsets, baseline)
+        service.persist_to(root / f"service-{index}", snapshot_every=SNAPSHOT_EVERY)
+        for model in models[:CUT]:
+            service.repository.commit(model, message=model.name)
+
+
+def write_fleet(root):
+    fleet = CIFleet(
+        root / "fleet", max_resident=2, snapshot_every=SNAPSHOT_EVERY, sync=False
+    )
+    worlds = {
+        f"t-{index}": world(mode, seed=index)
+        for index, mode in enumerate(ADAPTIVITY_MODES)
+    }
+    for tenant_id, tenant_world in worlds.items():
+        register_tenant(fleet, tenant_id, tenant_world)
+    for index in range(CUT + 1):
+        for tenant_id, tenant_world in worlds.items():
+            model = tenant_world[3][index]
+            if index < CUT:
+                fleet.submit(tenant_id, model, message=f"c{index}")
+            else:
+                fleet.enqueue(tenant_id, model, message=f"c{index}")
+    fleet.close()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_services(root)
+        write_fleet(root)
+        with tarfile.open(ARCHIVE, "w:gz") as archive:
+            for path in sorted(root.iterdir()):
+                archive.add(path, arcname=path.name)
+    print(f"wrote {ARCHIVE} ({ARCHIVE.stat().st_size} bytes)")
+
+
+if __name__ == "__main__":
+    main()

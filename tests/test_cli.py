@@ -451,3 +451,20 @@ class TestModuleEntryPoint:
         proc = self._run("ops", str(state_dir))
         assert proc.returncode == 0
         assert "operations report" in proc.stdout
+
+
+class TestFleetResidencyCounters:
+    """Hits and the hit ratio sit next to hydrations and evictions."""
+
+    def test_text_reports_hits_and_hit_ratio(self, fleet_root, capsys):
+        assert main(["fleet", str(fleet_root)]) == 0
+        out = capsys.readouterr().out
+        # Counts are this process's: a reporting-only fleet has none.
+        assert "0 hit(s) (hit ratio 0.00), 0 hydration(s), 0 eviction(s)" in out
+
+    def test_json_reports_hits_and_hit_ratio(self, fleet_root, capsys):
+        assert main(["fleet", str(fleet_root), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["hits"] == 0
+        assert payload["hit_ratio"] == 0.0
+        assert payload["hydrations"] == payload["evictions"] == 0

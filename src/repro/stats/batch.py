@@ -13,7 +13,14 @@ provides NumPy-native kernels for exactly that shape:
   ``O(sqrt(n))`` terms around its cutoff (the probability mass outside
   the window is below ~1.5e-14, far under the 1e-10 agreement the tests
   enforce; see ``_WINDOW_SIGMAS``), so a grid scan costs a few blocks
-  of ``exp`` calls instead of thousands of Python-level loops;
+  of ``exp`` calls instead of thousands of Python-level loops.  Every
+  call reads one padded ``log C(n, .)`` row, cached per ``n``;
+* :func:`coverage_failure_bounds` — certified lower and upper bounds on
+  the grid kernel's values at a fraction of its cost: the first few
+  terms of each tail window, plus a geometric bound on the rest.  The
+  worst-case scan in :mod:`repro.stats.tight_bounds` bounds a whole
+  refinement level with it and sends only the points that can still be
+  the argmax through the exact kernel;
 * :func:`exact_coverage_failure_probability_pairs` — the heterogeneous
   counterpart over element-wise ``(n, p, epsilon)`` triples.  The
   per-``n`` padded log-binomial rows are concatenated into one array and
@@ -22,8 +29,8 @@ provides NumPy-native kernels for exactly that shape:
   ``impl="reference"`` loop) and the yardstick of the fused loop's
   bandwidth benchmark.
 
-Both kernels sum their windows in one cache-blocked fused loop with
-fixed-order row reductions, and both are cross-checked against the
+All three sum their windows in one cache-blocked fused loop with
+fixed-order row reductions.  Both kernels are cross-checked against the
 scalar implementation in ``tests/stats/test_batch.py`` (agreement to
 ``<= 1e-10`` including the ``p in {0, 1}`` boundaries).
 
@@ -42,6 +49,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +60,7 @@ from repro.utils.validation import check_positive, check_positive_int
 __all__ = [
     "log_factorial_table",
     "exact_coverage_failure_probability_vec",
+    "coverage_failure_bounds",
     "exact_coverage_failure_probability_pairs",
 ]
 
@@ -157,15 +166,38 @@ _LOG_COMB_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
 _LOG_COMB_CACHE_SIZE = 48
 
 
-def _log_comb_row(n: int) -> np.ndarray:
-    """``log C(n, k)`` for ``k = 0 .. n`` (cached for the last few ``n``)."""
+def _row_pad(n: int) -> int:
+    """Cells of ``_LOG_ZERO`` padding on each side of a cached row.
+
+    A grid-kernel window is at most ``min(n + 1, ceil(8 * sqrt(n / 4)) +
+    slack + 2)`` cells wide (``p * (1 - p) <= 1/4``) and, with empty tails
+    clamped to the cutoffs ``-1`` and ``n + 1``, reaches at most one
+    window length past either end of ``[0, n]``; the bound pass reads one
+    cell further.  The rest of the ``+ 8`` absorbs the rounding of the two
+    square roots.
+    """
+    return min(n + 2, int(math.ceil(4.0 * math.sqrt(n))) + 2 * _WINDOW_SLACK + 8)
+
+
+def _padded_log_comb_row(n: int) -> np.ndarray:
+    """``log C(n, k)`` for ``k = 0 .. n``, padded by ``_row_pad(n)`` cells.
+
+    Cached for the last few ``n``; the row is read-only.
+    """
     with _TABLE_LOCK:
         row = _LOG_COMB_CACHE.get(n)
         if row is not None:
             _LOG_COMB_CACHE.move_to_end(n)
             return row
     table = log_factorial_table(n)
-    row = table[n] - table[: n + 1] - table[n::-1]
+    pad = _row_pad(n)
+    row = np.empty(n + 1 + 2 * pad, dtype=np.float64)
+    row[:pad] = _LOG_ZERO
+    row[pad + n + 1 :] = _LOG_ZERO
+    body = row[pad : pad + n + 1]
+    np.subtract(table[n], table[: n + 1], out=body)
+    body -= table[n::-1]
+    row.flags.writeable = False
     with _TABLE_LOCK:
         _LOG_COMB_CACHE[n] = row
         while len(_LOG_COMB_CACHE) > _LOG_COMB_CACHE_SIZE:
@@ -194,21 +226,25 @@ def _fused_window_sums(
     ``width`` *consecutive* cells of ``src``, so each block's gather is
     one C-level copy of sliding-window rows — no index matrix.  Element
     arithmetic and the per-row fixed-order reduction match the pairs
-    kernel's reference loop, so the two are bit-identical.
+    kernel's reference loop, so the two are bit-identical.  ``src`` must
+    be one contiguous float64 row.
     """
-    block = max(1, _FUSED_BLOCK_CELLS // width)
-    windows = np.lib.stride_tricks.sliding_window_view(src, width)
+    block = max(1, min(len(starts), _FUSED_BLOCK_CELLS // width))
+    # The sliding-window view of ``src``, built directly: a tenth of the
+    # cost of ``sliding_window_view`` at the sizes the scans dispatch.
+    step = src.strides[0]
+    windows = np.ndarray((len(src) - width + 1, width), src.dtype, src, 0, (step, step))
     offs_f = np.arange(width, dtype=np.float64)
     work = np.empty((block, width), dtype=np.float64)
-    temp = np.empty((block, width), dtype=np.float64)
+    affine = np.empty((block, width), dtype=np.float64)
     sums = np.empty(len(starts), dtype=np.float64)
     for begin in range(0, len(starts), block):
         rows = min(block, len(starts) - begin)
         sl = slice(begin, begin + rows)
         view = work[:rows]
-        view[...] = windows[starts[sl]]
-        np.multiply(logit[sl, None], offs_f[None, :], out=temp[:rows])
-        view += temp[:rows]
+        np.multiply(logit[sl, None], offs_f[None, :], out=affine[:rows])
+        # The gathered rows feed the add directly: one copy, not two.
+        np.add(windows[starts[sl]], affine[:rows], out=view)
         view += const[sl, None]
         np.exp(view, out=view)
         # Per-row pairwise reduction (not a BLAS matvec): the summation
@@ -218,7 +254,75 @@ def _fused_window_sums(
     return sums
 
 
-def exact_coverage_failure_probability_vec(n: int, p_grid, epsilon: float) -> np.ndarray:
+class _GridTails(NamedTuple):
+    """A validated grid and, per interior point, its two tail windows."""
+
+    p: np.ndarray  # the whole grid
+    interior: np.ndarray  # mask of 0 < p < 1
+    pi: np.ndarray  # the interior points
+    lo_cut: np.ndarray  # last k of each lower tail (-1 when empty)
+    hi_cut: np.ndarray  # first k of each upper tail (n + 1 when empty)
+    logit: np.ndarray
+    log1mp: np.ndarray
+    length: int  # the kernel's window length, common to every row
+
+
+def _grid_tails(
+    n: int, p_grid, epsilon: float, window_variance: float | None
+) -> _GridTails:
+    """Validated set-up shared by the grid kernel and its bounds.
+
+    Empty tails have their cutoff clamped to ``-1`` or ``n + 1``, so their
+    windows lie wholly in the row padding and still sum to exactly zero.
+    """
+    n = check_positive_int(n, "n")
+    check_positive(epsilon, "epsilon")
+    p = np.atleast_1d(np.asarray(p_grid, dtype=np.float64))
+    # NaN fails both comparisons.
+    if len(p) and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise InvalidParameterError("p_grid must lie in [0, 1]")
+    interior = (p > 0.0) & (p < 1.0)
+    pi = p[interior]
+    # Identical cutoff arithmetic to the scalar implementation.
+    lo_cut = (np.ceil(n * (pi - epsilon) - 1e-12) - 1).astype(np.int64)
+    hi_cut = (np.floor(n * (pi + epsilon) + 1e-12) + 1).astype(np.int64)
+    np.maximum(lo_cut, -1, out=lo_cut)
+    np.minimum(hi_cut, n + 1, out=hi_cut)
+    log1mp = np.log1p(-pi)
+    logit = np.log(pi) - log1mp
+
+    # Window length: the cut sits ~ epsilon*n draws from the mean already,
+    # so the window only needs to cover the remaining distance out to
+    # _WINDOW_SIGMAS sigma + slack (and never more than the full support).
+    variance = float(np.max(pi * (1.0 - pi))) if len(pi) else 0.0
+    if window_variance is not None:
+        if not 0.0 <= window_variance <= 0.25:
+            raise InvalidParameterError(
+                f"window_variance must lie in [0, 1/4], got {window_variance!r}"
+            )
+        variance = max(variance, window_variance)
+    sigma_max = math.sqrt(n * variance)
+    depth = int(math.ceil(_WINDOW_SIGMAS * sigma_max)) + _WINDOW_SLACK
+    length = int(min(n + 1, max(_WINDOW_SLACK, depth - math.floor(epsilon * n) + 2)))
+    return _GridTails(p, interior, pi, lo_cut, hi_cut, logit, log1mp, length)
+
+
+def _tail_windows(n: int, t: _GridTails, width: int):
+    """``(starts, logit2, const)`` of ``width``-cell windows, both tails.
+
+    Rows are the lower tails, then the upper tails; each window is
+    anchored at its cutoff (a lower window *ends* at ``lo_cut``, an upper
+    window *starts* at ``hi_cut``).  ``starts`` are k-space positions.
+    """
+    starts = np.concatenate([t.lo_cut - (width - 1), t.hi_cut])
+    logit2 = np.concatenate([t.logit, t.logit])
+    const = logit2 * starts + n * np.concatenate([t.log1mp, t.log1mp])
+    return starts, logit2, const
+
+
+def exact_coverage_failure_probability_vec(
+    n: int, p_grid, epsilon: float, *, window_variance: float | None = None
+) -> np.ndarray:
     """Exact ``Pr[|Binomial(n, p)/n - p| > epsilon]`` for a vector of ``p``.
 
     The batch counterpart of
@@ -233,51 +337,91 @@ def exact_coverage_failure_probability_vec(n: int, p_grid, epsilon: float) -> np
     the 1e-10 agreement the tests enforce.  The per-term log-pmf
     separates as
     ``log C(n,k) + k*logit(p) + n*log(1-p)``, so every tail is a window of
-    one shared, padded ``log C(n, .)`` row plus an affine term: the sums
-    run through the same cache-blocked fused window loop as
-    :func:`exact_coverage_failure_probability_pairs`, with fixed-order
-    per-row reductions and no per-element Python work.  Positions outside
-    ``[0, n]`` hit padding cells whose ``exp`` is exactly zero.
+    one shared, padded ``log C(n, .)`` row (cached per ``n``) plus an
+    affine term: the sums run through the same cache-blocked fused window
+    loop as :func:`exact_coverage_failure_probability_pairs`, with
+    fixed-order per-row reductions and no per-element Python work.
+    Positions outside ``[0, n]`` hit padding cells whose ``exp`` is
+    exactly zero.
+
+    The window length follows the largest ``p * (1 - p)`` on the grid.
+    ``window_variance`` raises that to at least the given value (at most
+    1/4): evaluating a subset of a grid with the whole grid's maximum
+    returns values bit-identical to the whole-grid call.
     """
-    n = check_positive_int(n, "n")
-    check_positive(epsilon, "epsilon")
-    p = np.atleast_1d(np.asarray(p_grid, dtype=np.float64))
-    if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
-        raise InvalidParameterError("p_grid must lie in [0, 1]")
-    out = np.zeros(p.shape, dtype=np.float64)
-    interior = (p > 0.0) & (p < 1.0)
-    if not np.any(interior):
+    t = _grid_tails(n, p_grid, epsilon, window_variance)
+    out = np.zeros(t.p.shape, dtype=np.float64)
+    if not len(t.pi):
         return out
-    pi = p[interior]
-    # Identical cutoff arithmetic to the scalar implementation.
-    lo_cut = (np.ceil(n * (pi - epsilon) - 1e-12) - 1).astype(np.int64)
-    hi_cut = (np.floor(n * (pi + epsilon) + 1e-12) + 1).astype(np.int64)
-    log1mp = np.log1p(-pi)
-    logit = np.log(pi) - log1mp
-
-    # Window length: the cut sits ~ epsilon*n draws from the mean already,
-    # so the window only needs to cover the remaining distance out to
-    # _WINDOW_SIGMAS sigma + slack (and never more than the full support).
-    sigma_max = math.sqrt(n * float(np.max(pi * (1.0 - pi))))
-    depth = int(math.ceil(_WINDOW_SIGMAS * sigma_max)) + _WINDOW_SLACK
-    length = int(min(n + 1, max(_WINDOW_SLACK, depth - math.floor(epsilon * n) + 2)))
-
-    # Pad generously: lower windows can start near -(epsilon*n + length),
-    # upper windows can end near n + epsilon*n + length.
-    pad = length + int(math.ceil(epsilon * n)) + 2
-    padded = np.full(n + 1 + 2 * pad, _LOG_ZERO)
-    padded[pad : pad + n + 1] = _log_comb_row(n)
-
-    # Row layout: the lower tails (windows ending at lo_cut), then the
-    # upper tails (windows starting at hi_cut).
-    starts = np.concatenate([lo_cut - (length - 1), hi_cut])
-    logit2 = np.concatenate([logit, logit])
-    const = logit2 * starts + n * np.concatenate([log1mp, log1mp])
-    # The pad is sized so every start index lands inside `padded`.
-    sums = _fused_window_sums(padded, starts + pad, logit2, const, length)
-    m = len(pi)
-    out[interior] = np.minimum(1.0, sums[:m] + sums[m:])
+    n = int(n)
+    starts, logit2, const = _tail_windows(n, t, t.length)
+    # The pad is sized so every start index lands inside the row.
+    sums = _fused_window_sums(
+        _padded_log_comb_row(n), starts + _row_pad(n), logit2, const, t.length
+    )
+    m = len(t.pi)
+    out[t.interior] = np.minimum(1.0, sums[:m] + sums[m:])
     return out
+
+
+def coverage_failure_bounds(
+    n: int, p_grid, epsilon: float, terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified ``(lower, upper)`` bounds on the grid kernel's values.
+
+    ``lower`` sums the first ``min(terms, window)`` terms of each tail
+    window next to its cutoff, through the same fused loop; those terms
+    are a subset of the kernel's window, so ``lower`` is at most the
+    kernel's value up to rounding.  ``upper`` adds a geometric bound on
+    the rest of each tail: past the cutoff the ratio of successive terms,
+    ``b(k+1)/b(k) = (n-k)p / ((k+1)(1-p))`` for the upper tail (mirrored
+    for the lower one), only falls, so the terms from the first omitted
+    one ``b(k)`` on sum to at most ``b(k) / (1 - ratio(k))`` — or
+    infinity when that ratio is not below one.  ``upper`` bounds the
+    exact tails, and the kernel's windows only ever cut them shorter, so
+    it also bounds the kernel's value up to rounding.  Both are clamped
+    at 1 as the kernel clamps; ``p`` in ``{0, 1}`` gets ``(0, 0)``.
+    """
+    terms = check_positive_int(terms, "terms")
+    t = _grid_tails(n, p_grid, epsilon, None)
+    lower = np.zeros(t.p.shape, dtype=np.float64)
+    upper = np.zeros(t.p.shape, dtype=np.float64)
+    if not len(t.pi):
+        return lower, upper
+    n, m = int(n), len(t.pi)
+    width = min(terms, t.length)
+    row, pad = _padded_log_comb_row(n), _row_pad(n)
+    starts, logit2, const = _tail_windows(n, t, width)
+    partial = _fused_window_sums(row, starts + pad, logit2, const, width)
+
+    # The first term each partial window leaves out sits at offset -1 of
+    # a lower window and ``width`` of an upper one.  Outside [0, n] it
+    # reads a padding cell, so its exp, and the rest of that tail, is 0.
+    offset = np.empty(2 * m, dtype=np.float64)
+    offset[:m] = -1.0
+    offset[m:] = width
+    k = starts + offset
+    first = np.exp(row[k.astype(np.int64) + pad] + logit2 * offset + const)
+    # Ratio of the next term to that one: k q / ((n - k + 1) p) going
+    # down, (n - k) p / ((k + 1) q) going up.  Past the window 1 - ratio
+    # stays above about 2/sqrt(n), so rounding it moves the bound far
+    # less than the scan's margin.
+    ratio = np.empty(2 * m, dtype=np.float64)
+    np.divide(k[:m], n + 1.0 - k[:m], out=ratio[:m])
+    np.divide(n - k[m:], k[m:] + 1.0, out=ratio[m:])
+    logit2[:m] *= -1.0
+    # Odds past e^700 (p below ~1e-304) only make the ratio huge; capping
+    # them keeps exp finite and 0 * odds at 0 where a tail ends.
+    np.minimum(logit2, 700.0, out=logit2)
+    ratio *= np.exp(logit2)
+    gap = 1.0 - ratio
+    rest = first / np.where(gap > 0.0, gap, 1.0)
+    rest[gap <= 0.0] = np.inf
+    lower[t.interior] = np.minimum(1.0, partial[:m] + partial[m:])
+    upper[t.interior] = np.minimum(
+        1.0, (partial[:m] + rest[:m]) + (partial[m:] + rest[m:])
+    )
+    return lower, upper
 
 
 _PAIRS_LAYOUT_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
@@ -331,8 +475,9 @@ def _pairs_layout(unique_ns: tuple, pad: int) -> tuple[np.ndarray, np.ndarray]:
     seg_bases = seg_offsets + pad
     concat = np.full(int(seg_sizes.sum()), _LOG_ZERO)
     for g, nv in enumerate(unique_ns):
-        base = int(seg_bases[g])
-        concat[base : base + nv + 1] = _log_comb_row(nv)
+        base, row_pad = int(seg_bases[g]), _row_pad(nv)
+        row = _padded_log_comb_row(nv)
+        concat[base : base + nv + 1] = row[row_pad : row_pad + nv + 1]
     concat.flags.writeable = False
     with _TABLE_LOCK:
         _PAIRS_LAYOUT_CACHE[key] = (concat, seg_bases)

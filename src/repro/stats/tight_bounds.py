@@ -31,19 +31,33 @@ Backends and caching
 accept ``backend="batch"`` (default) or ``backend="scalar"``:
 
 * ``"batch"`` runs the grid scans through the NumPy kernels in
-  :mod:`repro.stats.batch` — the whole worst-case-``p`` grid is evaluated
-  as one windowed pmf matrix, and bisection probes short-circuit as soon
-  as any grid point already exceeds ``delta`` (sound: the scan only ever
-  *adds* candidate maxima, so crossing the threshold early settles the
-  comparison the probe asked for).  The grid trajectory (grid points,
-  refinement windows, argmax tie-breaks) is the scalar path's up to the
-  ``p <-> 1-p`` mirror at level 0 (see :func:`_scan_batch`), so both
-  backends return the same sample sizes; the benchmark suite enforces a
-  >= 20x speedup at paper-scale parameters.
+  :mod:`repro.stats.batch`, bound first, verify second.  Each refinement
+  level gets certified lower and upper bounds for every grid point
+  (:func:`repro.stats.batch.coverage_failure_bounds`: the first
+  ``ceil(1/epsilon)`` terms of each tail window plus a geometric bound
+  on the rest), and the exact grid kernel runs only on the points whose
+  upper bound can still reach the level's best value — about a fifth of
+  them at planning scale.  A full scan returns the bit-identical
+  ``(worst_f, argmax p)`` of evaluating every point exactly, and
+  bisection probes short-circuit as soon as a lower bound or an exact
+  value already exceeds ``delta`` (sound: the scan only ever *adds*
+  candidate maxima, so crossing the threshold early settles the
+  comparison the probe asked for).  The search's first probe, the
+  Hoeffding anchor, is answered by Hoeffding's inequality without a
+  scan whenever it settles it with margin.  The grid trajectory (grid
+  points, refinement windows, argmax tie-breaks) is the scalar path's up
+  to the ``p <-> 1-p`` mirror at level 0 (see :func:`_scan_batch`), so
+  both backends return the same sample sizes; the benchmark suite
+  enforces a >= 20x speedup at paper-scale parameters.
 * ``"scalar"`` is the original pure-Python loop over
   :func:`repro.stats.binomial.binom_cdf`, kept verbatim as the reference
   implementation the batch kernels are cross-checked (and benchmarked)
   against.
+
+The exact search refuses sizes above ``2^24`` labels (``_MAX_N``): a
+Hoeffding anchor, an ``n_hint``, or a batch worst-case ``n`` past it
+raises :class:`~repro.exceptions.InvalidParameterError` instead of
+allocating a log-factorial table of that length.
 
 Results of :func:`tight_sample_size` and the batch worst-case scans are
 memoized process-wide through :mod:`repro.stats.cache` — a CI service
@@ -60,6 +74,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.stats.batch import (
+    coverage_failure_bounds,
     # Unused here: perfbench/layers.py wraps it in vars(tight_bounds).
     exact_coverage_failure_probability_pairs,  # noqa: F401
     exact_coverage_failure_probability_vec,
@@ -145,6 +160,34 @@ def _scan_scalar(n: int, epsilon: float, grid: int, refine: int) -> tuple[float,
     return best_f, best_p
 
 
+def _bound_terms(epsilon: float) -> int:
+    """Terms per tail the bound pass sums before its geometric tail bound.
+
+    Any count is sound; it only trades the bound pass's cost against how
+    tight the upper bound is.  Past a cutoff successive terms shrink by
+    about ``1 - epsilon / (p (1 - p))``, at least ``1 - 4 epsilon``, so
+    ``ceil(1/epsilon)`` terms already hold all but a few percent of each
+    tail's mass, in about a quarter of the kernel's window at planning
+    scale.
+    """
+    return math.ceil(1.0 / epsilon)
+
+
+# A point is evaluated exactly only if its upper bound reaches the level's
+# best known value times (1 - _PRUNE_MARGIN).  The kernel's rounding is
+# at most ~6.4e-11 relative at n = 6e4 and ~1e-8 at the size cap (the
+# MIRROR_RTOL note in tests/stats/test_batch.py), so a skipped point's
+# computed value is strictly below a value already reached and cannot be
+# the level's first strict improvement.  The margin applies to the best
+# value *and* to the best lower bound: two mirror points can differ by an
+# ulp.
+_PRUNE_MARGIN = 1e-6
+# Absolute slack under the pruning floor: near float64's subnormal range
+# a relative margin means nothing, so levels whose best value is below
+# ~1e-300 are evaluated in full.
+_PRUNE_FLOOR = 1e-300
+
+
 def _scan_batch(
     n: int,
     epsilon: float,
@@ -159,12 +202,21 @@ def _scan_batch(
     first-strict-improvement tie-break.  One departure: on an even grid,
     level 0 is symmetric about 1/2, and ``f(n, p, eps) = f(n, 1-p, eps)``
     makes its right half a mirror of the left that can never win a
-    first-strict-improvement argmax, so only the left half is evaluated.  The maximum agrees with
-    the scalar scan's to rounding; the argmax may be its mirror image.
-    When ``stop_above`` is given the scan returns as soon as the running
-    maximum exceeds it (refinement only ever raises the maximum, so the
-    caller's threshold comparison is already decided).
+    first-strict-improvement argmax, so only the left half is evaluated.
+    The maximum agrees with the scalar scan's to rounding; the argmax may
+    be its mirror image.
+
+    Each level is bounded, then verified: certified lower and upper
+    bounds (:func:`repro.stats.batch.coverage_failure_bounds`) for every
+    point, then the exact kernel only on the points whose upper bound
+    reaches the best value known so far (see ``_PRUNE_MARGIN``), at the
+    whole level's window width.  The result is bit-identical to
+    evaluating every point exactly.  When ``stop_above`` is given the
+    scan returns as soon as a lower bound or the running maximum exceeds
+    it (refinement only ever raises the maximum, so the caller's
+    threshold comparison is already decided).
     """
+    terms = _bound_terms(epsilon)
     lo, hi = 0.0, 1.0
     best_p, best_f = 0.5, 0.0
     for level in range(refine + 1):
@@ -172,10 +224,24 @@ def _scan_batch(
         p = lo + np.arange(grid + 1) * step
         if level == 0 and grid % 2 == 0:
             p = p[: grid // 2 + 1]
-        f = exact_coverage_failure_probability_vec(n, p, epsilon)
-        i = int(np.argmax(f))
-        if f[i] > best_f:
-            best_f, best_p = float(f[i]), float(p[i])
+        lower, upper = coverage_failure_bounds(n, p, epsilon, terms)
+        certain = float(np.max(lower)) * (1.0 - _PRUNE_MARGIN) - _PRUNE_FLOOR
+        if stop_above is not None and certain > stop_above:
+            i = int(np.argmax(lower))
+            return float(lower[i]), float(p[i])
+        floor = max(best_f * (1.0 - _PRUNE_MARGIN) - _PRUNE_FLOOR, certain)
+        live = np.flatnonzero(upper >= floor)
+        if len(live):
+            # The whole level's window width keeps subset values
+            # bit-identical to evaluating the level at once.
+            pi = p[(p > 0.0) & (p < 1.0)]
+            variance = float(np.max(pi * (1.0 - pi)))
+            f = exact_coverage_failure_probability_vec(
+                n, p[live], epsilon, window_variance=variance
+            )
+            i = int(np.argmax(f))
+            if f[i] > best_f:
+                best_f, best_p = float(f[i]), float(p[live[i]])
         if stop_above is not None and best_f > stop_above:
             return best_f, best_p
         lo = max(0.0, best_p - 2 * step)
@@ -206,6 +272,7 @@ def worst_case_failure_probability(
     grid, refine = _check_scan_grid(grid, refine)
     if _check_backend(backend) == "scalar":
         return _scan_scalar(n, epsilon, grid, refine)[0]
+    _check_size_cap(n, "n")
     return _worst_case_cached(n, epsilon, grid, refine)[0]
 
 
@@ -222,6 +289,34 @@ def _exceeds_delta_batch(
 # Outer searches
 # ---------------------------------------------------------------------------
 
+# The largest testset the exact search may reach: the batch kernels keep
+# a float64 log-factorial table of n + 1 entries, so 2^24 labels is a
+# 128 MB table, far above the paper's 2K-100K regime.  A Hoeffding anchor,
+# an ``n_hint`` or a batch worst-case ``n`` above it is refused.
+_MAX_N = 1 << 24
+
+
+def _check_size_cap(n: float, what: str) -> None:
+    if n > _MAX_N:
+        raise InvalidParameterError(
+            f"{what} is {n:.0f} labels, above the exact search's cap of "
+            f"{_MAX_N} (2^24); use a concentration bound at this scale"
+        )
+
+
+def _hoeffding_certifies(n: int, epsilon: float, delta: float) -> bool:
+    """Does Hoeffding's inequality alone settle ``max_p f(n, p) <= delta``?
+
+    ``Pr[|hat p - p| >= epsilon] <= 2 exp(-2 n epsilon^2)`` for every
+    ``p``, so the scan could only answer "feasible".  The
+    ``_PRUNE_MARGIN`` slack keeps the computed scan (its rounding, and
+    cutoffs rounded by ``n * (p +- epsilon)``) below ``delta`` too, so the
+    certificate gives the scan's own decision.  It settles the search's
+    first probe, the Hoeffding anchor, whenever the anchor is the hint.
+    """
+    return 2.0 * math.exp(-2.0 * n * epsilon * epsilon) <= delta * (1.0 - _PRUNE_MARGIN)
+
+
 @memoize("stats.tight_bounds.tight_sample_size", maxsize=4096)
 def _tight_sample_size_cached(
     epsilon: float,
@@ -236,6 +331,8 @@ def _tight_sample_size_cached(
             return _scan_scalar(n, epsilon, grid, refine)[0] > delta
     else:
         def exceeds(n: int) -> bool:
+            if _hoeffding_certifies(n, epsilon, delta):
+                return False
             return _exceeds_delta_batch(n, epsilon, delta, grid, refine)
 
     hi = hint
@@ -295,9 +392,14 @@ def tight_sample_size(
     check_probability(delta, "delta")
     grid, refine = _check_scan_grid(grid, refine)
     _check_backend(backend)
+    if n_hint is not None:
+        _check_size_cap(check_positive_int(n_hint, "n_hint"), "n_hint")
     if epsilon >= 1.0:
         return 1
-    hoeffding_n = int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
+    spread = 2.0 * epsilon * epsilon  # underflows to 0.0 for tiny epsilon
+    anchor = math.log(2.0 / delta) / spread if spread else math.inf
+    _check_size_cap(anchor, f"the Hoeffding anchor of epsilon={epsilon!r}, delta={delta!r}")
+    hoeffding_n = int(math.ceil(anchor))
     hint = max(1, n_hint or hoeffding_n)
     if n_hint is None or n_hint == hoeffding_n:
         # The common, hint-free call: one shared cache entry.

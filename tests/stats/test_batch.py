@@ -74,16 +74,18 @@ class TestCoverageKernelAtPlanningScale:
 
         evaluated = []
 
-        def recording(n, p_grid, epsilon):
+        def recording(n, p_grid, epsilon, **kwargs):
             evaluated.append(np.array(p_grid))
-            return exact_coverage_failure_probability_vec(n, p_grid, epsilon)
+            return exact_coverage_failure_probability_vec(n, p_grid, epsilon, **kwargs)
 
         monkeypatch.setattr(
             tight_bounds, "exact_coverage_failure_probability_vec", recording
         )
         best_f, best_p = tight_bounds._scan_batch(n, epsilon, grid, 0)
-        assert len(evaluated) == 1
-        assert np.array_equal(evaluated[0], points[: grid // 2 + 1])
+        # Level 0 evaluates points of the left half only (the bound pass
+        # decides which of them run through the exact kernel).
+        assert evaluated
+        assert all(np.all((p >= 0.0) & (p <= 0.5)) for p in evaluated)
         assert best_f == pytest.approx(full.max(), rel=MIRROR_RTOL, abs=0.0)
         argmax = points[int(np.argmax(full))]
         assert best_p in (argmax, 1.0 - argmax)

@@ -11,7 +11,8 @@
 #                           fleet-churn untraced); fails on a crash, a
 #                           failed check or a failed operation
 #   make test-faults      - the chaos suite: fault injection, corruption
-#                           restore, disk chaos, chaos parity
+#                           restore, disk chaos, chaos parity, plus the
+#                           fleet power-loss and crash-window sweeps
 #   make conformance      - the conformance kit: cold-plan engine parity,
 #                           restart and chaos checks (tests/conformance)
 #   make coverage         - line coverage (pytest-cov when installed,
@@ -56,7 +57,8 @@ perfbench-smoke:
 	$(PYTHON) tools/perfbench_smoke.py
 
 test-faults:
-	$(PYTHON) -m pytest -q tests/reliability
+	$(PYTHON) -m pytest -q tests/reliability tests/fleet/test_power_loss.py \
+		tests/fleet/test_crash_windows.py
 
 conformance:
 	$(PYTHON) -m pytest -q tests/conformance

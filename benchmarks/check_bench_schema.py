@@ -110,6 +110,10 @@ SCHEMAS = {
     },
     "BENCH_fleet.json": {
         "quick": bool,
+        "environment.cpus": int,
+        "environment.python": str,
+        "environment.numpy": str,
+        "environment.platform": str,
         "parity.tenants": int,
         "parity.modes": int,
         "parity.commits_per_tenant": int,
@@ -122,6 +126,8 @@ SCHEMAS = {
         "parity.isolated_seconds": NUMBER,
         "parity.fleet_isolated_ratio": NUMBER,
         "parity.results_identical": bool,
+        "parity.journal_bytes_per_submission": NUMBER,
+        "parity.intake_bytes_per_submission": NUMBER,
         "skewed.tenants": int,
         "skewed.modes": int,
         "skewed.submissions": int,
@@ -134,6 +140,8 @@ SCHEMAS = {
         "skewed.isolated_seconds": NUMBER,
         "skewed.fleet_isolated_ratio": NUMBER,
         "skewed.results_identical": bool,
+        "skewed.journal_bytes_per_submission": NUMBER,
+        "skewed.intake_bytes_per_submission": NUMBER,
         "overload.attempted": int,
         "overload.accepted": int,
         "overload.rejected": int,

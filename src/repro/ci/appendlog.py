@@ -9,7 +9,7 @@ log with different record schemas (:class:`LogSchema`).  The log owns:
   the line's own bytes; only a line not in that exact form is parsed and
   re-serialized instead, so the accepted lines are unchanged.
 * **Group commit.**  Every append is flushed, so it survives process
-  death.  Only appends of the schema's ``durable`` kinds (the ones that
+  death.  Only the records the schema calls ``durable`` (the ones that
   precede an external effect) fsync, and each fsync makes every earlier
   append durable too; :meth:`AppendLog.sync` flushes the rest.  A power
   loss drops at most what was written since the file's last fsync.
@@ -107,7 +107,8 @@ class LogSchema:
     a parsed record's ``(sequence, kind)`` or raises ``KeyError``,
     ``TypeError`` or ``ValueError``; ``fast_key`` reads them off a
     CRC-verified canonical line without parsing (``None``: use ``key``).
-    ``durable`` kinds fsync; ``legacy`` accepts lines without a ``crc``.
+    ``durable`` says whether a record fsyncs before its append returns;
+    ``legacy`` accepts lines without a ``crc``.
     """
 
     noun: str
@@ -115,7 +116,7 @@ class LogSchema:
     source: str
     key: Callable[[dict[str, Any]], Key]
     fast_key: Callable[[bytes], Key | None]
-    durable: frozenset[str]
+    durable: Callable[[dict[str, Any]], bool]
     legacy: bool = False
     fsync_site: bool = False
 
@@ -138,15 +139,10 @@ class LogSchema:
             return None
 
     def parse(self, chunk: bytes) -> dict[str, Any]:
-        """The record on a line :meth:`classify` found intact."""
-        line = chunk.rstrip(b"\r\n")
-        if _exact(line):
-            raw = json.loads(line)
-            del raw["crc"]
-            return raw
-        return _reserialized(
-            chunk.decode("utf-8", errors="replace").strip(), self.legacy
-        )
+        """The record on a line :meth:`classify` found intact (not re-checked)."""
+        raw = json.loads(chunk.decode("utf-8", errors="replace"))
+        raw.pop("crc", None)
+        return raw
 
 
 class LogLine(NamedTuple):
@@ -312,14 +308,14 @@ class AppendLog:
 
     # -- writing -------------------------------------------------------------
     def append(self, record: dict[str, Any]) -> None:
-        """Append one JSON-ready record; fsynced when its kind is durable.
+        """Append one JSON-ready record; fsynced when the schema says durable.
 
         On any failure the file is truncated back, so the record never
         happened and the next append simply reopens.
         """
         sequence, kind = self.schema.key(record)
         data = render_line(record)
-        durable = self._fsync and kind in self.schema.durable
+        durable = self._fsync and self.schema.durable(record)
         sites = self.schema.sites
         handle = self._acquire()
         start = os.fstat(handle.fileno()).st_size
@@ -368,14 +364,19 @@ class AppendLog:
         self._unsynced = False
 
     # -- reading -------------------------------------------------------------
-    def _current(self, kinds: Collection[str] | None) -> bytes:
+    def _current(self, kinds: Collection[str] | None, after: int) -> bytes:
         """The file's bytes, with the index brought up to date for them."""
-        data = self.path.read_bytes() if self.path.exists() else b""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
         if len(data) == self._end and all(
             self.schema.classify(data[line.start:line.end])
             == (line.sequence, line.kind)
             for line in self.lines
-            if line.sequence is not None and (kinds is None or line.kind in kinds)
+            if line.sequence is not None
+            and line.sequence > after
+            and (kinds is None or line.kind in kinds)
         ):
             return data
         self.lines, self._valid_end = _scan(data, self.schema)
@@ -383,15 +384,20 @@ class AppendLog:
         return data
 
     def entries(
-        self, kinds: Collection[str] | None = None, *, strict: bool = True
+        self,
+        kinds: Collection[str] | None = None,
+        *,
+        strict: bool = True,
+        after: int = 0,
     ) -> Iterator[tuple[LogLine, bytes]]:
         """Verified intact lines of ``kinds`` (all when ``None``) with bytes.
 
-        Reaching an intact record after a damaged line raises
+        Only lines whose sequence exceeds ``after`` are verified and
+        yielded.  Reaching an intact record after a damaged line raises
         :class:`PersistenceError` unless ``strict`` is off; damage at the
         end of the file is a torn tail and is skipped.
         """
-        data = self._current(kinds)
+        data = self._current(kinds, after)
         pending_error: PersistenceError | None = None
         for line in tuple(self.lines):  # appends during the loop are not ours
             if line.sequence is None:
@@ -404,12 +410,43 @@ class AppendLog:
                 continue
             if pending_error is not None:
                 raise pending_error
-            if kinds is None or line.kind in kinds:
+            if line.sequence > after and (kinds is None or line.kind in kinds):
                 yield line, data[line.start:line.end]
 
+    def read(self, sequences: Collection[int]) -> list[tuple[LogLine, bytes]]:
+        """The verified intact lines with these sequences, in file order.
+
+        Only those lines are read, by the byte ranges the index holds; a
+        file that changed since it was indexed is rescanned instead.
+        """
+        wanted = [line for line in self.lines if line.sequence in sequences]
+        try:
+            with open(self.path, "rb") as handle:
+                fresh = os.fstat(handle.fileno()).st_size == self._end
+                chunks = [
+                    os.pread(handle.fileno(), line.end - line.start, line.start)
+                    for line in (wanted if fresh else ())
+                ]
+        except FileNotFoundError:
+            fresh = False
+        if fresh and all(
+            self.schema.classify(chunk) == (line.sequence, line.kind)
+            for line, chunk in zip(wanted, chunks)
+        ):
+            return list(zip(wanted, chunks))
+        return [
+            (line, chunk)
+            for line, chunk in self.entries(strict=False)
+            if line.sequence in sequences
+        ]
+
     def records(
-        self, kinds: Collection[str] | None = None, *, strict: bool = True
+        self,
+        kinds: Collection[str] | None = None,
+        *,
+        strict: bool = True,
+        after: int = 0,
     ) -> Iterator[dict[str, Any]]:
         """Parsed records of ``kinds`` (all when ``None``), oldest first."""
-        for _, chunk in self.entries(kinds, strict=strict):
+        for _, chunk in self.entries(kinds, strict=strict, after=after):
             yield self.schema.parse(chunk)

@@ -14,10 +14,13 @@ labels the math says are spent.  This module makes the state durable:
   begins.
 * :class:`EventJournal` — the event log (commit received / build
   recorded / promotion / rotation / alarm / snapshot / restore), an
-  :class:`~repro.ci.appendlog.AppendLog`.  ``commit-received`` records
-  embed the committed model (pickled, base64) and are fsynced *before*
-  the build runs, so a crash mid-build loses no commit: restore replays
-  it deterministically.
+  :class:`~repro.ci.appendlog.AppendLog`.  A ``commit-received`` record
+  is the commit's durable copy, written *before* the build runs, so a
+  crash mid-build loses no commit: restore replays it deterministically.
+  It either embeds the committed model (pickled, base64) and is fsynced,
+  or — for a fleet tenant's started submission — names the fsynced
+  intake record that already holds the model (``intake_sequence``) and
+  is only flushed.
 * :func:`open_state_dir` — the one-directory layout convention
   (``<dir>/snapshots/`` + ``<dir>/journal.jsonl``) used by
   :meth:`CIService.persist_to` / :meth:`CIService.resume` and the
@@ -29,17 +32,20 @@ Crash model
 -----------
 Kill the process at any *journal boundary* (between two appends; each
 append is flushed before returning) and restore: the service loads the
-latest snapshot, then replays every journaled ``commit-received`` whose
-repository sequence the snapshot does not yet contain, in order,
-deduplicated by sequence.  Because evaluation is a pure function of
-engine state and the committed model, the replayed
-:class:`CommitResult`/:class:`BuildRecord` sequence is element-wise
-identical to the uninterrupted run — in all three adaptivity modes (the
-restart-parity suite asserts this).  An appended record survives process
-death; it survives power loss once the next fsync of the journal
-returns — every ``commit-received`` append, and every snapshot, which
-syncs the journal first.  A power loss therefore drops only records
-after the last commit, the same state as a crash at that boundary.
+latest snapshot, then replays every journaled ``commit-received`` past
+the snapshot's journal anchor whose repository sequence the snapshot
+does not yet contain, in order, deduplicated by sequence.  Because
+evaluation is a pure function of engine state and the committed model,
+the replayed :class:`CommitResult`/:class:`BuildRecord` sequence is
+element-wise identical to the uninterrupted run — in all three
+adaptivity modes (the restart-parity suite asserts this).  An appended
+record survives process death; it survives power loss once the next
+fsync of the journal returns — every model-carrying ``commit-received``
+append, and every snapshot, which syncs the journal first.  A power
+loss therefore drops only records after the last such fsync.  In a
+fleet tenant dir (``<dir>/intake.jsonl`` present) the records it can
+drop include the ``commit-received`` of started submissions; those are
+replayed from the intake instead (see :mod:`repro.fleet.intake`).
 
 Corruption model
 ----------------
@@ -65,9 +71,10 @@ transports are runtime wiring, so replay suppresses the notifier — the
 pre-crash process already delivered those messages, and at most the
 single in-flight commit's notification can be lost.
 
-Security note: snapshots and ``commit-received`` payloads contain
-pickles (models are arbitrary objects).  State directories are trusted,
-server-local data — never restore from an untrusted one.
+Security note: snapshots, ``commit-received`` payloads and intake
+submissions contain pickles (models are arbitrary objects).  State
+directories are trusted, server-local data — never restore from an
+untrusted one.
 """
 
 from __future__ import annotations
@@ -190,16 +197,22 @@ def _journal_fast_key(line: bytes) -> tuple[int, str] | None:
     return None if tail is None else (int(tail[1]), tail[2].decode("ascii"))
 
 
-#: The journal's log schema.  Only ``commit-received`` is fsynced: it is
-#: the record that must be on disk before a build can notify anyone.
-#: Lines without a ``crc`` (journals from before checksums) are read.
+def _journal_durable(raw: dict[str, Any]) -> bool:
+    return raw["type"] == COMMIT_RECEIVED and "intake_sequence" not in raw["payload"]
+
+
+#: The journal's log schema.  Only a model-carrying ``commit-received`` is
+#: fsynced: it is the record that must be on disk before a build can
+#: notify anyone.  One that names an intake record is not, since that
+#: record was fsynced first.  Lines without a ``crc`` (journals from
+#: before checksums) are read.
 _JOURNAL = LogSchema(
     noun="journal",
     sites="journal",
     source="ci.persistence",
     key=_journal_key,
     fast_key=_journal_fast_key,
-    durable=frozenset({COMMIT_RECEIVED}),
+    durable=_journal_durable,
     legacy=True,
     fsync_site=True,
 )
@@ -243,9 +256,10 @@ class EventJournal:
     """The append-only event log: journal records over an :class:`AppendLog`.
 
     ``path`` is created with its parents on first append; opening heals a
-    torn tail and indexes every record.  ``sync=False`` skips every fsync
-    (tests and simulations, not deployments).  ``clock`` stamps
-    ``recorded_at`` (UTC now by default).
+    torn tail and indexes every record; ``heal=False`` leaves the file as
+    it is, for read-only inspection that never appends.  ``sync=False``
+    skips every fsync (tests and simulations, not deployments).
+    ``clock`` stamps ``recorded_at`` (UTC now by default).
     """
 
     def __init__(
@@ -254,8 +268,9 @@ class EventJournal:
         *,
         sync: bool = True,
         clock: Callable[[], datetime] | None = None,
+        heal: bool = True,
     ):
-        self._log = AppendLog(path, _JOURNAL, sync=sync)
+        self._log = AppendLog(path, _JOURNAL, sync=sync, heal=heal)
         self.path = self._log.path
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._next_sequence = self._log.last_sequence + 1
@@ -289,7 +304,7 @@ class EventJournal:
 
     # -- writing -------------------------------------------------------------
     def append(self, type: str, payload: dict[str, Any] | None = None) -> JournalRecord:
-        """Append one event: flushed, and fsynced if it is ``commit-received``.
+        """Append one event: flushed, and fsynced if it carries a commit's model.
 
         The payload goes through
         :func:`repro.utils.serialization.to_jsonable` (datetimes, paths,
@@ -385,9 +400,12 @@ class EventJournal:
         """
         return map(JournalRecord._from_raw, self._log.records())
 
-    def records_of(self, type: str) -> Iterator[JournalRecord]:
-        """Like :meth:`records`, parsing only the lines of one event type."""
-        return map(JournalRecord._from_raw, self._log.records((type,)))
+    def records_of(self, type: str, *, after: int = 0) -> Iterator[JournalRecord]:
+        """Like :meth:`records`, parsing only the lines of one event type
+        whose sequence exceeds ``after`` (found through the index)."""
+        return map(
+            JournalRecord._from_raw, self._log.records((type,), after=after)
+        )
 
 
 def _compacted_through(lines: Iterable[LogLine]) -> int:
@@ -412,7 +430,9 @@ class JournalScan:
     snapshot's anchor).  ``compacted_through`` is the highest
     ``compacted-through`` boundary (0 = never compacted): records at or
     below it were dropped on purpose, and a restore needs a snapshot
-    anchored at or past it.
+    anchored at or past it.  ``intake_references`` pairs the journal
+    sequence of every ``commit-received`` that names an intake record
+    with that record's intake sequence.
     """
 
     path: Path
@@ -424,16 +444,21 @@ class JournalScan:
     commit_sequences: tuple[int, ...]
     commit_journal_sequences: tuple[int, ...]
     compacted_through: int = 0
+    intake_references: tuple[tuple[int, int], ...] = ()
 
 
 def scan_journal(path: str | Path) -> JournalScan:
     """Classify a journal file without opening it for repair."""
     path = Path(path)
     log = AppendLog(path, _JOURNAL, heal=False)
-    commits = [
-        (int(raw["payload"]["sequence"]), int(raw["sequence"]))
+    payloads = [
+        (int(raw["sequence"]), raw.get("payload") or {})
         for raw in log.records((COMMIT_RECEIVED,), strict=False)
-        if "sequence" in (raw.get("payload") or {})
+    ]
+    commits = [
+        (int(payload["sequence"]), journal)
+        for journal, payload in payloads
+        if "sequence" in payload
     ]
     return JournalScan(
         path=path,
@@ -445,6 +470,11 @@ def scan_journal(path: str | Path) -> JournalScan:
         commit_sequences=tuple(sequence for sequence, _ in commits),
         commit_journal_sequences=tuple(journal for _, journal in commits),
         compacted_through=_compacted_through(log.lines),
+        intake_references=tuple(
+            (journal, int(payload["intake_sequence"]))
+            for journal, payload in payloads
+            if "intake_sequence" in payload
+        ),
     )
 
 
@@ -467,12 +497,16 @@ class SnapshotInfo:
         On-disk envelope version the snapshot was written with.
     path:
         The snapshot file.
+    repository_length:
+        Commits the snapshot's repository held (0 for envelopes written
+        before it was recorded).
     """
 
     sequence: int
     journal_sequence: int
     format_version: int
     path: Path
+    repository_length: int = 0
 
 
 class Retention(NamedTuple):
@@ -487,6 +521,16 @@ class Retention(NamedTuple):
 
     pruned: list[Path]
     anchor: int
+
+
+def _info_of(envelope: Mapping[str, Any], path: Path) -> SnapshotInfo:
+    return SnapshotInfo(
+        sequence=int(envelope["sequence"]),
+        journal_sequence=int(envelope.get("journal_sequence", 0)),
+        format_version=int(envelope["format_version"]),
+        path=path,
+        repository_length=int(envelope.get("repository_length", 0)),
+    )
 
 
 class SnapshotStore:
@@ -540,7 +584,9 @@ class SnapshotStore:
         return cached if cached is not None else self.load(sequence)[1]
 
     # -- writing -------------------------------------------------------------
-    def save(self, payload: Any, *, journal_sequence: int = 0) -> SnapshotInfo:
+    def save(
+        self, payload: Any, *, journal_sequence: int = 0, repository_length: int = 0
+    ) -> SnapshotInfo:
         """Persist ``payload`` as the next snapshot generation, atomically.
 
         The payload pickle is wrapped in an envelope carrying its CRC-32,
@@ -562,6 +608,7 @@ class SnapshotStore:
             "format_version": SNAPSHOT_FORMAT_VERSION,
             "sequence": sequence,
             "journal_sequence": int(journal_sequence),
+            "repository_length": int(repository_length),
             "checksum": _crc32(payload_pickle),
             "payload_pickle": payload_pickle,
         }
@@ -572,6 +619,7 @@ class SnapshotStore:
             journal_sequence=int(journal_sequence),
             format_version=SNAPSHOT_FORMAT_VERSION,
             path=path,
+            repository_length=int(repository_length),
         )
         torn = torn_bytes(data, fault_point("snapshot.write"))
         if torn is not None:
@@ -606,6 +654,12 @@ class SnapshotStore:
         files are never deleted here — they are :meth:`load_latest`'s to
         quarantine and ``repro ops --fsck``'s to report.
         """
+        pruned, retained = self._retain(keep)
+        anchor = min((info.journal_sequence for info in retained), default=0)
+        return Retention(pruned=pruned, anchor=anchor)
+
+    def _retain(self, keep: int) -> tuple[list[Path], list[SnapshotInfo]]:
+        """:meth:`retain`'s pass: the pruned paths and the retained infos."""
         if keep < 1:
             raise PersistenceError(f"keep must be >= 1, got {keep}")
         valid = []
@@ -614,14 +668,13 @@ class SnapshotStore:
                 envelope, _ = self._read_envelope(sequence)
             except PersistenceError:
                 continue
-            valid.append((sequence, path, int(envelope.get("journal_sequence", 0))))
+            valid.append(_info_of(envelope, path))
         pruned = []
-        for sequence, path, _ in valid[:-keep]:
-            path.unlink()
-            self._info_cache.pop(sequence, None)
-            pruned.append(path)
-        anchor = min((anchor for _, _, anchor in valid[-keep:]), default=0)
-        return Retention(pruned=pruned, anchor=anchor)
+        for info in valid[:-keep]:
+            info.path.unlink()
+            self._info_cache.pop(info.sequence, None)
+            pruned.append(info.path)
+        return pruned, valid[-keep:]
 
     # -- reading -------------------------------------------------------------
     def _read_envelope(self, sequence: int) -> tuple[dict[str, Any], Path]:
@@ -681,12 +734,7 @@ class SnapshotStore:
                 raise SnapshotCorruptError(
                     f"snapshot {path} payload does not unpickle: {exc}"
                 ) from exc
-        info = SnapshotInfo(
-            sequence=int(envelope["sequence"]),
-            journal_sequence=int(envelope["journal_sequence"]),
-            format_version=version,
-            path=path,
-        )
+        info = _info_of(envelope, path)
         self._info_cache[info.sequence] = info
         return payload, info
 
@@ -778,7 +826,7 @@ class SnapshotStore:
 # ---------------------------------------------------------------------------
 
 def open_state_dir(
-    path: str | Path, *, create: bool = True, sync: bool = True
+    path: str | Path, *, create: bool = True, sync: bool = True, heal: bool = True
 ) -> tuple[SnapshotStore, EventJournal]:
     """Open (or create) the one-directory layout the service and CLI share.
 
@@ -786,7 +834,8 @@ def open_state_dir(
     ``<path>/journal.jsonl`` is the :class:`EventJournal`.  With
     ``create=False`` a missing directory raises :class:`PersistenceError`
     (the ``repro ops`` CLI uses this so a typo'd path fails loudly
-    instead of materializing an empty state dir).
+    instead of materializing an empty state dir); ``heal=False`` opens
+    the journal without repairing it (read-only inspection).
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -795,7 +844,7 @@ def open_state_dir(
         directory.mkdir(parents=True, exist_ok=True)
     return (
         SnapshotStore(directory / "snapshots"),
-        EventJournal(directory / "journal.jsonl", sync=sync),
+        EventJournal(directory / "journal.jsonl", sync=sync, heal=heal),
     )
 
 
@@ -805,22 +854,45 @@ class DirectoryStateStore:
     Composes a :class:`SnapshotStore` and an (optional)
     :class:`EventJournal`; the pair stays reachable as :attr:`snapshots`
     / :attr:`journal` for the service's retention and operations code.
-    The crash model is the module's: a snapshot is atomically whole or
-    absent, and a snapshot never anchors past the journal's durable end.
+    A fleet tenant's dir also holds the tenant's
+    :class:`~repro.fleet.intake.IntakeQueue` (:attr:`intake`): the
+    durable copy of the models its journal names.  The crash model is
+    the module's: a snapshot is atomically whole or absent, and a
+    snapshot never anchors past the journal's durable end.
     """
 
-    def __init__(self, snapshots: SnapshotStore, journal: EventJournal | None = None):
+    def __init__(
+        self,
+        snapshots: SnapshotStore,
+        journal: EventJournal | None = None,
+        intake: Any = None,
+    ):
         self.snapshots = snapshots
         self.journal = journal
+        self.intake = intake
 
     @classmethod
     def open(
-        cls, path: str | Path, *, create: bool = True, sync: bool = True
+        cls,
+        path: str | Path,
+        *,
+        create: bool = True,
+        sync: bool = True,
+        heal: bool = True,
     ) -> "DirectoryStateStore":
-        """Open (or create) a state directory; see :func:`open_state_dir`."""
+        """Open (or create) a state directory; see :func:`open_state_dir`.
 
-        snapshots, journal = open_state_dir(path, create=create, sync=sync)
-        return cls(snapshots, journal)
+        A fleet tenant's ``intake.jsonl`` is opened with it, so a tenant
+        dir restores without its fleet.  ``heal=False`` repairs neither
+        file: read-only inspection.
+        """
+        snapshots, journal = open_state_dir(path, create=create, sync=sync, heal=heal)
+        intake_path = Path(path) / "intake.jsonl"
+        if not intake_path.exists():
+            return cls(snapshots, journal)
+        from repro.fleet.intake import IntakeQueue
+
+        return cls(snapshots, journal, IntakeQueue(intake_path, sync=sync, heal=heal))
 
     @property
     def location(self) -> str:
@@ -836,8 +908,11 @@ class DirectoryStateStore:
             # or a power loss could reuse sequences it already covers.
             self.journal.sync()
         sequence = self.journal_sequence
+        repository = state.get("repository")
         return self.snapshots.save(
-            dict(state), journal_sequence=0 if sequence is None else sequence
+            dict(state),
+            journal_sequence=0 if sequence is None else sequence,
+            repository_length=0 if repository is None else len(repository),
         )
 
     def load_latest(

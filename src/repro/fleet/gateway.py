@@ -14,9 +14,10 @@ shared deployment needs that a single service does not:
   ages out.  Over capacity, the resident with the lowest count is
   evicted first, the least recently used among equal counts (plain LRU
   when counts tie); the tenant being served is never the victim.
-  Eviction releases the service and writes nothing — every commit is
-  already in the tenant journal, and the intake compacts at the
-  ``snapshot_every`` cadence instead.  The next submission hydrates it
+  Eviction releases the service and writes nothing — every commit's
+  durable copy is already on disk (the tenant journal, or the intake
+  record it names), and the intake compacts at the ``snapshot_every``
+  cadence instead.  The next submission hydrates it
   back from the newest snapshot plus the journal tail
   (``CIService.restore``, the path every crash takes — element-wise
   identical to never having been evicted); the tenant's
@@ -30,7 +31,10 @@ shared deployment needs that a single service does not:
   into the tenant's CRC'd intake queue, fsynced, before anything
   evaluates it.  Accepted work survives a crash or power loss at any
   point and replays idempotently by repository sequence (a lost ack is
-  re-acked, never re-run); there is no third outcome.
+  re-acked, never re-run); there is no third outcome.  A
+  :meth:`CIFleet.submit` with nothing queued ahead of it costs one
+  fsync: its intake record is the commit's only durable copy, named by
+  the tenant journal (see :mod:`repro.fleet.intake`).
 * **Per-tenant isolation.**  A tenant whose engine fails repeatedly
   trips its circuit breaker (open → half-open probe → close) and is
   quarantined at the door while every other tenant keeps serving,
@@ -63,7 +67,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.ci.notifications import NotificationTransport
-from repro.ci.persistence import DirectoryStateStore
+from repro.ci.persistence import DirectoryStateStore, open_state_dir
 from repro.ci.repository import ModelRepository
 from repro.ci.service import BuildRecord, CIService, OperationsReport
 from repro.core.script.config import CIScript
@@ -229,9 +233,12 @@ class FleetFsckReport:
 
     @property
     def healthy(self) -> bool:
-        """Every tenant restorable, no corrupt intake lines."""
+        """Every tenant restorable, no corrupt intake lines, and no
+        journal record naming an intake record that is gone."""
         return self.exists and all(
-            t.state.restorable and not t.intake.corrupt_lines
+            t.state.restorable
+            and not t.intake.corrupt_lines
+            and not t.state.dangling_references
             for t in self.tenants
         )
 
@@ -260,6 +267,11 @@ class FleetFsckReport:
             if tenant.intake.corrupt_lines:
                 intake += (
                     f", {len(tenant.intake.corrupt_lines)} corrupt line(s)"
+                )
+            if state.dangling_references:
+                intake += (
+                    f", {len(state.dangling_references)} journal record(s) "
+                    "naming a record that is gone"
                 )
             lines.append(f"  {tenant.tenant_id:<20} {verdict}; {intake}")
         return "\n".join(lines)
@@ -310,10 +322,12 @@ class CIFleet:
         root; its hard watermark closes the door for everyone (like
         fleet-wide overload) until reclamation brings usage back under.
     sync:
-        Fsync each submission and commit before it is acted on (default;
-        other records ride along with the next fsync).  Benchmarks
-        simulating thousands of tenants turn this off; a tenant is then
-        durable only to the OS page cache.
+        Fsync each commit's durable copy before it is acted on (default):
+        the intake submission, plus a model-carrying ``commit-received``
+        for a submission that was only enqueued or was deferred; other
+        records ride along with the next fsync.  Benchmarks simulating
+        thousands of tenants turn this off; a tenant is then durable
+        only to the OS page cache.
     transport_factory:
         Optional ``tenant_id -> NotificationTransport`` hook supplying
         each tenant's notification transport at registration/hydration.
@@ -447,6 +461,9 @@ class CIFleet:
             self._intakes[tenant_id] = queue
             self._reopen.discard(tenant_id)
             self._count_pending(tenant_id, queue)
+            service = self._resident.get(tenant_id)
+            if service is not None:  # replaces a dropped handle
+                service._state_store.intake = queue
         return queue
 
     def _count_pending(self, tenant_id: str, queue: IntakeQueue) -> None:
@@ -507,11 +524,12 @@ class CIFleet:
             sync=self.sync,
             keep_snapshots=self.keep_snapshots,
         )
-        self._intakes[tenant_id] = IntakeQueue.create(
+        queue = IntakeQueue.create(
             directory / "intake.jsonl",
             base_repo_sequence=len(service.repository),
             sync=self.sync,
         )
+        self._intakes[tenant_id] = service._state_store.intake = queue
         if self._registered is not None:
             self._registered.append(tenant_id)
         self._resident[tenant_id] = service
@@ -553,7 +571,10 @@ class CIFleet:
         directory = self._require_tenant(tenant_id)
         try:
             fault_point("fleet.hydrate")
-            store = DirectoryStateStore.open(directory, create=False, sync=self.sync)
+            store = DirectoryStateStore(
+                *open_state_dir(directory, create=False, sync=self.sync),
+                intake=self._intake(tenant_id),
+            )
             service = CIService.restore(
                 store,
                 transport=self._transport(tenant_id),
@@ -579,10 +600,11 @@ class CIFleet:
     def _try_evict(self, tenant_id: str) -> bool:
         """Release one resident tenant; False on failure.
 
-        Eviction writes nothing: every commit was fsynced into the tenant
-        journal (``commit-received``) before its build ran, so the newest
-        snapshot plus the journal tail already restore the service
-        exactly — the next hydration takes the path every crash takes.
+        Eviction writes nothing: every commit's durable copy (a fsynced
+        intake submission or ``commit-received``) was written before its
+        build ran, so the newest snapshot plus the journal tail and the
+        started intake submissions already restore the service exactly —
+        the next hydration takes the path every crash takes.
         Replay depth is bounded by ``snapshot_every``, not by eviction,
         and the intake compacts at that same cadence (:meth:`_ack`).
         The one exception is state replay cannot rebuild, changed since
@@ -704,21 +726,11 @@ class CIFleet:
             self._intake(tenant_id)
         return self._pending_total
 
-    def enqueue(
-        self,
-        tenant_id: str,
-        model: Any,
-        *,
-        message: str = "",
-        author: str = "developer",
-    ) -> IntakeRecord:
-        """Admit and durably accept one submission (no evaluation yet).
+    def _admit(self, tenant_id: str) -> IntakeQueue:
+        """The door: breaker, storage and admission; the tenant's queue.
 
-        Raises a typed :class:`~repro.exceptions.AdmissionError` when
-        the door is closed; on return the submission is fsynced into the
-        tenant's intake queue and will be processed by the next
-        :meth:`drain` (or :meth:`submit`), surviving any crash in
-        between.
+        Raises a typed :class:`~repro.exceptions.AdmissionError` when the
+        door is closed.
         """
         self._require_tenant(tenant_id)
         breaker = self._breaker(tenant_id)
@@ -756,8 +768,22 @@ class CIFleet:
         except Exception:
             self.rejections["fleet-overloaded"] += 1
             raise
+        return queue
+
+    def _accept(
+        self,
+        tenant_id: str,
+        queue: IntakeQueue,
+        model: Any,
+        message: str,
+        author: str,
+        started: bool = False,
+    ) -> IntakeRecord:
+        """Append one admitted submission to the tenant's intake (fsynced)."""
         try:
-            record = queue.append(model, message=message, author=author)
+            record = queue.append(
+                model, message=message, author=author, started=started
+            )
         except Exception:
             # A torn append leaves trailing garbage in the intake file;
             # drop the handle so the next open heals it exactly like a
@@ -768,6 +794,25 @@ class CIFleet:
         self._count_pending(tenant_id, queue)
         self.accepted += 1
         return record
+
+    def enqueue(
+        self,
+        tenant_id: str,
+        model: Any,
+        *,
+        message: str = "",
+        author: str = "developer",
+    ) -> IntakeRecord:
+        """Admit and durably accept one submission (no evaluation yet).
+
+        Raises a typed :class:`~repro.exceptions.AdmissionError` when
+        the door is closed; on return the submission is fsynced into the
+        tenant's intake queue and will be processed by the next
+        :meth:`drain` (or :meth:`submit`), surviving any crash in
+        between.
+        """
+        queue = self._admit(tenant_id)
+        return self._accept(tenant_id, queue, model, message, author)
 
     # -- processing ----------------------------------------------------------
     def _ack(
@@ -793,7 +838,10 @@ class CIFleet:
         if queue.acked_count >= self.snapshot_every:
             try:
                 queue.compact()
-            except OSError as exc:  # maintenance: the intact queue retries later
+            except (OSError, InjectedFault, PersistenceError) as exc:
+                # Maintenance, retried later; a failed cursor append may
+                # leave a torn tail, so reopen the queue like a restart.
+                self._drop_intake(tenant_id)
                 record_event(
                     "intake-compact-failed",
                     "fleet.gateway",
@@ -801,31 +849,53 @@ class CIFleet:
                     error=str(exc),
                 )
 
-    def _drain_tenant(self, tenant_id: str) -> list[BuildRecord]:
+    def _defer(self, tenant_id: str, queue: IntakeQueue, repo_sequence: int) -> None:
+        try:
+            queue.defer(repo_sequence)
+        except Exception as exc:
+            # Still started on disk: like after a crash, the next
+            # hydration replays it with the notifier off (its one
+            # notification is lost, never doubled).
+            self._drop_intake(tenant_id)
+            record_event(
+                "intake-defer-failed",
+                "fleet.gateway",
+                tenant=tenant_id,
+                repo_sequence=repo_sequence,
+                error=str(exc),
+            )
+
+    def _drain_tenant(
+        self, tenant_id: str, service: CIService | None = None
+    ) -> list[BuildRecord]:
         """Process every pending intake entry of one tenant, in order.
 
         Idempotent by repository sequence: an entry whose sequence the
         repository already contains (the crash landed between the
         tenant-journal append and the intake ack) is re-acked without
-        re-running its build.  A processing failure counts against the
-        breaker, discards the (possibly poisoned) resident service —
-        durable state is untouched, the next drain re-hydrates — and
-        leaves the failed entry pending.
+        re-running its build.  A started entry is committed through
+        :meth:`CIService.commit_from_intake`.  A processing failure
+        counts against the breaker, discards the (possibly poisoned)
+        resident service — durable state is untouched, the next drain
+        re-hydrates — and leaves the failed entry pending; a started
+        entry whose ``commit-received`` never landed is deferred first.
+        ``service`` is the tenant's live service when the caller already
+        looked it up.
         """
         queue = self._intake(tenant_id)
         if queue.pending_count == 0:
             return []
         breaker = self._breaker(tenant_id)
-        # Gate on fully-open only: a half-open drain IS the probe (and
-        # submit() already consumed the door-side probe in enqueue()).
-        if breaker.state is BreakerState.OPEN:
-            raise TenantQuarantinedError(
-                f"tenant {tenant_id!r} is quarantined; retry in "
-                f"{breaker.retry_after():.1f}s",
-                tenant=tenant_id,
-                retry_after_seconds=breaker.retry_after(),
-            )
-        service = self.service(tenant_id)  # breaker-accounted on failure
+        if service is None:
+            # Gate on fully-open only: a half-open drain IS the probe.
+            if breaker.state is BreakerState.OPEN:
+                raise TenantQuarantinedError(
+                    f"tenant {tenant_id!r} is quarantined; retry in "
+                    f"{breaker.retry_after():.1f}s",
+                    tenant=tenant_id,
+                    retry_after_seconds=breaker.retry_after(),
+                )
+            service = self.service(tenant_id)  # breaker-accounted on failure
         builds: list[BuildRecord] = []
         by_sequence: dict[int, BuildRecord] | None = None
         for entry in queue.pending():
@@ -855,15 +925,24 @@ class CIFleet:
                     f"repository sequence {repo_length} but holds "
                     f"{entry.repo_sequence}; intake and state dir disagree"
                 )
+            started = queue.is_started(entry.repo_sequence)
+            journaled = service._state_store.journal_sequence
+            message = entry.payload.get("message", "")
+            author = entry.payload.get("author", "developer")
             try:
                 fault_point("fleet.process")
                 fault_point(f"fleet.process.{tenant_id}")
-                service.repository.commit(
-                    entry.model(),
-                    message=entry.payload.get("message", ""),
-                    author=entry.payload.get("author", "developer"),
-                )
+                if started:
+                    service.commit_from_intake(
+                        entry.model(), entry.sequence, message=message, author=author
+                    )
+                else:
+                    service.repository.commit(
+                        entry.model(), message=message, author=author
+                    )
             except Exception as exc:
+                if started and service._state_store.journal_sequence == journaled:
+                    self._defer(tenant_id, queue, entry.repo_sequence)
                 breaker.record_failure(exc)
                 self._resident.pop(tenant_id, None)
                 record_event(
@@ -921,14 +1000,26 @@ class CIFleet:
     ) -> BuildRecord:
         """The webhook path: admit, durably accept, process, return the build.
 
-        Equivalent to :meth:`enqueue` followed by a tenant drain.  When
-        processing fails the exception propagates, but the submission is
-        already durable — a later drain (or a restart) completes it.
+        Equivalent to :meth:`enqueue` followed by a tenant drain, at one
+        fsync: the tenant is hydrated first, and a submission with
+        nothing queued ahead of it is appended *started*, so its fsynced
+        intake record is the commit's durable copy (see
+        :mod:`repro.fleet.intake`).  When hydration fails the submission
+        is still accepted, as an ordinary queued one, and the error
+        propagates; when processing fails the exception propagates too.
+        Either way a later drain (or a restart) completes it.
         """
-        entry = self.enqueue(
-            tenant_id, model, message=message, author=author
+        queue = self._admit(tenant_id)
+        try:
+            service = self.service(tenant_id)
+        except Exception:
+            self._accept(tenant_id, queue, model, message, author)
+            raise
+        entry = self._accept(
+            tenant_id, queue, model, message, author,
+            started=queue.pending_count == 0,
         )
-        for build in self._drain_tenant(tenant_id):
+        for build in self._drain_tenant(tenant_id, service):
             if build.commit.sequence == entry.repo_sequence:
                 return build
         raise PersistenceError(
@@ -1042,7 +1133,9 @@ class CIFleet:
         service = self._resident.get(tenant_id)
         if service is None:
             directory = self._require_tenant(tenant_id)
-            store = DirectoryStateStore.open(directory, create=False, sync=self.sync)
+            store = DirectoryStateStore.open(
+                directory, create=False, sync=self.sync, heal=False
+            )
             service = CIService.restore(
                 store,
                 record=False,
@@ -1056,18 +1149,12 @@ class CIFleet:
         base = self.root / "tenants"
         if not base.is_dir():
             return FleetFsckReport(root=self.root, exists=False, tenants=())
-        return FleetFsckReport(
-            root=self.root,
-            exists=True,
-            tenants=tuple(
-                TenantFsck(
-                    tenant_id=tenant,
-                    state=fsck_state_dir(base / tenant),
-                    intake=scan_intake(base / tenant / "intake.jsonl"),
-                )
-                for tenant in self.tenants()
-            ),
-        )
+        tenants = []
+        for tenant in self.tenants():
+            state = fsck_state_dir(base / tenant)
+            intake = state.intake or scan_intake(base / tenant / "intake.jsonl")
+            tenants.append(TenantFsck(tenant_id=tenant, state=state, intake=intake))
+        return FleetFsckReport(root=self.root, exists=True, tenants=tuple(tenants))
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

@@ -11,15 +11,24 @@ sequence it will become.
 Record kinds
 ------------
 ``cursor``
-    Written once at queue creation: the tenant repository's length at
-    that moment.  Every later repository sequence is derived from it, so
-    the queue is self-describing even when empty or freshly compacted.
+    Every submission below its ``repo_sequence`` is processed.  Written
+    at queue creation (the tenant repository's length at that moment, so
+    every later repository sequence is derivable from the file alone),
+    and by each compaction.
 ``submission``
-    One accepted webhook submission: the pickled model (base64, like the
-    journal's ``commit-received`` records), message, author, and the
-    ``repo_sequence`` this submission will occupy in the tenant's
-    repository.  Submissions are processed strictly in order, so the
-    mapping is fixed at append time.
+    One accepted webhook submission: the pickled model (base64, like a
+    standalone journal's ``commit-received`` records), message, author,
+    and the ``repo_sequence`` this submission will occupy in the
+    tenant's repository.  Submissions are processed strictly in order, so
+    the mapping is fixed at append time.  A submission appended by
+    :meth:`CIFleet.submit <repro.fleet.gateway.CIFleet.submit>` with
+    nothing queued ahead of it is *started* (``"started": true`` in its
+    payload): it is processed at once, so its fsync also serves as the
+    durable processing-start record.
+``deferred``
+    The started submission at ``repo_sequence`` failed before its build
+    began (no ``commit-received`` landed): it is an ordinary queued
+    submission again.  Fsynced.
 ``ack``
     The submission at ``repo_sequence`` has been fully processed (its
     commit is journaled in the tenant's own event journal).  A crash
@@ -28,13 +37,33 @@ Record kinds
     is already below the repository length, so the drain re-acks it
     without re-running the build — never a duplicate.
 
+The intake holds the only copy of a started submission's model
+--------------------------------------------------------------
+For a started submission the tenant journal's ``commit-received`` names
+the intake record (``intake_sequence``) instead of embedding the model,
+and is only flushed, not fsynced: each model is pickled, encoded,
+checksummed and written once.  Restore reads the models back through
+the log's byte-offset index (:meth:`IntakeQueue.started_since`), and
+replays — notifier suppressed — every started submission at or past
+the restored repository length, acknowledged or not, whether or not
+power loss kept its ``commit-received``.  So compaction keeps a
+processed started submission (below the cursor, its ack dropped) until
+:attr:`IntakeQueue.covered` — the repository length of the oldest
+retained valid snapshot, set by the service's retention pass, which
+compacts the journal through that snapshot first — has passed it: no
+journal record ever names an intake record that is gone.  A submission
+that was only enqueued, or was deferred, keeps a fsynced,
+model-carrying ``commit-received``, so a later drain that notifies is
+never replayed into a second notification.
+
 Crash model
 -----------
 The queue is an :class:`~repro.ci.appendlog.AppendLog`, like the event
-journal: every append is flushed; cursors and submissions are fsynced
-before returning, acks only reach disk with the next fsync (a lost ack
-heals as above).  Fault-injection points ``intake.append`` (``tear``)
-and ``intake.write`` (``errno``).
+journal: every append is flushed; cursors, submissions and deferrals are
+fsynced before returning (a power loss never drops one), acks only
+reach disk with the next fsync (a lost ack heals as above).
+Fault-injection points ``intake.append`` (``tear``) and ``intake.write``
+(``errno``).
 """
 
 from __future__ import annotations
@@ -54,8 +83,9 @@ __all__ = ["IntakeRecord", "IntakeScan", "IntakeQueue", "scan_intake"]
 
 _CURSOR = "cursor"
 _SUBMISSION = "submission"
+_DEFERRED = "deferred"
 _ACK = "ack"
-_KINDS = frozenset({_CURSOR, _SUBMISSION, _ACK})
+_KINDS = frozenset({_CURSOR, _SUBMISSION, _DEFERRED, _ACK})
 
 _KIND = re.compile(rb'\{"crc": \d+, "kind": "([a-z]+)", ')
 _SEQUENCE = re.compile(rb', "sequence": (\d+)\}\Z')
@@ -75,16 +105,17 @@ def _intake_fast_key(line: bytes) -> tuple[int, str] | None:
     return int(sequence[1]), kind[1].decode()
 
 
-#: The intake's log schema.  Submissions and cursors are fsynced —
-#: ``enqueue`` promises an accepted submission is never lost — while an
-#: ack is only flushed: a lost ack is healed by the next drain.
+#: The intake's log schema.  Everything but an ack is fsynced —
+#: ``enqueue`` promises an accepted submission is never lost, and a
+#: deferral must outlive the drain that later notifies — while an ack is
+#: only flushed: a lost ack is healed by the next drain.
 _INTAKE = LogSchema(
     noun="intake queue",
     sites="intake",
     source="fleet.intake",
     key=_intake_key,
     fast_key=_intake_fast_key,
-    durable=frozenset({_CURSOR, _SUBMISSION}),
+    durable=lambda raw: raw["kind"] != _ACK,
 )
 
 
@@ -97,16 +128,17 @@ class IntakeRecord:
     sequence:
         File-wide 1-based append counter (monotonic across compactions).
     kind:
-        ``"cursor"``, ``"submission"`` or ``"ack"``.
+        ``"cursor"``, ``"submission"``, ``"deferred"`` or ``"ack"``.
     repo_sequence:
-        For cursors: the repository length the queue starts from.  For
-        submissions: the repository sequence this submission becomes.
-        For acks: the acknowledged submission's ``repo_sequence``.
+        For cursors: the repository sequence every processed submission
+        lies below.  For submissions: the repository sequence the
+        submission becomes.  For deferrals and acks: the submission's
+        ``repo_sequence``.
     recorded_at:
         ISO-8601 UTC stamp (operational metadata, never load-bearing).
     payload:
-        Submission-only content (``model_pickle``, ``message``,
-        ``author``).
+        Submission content (``model_pickle``, ``message``, ``author``,
+        and ``started`` when set).
     """
 
     sequence: int
@@ -125,6 +157,11 @@ class IntakeRecord:
             payload=dict(raw.get("payload") or {}),
         )
 
+    @property
+    def started(self) -> bool:
+        """Whether the submission was appended as started."""
+        return bool(self.payload.get("started"))
+
     def model(self) -> Any:
         """Unpickle the submitted model (submission records only)."""
         return decode_model(self.payload["model_pickle"])
@@ -135,8 +172,9 @@ class IntakeScan:
     """Read-only classification of an intake file (fleet fsck).
 
     ``records`` counts intact records of all kinds; ``pending`` are
-    submissions without an ack (what a drain would replay), ``acked``
-    those with one.  ``corrupt_lines`` are 1-based numbers of damaged
+    submissions at or past the newest cursor without an ack (what a
+    drain would replay), ``acked`` those with one.  ``models`` are the
+    intake sequences of every submission (what a journal may name).  ``corrupt_lines`` are 1-based numbers of damaged
     lines *followed by* intact records (reading raises);
     ``torn_tail_bytes`` the tolerated invalid trailing region.
     """
@@ -148,14 +186,18 @@ class IntakeScan:
     acked: int
     corrupt_lines: tuple[int, ...]
     torn_tail_bytes: int
+    models: frozenset[int] = frozenset()
 
 
 class IntakeQueue:
     """One tenant's durable intake queue (``<tenant-dir>/intake.jsonl``).
 
-    Made by :meth:`create`; opening heals a torn tail like the journal.
-    ``sync=False`` skips fsyncs, giving up accept-then-never-lose;
-    ``clock`` stamps ``recorded_at``.
+    Made by :meth:`create`; opening heals a torn tail like the journal
+    (``heal=False`` leaves the file as it is, for read-only inspection
+    that never appends).  ``sync=False`` skips fsyncs, giving up
+    accept-then-never-lose; ``clock`` stamps ``recorded_at``.  Pending
+    submissions are held in memory; every other record that keeps a
+    model is held as its index entry only and read back on demand.
     """
 
     def __init__(
@@ -164,6 +206,7 @@ class IntakeQueue:
         *,
         sync: bool = True,
         clock: Callable[[], datetime] | None = None,
+        heal: bool = True,
     ):
         self.path = Path(path)
         if not self.path.exists():
@@ -172,11 +215,22 @@ class IntakeQueue:
                 "IntakeQueue.create()"
             )
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._log = AppendLog(self.path, _INTAKE, sync=sync)
+        self._log = AppendLog(self.path, _INTAKE, sync=sync, heal=heal)
         self._next_sequence = 1
         self._next_repo_sequence = 0
         self._acked: set[int] = set()
         self._pending: dict[int, IntakeRecord] = {}
+        # Every submission below this repository sequence is processed.
+        self._through = 0
+        # repo_sequence -> intake sequence of every started submission
+        # still in the file (pending or processed), and -> the deferral
+        # marker of every deferred one.
+        self._started: dict[int, int] = {}
+        self._deferred: dict[int, int] = {}
+        #: Repository sequences below this are covered by the tenant's
+        #: oldest retained valid snapshot (set by the service's retention
+        #: pass; 0 until one runs in this process).
+        self.covered = 0
         # Damage mid-file is left for records() to raise on, as before.
         for raw in self._log.records(strict=False):
             self._fold(IntakeRecord._from_raw(raw))
@@ -208,18 +262,24 @@ class IntakeQueue:
 
     def _fold(self, record: IntakeRecord) -> None:
         self._next_sequence = max(self._next_sequence, record.sequence + 1)
+        key = record.repo_sequence
         if record.kind == _CURSOR:
-            self._next_repo_sequence = max(
-                self._next_repo_sequence, record.repo_sequence
-            )
+            self._next_repo_sequence = max(self._next_repo_sequence, key)
+            self._through = max(self._through, key)
+            self._acked = {k for k in self._acked if k >= self._through}
         elif record.kind == _SUBMISSION:
-            self._pending[record.repo_sequence] = record
-            self._next_repo_sequence = max(
-                self._next_repo_sequence, record.repo_sequence + 1
-            )
+            if key >= self._through:
+                self._pending[key] = record
+            if record.started:
+                self._started[key] = record.sequence
+            self._next_repo_sequence = max(self._next_repo_sequence, key + 1)
+        elif record.kind == _DEFERRED:
+            self._started.pop(key, None)
+            self._deferred[key] = record.sequence
         elif record.kind == _ACK:
-            self._acked.add(record.repo_sequence)
-            self._pending.pop(record.repo_sequence, None)
+            self._acked.add(key)
+            self._pending.pop(key, None)
+            self._deferred.pop(key, None)
 
     # -- inspection ----------------------------------------------------------
     @property
@@ -240,6 +300,30 @@ class IntakeQueue:
     def pending(self) -> list[IntakeRecord]:
         """Unacknowledged submissions, in repository-sequence order."""
         return [self._pending[key] for key in sorted(self._pending)]
+
+    def is_started(self, repo_sequence: int) -> bool:
+        """Whether the submission at ``repo_sequence`` is started, not deferred."""
+        return repo_sequence in self._started
+
+    def started_since(self, repo_sequence: int) -> list[IntakeRecord]:
+        """Started submissions at or past ``repo_sequence``, acked or not.
+
+        Read back through the log's byte-offset index (only their lines
+        are read, verified and parsed), in repository-sequence order: what
+        a restore replays from the intake.
+        """
+        wanted = {
+            sequence
+            for key, sequence in self._started.items()
+            if key >= repo_sequence
+        }
+        if not wanted:
+            return []
+        records = [
+            IntakeRecord._from_raw(_INTAKE.parse(chunk))
+            for _, chunk in self._log.read(wanted)
+        ]
+        return sorted(records, key=lambda record: record.repo_sequence)
 
     def close(self) -> None:
         """Close the cached append handle (reopened lazily on next append)."""
@@ -262,55 +346,92 @@ class IntakeQueue:
         return record
 
     def append(
-        self, model: Any, *, message: str = "", author: str = "developer"
+        self,
+        model: Any,
+        *,
+        message: str = "",
+        author: str = "developer",
+        started: bool = False,
     ) -> IntakeRecord:
         """Durably accept one submission; fsynced before returning.
 
         The returned record's ``repo_sequence`` is the submission's
         identity for acknowledgement and for locating its eventual build
-        (``BuildRecord.commit.sequence`` equals it).  If the append fails
-        (a ``tear`` at ``intake.append``, ``errno`` at ``intake.write``)
-        the submission was not accepted.
+        (``BuildRecord.commit.sequence`` equals it).  ``started`` marks
+        a submission the caller processes at once (see the module doc).
+        If the append fails (a ``tear`` at ``intake.append``, ``errno``
+        at ``intake.write``) the submission was not accepted.
         """
-        return self._append_record(
-            _SUBMISSION,
-            self._next_repo_sequence,
-            {
-                "model_pickle": encode_model(model),
-                "message": str(message),
-                "author": str(author),
-            },
-        )
+        payload = {
+            "model_pickle": encode_model(model),
+            "message": str(message),
+            "author": str(author),
+        }
+        if started:
+            payload["started"] = True
+        return self._append_record(_SUBMISSION, self._next_repo_sequence, payload)
+
+    def defer(self, repo_sequence: int) -> IntakeRecord:
+        """Mark the started submission at ``repo_sequence`` not begun (fsynced)."""
+        return self._append_record(_DEFERRED, repo_sequence, {})
 
     def ack(self, repo_sequence: int) -> IntakeRecord:
         """Mark the submission at ``repo_sequence`` processed (not fsynced)."""
         return self._append_record(_ACK, repo_sequence, {})
 
     def compact(self) -> int:
-        """Atomically rewrite the file without acknowledged submissions.
+        """Retire acknowledged submissions; return how many were dropped.
 
-        Keeps a fresh cursor (anchored past every acknowledged
-        submission) plus the pending entries, preserving their original
-        sequences; returns the number of records dropped.  The fleet
-        runs it when a tenant's acknowledged entries reach its
-        ``snapshot_every`` cadence and on storage reclamation, bounding
-        the file by pending depth plus one cadence.  Temp-then-rename:
-        a crash leaves the previous file intact.
+        A rewrite (temp, fsync, rename) keeps a fresh cursor at the
+        oldest pending submission, every processed started submission
+        :attr:`covered` has not passed (its ack dropped: the cursor says
+        it is processed), and the pending entries with their deferrals,
+        all under their original sequences.  When nothing can be dropped
+        — every acknowledged submission is started and not yet covered —
+        it appends that cursor instead (fsynced), so the acks it retires
+        cost no rewrite.  The fleet runs it when a tenant's acknowledged
+        entries reach its ``snapshot_every`` cadence and on storage
+        reclamation.  A crash leaves the previous file intact.
         """
-        pending = self.pending()
+        through = min(self._pending, default=self._next_repo_sequence)
+        processed = [key for key in self._started if key < through]
+        kept = sorted(key for key in processed if key >= self.covered)
+        if len(kept) == len(processed) and self._acked <= set(self._started):
+            if self._acked:
+                self._append_record(_CURSOR, through, {})
+            return 0
+        sequences = {self._started[key] for key in kept}
+        sequences.update(record.sequence for record in self._pending.values())
+        sequences.update(self._deferred.values())
+        chunks = {line.sequence: chunk for line, chunk in self._log.read(sequences)}
+        if len(chunks) < len(sequences):
+            raise PersistenceError(
+                f"intake queue {self.path} lost a record it must keep; "
+                "compaction refused"
+            )
+        submissions = sum(line.kind == _SUBMISSION for line in self._log.lines)
         cursor = IntakeRecord(
             sequence=self._next_sequence,
             kind=_CURSOR,
-            repo_sequence=self._next_repo_sequence - len(pending),
+            repo_sequence=through,
             recorded_at=self._clock().isoformat(),
         )
-        self._log.rewrite(
-            b"".join(render_line(to_jsonable(r)) for r in [cursor, *pending])
-        )
-        dropped = len(self._acked)
+        lines = [render_line(to_jsonable(cursor))]
+        lines += [chunks[self._started[key]] for key in kept]
+        for key in sorted(self._pending):
+            lines.append(chunks[self._pending[key].sequence])
+            if key in self._deferred:
+                lines.append(chunks[self._deferred[key]])
+        self._log.rewrite(b"".join(lines))
         self._acked.clear()
+        self._through = through
+        self._started = {
+            key: sequence
+            for key, sequence in self._started.items()
+            if key >= through or key in kept
+        }
         self._next_sequence = cursor.sequence + 1
-        return dropped
+        return submissions - len(kept) - len(self._pending)
 
     # -- reading -------------------------------------------------------------
     def records(self) -> Iterator[IntakeRecord]:
@@ -322,17 +443,20 @@ def scan_intake(path: str | Path) -> IntakeScan:
     """Classify an intake file without opening it for repair (read-only)."""
     path = Path(path)
     log = AppendLog(path, _INTAKE, heal=False)
-    submissions: set[int] = set()
-    acked: set[int] = set()
-    for raw in log.records((_SUBMISSION, _ACK), strict=False):
-        target = submissions if raw["kind"] == _SUBMISSION else acked
-        target.add(int(raw["repo_sequence"]))
+    keys: dict[str, set[int]] = {_CURSOR: set(), _SUBMISSION: set(), _ACK: set()}
+    for raw in log.records(tuple(keys), strict=False):
+        keys[raw["kind"]].add(int(raw["repo_sequence"]))
+    through = max(keys[_CURSOR], default=0)
+    submissions = {key for key in keys[_SUBMISSION] if key >= through}
     return IntakeScan(
         path=path,
         exists=path.exists(),
         records=sum(line.sequence is not None for line in log.lines),
-        pending=len(submissions - acked),
-        acked=len(submissions & acked),
+        pending=len(submissions - keys[_ACK]),
+        acked=len(submissions & keys[_ACK]),
         corrupt_lines=log.corrupt_lines,
         torn_tail_bytes=log.torn_tail_bytes,
+        models=frozenset(
+            line.sequence for line in log.lines if line.kind == _SUBMISSION
+        ),
     )

@@ -15,7 +15,10 @@ without mutating anything:
   never truncates a torn trailing line;
 * the *replay depth* is computed: how many journaled commits (and
   events) lie past the newest valid snapshot's anchor, i.e. how much
-  work :meth:`CIService.restore` would re-run.
+  work :meth:`CIService.restore` would re-run;
+* in a fleet tenant's dir, every journal record that names an intake
+  record (a started submission's ``commit-received``) is checked
+  against the intake file: a name whose record is gone is damage.
 
 The whole report is JSON-compatible via
 :func:`repro.utils.serialization.to_jsonable` and renders for terminals
@@ -26,9 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.ci.persistence import JournalScan, SnapshotStore, scan_journal
 from repro.exceptions import PersistenceError, SnapshotCorruptError
+
+if TYPE_CHECKING:
+    from repro.fleet.intake import IntakeScan
 
 __all__ = ["SnapshotHealth", "FsckReport", "fsck_state_dir"]
 
@@ -91,6 +98,13 @@ class FsckReport:
     replay_events:
         Total journal records past the anchor (commits plus the audit
         trail).
+    intake:
+        Read-only classification of the dir's ``intake.jsonl`` (``None``
+        when there is none and the journal names no intake record).
+    dangling_references:
+        Journal sequences of ``commit-received`` records that name an
+        intake record the intake does not hold.  Past the restore
+        snapshot's anchor one makes the dir unrestorable.
     """
 
     state_dir: Path
@@ -102,6 +116,8 @@ class FsckReport:
     restore_sequence: int
     replay_commits: int
     replay_events: int
+    intake: IntakeScan | None = None
+    dangling_references: tuple[int, ...] = ()
 
     def describe(self) -> str:
         """A terminal-friendly rendering (what ``repro ops --fsck`` prints)."""
@@ -140,6 +156,13 @@ class FsckReport:
             )
         else:
             lines.append("  journal       : (no journal file)")
+        if self.dangling_references:
+            lines.append(
+                f"  intake names  : {len(self.dangling_references)} journal "
+                "record(s) name an intake record that is gone (seq "
+                + ", ".join(map(str, self.dangling_references))
+                + ")"
+            )
         if self.restorable:
             lines.append(
                 f"  restore       : snapshot #{self.restore_sequence}, "
@@ -147,7 +170,10 @@ class FsckReport:
                 f"across {self.replay_events} journal event(s)"
             )
         else:
-            lines.append("  restore       : IMPOSSIBLE (no valid snapshot)")
+            lines.append(
+                "  restore       : IMPOSSIBLE (no valid snapshot, or a "
+                "replay gap)"
+            )
         return "\n".join(lines)
 
 
@@ -216,8 +242,21 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
     # A compacted journal only restores from a snapshot anchored at or
     # past the compaction boundary: anything older would need records
     # compaction deliberately dropped.
-    restorable = newest is not None and (
-        (anchor or 0) >= journal_scan.compacted_through
+    intake = None
+    dangling: tuple[int, ...] = ()
+    if (directory / "intake.jsonl").exists() or journal_scan.intake_references:
+        from repro.fleet.intake import scan_intake  # fleet tenant dirs only
+
+        intake = scan_intake(directory / "intake.jsonl")
+        dangling = tuple(
+            journal
+            for journal, named in journal_scan.intake_references
+            if named not in intake.models
+        )
+    restorable = (
+        newest is not None
+        and (anchor or 0) >= journal_scan.compacted_through
+        and all(journal <= (anchor or 0) for journal in dangling)
     )
     return FsckReport(
         state_dir=directory,
@@ -229,4 +268,6 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
         restore_sequence=newest.sequence if newest is not None else 0,
         replay_commits=replay_commits if restorable else 0,
         replay_events=replay_events if restorable else 0,
+        intake=intake,
+        dangling_references=dangling,
     )

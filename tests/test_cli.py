@@ -325,6 +325,39 @@ def fleet_root(tmp_path):
     return root
 
 
+def tree(root):
+    """Every file under ``root``: relative name -> bytes."""
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+class TestInspectionLeavesTornTailsAlone:
+    """Read-only reports open the journal and intake without healing them."""
+
+    TORN = b'{"crc": 1, "payload": {"sequence": 9'
+
+    def test_ops_report_keeps_a_torn_journal_tail(self, state_dir, capsys):
+        with open(state_dir / "journal.jsonl", "ab") as handle:
+            handle.write(self.TORN)
+        before = tree(state_dir)
+        assert main(["ops", str(state_dir)]) == 0
+        assert "operations report" in capsys.readouterr().out
+        assert tree(state_dir) == before
+
+    def test_tenant_report_keeps_torn_tails(self, fleet_root, capsys):
+        tenant = fleet_root / "tenants" / "alpha"
+        for name in ("journal.jsonl", "intake.jsonl"):
+            with open(tenant / name, "ab") as handle:
+                handle.write(self.TORN)
+        before = tree(fleet_root)
+        assert main(["fleet", str(fleet_root), "--tenant", "alpha"]) == 0
+        assert "1 total, 1 ran" in capsys.readouterr().out
+        assert tree(fleet_root) == before
+
+
 class TestFleetCommand:
     def test_prints_fleet_table(self, fleet_root, capsys):
         code = main(["fleet", str(fleet_root)])

@@ -19,8 +19,9 @@ provides NumPy-native kernels for exactly that shape:
   the grid kernel's values at a fraction of its cost: the first few
   terms of each tail window, plus a geometric bound on the rest.  The
   worst-case scan in :mod:`repro.stats.tight_bounds` bounds a whole
-  refinement level with it and sends only the points that can still be
-  the argmax through the exact kernel;
+  refinement level this way and sends only the points that can still be
+  the argmax through the exact kernel, both from one set-up of the
+  level's tails;
 * :func:`exact_coverage_failure_probability_pairs` — the heterogeneous
   counterpart over element-wise ``(n, p, epsilon)`` triples.  The
   per-``n`` padded log-binomial rows are concatenated into one array and
@@ -49,7 +50,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +124,11 @@ def log_factorial_table(limit: int) -> np.ndarray:
                 new_size = max(limit + 1, 2 * len(table))
                 grown = np.empty(new_size, dtype=np.float64)
                 grown[: len(table)] = table
-                for m in range(len(table), new_size):
-                    grown[m] = math.lgamma(m + 1.0)
+                grown[len(table) :] = np.fromiter(
+                    map(math.lgamma, range(len(table) + 1, new_size + 1)),
+                    dtype=np.float64,
+                    count=new_size - len(table),
+                )
                 _LOG_FACTORIAL = table = grown
             else:
                 _TABLE_STATS["hits"] += 1
@@ -163,7 +166,10 @@ register_cache("stats.batch.log_factorial_table", _TableResetProxy())  # type: i
 
 
 _LOG_COMB_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
-_LOG_COMB_CACHE_SIZE = 48
+# A row is reused within one probe's scan (both passes of every level);
+# a search almost never revisits an ``n``, so more rows only hold memory
+# (half a megabyte each at planning scale).
+_LOG_COMB_CACHE_SIZE = 4
 
 
 def _row_pad(n: int) -> int:
@@ -254,35 +260,60 @@ def _fused_window_sums(
     return sums
 
 
-class _GridTails(NamedTuple):
-    """A validated grid and, per interior point, its two tail windows."""
+class _GridTails:
+    """Interior grid points and the set-up of their two tail windows.
 
-    p: np.ndarray  # the whole grid
-    interior: np.ndarray  # mask of 0 < p < 1
-    pi: np.ndarray  # the interior points
-    lo_cut: np.ndarray  # last k of each lower tail (-1 when empty)
-    hi_cut: np.ndarray  # first k of each upper tail (n + 1 when empty)
-    logit: np.ndarray
-    log1mp: np.ndarray
-    length: int  # the kernel's window length, common to every row
+    Array-like as its points, so a prepared grid can stand in for
+    ``p_grid`` in :func:`exact_coverage_failure_probability_vec`: the
+    worst-case scan sets up each refinement level once and hands the
+    bound pass and the exact pass the same cutoffs and window length.
+    """
+
+    __slots__ = ("p", "lo_cut", "hi_cut", "logit", "log1mp", "length")
+
+    def __init__(self, p, lo_cut, hi_cut, logit, log1mp, length):
+        self.p = p  # the points, all in (0, 1)
+        self.lo_cut = lo_cut  # last k of each lower tail (-1 when empty)
+        self.hi_cut = hi_cut  # first k of each upper tail (n + 1 when empty)
+        self.logit = logit
+        self.log1mp = log1mp
+        self.length = length  # the kernel's window length, common to every row
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.p, dtype=dtype)
+
+    def take(self, rows) -> "_GridTails":
+        """The tails of the points ``rows``, at the same window length."""
+        return _GridTails(
+            self.p[rows],
+            self.lo_cut[rows],
+            self.hi_cut[rows],
+            self.logit[rows],
+            self.log1mp[rows],
+            self.length,
+        )
 
 
-def _grid_tails(
-    n: int, p_grid, epsilon: float, window_variance: float | None
-) -> _GridTails:
-    """Validated set-up shared by the grid kernel and its bounds.
+def _window_length(n: int, variance: float, epsilon: float) -> int:
+    """The grid kernel's window length for the largest ``p (1 - p)``.
+
+    The cut sits ~ ``epsilon * n`` draws from the mean already, so the
+    window only needs to cover the remaining distance out to
+    ``_WINDOW_SIGMAS`` sigma + slack (and never more than the full
+    support).  Non-decreasing in ``variance``.
+    """
+    depth = int(math.ceil(_WINDOW_SIGMAS * math.sqrt(n * variance))) + _WINDOW_SLACK
+    return int(min(n + 1, max(_WINDOW_SLACK, depth - math.floor(epsilon * n) + 2)))
+
+
+def _grid_tails(n: int, pi: np.ndarray, epsilon: float, variance: float) -> _GridTails:
+    """The tail windows of the interior points ``pi`` (no validation).
 
     Empty tails have their cutoff clamped to ``-1`` or ``n + 1``, so their
     windows lie wholly in the row padding and still sum to exactly zero.
+    ``variance`` sets the window length; it must be at least the largest
+    ``p (1 - p)`` of ``pi``.
     """
-    n = check_positive_int(n, "n")
-    check_positive(epsilon, "epsilon")
-    p = np.atleast_1d(np.asarray(p_grid, dtype=np.float64))
-    # NaN fails both comparisons.
-    if len(p) and not (p.min() >= 0.0 and p.max() <= 1.0):
-        raise InvalidParameterError("p_grid must lie in [0, 1]")
-    interior = (p > 0.0) & (p < 1.0)
-    pi = p[interior]
     # Identical cutoff arithmetic to the scalar implementation.
     lo_cut = (np.ceil(n * (pi - epsilon) - 1e-12) - 1).astype(np.int64)
     hi_cut = (np.floor(n * (pi + epsilon) + 1e-12) + 1).astype(np.int64)
@@ -290,21 +321,23 @@ def _grid_tails(
     np.minimum(hi_cut, n + 1, out=hi_cut)
     log1mp = np.log1p(-pi)
     logit = np.log(pi) - log1mp
+    length = _window_length(n, variance, epsilon)
+    return _GridTails(pi, lo_cut, hi_cut, logit, log1mp, length)
 
-    # Window length: the cut sits ~ epsilon*n draws from the mean already,
-    # so the window only needs to cover the remaining distance out to
-    # _WINDOW_SIGMAS sigma + slack (and never more than the full support).
-    variance = float(np.max(pi * (1.0 - pi))) if len(pi) else 0.0
-    if window_variance is not None:
-        if not 0.0 <= window_variance <= 0.25:
-            raise InvalidParameterError(
-                f"window_variance must lie in [0, 1/4], got {window_variance!r}"
-            )
-        variance = max(variance, window_variance)
-    sigma_max = math.sqrt(n * variance)
-    depth = int(math.ceil(_WINDOW_SIGMAS * sigma_max)) + _WINDOW_SLACK
-    length = int(min(n + 1, max(_WINDOW_SLACK, depth - math.floor(epsilon * n) + 2)))
-    return _GridTails(p, interior, pi, lo_cut, hi_cut, logit, log1mp, length)
+
+def _checked_grid(n, p_grid, epsilon: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Validated ``(n, p, interior mask)`` of a public kernel call."""
+    n = check_positive_int(n, "n")
+    check_positive(epsilon, "epsilon")
+    p = np.atleast_1d(np.asarray(p_grid, dtype=np.float64))
+    # NaN fails both comparisons.
+    if len(p) and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise InvalidParameterError("p_grid must lie in [0, 1]")
+    return n, p, (p > 0.0) & (p < 1.0)
+
+
+def _max_variance(pi: np.ndarray) -> float:
+    return float(np.max(pi * (1.0 - pi))) if len(pi) else 0.0
 
 
 def _tail_windows(n: int, t: _GridTails, width: int):
@@ -318,6 +351,17 @@ def _tail_windows(n: int, t: _GridTails, width: int):
     logit2 = np.concatenate([t.logit, t.logit])
     const = logit2 * starts + n * np.concatenate([t.log1mp, t.log1mp])
     return starts, logit2, const
+
+
+def _exact_sums(n: int, t: _GridTails) -> np.ndarray:
+    """The grid kernel's values at the points of ``t``."""
+    starts, logit2, const = _tail_windows(n, t, t.length)
+    # The pad is sized so every start index lands inside the row.
+    sums = _fused_window_sums(
+        _padded_log_comb_row(n), starts + _row_pad(n), logit2, const, t.length
+    )
+    m = len(t.p)
+    return np.minimum(1.0, sums[:m] + sums[m:])
 
 
 def exact_coverage_failure_probability_vec(
@@ -347,48 +391,30 @@ def exact_coverage_failure_probability_vec(
     The window length follows the largest ``p * (1 - p)`` on the grid.
     ``window_variance`` raises that to at least the given value (at most
     1/4): evaluating a subset of a grid with the whole grid's maximum
-    returns values bit-identical to the whole-grid call.
+    returns values bit-identical to the whole-grid call.  ``p_grid`` may
+    also be a grid the worst-case scan already validated and set up
+    (``_GridTails``); its windows are summed as they are.
     """
-    t = _grid_tails(n, p_grid, epsilon, window_variance)
-    out = np.zeros(t.p.shape, dtype=np.float64)
-    if not len(t.pi):
-        return out
-    n = int(n)
-    starts, logit2, const = _tail_windows(n, t, t.length)
-    # The pad is sized so every start index lands inside the row.
-    sums = _fused_window_sums(
-        _padded_log_comb_row(n), starts + _row_pad(n), logit2, const, t.length
-    )
-    m = len(t.pi)
-    out[t.interior] = np.minimum(1.0, sums[:m] + sums[m:])
+    if isinstance(p_grid, _GridTails):
+        return _exact_sums(n, p_grid)
+    n, p, interior = _checked_grid(n, p_grid, epsilon)
+    pi = p[interior]
+    variance = _max_variance(pi)
+    if window_variance is not None:
+        if not 0.0 <= window_variance <= 0.25:
+            raise InvalidParameterError(
+                f"window_variance must lie in [0, 1/4], got {window_variance!r}"
+            )
+        variance = max(variance, window_variance)
+    out = np.zeros(p.shape, dtype=np.float64)
+    if len(pi):
+        out[interior] = _exact_sums(n, _grid_tails(n, pi, epsilon, variance))
     return out
 
 
-def coverage_failure_bounds(
-    n: int, p_grid, epsilon: float, terms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Certified ``(lower, upper)`` bounds on the grid kernel's values.
-
-    ``lower`` sums the first ``min(terms, window)`` terms of each tail
-    window next to its cutoff, through the same fused loop; those terms
-    are a subset of the kernel's window, so ``lower`` is at most the
-    kernel's value up to rounding.  ``upper`` adds a geometric bound on
-    the rest of each tail: past the cutoff the ratio of successive terms,
-    ``b(k+1)/b(k) = (n-k)p / ((k+1)(1-p))`` for the upper tail (mirrored
-    for the lower one), only falls, so the terms from the first omitted
-    one ``b(k)`` on sum to at most ``b(k) / (1 - ratio(k))`` — or
-    infinity when that ratio is not below one.  ``upper`` bounds the
-    exact tails, and the kernel's windows only ever cut them shorter, so
-    it also bounds the kernel's value up to rounding.  Both are clamped
-    at 1 as the kernel clamps; ``p`` in ``{0, 1}`` gets ``(0, 0)``.
-    """
-    terms = check_positive_int(terms, "terms")
-    t = _grid_tails(n, p_grid, epsilon, None)
-    lower = np.zeros(t.p.shape, dtype=np.float64)
-    upper = np.zeros(t.p.shape, dtype=np.float64)
-    if not len(t.pi):
-        return lower, upper
-    n, m = int(n), len(t.pi)
+def _bound_sums(n: int, t: _GridTails, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`coverage_failure_bounds` at the points of ``t``."""
+    m = len(t.p)
     width = min(terms, t.length)
     row, pad = _padded_log_comb_row(n), _row_pad(n)
     starts, logit2, const = _tail_windows(n, t, width)
@@ -417,10 +443,37 @@ def coverage_failure_bounds(
     gap = 1.0 - ratio
     rest = first / np.where(gap > 0.0, gap, 1.0)
     rest[gap <= 0.0] = np.inf
-    lower[t.interior] = np.minimum(1.0, partial[:m] + partial[m:])
-    upper[t.interior] = np.minimum(
-        1.0, (partial[:m] + rest[:m]) + (partial[m:] + rest[m:])
-    )
+    lower = np.minimum(1.0, partial[:m] + partial[m:])
+    upper = np.minimum(1.0, (partial[:m] + rest[:m]) + (partial[m:] + rest[m:]))
+    return lower, upper
+
+
+def coverage_failure_bounds(
+    n: int, p_grid, epsilon: float, terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified ``(lower, upper)`` bounds on the grid kernel's values.
+
+    ``lower`` sums the first ``min(terms, window)`` terms of each tail
+    window next to its cutoff, through the same fused loop; those terms
+    are a subset of the kernel's window, so ``lower`` is at most the
+    kernel's value up to rounding.  ``upper`` adds a geometric bound on
+    the rest of each tail: past the cutoff the ratio of successive terms,
+    ``b(k+1)/b(k) = (n-k)p / ((k+1)(1-p))`` for the upper tail (mirrored
+    for the lower one), only falls, so the terms from the first omitted
+    one ``b(k)`` on sum to at most ``b(k) / (1 - ratio(k))`` — or
+    infinity when that ratio is not below one.  ``upper`` bounds the
+    exact tails, and the kernel's windows only ever cut them shorter, so
+    it also bounds the kernel's value up to rounding.  Both are clamped
+    at 1 as the kernel clamps; ``p`` in ``{0, 1}`` gets ``(0, 0)``.
+    """
+    terms = check_positive_int(terms, "terms")
+    n, p, interior = _checked_grid(n, p_grid, epsilon)
+    lower = np.zeros(p.shape, dtype=np.float64)
+    upper = np.zeros(p.shape, dtype=np.float64)
+    pi = p[interior]
+    if len(pi):
+        tails = _grid_tails(n, pi, epsilon, _max_variance(pi))
+        lower[interior], upper[interior] = _bound_sums(n, tails, terms)
     return lower, upper
 
 

@@ -22,8 +22,10 @@ The tight sample size is the minimal ``n`` with
 ``max_p f(n, p) <= delta``.  ``f(n, ·)`` is piecewise smooth with local
 maxima near the boundaries of the rounding grid, so the inner maximization
 scans a grid of candidate ``p`` refined around the argmax; the outer search
-is a doubling-then-bisection search, valid because ``max_p f(n, p)`` is
-(weakly) decreasing in ``n`` along the search trajectory.
+is a doubling-then-bisection search from the Hoeffding size.  The scan's
+maximum is not monotone in ``n``, so the search returns the ``n`` where
+its bisection crosses ``delta``, which need not be the minimal one (see
+:func:`tight_sample_size`).
 
 Backends and caching
 --------------------
@@ -37,14 +39,20 @@ accept ``backend="batch"`` (default) or ``backend="scalar"``:
   ``ceil(1/epsilon)`` terms of each tail window plus a geometric bound
   on the rest), and the exact grid kernel runs only on the points whose
   upper bound can still reach the level's best value — about a fifth of
-  them at planning scale.  A full scan returns the bit-identical
-  ``(worst_f, argmax p)`` of evaluating every point exactly, and
-  bisection probes short-circuit as soon as a lower bound or an exact
-  value already exceeds ``delta`` (sound: the scan only ever *adds*
-  candidate maxima, so crossing the threshold early settles the
-  comparison the probe asked for).  The search's first probe, the
-  Hoeffding anchor, is answered by Hoeffding's inequality without a
-  scan whenever it settles it with margin.  The grid trajectory (grid
+  them at planning scale.  Each level's cutoffs, logits and window
+  width are set up once and shared by both passes.  A full scan returns
+  the bit-identical ``(worst_f, argmax p)`` of evaluating every point
+  exactly.  A bisection probe asks only whether the maximum exceeds
+  ``delta`` and does only the work that decision needs (sound: the scan
+  only ever *adds* candidate maxima, so crossing the threshold early
+  settles the comparison).  It stops as soon as a lower bound or an
+  exact value exceeds ``delta``.  On its last level, where no window is
+  placed from the argmax, only points whose upper bound can still exceed
+  ``delta`` are evaluated exactly.  Two probes need no scan at all: the
+  Hoeffding anchor, answered by Hoeffding's inequality whenever it
+  settles it with margin, and any ``n`` where the first terms of the
+  level-0 midpoint's tails, summed in plain Python, already exceed
+  ``delta`` (:func:`_midpoint_exceeds`).  The grid trajectory (grid
   points, refinement windows, argmax tie-breaks) is the scalar path's up
   to the ``p <-> 1-p`` mirror at level 0 (see :func:`_scan_batch`), so
   both backends return the same sample sizes; the benchmark suite
@@ -55,9 +63,9 @@ accept ``backend="batch"`` (default) or ``backend="scalar"``:
   against.
 
 The exact search refuses sizes above ``2^24`` labels (``_MAX_N``): a
-Hoeffding anchor, an ``n_hint``, or a batch worst-case ``n`` past it
-raises :class:`~repro.exceptions.InvalidParameterError` instead of
-allocating a log-factorial table of that length.
+Hoeffding anchor or a batch worst-case ``n`` past it raises
+:class:`~repro.exceptions.InvalidParameterError` instead of allocating a
+log-factorial table of that length.
 
 Results of :func:`tight_sample_size` and the batch worst-case scans are
 memoized process-wide through :mod:`repro.stats.cache` — a CI service
@@ -74,7 +82,10 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.stats.batch import (
-    coverage_failure_bounds,
+    _bound_sums,
+    _grid_tails,
+    _max_variance,
+    _window_length,
     # Unused here: perfbench/layers.py wraps it in vars(tight_bounds).
     exact_coverage_failure_probability_pairs,  # noqa: F401
     exact_coverage_failure_probability_vec,
@@ -206,15 +217,24 @@ def _scan_batch(
     The maximum agrees with the scalar scan's to rounding; the argmax may
     be its mirror image.
 
-    Each level is bounded, then verified: certified lower and upper
-    bounds (:func:`repro.stats.batch.coverage_failure_bounds`) for every
-    point, then the exact kernel only on the points whose upper bound
-    reaches the best value known so far (see ``_PRUNE_MARGIN``), at the
-    whole level's window width.  The result is bit-identical to
-    evaluating every point exactly.  When ``stop_above`` is given the
-    scan returns as soon as a lower bound or the running maximum exceeds
-    it (refinement only ever raises the maximum, so the caller's
-    threshold comparison is already decided).
+    Each level is set up once (cutoffs, logits and the window width of
+    its interior points; ``p`` in ``{0, 1}`` has ``f = 0`` and can never
+    be a strict improvement) and then bounded and verified: certified
+    lower and upper bounds (:func:`repro.stats.batch.coverage_failure_bounds`)
+    for every point, then the exact kernel only on the points whose
+    upper bound reaches the best value known so far (see
+    ``_PRUNE_MARGIN``), from the same set-up and so at the whole level's
+    window width.  The result is bit-identical to evaluating every point
+    exactly.
+
+    ``stop_above`` asks only whether the maximum exceeds it, and the
+    scan does only the work that decision needs.  It returns as soon as
+    a lower bound or the running maximum exceeds the threshold
+    (refinement only ever raises the maximum, so the comparison is
+    already decided).  On the last level no window is placed from the
+    argmax, so a point is evaluated exactly only if its upper bound can
+    still exceed the threshold; the returned maximum is then exact only
+    when it exceeds ``stop_above``.
     """
     terms = _bound_terms(epsilon)
     lo, hi = 0.0, 1.0
@@ -224,21 +244,20 @@ def _scan_batch(
         p = lo + np.arange(grid + 1) * step
         if level == 0 and grid % 2 == 0:
             p = p[: grid // 2 + 1]
-        lower, upper = coverage_failure_bounds(n, p, epsilon, terms)
+        p = p[(p > 0.0) & (p < 1.0)]
+        tails = _grid_tails(n, p, epsilon, _max_variance(p))
+        lower, upper = _bound_sums(n, tails, terms)
         certain = float(np.max(lower)) * (1.0 - _PRUNE_MARGIN) - _PRUNE_FLOOR
         if stop_above is not None and certain > stop_above:
             i = int(np.argmax(lower))
             return float(lower[i]), float(p[i])
         floor = max(best_f * (1.0 - _PRUNE_MARGIN) - _PRUNE_FLOOR, certain)
+        if stop_above is not None and level == refine:
+            # Only a value above the threshold can change the decision.
+            floor = max(floor, stop_above * (1.0 - _PRUNE_MARGIN) - _PRUNE_FLOOR)
         live = np.flatnonzero(upper >= floor)
         if len(live):
-            # The whole level's window width keeps subset values
-            # bit-identical to evaluating the level at once.
-            pi = p[(p > 0.0) & (p < 1.0)]
-            variance = float(np.max(pi * (1.0 - pi)))
-            f = exact_coverage_failure_probability_vec(
-                n, p[live], epsilon, window_variance=variance
-            )
+            f = exact_coverage_failure_probability_vec(n, tails.take(live), epsilon)
             i = int(np.argmax(f))
             if f[i] > best_f:
                 best_f, best_p = float(f[i]), float(p[live[i]])
@@ -281,6 +300,8 @@ def _exceeds_delta_batch(
     n: int, epsilon: float, delta: float, grid: int, refine: int
 ) -> bool:
     """Does ``max_p f(n, p)`` exceed ``delta``?  (Early-exit batch scan.)"""
+    if _midpoint_exceeds(n, epsilon, delta, grid):
+        return True
     best_f, _ = _scan_batch(n, epsilon, grid, refine, stop_above=delta)
     return best_f > delta
 
@@ -291,8 +312,8 @@ def _exceeds_delta_batch(
 
 # The largest testset the exact search may reach: the batch kernels keep
 # a float64 log-factorial table of n + 1 entries, so 2^24 labels is a
-# 128 MB table, far above the paper's 2K-100K regime.  A Hoeffding anchor,
-# an ``n_hint`` or a batch worst-case ``n`` above it is refused.
+# 128 MB table, far above the paper's 2K-100K regime.  A Hoeffding anchor
+# or a batch worst-case ``n`` above it is refused.
 _MAX_N = 1 << 24
 
 
@@ -312,9 +333,54 @@ def _hoeffding_certifies(n: int, epsilon: float, delta: float) -> bool:
     ``_PRUNE_MARGIN`` slack keeps the computed scan (its rounding, and
     cutoffs rounded by ``n * (p +- epsilon)``) below ``delta`` too, so the
     certificate gives the scan's own decision.  It settles the search's
-    first probe, the Hoeffding anchor, whenever the anchor is the hint.
+    first probe, the Hoeffding anchor.
     """
     return 2.0 * math.exp(-2.0 * n * epsilon * epsilon) <= delta * (1.0 - _PRUNE_MARGIN)
+
+
+def _midpoint_exceeds(n: int, epsilon: float, delta: float, grid: int) -> bool:
+    """Do the first terms at the level-0 midpoint alone exceed ``delta``?
+
+    Every batch scan evaluates the level-0 grid point ``p = (grid // 2)
+    * step`` (generated here with the scan's own arithmetic), and its
+    maximum only rises from there.  This sums the first
+    ``_bound_terms(epsilon)`` terms of each tail at that point from the
+    scan's cutoffs outward, in plain Python with the ratio recurrence of
+    successive binomial terms.  The count is capped at the grid kernel's
+    window length at ``p``'s own variance, never more than the level's,
+    so the terms are a subset of the kernel's sum, which is therefore at
+    least this one up to rounding; the ``_PRUNE_MARGIN`` slack covers
+    the rounding of both.  A true answer is the scan's own decision,
+    "exceeds", settled without a scan.
+    """
+    p = (grid // 2) * (1.0 / grid)
+    lo_cut = math.ceil(n * (p - epsilon) - 1e-12) - 1
+    hi_cut = math.floor(n * (p + epsilon) + 1e-12) + 1
+    terms = min(_bound_terms(epsilon), _window_length(n, p * (1.0 - p), epsilon))
+    log_p, log_q = math.log(p), math.log1p(-p)
+    odds = p / (1.0 - p)
+    log_n = math.lgamma(n + 1.0)
+
+    def term(k: int) -> float:
+        return math.exp(
+            log_n - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+            + k * log_p + (n - k) * log_q
+        )
+
+    total = 0.0
+    if lo_cut >= 0:
+        k, b = lo_cut, term(lo_cut)
+        for _ in range(min(terms, lo_cut + 1)):
+            total += b
+            b *= k / ((n - k + 1) * odds)
+            k -= 1
+    if hi_cut <= n:
+        k, b = hi_cut, term(hi_cut)
+        for _ in range(min(terms, n - hi_cut + 1)):
+            total += b
+            b *= (n - k) * odds / (k + 1)
+            k += 1
+    return total * (1.0 - _PRUNE_MARGIN) - _PRUNE_FLOOR > delta
 
 
 @memoize("stats.tight_bounds.tight_sample_size", maxsize=4096)
@@ -324,7 +390,7 @@ def _tight_sample_size_cached(
     grid: int,
     refine: int,
     backend: str,
-    hint: int,
+    anchor: int,
 ) -> int:
     if backend == "scalar":
         def exceeds(n: int) -> bool:
@@ -335,16 +401,16 @@ def _tight_sample_size_cached(
                 return False
             return _exceeds_delta_batch(n, epsilon, delta, grid, refine)
 
-    hi = hint
+    hi = anchor
     # Ensure hi is feasible (it should be, Hoeffding dominates); expand if not.
     while exceeds(hi):
         hi *= 2
         if hi > 1 << 34:  # pragma: no cover - defensive
             raise InvalidParameterError("tight_sample_size search diverged")
     lo = 1
-    # Bisection: worst-case failure is monotone (weakly) decreasing in n on
-    # the scales of interest; the final verification step guards against the
-    # small non-monotonic ripples of the discrete distribution.
+    # Bisection: worst-case failure falls with n apart from small ripples
+    # of the discrete distribution, so the crossing found need not be the
+    # minimal passing n; the final verification step re-checks it.
     while lo < hi:
         mid = (lo + hi) // 2
         if not exceeds(mid):
@@ -364,14 +430,19 @@ def tight_sample_size(
     *,
     grid: int = 256,
     refine: int = 2,
-    n_hint: int | None = None,
     backend: str = "batch",
 ) -> int:
-    """Minimal ``n`` with worst-case coverage failure at most ``delta``.
+    """A small ``n`` with worst-case coverage failure at most ``delta``.
 
     This is the Section 4.3 "tight numerical bound" for a single Bernoulli
     mean.  It is never larger than the two-sided Hoeffding sample size (the
     test suite asserts this), and is typically 10–40% smaller.
+
+    The search bisects between 1 and the Hoeffding size and returns the
+    ``n`` where the bisection crosses ``delta``.  The scan's maximum is
+    not monotone in ``n``, so that crossing need not be the minimal
+    passing ``n``: for ``epsilon=0.01``, ``delta=1.953e-7`` the search
+    returns 67750, and 67700 passes too.
 
     Parameters
     ----------
@@ -379,11 +450,6 @@ def tight_sample_size(
         Tolerance and failure probability of the guarantee.
     grid, refine:
         Resolution of the inner worst-case-``p`` search.
-    n_hint:
-        Optional starting point for the search (e.g. the Hoeffding size);
-        when omitted, the two-sided Hoeffding size is used as the upper
-        anchor.  The hint only seeds the search — the returned minimum is
-        independent of it, so cached results ignore it.
     backend:
         ``"batch"`` (vectorized, memoized; the default) or ``"scalar"``
         (the pure-Python reference).  Both return the same ``n``.
@@ -392,23 +458,11 @@ def tight_sample_size(
     check_probability(delta, "delta")
     grid, refine = _check_scan_grid(grid, refine)
     _check_backend(backend)
-    if n_hint is not None:
-        _check_size_cap(check_positive_int(n_hint, "n_hint"), "n_hint")
     if epsilon >= 1.0:
         return 1
     spread = 2.0 * epsilon * epsilon  # underflows to 0.0 for tiny epsilon
     anchor = math.log(2.0 / delta) / spread if spread else math.inf
     _check_size_cap(anchor, f"the Hoeffding anchor of epsilon={epsilon!r}, delta={delta!r}")
-    hoeffding_n = int(math.ceil(anchor))
-    hint = max(1, n_hint or hoeffding_n)
-    if n_hint is None or n_hint == hoeffding_n:
-        # The common, hint-free call: one shared cache entry.
-        return _tight_sample_size_cached(
-            epsilon, delta, grid, refine, backend, max(1, hoeffding_n)
-        )
-    # A custom hint changes the probe trajectory but not the answer; bypass
-    # the memo (still benefiting from the per-probe caches) so the cache
-    # never depends on hints.
-    return _tight_sample_size_cached.__wrapped__(
-        epsilon, delta, grid, refine, backend, hint
+    return _tight_sample_size_cached(
+        epsilon, delta, grid, refine, backend, max(1, int(math.ceil(anchor)))
     )

@@ -1,5 +1,6 @@
 """Batch kernels agree with the scalar binomial machinery to <= 1e-10."""
 
+import math
 import random
 
 import numpy as np
@@ -158,10 +159,14 @@ class TestCaching:
         assert after.hits == before.hits + 1
 
     def test_hint_does_not_pollute_cache(self):
+        # The search has no hint: a spec has exactly one memo entry.
         clear_all_caches()
-        hinted = tight_sample_size(0.1, 1e-2, n_hint=123)
-        unhinted = tight_sample_size(0.1, 1e-2)
-        assert hinted == unhinted
+        with pytest.raises(TypeError):
+            tight_sample_size(0.1, 1e-2, n_hint=123)
+        tight_sample_size(0.1, 1e-2)
+        tight_sample_size(0.1, 1e-2)
+        info = all_cache_info()["stats.tight_bounds.tight_sample_size"]
+        assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
 
     def test_clear_all_caches_resets(self):
         tight_sample_size(0.1, 1e-2)
@@ -174,6 +179,15 @@ class TestCaching:
         small = log_factorial_table(10).copy()
         large = log_factorial_table(1000)
         assert np.array_equal(small[:11], large[:11])
+
+    def test_log_factorial_table_is_lgamma_bit_for_bit(self):
+        clear_all_caches()
+        log_factorial_table(100)
+        table = log_factorial_table(5000)  # the second growth
+        assert len(table) > 5000
+        expected = [math.lgamma(m + 1.0) for m in range(len(table))]
+        assert table.tolist() == expected
+        clear_all_caches()
 
     def test_table_counters_are_real(self):
         """``repro ops`` reports genuine serve/grow traffic, not placeholders."""

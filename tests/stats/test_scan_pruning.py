@@ -211,11 +211,7 @@ class TestSizeCap:
 
     @pytest.mark.parametrize("hint", [-5, 0, True, 2.5, "100", 1 << 25])
     def test_bad_hints_are_refused(self, hint):
-        with pytest.raises(InvalidParameterError, match="n_hint"):
+        # The search always starts at the Hoeffding anchor: a hint moved
+        # the size it returned, so the parameter is gone.
+        with pytest.raises(TypeError, match="n_hint"):
             tight_bounds.tight_sample_size(0.1, 0.01, n_hint=hint)
-
-    @pytest.mark.parametrize("hint", [1, 5, 123, 10**6, np.int64(77)])
-    def test_good_hints_do_not_change_the_size(self, hint):
-        assert tight_bounds.tight_sample_size(0.1, 0.01, n_hint=hint) == (
-            tight_bounds.tight_sample_size(0.1, 0.01)
-        )

@@ -2,25 +2,31 @@
 
 Times the layers the vectorized-kernel work optimizes —
 
-1. ``worst_case_failure_probability`` (one full worst-case-``p`` scan),
-2. ``tight_sample_size`` (the §4.3 search, the planning hot path),
+1. ``worst_case_failure_probability`` (one full worst-case-``p`` scan)
+   against the scalar reference scan (``tight_bounds._scan_scalar``),
+2. ``tight_sample_size`` (the §4.3 search, the planning hot path)
+   against the same search over the scalar scan,
 3. ``SampleSizeEstimator.plan`` cold (cache cleared) vs. warm (served from
    the process-wide plan cache),
-4. the **bandwidth-bound section**: one large-``n`` heterogeneous pairs
-   dispatch (~1k probes at ``n ~ 2e5``, ``p`` near 1/2) per inner loop — the pre-fusion ``reference`` loop
-   and the cache-blocked fused kernel — with bytes-touched accounting:
-   gathered window cells x per-cell bytes, and the effective gather
-   bandwidth each loop sustains,
+4. the **bandwidth-bound section**: the grid kernel's cache-blocked fused
+   window loop against the pre-fusion loop (``reference_sums`` below:
+   materialize the whole ``(rows, window)`` work matrix, exponentiate,
+   reduce each row), on one large-``n`` level (1,024 points in
+   ``[0.35, 0.65]`` at ``n = 2e5``, ``epsilon = 1e-3``) and on the
+   level-0 grids of two planning probes, with bytes-touched accounting:
+   window cells x per-cell bytes, and the effective bandwidth each loop
+   sustains,
 
 — and writes the numbers to ``BENCH_perf_kernels.json`` in the repo root
-so future PRs have a trajectory.  Asserts the acceptance criteria:
-batch ``tight_sample_size`` at ``epsilon=0.02, delta=1e-3`` is >= 20x
-faster than the scalar baseline with the identical result, and a warm
-plan call is served in under a millisecond.  The bandwidth section's fused kernel must be
->= 2x the reference kernel at the full large-``n`` workload (skipped in
-``--quick``, whose shrunken probes don't exercise the bandwidth wall),
+(with an ``environment`` block: cpus, python, numpy, platform) so future
+PRs have a trajectory.  Asserts the acceptance criteria: batch
+``tight_sample_size`` at ``epsilon=0.02, delta=1e-3`` is >= 20x faster
+than the scalar search with the identical result, and a warm plan call
+is served in under a millisecond.  The bandwidth section's fused loop
+must be >= 2x the reference loop on the large-``n`` level (skipped in
+``--quick``, whose shrunken level doesn't exercise the bandwidth wall),
 while the identity gate (fused bit-identical to reference) is enforced
-everywhere.
+on every shape.
 
 Run via ``make bench-perf`` or directly:
 
@@ -37,6 +43,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import time
 from pathlib import Path
@@ -44,11 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.estimators.api import SampleSizeEstimator
-from repro.stats.batch import (
-    _WINDOW_SIGMAS,
-    _WINDOW_SLACK,
-    exact_coverage_failure_probability_pairs,
-)
+from repro.stats import batch, tight_bounds
 from repro.stats.cache import all_cache_info, clear_all_caches
 from repro.stats.tight_bounds import tight_sample_size, worst_case_failure_probability
 
@@ -68,12 +72,26 @@ WORST_CASES = [
 PLAN_CONDITION = "n - o > 0.02 +/- 0.01 /\\ n > 0.8 +/- 0.05"
 PLAN_KWARGS = {"reliability": 0.9999, "adaptivity": "full", "steps": 32}
 
-# The bandwidth-bound workload: a batch of probes at n ~ 2e5 with p near 1/2 (the widest tail windows the ladder hands
-# out), where the pairs kernel's cost is dominated by streaming the
-# gathered log-comb windows through memory rather than by arithmetic.
-PAIRS_SEED = 20260807
-PAIRS_ELEMENTS = 1024
-PAIRS_BASE_N = 200_000
+# The bandwidth-bound section: one level of points near p = 1/2 (the
+# widest windows) at n = 2e5, where the loop's cost is dominated by
+# streaming the gathered log-comb windows through memory rather than by
+# arithmetic, plus the level-0 grids (grid 256, left half) of two
+# planning probes.  Each shape is (name, n, epsilon, points).
+BANDWIDTH_SEED = 20260807
+LARGE_N_SHAPE = (
+    "large_n",
+    200_000,
+    1e-3,
+    np.random.default_rng(BANDWIDTH_SEED).uniform(0.35, 0.65, size=1024),
+)
+PLANNING_LEVEL0 = np.arange(1, 129) / 256
+PLANNING_SHAPES = [
+    ("planning_6800", 6800, 0.02, PLANNING_LEVEL0),
+    ("planning_60000", 60_000, 0.01, PLANNING_LEVEL0),
+]
+# How many rows x columns the reference loop's work matrix may hold
+# before it chunks.
+_MAX_MATRIX_CELLS = 4_000_000
 
 
 def _timed(fn, *, repeats: int = 3, cold: bool = True) -> tuple[float, object]:
@@ -93,11 +111,9 @@ def bench_worst_case(cases=WORST_CASES) -> list[dict]:
     for case in cases:
         n, eps = case["n"], case["epsilon"]
         t_scalar, f_scalar = _timed(
-            lambda: worst_case_failure_probability(n, eps, backend="scalar"), repeats=1
+            lambda: tight_bounds._scan_scalar(n, eps, 512, 3)[0], repeats=1
         )
-        t_batch, f_batch = _timed(
-            lambda: worst_case_failure_probability(n, eps, backend="batch")
-        )
+        t_batch, f_batch = _timed(lambda: worst_case_failure_probability(n, eps))
         rows.append(
             {
                 **case,
@@ -112,17 +128,23 @@ def bench_worst_case(cases=WORST_CASES) -> list[dict]:
     return rows
 
 
+def scalar_tight_sample_size(epsilon: float, delta: float) -> int:
+    """:func:`tight_sample_size`'s search over the scalar reference scan."""
+    return tight_bounds._bisect_crossing(
+        tight_bounds._hoeffding_anchor(epsilon, delta),
+        lambda n: tight_bounds._scan_scalar(n, epsilon, 256, 2)[0] > delta,
+    )
+
+
 def bench_tight_sample_size(cases=TIGHT_CASES) -> list[dict]:
     rows = []
     for case in cases:
         eps, delta = case["epsilon"], case["delta"]
         t_scalar, n_scalar = _timed(
-            lambda: tight_sample_size(eps, delta, backend="scalar"), repeats=1
+            lambda: scalar_tight_sample_size(eps, delta), repeats=1
         )
-        t_batch, n_batch = _timed(lambda: tight_sample_size(eps, delta, backend="batch"))
-        t_warm, n_warm = _timed(
-            lambda: tight_sample_size(eps, delta, backend="batch"), cold=False
-        )
+        t_batch, n_batch = _timed(lambda: tight_sample_size(eps, delta))
+        t_warm, n_warm = _timed(lambda: tight_sample_size(eps, delta), cold=False)
         rows.append(
             {
                 **case,
@@ -157,96 +179,104 @@ def bench_plan_cache() -> dict:
     }
 
 
-def _window_cells(ns, ps, eps) -> int:
-    """Total gathered window cells of one pairs dispatch (both tails).
+def reference_sums(n: int, tails) -> np.ndarray:
+    """The grid kernel's values at prepared tails, through the pre-fusion loop.
 
-    Bench-side replica of the kernel's absolute-ladder width assignment
-    (same sigma depth, same ``2 * slack`` anchor) so the bytes-touched
-    accounting reflects what the kernel actually streams, without the
-    bench reaching into the dispatch internals.
+    Same windows as the fused loop (``batch._tail_windows``), but each
+    chunk's whole ``(rows, window)`` work matrix is materialized by one
+    gather, then updated, exponentiated and reduced row by row in place.
     """
-    nf = ns.astype(np.float64)
-    sigma = np.sqrt(nf * ps * (1.0 - ps))
-    depth = np.ceil(_WINDOW_SIGMAS * sigma).astype(np.int64) + _WINDOW_SLACK
-    natural = np.minimum(
-        ns + 1,
-        np.maximum(_WINDOW_SLACK, depth - np.floor(eps * nf).astype(np.int64) + 2),
+    width = tails.length
+    starts, logit2, const = batch._tail_windows(n, tails, width)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        batch._padded_log_comb_row(n), width
     )
-    ladder = [2 * _WINDOW_SLACK]
-    while ladder[-1] < int(natural.max()):
-        ladder.append(2 * ladder[-1])
-    ladder_arr = np.asarray(ladder, dtype=np.int64)
-    widths = ladder_arr[np.searchsorted(ladder_arr, natural)]
-    return int(2 * widths.sum())
+    starts = starts + batch._row_pad(n)
+    offsets = np.arange(width, dtype=np.float64)
+    sums = np.empty(len(starts), dtype=np.float64)
+    chunk = max(1, _MAX_MATRIX_CELLS // width)
+    for begin in range(0, len(starts), chunk):
+        sl = slice(begin, begin + chunk)
+        work = windows[starts[sl]]  # fresh copy — safe to mutate
+        work += logit2[sl, None] * offsets[None, :]
+        work += const[sl, None]
+        np.exp(work, out=work)
+        # Per-row pairwise reduction, as the fused loop's.
+        sums[sl] = np.add.reduce(work, axis=1)
+    m = len(tails.p)
+    return np.minimum(1.0, sums[:m] + sums[m:])
 
 
-def bench_pairs_bandwidth(quick: bool = False) -> dict:
-    """Per-loop large-``n`` pairs dispatches with bytes-touched accounting.
+def bench_shape(
+    name: str, n: int, epsilon: float, points, rounds: int, gated: bool
+) -> dict:
+    """Fused vs. reference loop on one level, timed interleaved.
 
-    Times ``exact_coverage_failure_probability_pairs`` on one batch of
-    per-element ``(n, p, eps)`` triples at ``n ~ 2e5``, ``p`` near 1/2 —
-    for each inner loop: the pre-fusion
-    ``reference`` loop (the yardstick and oracle) and the cache-blocked
-    fused kernel (must be bit-identical and, at the full workload, beat
-    reference by >= 2x).  The shared layout is built off-clock (the
-    layout cache keeps it resident) and each loop's time is the
-    fastest of ``repeats`` runs — the standard noise-robust estimator
-    for bandwidth-bound loops.
+    The level is set up off-clock and both loops get one warm-up call
+    (which builds the shared log-comb row); then the loops alternate for
+    ``rounds`` rounds and each keeps its fastest round, so machine-load
+    drift hits both alike and the noise-robust minimum is compared.
     """
-    elements = 128 if quick else PAIRS_ELEMENTS
-    base_n = 20_000 if quick else PAIRS_BASE_N
-    repeats = 3 if quick else 7
-    rng = np.random.default_rng(PAIRS_SEED)
-    ns = base_n + rng.integers(0, 50, size=elements)
-    ps = rng.uniform(0.35, 0.65, size=elements)
-    eps = rng.uniform(5e-4, 3e-3, size=elements)
-    cells = _window_cells(ns, ps, eps)
-    pairs = exact_coverage_failure_probability_pairs
-
-    # One warm-up dispatch per loop off-clock (builds the shared layout),
-    # then the loops are timed *interleaved*, round-robin, taking each
-    # loop's fastest round: machine-load drift during the section hits
-    # both alike instead of whichever happened to run last.
-    timed_tiers = {
-        "reference": lambda: pairs(ns, ps, eps, impl="reference"),
-        "fused": lambda: pairs(ns, ps, eps),
+    tails = batch._grid_tails(n, points, epsilon, batch._max_variance(points))
+    loops = {
+        "reference": lambda: reference_sums(n, tails),
+        "fused": lambda: batch.exact_coverage_failure_probability_vec(n, tails, epsilon),
     }
-    results_by_tier = {name: fn() for name, fn in timed_tiers.items()}
-    best = {name: float("inf") for name in timed_tiers}
-    for _ in range(repeats):
-        for name, fn in timed_tiers.items():
+    values = {loop: fn() for loop, fn in loops.items()}
+    best = {loop: float("inf") for loop in loops}
+    for _ in range(rounds):
+        for loop, fn in loops.items():
             t0 = time.perf_counter()
-            results_by_tier[name] = fn()
-            best[name] = min(best[name], time.perf_counter() - t0)
-    t_ref, ref = best["reference"], results_by_tier["reference"]
-    t_fused, fused = best["fused"], results_by_tier["fused"]
+            fn()
+            best[loop] = min(best[loop], time.perf_counter() - t0)
+    cells = 2 * len(tails.p) * tails.length
 
-    def tier(name: str, seconds: float, bytes_per_cell: int) -> dict:
-        window_bytes = cells * bytes_per_cell
+    def tier(loop: str) -> dict:
+        window_bytes = cells * 8
         return {
-            "tier": name,
-            "seconds": seconds,
-            "bytes_per_cell": bytes_per_cell,
+            "tier": f"{loop}_float64",
+            "seconds": best[loop],
+            "bytes_per_cell": 8,
             "window_bytes": window_bytes,
-            "effective_gbps": window_bytes / seconds / 1e9,
-            "speedup_vs_reference": t_ref / seconds,
+            "effective_gbps": window_bytes / best[loop] / 1e9,
+            "speedup_vs_reference": best["reference"] / best[loop],
         }
 
-    tiers = [
-        tier("reference_float64", t_ref, 8),
-        tier("fused_float64", t_fused, 8),
-    ]
     return {
-        "elements": elements,
-        "n_range": [int(ns.min()), int(ns.max())],
+        "shape": name,
+        "n": n,
+        "epsilon": epsilon,
+        "points": len(tails.p),
         "window_cells": cells,
-        "tiers": tiers,
-        "fused_identical_to_reference": bool(np.array_equal(fused, ref)),
-        "fused_speedup": t_ref / t_fused,
-        # Quick mode shrinks the probes below the bandwidth wall and runs
-        # on noisy shared runners; the identity gate is asserted
-        # regardless, the >= 2x gate only on the real workload.
-        "speedup_gate_enforced": bool(not quick),
+        "rounds": rounds,
+        "tiers": [tier("reference"), tier("fused")],
+        "fused_identical_to_reference": bool(
+            np.array_equal(values["fused"], values["reference"])
+        ),
+        "fused_speedup": best["reference"] / best["fused"],
+        "speedup_gate_enforced": gated,
+    }
+
+
+def bench_grid_bandwidth(quick: bool = False) -> dict:
+    """The fused-loop section: identity on every shape, >= 2x at large n.
+
+    Quick mode shrinks the large-``n`` level below the bandwidth wall and
+    runs on noisy shared runners, so its speed gate is not enforced.
+    """
+    name, n, epsilon, points = LARGE_N_SHAPE
+    if quick:
+        n, points = 20_000, points[:128]
+    shapes = [bench_shape(name, n, epsilon, points, 5 if quick else 31, not quick)]
+    for name, n, epsilon, points in PLANNING_SHAPES[:1] if quick else PLANNING_SHAPES:
+        shapes.append(bench_shape(name, n, epsilon, points, 20 if quick else 301, False))
+    return {
+        "shapes": shapes,
+        "fused_identical_to_reference": all(
+            shape["fused_identical_to_reference"] for shape in shapes
+        ),
+        "fused_speedup": shapes[0]["fused_speedup"],
+        "speedup_gate_enforced": shapes[0]["speedup_gate_enforced"],
     }
 
 
@@ -258,46 +288,30 @@ def main(quick: bool = False) -> dict:
     tight_cases = TIGHT_CASES[:1] if quick else TIGHT_CASES
     results = {
         "quick": quick,
+        "environment": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
         "worst_case_failure_probability": bench_worst_case(worst_cases),
         "tight_sample_size": bench_tight_sample_size(tight_cases),
         "sample_size_estimator_plan": bench_plan_cache(),
-        "pairs_bandwidth": bench_pairs_bandwidth(quick),
+        "grid_bandwidth": bench_grid_bandwidth(quick),
         "cache_info_after": {
             name: {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
             for name, info in all_cache_info().items()
         },
     }
 
-    # Acceptance criteria of the vectorized-kernel PR.
     headline = next(
         row
         for row in results["tight_sample_size"]
         if quick or (row["epsilon"] == 0.02 and row["delta"] == 1e-3)
     )
-    assert headline["results_equal"], "batch and scalar tight_sample_size diverged"
     plan_row = results["sample_size_estimator_plan"]
-    assert plan_row["plans_identical"], "cached plan differs from cold plan"
-    if not quick:
-        assert headline["speedup_cold"] >= 20.0, (
-            f"tight_sample_size speedup {headline['speedup_cold']:.1f}x is below "
-            "the required 20x"
-        )
-        assert plan_row["warm_is_sub_millisecond"], (
-            f"warm plan took {plan_row['warm_seconds'] * 1e3:.3f} ms (>= 1 ms)"
-        )
-
-    # Bandwidth-section gates: identity always, >= 2x on the full
-    # large-n workload only (quick probes sit below the wall).
-    bandwidth = results["pairs_bandwidth"]
-    assert bandwidth["fused_identical_to_reference"], (
-        "fused pairs kernel diverged bit-wise from the reference loop"
-    )
-    if bandwidth["speedup_gate_enforced"]:
-        assert bandwidth["fused_speedup"] >= 2.0, (
-            f"fused pairs kernel speedup {bandwidth['fused_speedup']:.2f}x "
-            "over the reference kernel is below the required 2x"
-        )
-
+    bandwidth = results["grid_bandwidth"]
+    # The artifact records the run whatever the gates below decide.
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
     print(
@@ -311,15 +325,39 @@ def main(quick: bool = False) -> dict:
         f"plan cold {plan_row['cold_seconds'] * 1e3:.2f}ms, "
         f"warm {plan_row['warm_seconds'] * 1e6:.0f}us"
     )
-    tier_notes = ", ".join(
-        f"{row['tier']} {row['seconds'] * 1e3:.1f}ms "
-        f"({row['speedup_vs_reference']:.2f}x, {row['effective_gbps']:.1f} GB/s)"
-        for row in bandwidth["tiers"]
+    for shape in bandwidth["shapes"]:
+        tier_notes = ", ".join(
+            f"{row['tier']} {row['seconds'] * 1e3:.2f}ms "
+            f"({row['speedup_vs_reference']:.2f}x, {row['effective_gbps']:.1f} GB/s)"
+            for row in shape["tiers"]
+        )
+        print(
+            f"window loop, {shape['shape']} (n={shape['n']}, {shape['points']} points, "
+            f"{shape['window_cells']} window cells): {tier_notes}"
+        )
+
+    # Acceptance criteria of the vectorized-kernel PR.
+    assert headline["results_equal"], "batch and scalar tight_sample_size diverged"
+    assert plan_row["plans_identical"], "cached plan differs from cold plan"
+    if not quick:
+        assert headline["speedup_cold"] >= 20.0, (
+            f"tight_sample_size speedup {headline['speedup_cold']:.1f}x is below "
+            "the required 20x"
+        )
+        assert plan_row["warm_is_sub_millisecond"], (
+            f"warm plan took {plan_row['warm_seconds'] * 1e3:.3f} ms (>= 1 ms)"
+        )
+
+    # Bandwidth-section gates: identity on every shape, >= 2x on the
+    # full large-n level only (quick levels sit below the wall).
+    assert bandwidth["fused_identical_to_reference"], (
+        "the fused window loop diverged bit-wise from the reference loop"
     )
-    print(
-        f"pairs bandwidth over {bandwidth['elements']} probes "
-        f"({bandwidth['window_cells']} window cells): {tier_notes}"
-    )
+    if bandwidth["speedup_gate_enforced"]:
+        assert bandwidth["fused_speedup"] >= 2.0, (
+            f"fused window loop speedup {bandwidth['fused_speedup']:.2f}x "
+            "over the reference loop is below the required 2x"
+        )
     return results
 
 

@@ -174,8 +174,11 @@ class IntakeScan:
     ``records`` counts intact records of all kinds; ``pending`` are
     submissions at or past the newest cursor without an ack (what a
     drain would replay), ``acked`` those with one.  ``models`` are the
-    intake sequences of every submission (what a journal may name).  ``corrupt_lines`` are 1-based numbers of damaged
-    lines *followed by* intact records (reading raises);
+    intake sequences of every submission (what a journal may name), and
+    ``started`` the repository sequences of the started, not deferred,
+    ones (what a restore replays from the intake past its snapshot's
+    repository length).  ``corrupt_lines`` are 1-based numbers of
+    damaged lines *followed by* intact records (reading raises);
     ``torn_tail_bytes`` the tolerated invalid trailing region.
     """
 
@@ -187,6 +190,7 @@ class IntakeScan:
     corrupt_lines: tuple[int, ...]
     torn_tail_bytes: int
     models: frozenset[int] = frozenset()
+    started: frozenset[int] = frozenset()
 
 
 class IntakeQueue:
@@ -444,8 +448,15 @@ def scan_intake(path: str | Path) -> IntakeScan:
     path = Path(path)
     log = AppendLog(path, _INTAKE, heal=False)
     keys: dict[str, set[int]] = {_CURSOR: set(), _SUBMISSION: set(), _ACK: set()}
-    for raw in log.records(tuple(keys), strict=False):
-        keys[raw["kind"]].add(int(raw["repo_sequence"]))
+    started: set[int] = set()
+    for raw in log.records((*keys, _DEFERRED), strict=False):
+        key = int(raw["repo_sequence"])
+        if raw["kind"] == _DEFERRED:
+            started.discard(key)  # as IntakeQueue._fold does
+            continue
+        keys[raw["kind"]].add(key)
+        if raw["kind"] == _SUBMISSION and (raw.get("payload") or {}).get("started"):
+            started.add(key)
     through = max(keys[_CURSOR], default=0)
     submissions = {key for key in keys[_SUBMISSION] if key >= through}
     return IntakeScan(
@@ -459,4 +470,5 @@ def scan_intake(path: str | Path) -> IntakeScan:
         models=frozenset(
             line.sequence for line in log.lines if line.kind == _SUBMISSION
         ),
+        started=frozenset(started),
     )

@@ -13,9 +13,10 @@ without mutating anything:
 * the journal is classified with :func:`repro.ci.persistence.scan_journal`
   — which, unlike opening an :class:`~repro.ci.persistence.EventJournal`,
   never truncates a torn trailing line;
-* the *replay depth* is computed: how many journaled commits (and
-  events) lie past the newest valid snapshot's anchor, i.e. how much
-  work :meth:`CIService.restore` would re-run;
+* the *replay depth* is computed: how many commits (and journal
+  events) lie past the newest valid snapshot — journaled past its
+  anchor, or started in a fleet tenant's intake — i.e. how much work
+  :meth:`CIService.restore` would re-run;
 * in a fleet tenant's dir, every journal record that names an intake
   record (a started submission's ``commit-received``) is checked
   against the intake file: a name whose record is gone is damage.
@@ -56,6 +57,9 @@ class SnapshotHealth:
         ``"unsupported-version"`` (written by an incompatible build).
     journal_sequence:
         Replay anchor recorded in the envelope (``None`` unless valid).
+    repository_length:
+        Commits the snapshot's repository held (``None`` unless valid;
+        0 for envelopes written before it was recorded).
     error:
         The integrity failure, for corrupt/unsupported files.
     """
@@ -64,6 +68,7 @@ class SnapshotHealth:
     path: Path
     status: str
     journal_sequence: int | None = None
+    repository_length: int | None = None
     error: str | None = None
 
 
@@ -93,8 +98,9 @@ class FsckReport:
     restore_sequence:
         The snapshot generation a restore would load (0 when none).
     replay_commits:
-        Journaled commits past that snapshot's anchor — the builds a
-        restore re-runs.
+        Commits a restore from that snapshot re-runs: the journaled ones
+        past its anchor and, in a fleet tenant dir, the started intake
+        submissions at or past its repository length, each counted once.
     replay_events:
         Total journal records past the anchor (commits plus the audit
         trail).
@@ -228,20 +234,13 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
                     path=path,
                     status="valid",
                     journal_sequence=int(envelope.get("journal_sequence", 0)),
+                    repository_length=int(envelope.get("repository_length", 0)),
                 )
             )
     valid = [report for report in reports if report.status == "valid"]
     newest = valid[-1] if valid else None
     anchor = newest.journal_sequence if newest is not None else 0
-    replay_commits = sum(
-        1
-        for journal_sequence in journal_scan.commit_journal_sequences
-        if journal_sequence > (anchor or 0)
-    )
-    replay_events = max(0, journal_scan.last_sequence - (anchor or 0))
-    # A compacted journal only restores from a snapshot anchored at or
-    # past the compaction boundary: anything older would need records
-    # compaction deliberately dropped.
+    start = newest.repository_length if newest is not None else 0
     intake = None
     dangling: tuple[int, ...] = ()
     if (directory / "intake.jsonl").exists() or journal_scan.intake_references:
@@ -253,6 +252,23 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
             for journal, named in journal_scan.intake_references
             if named not in intake.models
         )
+    # What CIService._replay_journal re-commits: the journaled commits
+    # past the anchor and the started intake submissions, both from the
+    # snapshot's repository length on, each repository sequence once.
+    replayed = {
+        sequence
+        for sequence, journal in zip(
+            journal_scan.commit_sequences, journal_scan.commit_journal_sequences
+        )
+        if journal > (anchor or 0) and sequence >= start
+    }
+    if intake is not None:
+        replayed.update(key for key in intake.started if key >= start)
+    replay_commits = len(replayed)
+    replay_events = max(0, journal_scan.last_sequence - (anchor or 0))
+    # A compacted journal only restores from a snapshot anchored at or
+    # past the compaction boundary: anything older would need records
+    # compaction deliberately dropped.
     restorable = (
         newest is not None
         and (anchor or 0) >= journal_scan.compacted_through

@@ -24,10 +24,7 @@ from repro.stats.binomial import (
     binomial_tail_inversion_upper,
     binomial_tail_inversion_lower,
 )
-from repro.stats.batch import (
-    exact_coverage_failure_probability_pairs,
-    exact_coverage_failure_probability_vec,
-)
+from repro.stats.batch import exact_coverage_failure_probability_vec
 from repro.stats.cache import all_cache_info, clear_all_caches
 from repro.stats.tight_bounds import (
     exact_coverage_failure_probability,
@@ -62,7 +59,6 @@ __all__ = [
     "binomial_tail_inversion_upper",
     "binomial_tail_inversion_lower",
     "exact_coverage_failure_probability_vec",
-    "exact_coverage_failure_probability_pairs",
     "all_cache_info",
     "clear_all_caches",
     "exact_coverage_failure_probability",

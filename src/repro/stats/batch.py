@@ -21,59 +21,41 @@ provides NumPy-native kernels for exactly that shape:
   worst-case scan in :mod:`repro.stats.tight_bounds` bounds a whole
   refinement level this way and sends only the points that can still be
   the argmax through the exact kernel, both from one set-up of the
-  level's tails;
-* :func:`exact_coverage_failure_probability_pairs` — the heterogeneous
-  counterpart over element-wise ``(n, p, epsilon)`` triples.  The
-  per-``n`` padded log-binomial rows are concatenated into one array and
-  every tail window gathers from it, whatever its ``n``.  No plan calls
-  it: it is the oracle the grid kernel is tested against (its
-  ``impl="reference"`` loop) and the yardstick of the fused loop's
-  bandwidth benchmark.
+  level's tails (``_GridTails``; a subset taken with ``.take`` sums
+  bit-identically to the same points of the whole level).
 
-All three sum their windows in one cache-blocked fused loop with
-fixed-order row reductions.  Both kernels are cross-checked against the
-scalar implementation in ``tests/stats/test_batch.py`` (agreement to
-``<= 1e-10`` including the ``p in {0, 1}`` boundaries).
+Both sum their windows in one cache-blocked fused loop
+(``_fused_window_sums``) with fixed-order row reductions.  The grid
+kernel is cross-checked against the scalar implementation in
+``tests/stats/test_batch.py`` (agreement to ``<= 1e-10`` including the
+``p in {0, 1}`` boundaries) and, bit for bit, against the pre-fusion
+materialize-then-reduce loop there and in ``make bench-perf``.
 
 These are the *planning-side* kernels; the *serving-side* batching —
 evaluating many committed models against one baseline — lives in
 :class:`repro.stats.estimation.PairedSampleBatch` and
 :meth:`repro.core.evaluation.ConditionEvaluator.evaluate_batch`.  The
 process-wide state this module keeps (the log-factorial table and the
-per-``n`` log-binomial rows, the pairs-kernel segment layout)
-self-registers in :mod:`repro.stats.cache`, so
-:func:`repro.stats.cache.clear_all_caches` covers it.
+per-``n`` log-binomial rows) self-registers in :mod:`repro.stats.cache`,
+so :func:`repro.stats.cache.clear_all_caches` covers it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.stats.cache import register_cache
+from repro.stats.cache import LRUCache, register_cache
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
     "log_factorial_table",
     "exact_coverage_failure_probability_vec",
     "coverage_failure_bounds",
-    "exact_coverage_failure_probability_pairs",
 ]
-
-# How many rows x columns the reference pairs loop's work matrix may hold
-# before it chunks.
-_MAX_MATRIX_CELLS = 4_000_000
-
-# Inner-loop implementations of the pairs kernel.  "fused" (default)
-# streams gather + affine + exp + reduce over L2-sized blocks;
-# "reference" materializes the full (rows, window) intermediate per
-# chunk (the pre-fusion baseline, kept as the benchmark yardstick and
-# oracle).
-_PAIRS_IMPLS = ("fused", "reference")
 
 # Cache-block size (in cells) of the fused loop: the float64 work buffer
 # plus its temporary stay within a typical L2 slice.
@@ -100,9 +82,32 @@ _LOG_FACTORIAL = np.zeros(1, dtype=np.float64)  # entry m holds lgamma(m + 1)
 
 # Real serve/grow counters for the table (the hottest shared structure in
 # the process): a "hit" is a call the existing table already covered, a
-# "miss" is a call that had to grow it.  Surfaced by ``repro ops``.
+# "miss" is a call that had to grow it.  Surfaced by ``repro ops``.  A
+# log-binomial row build is counted by the row cache, not here: it only
+# ever grows the table (a miss).
 _TABLE_STATS = {"hits": 0, "misses": 0}
 
+
+def _grown_table(limit: int) -> np.ndarray:
+    """The shared table, grown first if it does not reach ``limit``."""
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if len(table) > limit:
+        return table
+    with _TABLE_LOCK:
+        table = _LOG_FACTORIAL
+        if len(table) <= limit:
+            _TABLE_STATS["misses"] += 1
+            new_size = max(limit + 1, 2 * len(table))
+            grown = np.empty(new_size, dtype=np.float64)
+            grown[: len(table)] = table
+            grown[len(table) :] = np.fromiter(
+                map(math.lgamma, range(len(table) + 1, new_size + 1)),
+                dtype=np.float64,
+                count=new_size - len(table),
+            )
+            _LOG_FACTORIAL = table = grown
+    return table
 
 
 def log_factorial_table(limit: int) -> np.ndarray:
@@ -113,28 +118,10 @@ def log_factorial_table(limit: int) -> np.ndarray:
     are produced by ``math.lgamma`` so that batch log-pmf values match the
     scalar implementation bit for bit.
     """
-    global _LOG_FACTORIAL
     limit = check_positive_int(limit + 1, "limit") - 1  # allow limit = 0
-    table = _LOG_FACTORIAL
-    if len(table) <= limit:
-        with _TABLE_LOCK:
-            table = _LOG_FACTORIAL
-            if len(table) <= limit:
-                _TABLE_STATS["misses"] += 1
-                new_size = max(limit + 1, 2 * len(table))
-                grown = np.empty(new_size, dtype=np.float64)
-                grown[: len(table)] = table
-                grown[len(table) :] = np.fromiter(
-                    map(math.lgamma, range(len(table) + 1, new_size + 1)),
-                    dtype=np.float64,
-                    count=new_size - len(table),
-                )
-                _LOG_FACTORIAL = table = grown
-            else:
-                _TABLE_STATS["hits"] += 1
-    else:
+    if len(_LOG_FACTORIAL) > limit:
         _TABLE_STATS["hits"] += 1
-    return table
+    return _grown_table(limit)
 
 
 class _TableResetProxy:
@@ -146,7 +133,6 @@ class _TableResetProxy:
         global _LOG_FACTORIAL
         with _TABLE_LOCK:
             _LOG_FACTORIAL = np.zeros(1, dtype=np.float64)
-            _LOG_COMB_CACHE.clear()
             _TABLE_STATS["hits"] = 0
             _TABLE_STATS["misses"] = 0
 
@@ -165,11 +151,11 @@ class _TableResetProxy:
 register_cache("stats.batch.log_factorial_table", _TableResetProxy())  # type: ignore[arg-type]
 
 
-_LOG_COMB_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
-# A row is reused within one probe's scan (both passes of every level);
-# a search almost never revisits an ``n``, so more rows only hold memory
-# (half a megabyte each at planning scale).
-_LOG_COMB_CACHE_SIZE = 4
+# The padded ``log C(n, .)`` rows, per ``n``: a served row is a hit, a
+# built one a miss.  A row is reused within one probe's scan (both passes
+# of every level); a search almost never revisits an ``n``, so more rows
+# only hold memory (half a megabyte each at planning scale).
+_LOG_COMB_ROWS = register_cache("stats.batch.log_comb_rows", LRUCache(maxsize=4))
 
 
 def _row_pad(n: int) -> int:
@@ -190,12 +176,10 @@ def _padded_log_comb_row(n: int) -> np.ndarray:
 
     Cached for the last few ``n``; the row is read-only.
     """
-    with _TABLE_LOCK:
-        row = _LOG_COMB_CACHE.get(n)
-        if row is not None:
-            _LOG_COMB_CACHE.move_to_end(n)
-            return row
-    table = log_factorial_table(n)
+    row = _LOG_COMB_ROWS.get(n)
+    if row is not None:
+        return row
+    table = _grown_table(n)
     pad = _row_pad(n)
     row = np.empty(n + 1 + 2 * pad, dtype=np.float64)
     row[:pad] = _LOG_ZERO
@@ -204,10 +188,7 @@ def _padded_log_comb_row(n: int) -> np.ndarray:
     np.subtract(table[n], table[: n + 1], out=body)
     body -= table[n::-1]
     row.flags.writeable = False
-    with _TABLE_LOCK:
-        _LOG_COMB_CACHE[n] = row
-        while len(_LOG_COMB_CACHE) > _LOG_COMB_CACHE_SIZE:
-            _LOG_COMB_CACHE.popitem(last=False)
+    _LOG_COMB_ROWS.put(n, row)
     return row
 
 
@@ -231,9 +212,10 @@ def _fused_window_sums(
     materializing the full ``(rows, width)`` intermediate.  A window is
     ``width`` *consecutive* cells of ``src``, so each block's gather is
     one C-level copy of sliding-window rows — no index matrix.  Element
-    arithmetic and the per-row fixed-order reduction match the pairs
-    kernel's reference loop, so the two are bit-identical.  ``src`` must
-    be one contiguous float64 row.
+    arithmetic and the per-row fixed-order reduction match the pre-fusion
+    materialize-then-reduce loop (kept in ``tests/stats/test_batch.py``
+    and ``benchmarks/bench_perf_kernels.py``), so the two are
+    bit-identical.  ``src`` must be one contiguous float64 row.
     """
     block = max(1, min(len(starts), _FUSED_BLOCK_CELLS // width))
     # The sliding-window view of ``src``, built directly: a tenth of the
@@ -365,7 +347,7 @@ def _exact_sums(n: int, t: _GridTails) -> np.ndarray:
 
 
 def exact_coverage_failure_probability_vec(
-    n: int, p_grid, epsilon: float, *, window_variance: float | None = None
+    n: int, p_grid, epsilon: float
 ) -> np.ndarray:
     """Exact ``Pr[|Binomial(n, p)/n - p| > epsilon]`` for a vector of ``p``.
 
@@ -382,33 +364,24 @@ def exact_coverage_failure_probability_vec(
     separates as
     ``log C(n,k) + k*logit(p) + n*log(1-p)``, so every tail is a window of
     one shared, padded ``log C(n, .)`` row (cached per ``n``) plus an
-    affine term: the sums run through the same cache-blocked fused window
-    loop as :func:`exact_coverage_failure_probability_pairs`, with
+    affine term, summed by the cache-blocked fused window loop with
     fixed-order per-row reductions and no per-element Python work.
     Positions outside ``[0, n]`` hit padding cells whose ``exp`` is
     exactly zero.
 
     The window length follows the largest ``p * (1 - p)`` on the grid.
-    ``window_variance`` raises that to at least the given value (at most
-    1/4): evaluating a subset of a grid with the whole grid's maximum
-    returns values bit-identical to the whole-grid call.  ``p_grid`` may
-    also be a grid the worst-case scan already validated and set up
-    (``_GridTails``); its windows are summed as they are.
+    ``p_grid`` may also be a grid the worst-case scan already validated
+    and set up (``_GridTails``); its windows are summed as they are, so a
+    subset taken from a level with ``.take`` gets values bit-identical to
+    the whole level's.
     """
     if isinstance(p_grid, _GridTails):
         return _exact_sums(n, p_grid)
     n, p, interior = _checked_grid(n, p_grid, epsilon)
-    pi = p[interior]
-    variance = _max_variance(pi)
-    if window_variance is not None:
-        if not 0.0 <= window_variance <= 0.25:
-            raise InvalidParameterError(
-                f"window_variance must lie in [0, 1/4], got {window_variance!r}"
-            )
-        variance = max(variance, window_variance)
     out = np.zeros(p.shape, dtype=np.float64)
+    pi = p[interior]
     if len(pi):
-        out[interior] = _exact_sums(n, _grid_tails(n, pi, epsilon, variance))
+        out[interior] = _exact_sums(n, _grid_tails(n, pi, epsilon, _max_variance(pi)))
     return out
 
 
@@ -475,214 +448,3 @@ def coverage_failure_bounds(
         tails = _grid_tails(n, pi, epsilon, _max_variance(pi))
         lower[interior], upper[interior] = _bound_sums(n, tails, terms)
     return lower, upper
-
-
-_PAIRS_LAYOUT_CACHE: OrderedDict[tuple, tuple] = OrderedDict()
-_PAIRS_LAYOUT_CACHE_SIZE = 8
-_PAIRS_LAYOUT_STATS = {"hits": 0, "misses": 0}
-
-
-class _PairsLayoutProxy:
-    """Adapter letting the registry clear the pairs-kernel layout cache."""
-
-    maxsize = _PAIRS_LAYOUT_CACHE_SIZE
-
-    def clear(self) -> None:
-        with _TABLE_LOCK:
-            _PAIRS_LAYOUT_CACHE.clear()
-            _PAIRS_LAYOUT_STATS["hits"] = 0
-            _PAIRS_LAYOUT_STATS["misses"] = 0
-
-    def info(self):
-        from repro.stats.cache import CacheInfo
-
-        with _TABLE_LOCK:
-            return CacheInfo(
-                hits=_PAIRS_LAYOUT_STATS["hits"],
-                misses=_PAIRS_LAYOUT_STATS["misses"],
-                maxsize=self.maxsize,
-                currsize=len(_PAIRS_LAYOUT_CACHE),
-            )
-
-
-register_cache("stats.batch.pairs_layout", _PairsLayoutProxy())  # type: ignore[arg-type]
-
-
-def _pairs_layout(unique_ns: tuple, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated padded log-comb segments for a set of ``n`` (cached).
-
-    Keys are ``(tuple_of_python_ints, int)``; each entry is
-    ``(concat, seg_bases)``.
-    """
-    key = (unique_ns, pad)
-    with _TABLE_LOCK:
-        entry = _PAIRS_LAYOUT_CACHE.get(key)
-        if entry is not None:
-            _PAIRS_LAYOUT_CACHE.move_to_end(key)
-            _PAIRS_LAYOUT_STATS["hits"] += 1
-            return entry
-        _PAIRS_LAYOUT_STATS["misses"] += 1
-    ns_arr = np.asarray(unique_ns, dtype=np.int64)
-    seg_sizes = ns_arr + 1 + 2 * pad
-    seg_offsets = np.concatenate([[0], np.cumsum(seg_sizes)[:-1]])
-    seg_bases = seg_offsets + pad
-    concat = np.full(int(seg_sizes.sum()), _LOG_ZERO)
-    for g, nv in enumerate(unique_ns):
-        base, row_pad = int(seg_bases[g]), _row_pad(nv)
-        row = _padded_log_comb_row(nv)
-        concat[base : base + nv + 1] = row[row_pad : row_pad + nv + 1]
-    concat.flags.writeable = False
-    with _TABLE_LOCK:
-        _PAIRS_LAYOUT_CACHE[key] = (concat, seg_bases)
-        while len(_PAIRS_LAYOUT_CACHE) > _PAIRS_LAYOUT_CACHE_SIZE:
-            _PAIRS_LAYOUT_CACHE.popitem(last=False)
-    return concat, seg_bases
-
-
-def exact_coverage_failure_probability_pairs(
-    ns,
-    p_values,
-    epsilons,
-    *,
-    impl: str | None = None,
-):
-    """Element-wise exact ``Pr[|Binomial(n_i, p_i)/n_i - p_i| > eps_i]``.
-
-    The heterogeneous counterpart of
-    :func:`exact_coverage_failure_probability_vec`: every element carries
-    its own ``(n, p, epsilon)`` triple, and a whole vector costs one
-    kernel dispatch regardless of how many distinct ``n`` appear.
-
-    The padded ``log C(n, .)`` rows of every distinct ``n`` are laid out
-    in one concatenated array; each element's two tail windows gather from
-    its segment at a width quantized onto an absolute power-of-two ladder
-    (extra positions beyond the natural depth either fall on padding
-    cells whose ``exp`` is exactly zero or pick up real-but-negligible
-    terms deeper in the tail, which only *improves* accuracy).  Because
-    the ladder is absolute — anchored at ``2 * _WINDOW_SLACK``, never at the
-    batch maximum — an element's value is a pure function of its own
-    ``(n, p, epsilon)``: **bit-identical however the surrounding batch is
-    composed**.  Precision matches the vec kernel: windows reach at least
-    ``_WINDOW_SIGMAS`` standard deviations past the mean, bounding the
-    omitted mass below ~1.5e-14.
-
-    ``impl`` selects the inner loop: ``"fused"`` (default —
-    cache-blocked, fused gather/exp/reduce) or ``"reference"`` (the
-    pre-fusion baseline, kept as the benchmark yardstick and oracle).
-    The two are bit-identical, and both preserve batch-composition
-    invariance.
-    """
-    impl = "fused" if impl is None else impl
-    if impl not in _PAIRS_IMPLS:
-        raise InvalidParameterError(
-            f"impl must be one of {_PAIRS_IMPLS}, got {impl!r}"
-        )
-    ns = np.atleast_1d(np.asarray(ns))
-    p = np.atleast_1d(np.asarray(p_values, dtype=np.float64))
-    eps = np.atleast_1d(np.asarray(epsilons, dtype=np.float64))
-    ns, p, eps = np.broadcast_arrays(ns, p, eps)
-    ns = ns.astype(np.int64)
-    if ns.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    if np.any(ns < 1):
-        raise InvalidParameterError("n must contain positive integers")
-    if np.any(eps <= 0.0) or not np.all(np.isfinite(eps)):
-        raise InvalidParameterError("epsilon must contain positive finite values")
-    if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
-        raise InvalidParameterError("p must lie in [0, 1]")
-    out = np.zeros(p.shape, dtype=np.float64)
-    interior = (p > 0.0) & (p < 1.0)
-    if not np.any(interior):
-        return out
-    ni, pi, ei = ns[interior], p[interior], eps[interior]
-
-    # Identical cutoff arithmetic to the scalar implementation.
-    nf = ni.astype(np.float64)
-    lo_cut = (np.ceil(nf * (pi - ei) - 1e-12) - 1).astype(np.int64)
-    hi_cut = (np.floor(nf * (pi + ei) + 1e-12) + 1).astype(np.int64)
-    log1mp = np.log1p(-pi)
-    logit = np.log(pi) - log1mp
-
-    # Per-element natural window depth, then quantized onto an *absolute*
-    # power-of-two ladder anchored at 2*slack: a row's summation width
-    # depends only on its own (n, p, eps) — never on what else happens to
-    # share the dispatch — so every value is bit-identical however the
-    # batch is split or ordered.
-    # Widening a window past its natural depth only adds padding cells
-    # (whose ``exp`` is exactly zero) or real-but-negligible deeper-tail
-    # terms, so quantization never weakens a row's accuracy guarantee.
-    sigma = np.sqrt(nf * pi * (1.0 - pi))
-    depth = np.ceil(_WINDOW_SIGMAS * sigma).astype(np.int64) + _WINDOW_SLACK
-    natural = np.minimum(
-        ni + 1,
-        np.maximum(_WINDOW_SLACK, depth - np.floor(ei * nf).astype(np.int64) + 2),
-    )
-    ladder = [2 * _WINDOW_SLACK]
-    while ladder[-1] < int(natural.max()):
-        ladder.append(2 * ladder[-1])
-    ladder_arr = np.asarray(ladder, dtype=np.int64)
-    max_width = int(ladder_arr[-1])
-
-    # One concatenated array of padded log-comb segments, one per unique n.
-    # The pad covers the deepest window any element can ask for; it is
-    # quantized upward to a power of two so that repeated dispatches over
-    # the same ns (slightly different windows) share one cached layout
-    # instead of rebuilding the concatenation every call.
-    unique_ns, inv = np.unique(ni, return_inverse=True)
-    eps_max = np.zeros(len(unique_ns))
-    np.maximum.at(eps_max, inv, ei)
-    pad_needed = int(max_width + np.ceil(eps_max * unique_ns).max() + 4)
-    pad = 1 << (pad_needed - 1).bit_length()
-    concat, seg_bases = _pairs_layout(tuple(unique_ns.tolist()), pad)
-    base_index = seg_bases[inv]
-
-    # Row layout mirrors the vec kernel: lower tails, then upper tails.
-    # A lower-tail window *ends* at lo_cut, an upper-tail window *starts*
-    # at hi_cut, so both anchor at their cutoff and extend away from the
-    # distribution's bulk only as far as their width.
-    m = len(pi)
-    logit2 = np.concatenate([logit, logit])
-    n2 = np.concatenate([nf, nf])
-    log1mp2 = np.concatenate([log1mp, log1mp])
-    base2 = np.concatenate([base_index, base_index])
-    lo_end = lo_cut  # k of the last cell of each lower window
-    hi_start = hi_cut  # k of the first cell of each upper window
-
-    # Bucket rows by their quantized window width: rows far from p = 1/2
-    # need far smaller windows than the global maximum, and the work
-    # matrix cost is rows x width.  The ladder lookup assigns each row
-    # the smallest rung that covers its natural depth.
-    natural2 = np.concatenate([natural, natural])
-    widths2 = ladder_arr[np.searchsorted(ladder_arr, natural2)]
-    sums = np.empty(2 * m, dtype=np.float64)
-    for width in np.unique(widths2).tolist():
-        in_bucket = np.flatnonzero(widths2 == width)
-        lower_rows = in_bucket < m
-        # k-space position of each window's first cell.
-        first_k = np.where(
-            lower_rows, lo_end[in_bucket % m] - (width - 1), hi_start[in_bucket % m]
-        )
-        bucket_starts = base2[in_bucket] + first_k
-        bucket_logit = logit2[in_bucket]
-        bucket_const = bucket_logit * first_k + n2[in_bucket] * log1mp2[in_bucket]
-        if impl == "reference":
-            windows = np.lib.stride_tricks.sliding_window_view(concat, width)
-            offsets_in_window = np.arange(width, dtype=np.float64)
-            chunk = max(1, _MAX_MATRIX_CELLS // width)
-            for begin in range(0, len(in_bucket), chunk):
-                sl = slice(begin, begin + chunk)
-                work = windows[bucket_starts[sl]]  # fresh copy — safe to mutate
-                work += bucket_logit[sl, None] * offsets_in_window[None, :]
-                work += bucket_const[sl, None]
-                np.exp(work, out=work)
-                # Per-row pairwise reduction (not a BLAS matvec): the
-                # summation order then depends only on the row width,
-                # keeping each element's value batch-composition invariant.
-                sums[in_bucket[sl]] = np.add.reduce(work, axis=1)
-        else:
-            sums[in_bucket] = _fused_window_sums(
-                concat, bucket_starts, bucket_logit, bucket_const, width
-            )
-    out[interior] = np.minimum(1.0, sums[:m] + sums[m:])
-    return out
-

@@ -31,11 +31,11 @@ Every memoized layer registers here (asserted complete in
 
 * ``estimators.plan_cache`` — the process-wide :class:`SampleSizePlan`
   cache shared by every estimator instance;
-* ``stats.batch.log_factorial_table`` — the shared ``lgamma`` table (and
-  the per-``n`` log-binomial rows derived from it);
-* ``stats.batch.pairs_layout`` — concatenated padded log-binomial
-  segments reused across dispatches of the heterogeneous
-  multi-``(n, p, eps)`` kernel;
+* ``stats.batch.log_factorial_table`` — the shared ``lgamma`` table
+  (a hit is a direct lookup it already covers, a miss a growth);
+* ``stats.batch.log_comb_rows`` — the padded ``log C(n, .)`` row of the
+  last few ``n`` every grid-kernel call reads (a hit is a served row, a
+  miss a built one);
 * ``stats.tight_bounds.worst_case`` / ``exceeds_delta`` /
   ``tight_sample_size`` — the memoized §4.3 scans and search.
 """

@@ -27,47 +27,46 @@ maximum is not monotone in ``n``, so the search returns the ``n`` where
 its bisection crosses ``delta``, which need not be the minimal one (see
 :func:`tight_sample_size`).
 
-Backends and caching
---------------------
+Scans and caching
+-----------------
 :func:`tight_sample_size` and :func:`worst_case_failure_probability`
-accept ``backend="batch"`` (default) or ``backend="scalar"``:
+run their grid scans through the NumPy kernels in
+:mod:`repro.stats.batch`, bound first, verify second.  Each refinement
+level gets certified lower and upper bounds for every grid point
+(:func:`repro.stats.batch.coverage_failure_bounds`: the first
+``ceil(1/epsilon)`` terms of each tail window plus a geometric bound on
+the rest), and the exact grid kernel runs only on the points whose upper
+bound can still reach the level's best value — about a fifth of them at
+planning scale.  Each level's cutoffs, logits and window width are set
+up once and shared by both passes.  A full scan returns the
+bit-identical ``(worst_f, argmax p)`` of evaluating every point exactly.
+A bisection probe asks only whether the maximum exceeds ``delta`` and
+does only the work that decision needs (sound: the scan only ever *adds*
+candidate maxima, so crossing the threshold early settles the
+comparison).  It stops as soon as a lower bound or an exact value
+exceeds ``delta``.  On its last level, where no window is placed from
+the argmax, only points whose upper bound can still exceed ``delta`` are
+evaluated exactly.  Two probes need no scan at all: the Hoeffding
+anchor, answered by Hoeffding's inequality whenever it settles it with
+margin, and any ``n`` where the first terms of the level-0 midpoint's
+tails, summed in plain Python, already exceed ``delta``
+(:func:`_midpoint_exceeds`).
 
-* ``"batch"`` runs the grid scans through the NumPy kernels in
-  :mod:`repro.stats.batch`, bound first, verify second.  Each refinement
-  level gets certified lower and upper bounds for every grid point
-  (:func:`repro.stats.batch.coverage_failure_bounds`: the first
-  ``ceil(1/epsilon)`` terms of each tail window plus a geometric bound
-  on the rest), and the exact grid kernel runs only on the points whose
-  upper bound can still reach the level's best value — about a fifth of
-  them at planning scale.  Each level's cutoffs, logits and window
-  width are set up once and shared by both passes.  A full scan returns
-  the bit-identical ``(worst_f, argmax p)`` of evaluating every point
-  exactly.  A bisection probe asks only whether the maximum exceeds
-  ``delta`` and does only the work that decision needs (sound: the scan
-  only ever *adds* candidate maxima, so crossing the threshold early
-  settles the comparison).  It stops as soon as a lower bound or an
-  exact value exceeds ``delta``.  On its last level, where no window is
-  placed from the argmax, only points whose upper bound can still exceed
-  ``delta`` are evaluated exactly.  Two probes need no scan at all: the
-  Hoeffding anchor, answered by Hoeffding's inequality whenever it
-  settles it with margin, and any ``n`` where the first terms of the
-  level-0 midpoint's tails, summed in plain Python, already exceed
-  ``delta`` (:func:`_midpoint_exceeds`).  The grid trajectory (grid
-  points, refinement windows, argmax tie-breaks) is the scalar path's up
-  to the ``p <-> 1-p`` mirror at level 0 (see :func:`_scan_batch`), so
-  both backends return the same sample sizes; the benchmark suite
-  enforces a >= 20x speedup at paper-scale parameters.
-* ``"scalar"`` is the original pure-Python loop over
-  :func:`repro.stats.binomial.binom_cdf`, kept verbatim as the reference
-  implementation the batch kernels are cross-checked (and benchmarked)
-  against.
+``_scan_scalar`` is the original pure-Python loop over
+:func:`repro.stats.binomial.binom_cdf`, kept as the reference the batch
+scan is cross-checked and benchmarked against: the grid trajectory (grid
+points, refinement windows, argmax tie-breaks) is the scalar loop's up
+to the ``p <-> 1-p`` mirror at level 0 (see :func:`_scan_batch`), so a
+search over either scan (:func:`_bisect_crossing`) returns the same
+sample size.  The benchmark suite enforces a >= 20x speedup at
+paper-scale parameters.
 
 The exact search refuses sizes above ``2^24`` labels (``_MAX_N``): a
-Hoeffding anchor or a batch worst-case ``n`` past it raises
+Hoeffding anchor or a worst-case ``n`` past it raises
 :class:`~repro.exceptions.InvalidParameterError` instead of allocating a
 log-factorial table of that length.
 
-Results of :func:`tight_sample_size` and the batch worst-case scans are
+Results of :func:`tight_sample_size` and the worst-case scans are
 memoized process-wide through :mod:`repro.stats.cache` — a CI service
 re-planning the same condition on every commit hits the cache instead of
 re-running the search.  Use :func:`repro.stats.cache.clear_all_caches` for
@@ -77,6 +76,7 @@ cold-start benchmarks.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -86,8 +86,6 @@ from repro.stats.batch import (
     _grid_tails,
     _max_variance,
     _window_length,
-    # Unused here: perfbench/layers.py wraps it in vars(tight_bounds).
-    exact_coverage_failure_probability_pairs,  # noqa: F401
     exact_coverage_failure_probability_vec,
 )
 from repro.stats.binomial import binom_cdf, binom_sf
@@ -100,15 +98,9 @@ __all__ = [
     "tight_sample_size",
 ]
 
-_BACKENDS = ("batch", "scalar")
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in _BACKENDS:
-        raise InvalidParameterError(
-            f"backend must be one of {_BACKENDS}, got {backend!r}"
-        )
-    return backend
+# perfbench/layers.py binds this name to time the coverage kernel; the
+# benchmark change of ROADMAP item 3 drops that wrapper and this line.
+exact_coverage_failure_probability_pairs = exact_coverage_failure_probability_vec
 
 
 def _check_scan_grid(grid: int, refine: int) -> tuple[int, int]:
@@ -276,21 +268,19 @@ def _worst_case_cached(
 
 
 def worst_case_failure_probability(
-    n: int, epsilon: float, *, grid: int = 512, refine: int = 3, backend: str = "batch"
+    n: int, epsilon: float, *, grid: int = 512, refine: int = 3
 ) -> float:
     """``max_p Pr[|hat p - p| > epsilon]`` over the unknown true mean.
 
     Scans an initial uniform grid over ``[0, 1]`` and then refines around
     the best cell ``refine`` times.  With ``grid=512`` the result is exact
     to well below the tolerance at which it is consumed (the outer search
-    only needs to compare against ``delta``).  The batch backend is
-    memoized per ``(n, epsilon, grid, refine)``.
+    only needs to compare against ``delta``).  Memoized per
+    ``(n, epsilon, grid, refine)``.
     """
     n = check_positive_int(n, "n")
     check_positive(epsilon, "epsilon")
     grid, refine = _check_scan_grid(grid, refine)
-    if _check_backend(backend) == "scalar":
-        return _scan_scalar(n, epsilon, grid, refine)[0]
     _check_size_cap(n, "n")
     return _worst_case_cached(n, epsilon, grid, refine)[0]
 
@@ -299,7 +289,7 @@ def worst_case_failure_probability(
 def _exceeds_delta_batch(
     n: int, epsilon: float, delta: float, grid: int, refine: int
 ) -> bool:
-    """Does ``max_p f(n, p)`` exceed ``delta``?  (Early-exit batch scan.)"""
+    """Does ``max_p f(n, p)`` exceed ``delta``?  (Early-exit scan.)"""
     if _midpoint_exceeds(n, epsilon, delta, grid):
         return True
     best_f, _ = _scan_batch(n, epsilon, grid, refine, stop_above=delta)
@@ -313,7 +303,7 @@ def _exceeds_delta_batch(
 # The largest testset the exact search may reach: the batch kernels keep
 # a float64 log-factorial table of n + 1 entries, so 2^24 labels is a
 # 128 MB table, far above the paper's 2K-100K regime.  A Hoeffding anchor
-# or a batch worst-case ``n`` above it is refused.
+# or a worst-case ``n`` above it is refused.
 _MAX_N = 1 << 24
 
 
@@ -383,26 +373,22 @@ def _midpoint_exceeds(n: int, epsilon: float, delta: float, grid: int) -> bool:
     return total * (1.0 - _PRUNE_MARGIN) - _PRUNE_FLOOR > delta
 
 
-@memoize("stats.tight_bounds.tight_sample_size", maxsize=4096)
-def _tight_sample_size_cached(
-    epsilon: float,
-    delta: float,
-    grid: int,
-    refine: int,
-    backend: str,
-    anchor: int,
-) -> int:
-    if backend == "scalar":
-        def exceeds(n: int) -> bool:
-            return _scan_scalar(n, epsilon, grid, refine)[0] > delta
-    else:
-        def exceeds(n: int) -> bool:
-            if _hoeffding_certifies(n, epsilon, delta):
-                return False
-            return _exceeds_delta_batch(n, epsilon, delta, grid, refine)
+def _hoeffding_anchor(epsilon: float, delta: float) -> int:
+    """The two-sided Hoeffding size, where the search starts (capped)."""
+    spread = 2.0 * epsilon * epsilon  # underflows to 0.0 for tiny epsilon
+    anchor = math.log(2.0 / delta) / spread if spread else math.inf
+    _check_size_cap(anchor, f"the Hoeffding anchor of epsilon={epsilon!r}, delta={delta!r}")
+    return max(1, int(math.ceil(anchor)))
 
+
+def _bisect_crossing(anchor: int, exceeds: Callable[[int], bool]) -> int:
+    """The ``n`` where bisection below ``anchor`` crosses ``exceeds``.
+
+    Doubles ``anchor`` until it passes (Hoeffding dominates, so it
+    should already), bisects ``[1, anchor]``, then walks forward while
+    the crossing still exceeds.
+    """
     hi = anchor
-    # Ensure hi is feasible (it should be, Hoeffding dominates); expand if not.
     while exceeds(hi):
         hi *= 2
         if hi > 1 << 34:  # pragma: no cover - defensive
@@ -424,13 +410,24 @@ def _tight_sample_size_cached(
     return n
 
 
+@memoize("stats.tight_bounds.tight_sample_size", maxsize=4096)
+def _tight_sample_size_cached(
+    epsilon: float, delta: float, grid: int, refine: int, anchor: int
+) -> int:
+    def exceeds(n: int) -> bool:
+        if _hoeffding_certifies(n, epsilon, delta):
+            return False
+        return _exceeds_delta_batch(n, epsilon, delta, grid, refine)
+
+    return _bisect_crossing(anchor, exceeds)
+
+
 def tight_sample_size(
     epsilon: float,
     delta: float,
     *,
     grid: int = 256,
     refine: int = 2,
-    backend: str = "batch",
 ) -> int:
     """A small ``n`` with worst-case coverage failure at most ``delta``.
 
@@ -442,7 +439,8 @@ def tight_sample_size(
     ``n`` where the bisection crosses ``delta``.  The scan's maximum is
     not monotone in ``n``, so that crossing need not be the minimal
     passing ``n``: for ``epsilon=0.01``, ``delta=1.953e-7`` the search
-    returns 67750, and 67700 passes too.
+    returns 67750, and 67700 passes too.  Memoized per
+    ``(epsilon, delta, grid, refine)``.
 
     Parameters
     ----------
@@ -450,19 +448,12 @@ def tight_sample_size(
         Tolerance and failure probability of the guarantee.
     grid, refine:
         Resolution of the inner worst-case-``p`` search.
-    backend:
-        ``"batch"`` (vectorized, memoized; the default) or ``"scalar"``
-        (the pure-Python reference).  Both return the same ``n``.
     """
     check_positive(epsilon, "epsilon")
     check_probability(delta, "delta")
     grid, refine = _check_scan_grid(grid, refine)
-    _check_backend(backend)
     if epsilon >= 1.0:
         return 1
-    spread = 2.0 * epsilon * epsilon  # underflows to 0.0 for tiny epsilon
-    anchor = math.log(2.0 / delta) / spread if spread else math.inf
-    _check_size_cap(anchor, f"the Hoeffding anchor of epsilon={epsilon!r}, delta={delta!r}")
     return _tight_sample_size_cached(
-        epsilon, delta, grid, refine, backend, max(1, int(math.ceil(anchor)))
+        epsilon, delta, grid, refine, _hoeffding_anchor(epsilon, delta)
     )

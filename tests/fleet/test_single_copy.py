@@ -26,6 +26,7 @@ from repro.cli import main  # noqa: E402
 from repro.exceptions import PersistenceError  # noqa: E402
 from repro.fleet import scan_intake  # noqa: E402
 from repro.reliability.faults import FaultRule, InjectedFault, injected_faults  # noqa: E402
+from repro.reliability.fsck import fsck_state_dir  # noqa: E402
 
 
 @pytest.fixture
@@ -172,6 +173,63 @@ def test_a_tenant_dir_resumes_without_its_fleet(make_fleet, small_world):
     journal.write_bytes(b"".join(kept))
     restored = CIService.resume(directory, record=False)
     assert_parity(reference_service("t", world), restored)
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_fsck_replay_depth_counts_started_intake_submissions(
+    make_fleet, small_world, monkeypatch, cut
+):
+    world = small_world(commits=6)
+    fleet = make_fleet(snapshot_every=4)
+    register_tenant(fleet, "t", world)
+    for index, model in enumerate(world[3]):
+        fleet.submit("t", model, message=f"c{index}")
+    directory = fleet.tenant_dir("t")
+    journal = directory / "journal.jsonl"
+    if cut:
+        # Power loss cuts the journal at its last, unsynced
+        # commit-received: that commit replays from the intake alone.
+        lines = journal.read_bytes().splitlines(keepends=True)
+        last = max(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["type"] == "commit-received"
+        )
+        journal.write_bytes(b"".join(lines[:last]))
+    # The commits past the snapshot replay from both logs; each counts once.
+    anchor = SnapshotStore(directory / "snapshots").latest_info().journal_sequence
+    journaled = [s for s in scan_journal(journal).commit_journal_sequences if s > anchor]
+    assert len(journaled) == (1 if cut else 2)
+
+    report = fsck_state_dir(directory)
+    replayed = []
+    replay = CIService._replay_journal
+
+    def counted(self, *args):
+        replayed.append(replay(self, *args))
+        return replayed[-1]
+
+    monkeypatch.setattr(CIService, "_replay_journal", counted)
+    restored = CIService.resume(directory, record=False)
+    assert report.restorable
+    assert replayed == [report.replay_commits] == [2]
+    assert_parity(reference_service("t", world), restored)
+
+
+def test_intake_scan_started_excludes_deferred_submissions(make_fleet, small_world):
+    world = small_world(commits=3)
+    models = world[3]
+    fleet = make_fleet(snapshot_every=100)
+    register_tenant(fleet, "t", world)
+    fleet.submit("t", models[0], message="c0")
+    with injected_faults([FaultRule(site="fleet.process", action="raise", at=1)]):
+        with pytest.raises(InjectedFault):
+            fleet.submit("t", models[1], message="c1")
+    fleet.drain("t")
+    fleet.submit("t", models[2], message="c2")
+    scan = scan_intake(fleet.tenant_dir("t") / "intake.jsonl")
+    assert scan.started == {0, 2}
+    intake = fleet._intake("t")
+    assert {key for key in range(3) if intake.is_started(key)} == scan.started
 
 
 def test_fsck_reports_a_journal_record_naming_a_gone_intake_record(

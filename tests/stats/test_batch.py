@@ -1,4 +1,9 @@
-"""Batch kernels agree with the scalar binomial machinery to <= 1e-10."""
+"""Batch kernels agree with the scalar binomial machinery to <= 1e-10.
+
+The grid kernel's fused window loop is also checked bit for bit against
+the pre-fusion loop, which materializes each ``(rows, window)`` work
+matrix, exponentiates it and reduces every row (``reference_sums``).
+"""
 
 import math
 import random
@@ -8,10 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InvalidParameterError
-from repro.stats import tight_bounds
+from repro.stats import batch, tight_bounds
 from repro.stats.batch import (
-    exact_coverage_failure_probability_pairs,
     exact_coverage_failure_probability_vec,
     log_factorial_table,
 )
@@ -26,6 +29,52 @@ from repro.stats.tight_bounds import (
 )
 
 TOL = 1e-10
+
+
+def reference_sums(n, pi, epsilon, variance):
+    """The grid kernel at interior points ``pi``, through the pre-fusion loop.
+
+    Cutoffs, windows and the log-pmf split follow the kernel's
+    definition; the whole work matrix is materialized, exponentiated and
+    reduced row by row.  ``variance`` sets the window length, as the
+    largest ``p (1 - p)`` of the level the points belong to.
+    """
+    width = batch._window_length(n, variance, epsilon)
+    lo_cut = np.maximum(np.ceil(n * (pi - epsilon) - 1e-12) - 1, -1).astype(np.int64)
+    hi_cut = np.minimum(np.floor(n * (pi + epsilon) + 1e-12) + 1, n + 1).astype(np.int64)
+    log1mp = np.log1p(-pi)
+    logit = np.log(pi) - log1mp
+    first_k = np.concatenate([lo_cut - (width - 1), hi_cut])
+    logit2 = np.concatenate([logit, logit])
+    const = logit2 * first_k + n * np.concatenate([log1mp, log1mp])
+    row = batch._padded_log_comb_row(n)
+    windows = np.lib.stride_tricks.sliding_window_view(row, width)
+    work = windows[first_k + batch._row_pad(n)]  # a fresh copy
+    work += logit2[:, None] * np.arange(width, dtype=np.float64)[None, :]
+    work += const[:, None]
+    np.exp(work, out=work)
+    sums = np.add.reduce(work, axis=1)
+    m = len(pi)
+    return np.minimum(1.0, sums[:m] + sums[m:])
+
+
+def reference_grid(n, p, epsilon):
+    """:func:`reference_sums` over a whole grid, ``p`` in ``{0, 1}`` at 0."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.zeros(len(p))
+    interior = (p > 0.0) & (p < 1.0)
+    pi = p[interior]
+    if len(pi):
+        out[interior] = reference_sums(n, pi, epsilon, float(np.max(pi * (1 - pi))))
+    return out
+
+
+def scalar_tight_sample_size(epsilon, delta, grid=256, refine=2):
+    """The search of :func:`tight_sample_size` over the scalar reference scan."""
+    return tight_bounds._bisect_crossing(
+        tight_bounds._hoeffding_anchor(epsilon, delta),
+        lambda n: tight_bounds._scan_scalar(n, epsilon, grid, refine)[0] > delta,
+    )
 
 
 class TestCoverageKernel:
@@ -57,13 +106,12 @@ class TestCoverageKernelAtPlanningScale:
     """The grid kernel and worst-case scan at the sizes planning probes."""
 
     def test_large_n_matches_pairs_reference(self):
+        # The pre-fusion loop is the oracle; the fused one must match it
+        # bit for bit at planning scale.
         n, epsilon = 60_000, 0.01
         grid = np.linspace(0.0, 1.0, 257)
         vec = exact_coverage_failure_probability_vec(n, grid, epsilon)
-        reference = exact_coverage_failure_probability_pairs(
-            np.full(len(grid), n), grid, epsilon, impl="reference"
-        )
-        assert np.max(np.abs(vec - reference)) <= 1e-12
+        assert np.array_equal(vec, reference_grid(n, grid, epsilon))
 
     @pytest.mark.parametrize("n,epsilon", [(37, 0.2), (1090, 0.05), (60_000, 0.01)])
     def test_scan_level0_mirrors_the_left_half(self, n, epsilon, monkeypatch):
@@ -95,57 +143,30 @@ class TestCoverageKernelAtPlanningScale:
         "n,epsilon", [(37, 0.2), (170, 0.1), (1090, 0.05), (6800, 0.02)]
     )
     def test_worst_case_matches_scalar_scan(self, n, epsilon):
-        batch, _ = tight_bounds._scan_batch(n, epsilon, 256, 2)
+        batch_f, _ = tight_bounds._scan_batch(n, epsilon, 256, 2)
         scalar, _ = tight_bounds._scan_scalar(n, epsilon, 256, 2)
-        assert batch == pytest.approx(scalar, abs=TOL)
-
-
-class TestPairsKernel:
-    def test_matches_scalar_on_random_triples(self):
-        rng = np.random.default_rng(0)
-        ns = rng.integers(1, 1500, size=60)
-        ps = rng.random(60)
-        ps[:3] = [0.0, 1.0, 0.5]
-        eps = rng.uniform(0.01, 0.5, size=60)
-        got = exact_coverage_failure_probability_pairs(ns, ps, eps)
-        want = np.array(
-            [
-                exact_coverage_failure_probability(int(n), float(p), float(e))
-                for n, p, e in zip(ns, ps, eps)
-            ]
-        )
-        assert np.max(np.abs(got - want)) <= TOL
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidParameterError):
-            exact_coverage_failure_probability_pairs([0], [0.5], [0.1])
-        with pytest.raises(InvalidParameterError):
-            exact_coverage_failure_probability_pairs([10], [1.5], [0.1])
-        with pytest.raises(InvalidParameterError):
-            exact_coverage_failure_probability_pairs([10], [0.5], [0.0])
+        assert batch_f == pytest.approx(scalar, abs=TOL)
 
 
 class TestBackendsAgree:
+    """The batch scan and search against the scalar reference scan."""
+
     @pytest.mark.parametrize(
         "epsilon,delta",
         [(0.05, 1e-3), (0.1, 1e-2), (0.2, 1e-4), (0.15, 1e-3)],
     )
     def test_tight_sample_size_backends_equal(self, epsilon, delta):
         clear_all_caches()
-        batch = tight_sample_size(epsilon, delta, backend="batch")
-        scalar = tight_sample_size(epsilon, delta, backend="scalar")
-        assert batch == scalar
+        assert tight_sample_size(epsilon, delta) == scalar_tight_sample_size(
+            epsilon, delta
+        )
 
     @pytest.mark.parametrize("n,epsilon", [(170, 0.1), (1090, 0.05), (37, 0.2)])
     def test_worst_case_backends_close(self, n, epsilon):
         clear_all_caches()
-        batch = worst_case_failure_probability(n, epsilon, backend="batch")
-        scalar = worst_case_failure_probability(n, epsilon, backend="scalar")
-        assert batch == pytest.approx(scalar, abs=TOL)
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            tight_sample_size(0.1, 1e-3, backend="numpy")
+        batch_f = worst_case_failure_probability(n, epsilon)
+        scalar, _ = tight_bounds._scan_scalar(n, epsilon, 512, 3)
+        assert batch_f == pytest.approx(scalar, abs=TOL)
 
 
 class TestCaching:
@@ -207,13 +228,27 @@ class TestCaching:
         info = all_cache_info()[name]
         assert (info.hits, info.misses) == (0, 0)
 
+    def test_row_builds_are_not_table_hits(self):
+        # Two full scans at one n: three levels, each a bound pass and an
+        # exact pass, read the one padded log C(n, .) row 12 times.  It is
+        # built once; only that build touches the table, growing it.
+        clear_all_caches()
+        for _ in range(2):
+            tight_bounds._scan_batch(6800, 0.02, 256, 2)
+        info = all_cache_info()
+        rows = info["stats.batch.log_comb_rows"]
+        table = info["stats.batch.log_factorial_table"]
+        assert (rows.hits, rows.misses, rows.currsize) == (11, 1, 1)
+        assert (table.hits, table.misses) == (0, 1)
+        clear_all_caches()
+
 
 # ---------------------------------------------------------------------------
-# Pairs kernel: the fused loop against its reference oracle
+# The fused loop against the pre-fusion reference loop
 # ---------------------------------------------------------------------------
 
 TRIAL_SEEDS = range(8)
-PAIRS_IMPLS = ["fused", "reference"]
+LOOPS = ["fused", "reference"]
 
 
 def _seeded(trial, seed: int) -> None:
@@ -224,23 +259,14 @@ def _seeded(trial, seed: int) -> None:
         raise AssertionError(f"[reproduce with seed={seed}] {err}") from err
 
 
-def _random_triples(rng: random.Random, size: int):
-    """Heterogeneous (n, p, eps) including boundary p and large-n rows."""
-    ns, ps, epss = [], [], []
-    for _ in range(size):
-        if rng.random() < 0.25:
-            ns.append(rng.randrange(10_000, 60_000))
-        else:
-            ns.append(rng.randrange(1, 3000))
-        roll = rng.random()
-        if roll < 0.05:
-            ps.append(0.0)
-        elif roll < 0.10:
-            ps.append(1.0)
-        else:
-            ps.append(rng.random())
-        epss.append(rng.uniform(1e-4, 0.5))
-    return np.asarray(ns), np.asarray(ps), np.asarray(epss)
+def _random_level(rng: random.Random, size: int):
+    """``(n, epsilon, points)``: one level of interior points, large n included."""
+    if rng.random() < 0.25:
+        n = rng.randrange(10_000, 60_000)
+    else:
+        n = rng.randrange(1, 3000)
+    points = np.asarray([rng.uniform(1e-6, 1 - 1e-6) for _ in range(size)])
+    return n, rng.uniform(1e-4, 0.5), points
 
 
 def _random_partition(rng: random.Random, size: int) -> list[slice]:
@@ -249,16 +275,25 @@ def _random_partition(rng: random.Random, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def _level_values(loop: str, n, epsilon, points):
+    """``rows -> values`` of ``points`` at the whole level's window length."""
+    variance = batch._max_variance(points)
+    if loop == "fused":
+        tails = batch._grid_tails(n, points, epsilon, variance)
+        return lambda rows: exact_coverage_failure_probability_vec(
+            n, tails.take(rows), epsilon
+        )
+    return lambda rows: reference_sums(n, points[rows], epsilon, variance)
+
+
 def test_fused_is_bit_identical_to_reference():
     def trial(rng: random.Random) -> None:
-        size = rng.randrange(8, 64)
-        ns, ps, epss = _random_triples(rng, size)
-        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
-        reference = exact_coverage_failure_probability_pairs(
-            ns, ps, epss, impl="reference"
-        )
+        n, epsilon, points = _random_level(rng, rng.randrange(8, 64))
+        grid = np.concatenate([[0.0], points, [1.0]])
+        fused = exact_coverage_failure_probability_vec(n, grid, epsilon)
+        reference = reference_grid(n, grid, epsilon)
         assert np.array_equal(fused, reference), (
-            f"fused diverged on {np.sum(fused != reference)} of {size} elements "
+            f"fused diverged on {np.sum(fused != reference)} of {len(grid)} points "
             f"(max delta {np.max(np.abs(fused - reference)):.3e})"
         )
 
@@ -266,52 +301,40 @@ def test_fused_is_bit_identical_to_reference():
         _seeded(trial, seed)
 
 
-@pytest.mark.parametrize("impl", PAIRS_IMPLS)
+@pytest.mark.parametrize("impl", LOOPS)
 def test_pairs_kernel_is_invariant_under_batch_splits(impl):
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 48)
-        ns, ps, epss = _random_triples(rng, size)
-        whole = exact_coverage_failure_probability_pairs(ns, ps, epss, impl=impl)
-        pieces = [
-            exact_coverage_failure_probability_pairs(
-                ns[part], ps[part], epss[part], impl=impl
-            )
-            for part in _random_partition(rng, size)
-        ]
-        chunked = np.concatenate(pieces)
+        n, epsilon, points = _random_level(rng, size)
+        values = _level_values(impl, n, epsilon, points)
+        whole = values(np.arange(size))
+        chunked = np.concatenate(
+            [values(np.arange(size)[part]) for part in _random_partition(rng, size)]
+        )
         assert np.array_equal(whole, chunked), (
-            f"[{impl}] split changed {np.sum(whole != chunked)} of {size} elements"
+            f"[{impl}] split changed {np.sum(whole != chunked)} of {size} points"
         )
 
     for seed in TRIAL_SEEDS:
         _seeded(trial, seed)
 
 
-@pytest.mark.parametrize("impl", PAIRS_IMPLS)
+@pytest.mark.parametrize("impl", LOOPS)
 def test_pairs_kernel_is_invariant_under_permutation(impl):
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 48)
-        ns, ps, epss = _random_triples(rng, size)
-        whole = exact_coverage_failure_probability_pairs(ns, ps, epss, impl=impl)
+        n, epsilon, points = _random_level(rng, size)
+        values = _level_values(impl, n, epsilon, points)
+        whole = values(np.arange(size))
         order = list(range(size))
         rng.shuffle(order)
         idx = np.asarray(order)
-        shuffled = exact_coverage_failure_probability_pairs(
-            ns[idx], ps[idx], epss[idx], impl=impl
-        )
-        unshuffled = np.empty_like(shuffled)
-        unshuffled[idx] = shuffled
+        unshuffled = np.empty_like(whole)
+        unshuffled[idx] = values(idx)
         assert np.array_equal(whole, unshuffled), (
             f"[{impl}] permutation changed "
-            f"{np.sum(whole != unshuffled)} of {size} elements"
+            f"{np.sum(whole != unshuffled)} of {size} points"
         )
 
     for seed in TRIAL_SEEDS:
         _seeded(trial, seed)
-
-
-def test_unknown_pairs_impl_is_rejected():
-    ns, ps, epss = np.asarray([100]), np.asarray([0.5]), np.asarray([0.05])
-    for impl in ("blas", "jit"):
-        with pytest.raises(InvalidParameterError):
-            exact_coverage_failure_probability_pairs(ns, ps, epss, impl=impl)

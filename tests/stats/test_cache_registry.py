@@ -19,15 +19,14 @@ import repro.core.estimators
 import repro.stats
 from repro.core.estimators.api import SampleSizeEstimator
 from repro.stats.cache import LRUCache, all_cache_info, all_caches, clear_all_caches
-from repro.stats.batch import exact_coverage_failure_probability_pairs
+from repro.stats.batch import exact_coverage_failure_probability_vec
 from repro.stats.tight_bounds import tight_sample_size, worst_case_failure_probability
 
-# Registered through custom registry adapters rather than plain LRUCache
-# instances (the shared lgamma table and the concatenated pairs layout);
-# they opt into clear/info/manifest duties with proxy objects.
+# Registered through a custom registry adapter rather than a plain
+# LRUCache instance (the shared lgamma table); it opts into clear/info
+# duties with a proxy object.
 KNOWN_NON_LRU_ENTRIES = {
     "stats.batch.log_factorial_table",
-    "stats.batch.pairs_layout",
 }
 
 _SCANNED_PACKAGES = (repro.stats, repro.core.estimators)
@@ -97,10 +96,8 @@ def _warm_planning_caches():
     """One call through each memoized planning layer; returns the results."""
     size = tight_sample_size(0.1, 1e-2)
     worst = worst_case_failure_probability(120, 0.1)
-    pairs = exact_coverage_failure_probability_pairs(
-        np.array([90, 160]), np.array([0.3, 0.5]), np.array([0.1, 0.05])
-    )
-    return size, worst, pairs
+    grid = exact_coverage_failure_probability_vec(160, np.array([0.3, 0.5]), 0.05)
+    return size, worst, grid
 
 
 def test_clear_all_caches_reaches_every_registry_entry():
@@ -115,16 +112,16 @@ def test_clear_all_caches_reaches_every_registry_entry():
     assert "estimators.plan_cache" in warmed
     assert "stats.tight_bounds.tight_sample_size" in warmed
     assert "stats.tight_bounds.worst_case" in warmed
-    assert "stats.batch.pairs_layout" in warmed
+    assert "stats.batch.log_comb_rows" in warmed
     clear_all_caches()
     for name, info in all_cache_info().items():
         assert info.currsize <= 1, f"cache {name!r} not cleared"
 
 
 def test_cleared_caches_recompute_identically():
-    size_warm, worst_warm, pairs_warm = _warm_planning_caches()
+    size_warm, worst_warm, grid_warm = _warm_planning_caches()
     clear_all_caches()
-    size_cold, worst_cold, pairs_cold = _warm_planning_caches()
+    size_cold, worst_cold, grid_cold = _warm_planning_caches()
     assert size_warm == size_cold
     assert worst_warm == worst_cold
-    assert np.array_equal(pairs_warm, pairs_cold)
+    assert np.array_equal(grid_warm, grid_cold)

@@ -1,14 +1,16 @@
-"""Seeded property tests for the pairs kernel's batch-composition contract.
+"""Seeded property tests for the grid kernel's batch-composition contract.
 
 Plain stdlib ``random`` drives the generation (no new dependencies); every
 trial is wrapped so a failure names its seed — rerun with that seed to
 reproduce exactly.
 
-The docstring promise of
-:func:`~repro.stats.batch.exact_coverage_failure_probability_pairs` is
-that every element's value is a pure function of its own
-``(n, p, epsilon)``: fuse a random batch, split it at random boundaries,
-permute it — bit-identical results however the surrounding batch is
+The worst-case scan sets up a refinement level once
+(``repro.stats.batch._grid_tails``) and sends only some of its points
+through :func:`~repro.stats.batch.exact_coverage_failure_probability_vec`,
+taken with ``_GridTails.take``.  It relies on every point's value being a
+pure function of its own ``p`` and the level's window length: evaluate a
+random level whole, split it at random boundaries, permute it, take its
+points one at a time — bit-identical results however the call is
 composed.
 """
 
@@ -18,7 +20,11 @@ import random
 
 import numpy as np
 
-from repro.stats.batch import exact_coverage_failure_probability_pairs
+from repro.stats.batch import (
+    _grid_tails,
+    _max_variance,
+    exact_coverage_failure_probability_vec,
+)
 
 TRIAL_SEEDS = range(10)
 
@@ -32,23 +38,21 @@ def _seeded(trial, seed: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pairs-kernel batch-composition invariance
+# Grid-kernel batch-composition invariance
 # ---------------------------------------------------------------------------
 
 
-def _random_triples(rng: random.Random, size: int):
-    ns, ps, epss = [], [], []
-    for _ in range(size):
-        ns.append(rng.randrange(1, 2000))
-        roll = rng.random()
-        if roll < 0.05:
-            ps.append(0.0)  # boundary: probability mass collapses to zero
-        elif roll < 0.10:
-            ps.append(1.0)
-        else:
-            ps.append(rng.random())
-        epss.append(rng.uniform(1e-4, 0.5))
-    return np.asarray(ns), np.asarray(ps), np.asarray(epss)
+def _random_level(rng: random.Random, size: int):
+    """``(values, whole)``: a level's ``rows -> values`` and all its values."""
+    n = rng.randrange(1, 2000)
+    epsilon = rng.uniform(1e-4, 0.5)
+    points = np.asarray([rng.uniform(1e-6, 1 - 1e-6) for _ in range(size)])
+    tails = _grid_tails(n, points, epsilon, _max_variance(points))
+
+    def values(rows):
+        return exact_coverage_failure_probability_vec(n, tails.take(rows), epsilon)
+
+    return values, values(np.arange(size))
 
 
 def _random_partition(rng: random.Random, size: int) -> list[slice]:
@@ -60,16 +64,13 @@ def _random_partition(rng: random.Random, size: int) -> list[slice]:
 def test_pairs_kernel_is_invariant_under_batch_splits():
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 64)
-        ns, ps, epss = _random_triples(rng, size)
-        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
-        pieces = [
-            exact_coverage_failure_probability_pairs(ns[part], ps[part], epss[part])
-            for part in _random_partition(rng, size)
-        ]
-        chunked = np.concatenate(pieces)
-        assert np.array_equal(fused, chunked), (
-            f"split changed {np.sum(fused != chunked)} of {size} elements "
-            f"(max delta {np.max(np.abs(fused - chunked)):.3e})"
+        values, whole = _random_level(rng, size)
+        chunked = np.concatenate(
+            [values(np.arange(size)[part]) for part in _random_partition(rng, size)]
+        )
+        assert np.array_equal(whole, chunked), (
+            f"split changed {np.sum(whole != chunked)} of {size} points "
+            f"(max delta {np.max(np.abs(whole - chunked)):.3e})"
         )
 
     for seed in TRIAL_SEEDS:
@@ -79,16 +80,14 @@ def test_pairs_kernel_is_invariant_under_batch_splits():
 def test_pairs_kernel_is_invariant_under_permutation():
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 64)
-        ns, ps, epss = _random_triples(rng, size)
-        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
+        values, whole = _random_level(rng, size)
         order = list(range(size))
         rng.shuffle(order)
         idx = np.asarray(order)
-        shuffled = exact_coverage_failure_probability_pairs(ns[idx], ps[idx], epss[idx])
-        unshuffled = np.empty_like(shuffled)
-        unshuffled[idx] = shuffled
-        assert np.array_equal(fused, unshuffled), (
-            f"permutation changed {np.sum(fused != unshuffled)} of {size} elements"
+        unshuffled = np.empty_like(whole)
+        unshuffled[idx] = values(idx)
+        assert np.array_equal(whole, unshuffled), (
+            f"permutation changed {np.sum(whole != unshuffled)} of {size} points"
         )
 
     for seed in TRIAL_SEEDS:
@@ -96,19 +95,15 @@ def test_pairs_kernel_is_invariant_under_permutation():
 
 
 def test_pairs_kernel_singletons_match_fused_batch():
-    """The extreme split: every element alone equals its fused value."""
+    """The extreme split: every point alone equals its value in the level."""
 
     def trial(rng: random.Random) -> None:
         size = rng.randrange(4, 16)
-        ns, ps, epss = _random_triples(rng, size)
-        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
+        values, whole = _random_level(rng, size)
         for i in range(size):
-            alone = exact_coverage_failure_probability_pairs(
-                ns[i : i + 1], ps[i : i + 1], epss[i : i + 1]
-            )
-            assert alone[0] == fused[i], (
-                f"element {i} (n={ns[i]}, p={ps[i]:.6f}, eps={epss[i]:.6f}): "
-                f"alone={alone[0]!r} fused={fused[i]!r}"
+            alone = values(np.arange(i, i + 1))
+            assert alone[0] == whole[i], (
+                f"point {i}: alone={alone[0]!r} in the level={whole[i]!r}"
             )
 
     for seed in TRIAL_SEEDS:

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.stats.batch as batch
 import repro.stats.tight_bounds as tight_bounds
 from repro import SampleSizeEstimator
 from repro.exceptions import InvalidParameterError
@@ -161,18 +162,17 @@ class TestBounds:
         assert lower.max() > 0.99
 
     def test_window_variance_gives_whole_grid_values(self):
+        # Points taken from a level's tails keep the whole level's window
+        # length, so they get the whole grid's values bit for bit; alone,
+        # points near p = 0.85 would get a narrower window.
         grid = np.arange(257) / 256
         whole = exact_coverage_failure_probability_vec(6800, grid, 0.02)
-        subset = grid[200:230]
-        alone = exact_coverage_failure_probability_vec(
-            6800, subset, 0.02, window_variance=0.25
+        interior = grid[1:-1]
+        tails = batch._grid_tails(6800, interior, 0.02, batch._max_variance(interior))
+        taken = exact_coverage_failure_probability_vec(
+            6800, tails.take(np.arange(199, 229)), 0.02
         )
-        assert np.array_equal(alone, whole[200:230])
-
-    @pytest.mark.parametrize("bad", [-0.1, 0.3, float("nan")])
-    def test_window_variance_is_validated(self, bad):
-        with pytest.raises(InvalidParameterError):
-            exact_coverage_failure_probability_vec(100, [0.5], 0.1, window_variance=bad)
+        assert np.array_equal(taken, whole[200:230])
 
 
 def test_hoeffding_anchor_certificate_matches_the_scan():
@@ -196,8 +196,6 @@ class TestSizeCap:
         start = time.perf_counter()
         with pytest.raises(InvalidParameterError, match="cap"):
             tight_bounds.tight_sample_size(1e-9, 0.5)
-        with pytest.raises(InvalidParameterError, match="cap"):
-            tight_bounds.tight_sample_size(1e-200, 0.5, backend="scalar")
         assert time.perf_counter() - start < 1.0
 
     def test_exact_plan_past_the_cap_is_refused(self):
@@ -208,6 +206,23 @@ class TestSizeCap:
     def test_batch_worst_case_n_is_capped(self):
         with pytest.raises(InvalidParameterError, match="cap"):
             tight_bounds.worst_case_failure_probability(tight_bounds._MAX_N + 1, 0.01)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: tight_bounds.tight_sample_size(0.1, 0.01, backend="scalar"),
+            lambda: tight_bounds.worst_case_failure_probability(100, 0.1, backend="scalar"),
+            lambda: exact_coverage_failure_probability_vec(
+                100, [0.5], 0.1, window_variance=0.25
+            ),
+        ],
+        ids=["tight_sample_size-backend", "worst_case-backend", "vec-window_variance"],
+    )
+    def test_removed_keywords_are_refused(self, call):
+        # One planning path: the scalar scan is a private oracle, and a
+        # subset of a level keeps its window length through _GridTails.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
 
     @pytest.mark.parametrize("hint", [-5, 0, True, 2.5, "100", 1 << 25])
     def test_bad_hints_are_refused(self, hint):

@@ -8,25 +8,15 @@ Times the layers the vectorized-kernel work optimizes —
    against the same search over the scalar scan,
 3. ``SampleSizeEstimator.plan`` cold (cache cleared) vs. warm (served from
    the process-wide plan cache),
-4. the **bandwidth-bound section**: the grid kernel's cache-blocked fused
-   window loop against the pre-fusion loop (``reference_sums`` below:
-   materialize the whole ``(rows, window)`` work matrix, exponentiate,
-   reduce each row), on one large-``n`` level (1,024 points in
-   ``[0.35, 0.65]`` at ``n = 2e5``, ``epsilon = 1e-3``) and on the
-   level-0 grids of two planning probes, with bytes-touched accounting:
-   window cells x per-cell bytes, and the effective bandwidth each loop
-   sustains,
 
 — and writes the numbers to ``BENCH_perf_kernels.json`` in the repo root
 (with an ``environment`` block: cpus, python, numpy, platform) so future
 PRs have a trajectory.  Asserts the acceptance criteria: batch
 ``tight_sample_size`` at ``epsilon=0.02, delta=1e-3`` is >= 20x faster
 than the scalar search with the identical result, and a warm plan call
-is served in under a millisecond.  The bandwidth section's fused loop
-must be >= 2x the reference loop on the large-``n`` level (skipped in
-``--quick``, whose shrunken level doesn't exercise the bandwidth wall),
-while the identity gate (fused bit-identical to reference) is enforced
-on every shape.
+is served in under a millisecond.  The grid kernel's window loop is
+checked bit for bit against an unchunked loop in
+``tests/stats/test_batch.py``, not here.
 
 Run via ``make bench-perf`` or directly:
 
@@ -52,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.estimators.api import SampleSizeEstimator
-from repro.stats import batch, tight_bounds
+from repro.stats import tight_bounds
 from repro.stats.cache import all_cache_info, clear_all_caches
 from repro.stats.tight_bounds import tight_sample_size, worst_case_failure_probability
 
@@ -71,27 +61,6 @@ WORST_CASES = [
 ]
 PLAN_CONDITION = "n - o > 0.02 +/- 0.01 /\\ n > 0.8 +/- 0.05"
 PLAN_KWARGS = {"reliability": 0.9999, "adaptivity": "full", "steps": 32}
-
-# The bandwidth-bound section: one level of points near p = 1/2 (the
-# widest windows) at n = 2e5, where the loop's cost is dominated by
-# streaming the gathered log-comb windows through memory rather than by
-# arithmetic, plus the level-0 grids (grid 256, left half) of two
-# planning probes.  Each shape is (name, n, epsilon, points).
-BANDWIDTH_SEED = 20260807
-LARGE_N_SHAPE = (
-    "large_n",
-    200_000,
-    1e-3,
-    np.random.default_rng(BANDWIDTH_SEED).uniform(0.35, 0.65, size=1024),
-)
-PLANNING_LEVEL0 = np.arange(1, 129) / 256
-PLANNING_SHAPES = [
-    ("planning_6800", 6800, 0.02, PLANNING_LEVEL0),
-    ("planning_60000", 60_000, 0.01, PLANNING_LEVEL0),
-]
-# How many rows x columns the reference loop's work matrix may hold
-# before it chunks.
-_MAX_MATRIX_CELLS = 4_000_000
 
 
 def _timed(fn, *, repeats: int = 3, cold: bool = True) -> tuple[float, object]:
@@ -179,107 +148,6 @@ def bench_plan_cache() -> dict:
     }
 
 
-def reference_sums(n: int, tails) -> np.ndarray:
-    """The grid kernel's values at prepared tails, through the pre-fusion loop.
-
-    Same windows as the fused loop (``batch._tail_windows``), but each
-    chunk's whole ``(rows, window)`` work matrix is materialized by one
-    gather, then updated, exponentiated and reduced row by row in place.
-    """
-    width = tails.length
-    starts, logit2, const = batch._tail_windows(n, tails, width)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        batch._padded_log_comb_row(n), width
-    )
-    starts = starts + batch._row_pad(n)
-    offsets = np.arange(width, dtype=np.float64)
-    sums = np.empty(len(starts), dtype=np.float64)
-    chunk = max(1, _MAX_MATRIX_CELLS // width)
-    for begin in range(0, len(starts), chunk):
-        sl = slice(begin, begin + chunk)
-        work = windows[starts[sl]]  # fresh copy — safe to mutate
-        work += logit2[sl, None] * offsets[None, :]
-        work += const[sl, None]
-        np.exp(work, out=work)
-        # Per-row pairwise reduction, as the fused loop's.
-        sums[sl] = np.add.reduce(work, axis=1)
-    m = len(tails.p)
-    return np.minimum(1.0, sums[:m] + sums[m:])
-
-
-def bench_shape(
-    name: str, n: int, epsilon: float, points, rounds: int, gated: bool
-) -> dict:
-    """Fused vs. reference loop on one level, timed interleaved.
-
-    The level is set up off-clock and both loops get one warm-up call
-    (which builds the shared log-comb row); then the loops alternate for
-    ``rounds`` rounds and each keeps its fastest round, so machine-load
-    drift hits both alike and the noise-robust minimum is compared.
-    """
-    tails = batch._grid_tails(n, points, epsilon, batch._max_variance(points))
-    loops = {
-        "reference": lambda: reference_sums(n, tails),
-        "fused": lambda: batch.exact_coverage_failure_probability_vec(n, tails, epsilon),
-    }
-    values = {loop: fn() for loop, fn in loops.items()}
-    best = {loop: float("inf") for loop in loops}
-    for _ in range(rounds):
-        for loop, fn in loops.items():
-            t0 = time.perf_counter()
-            fn()
-            best[loop] = min(best[loop], time.perf_counter() - t0)
-    cells = 2 * len(tails.p) * tails.length
-
-    def tier(loop: str) -> dict:
-        window_bytes = cells * 8
-        return {
-            "tier": f"{loop}_float64",
-            "seconds": best[loop],
-            "bytes_per_cell": 8,
-            "window_bytes": window_bytes,
-            "effective_gbps": window_bytes / best[loop] / 1e9,
-            "speedup_vs_reference": best["reference"] / best[loop],
-        }
-
-    return {
-        "shape": name,
-        "n": n,
-        "epsilon": epsilon,
-        "points": len(tails.p),
-        "window_cells": cells,
-        "rounds": rounds,
-        "tiers": [tier("reference"), tier("fused")],
-        "fused_identical_to_reference": bool(
-            np.array_equal(values["fused"], values["reference"])
-        ),
-        "fused_speedup": best["reference"] / best["fused"],
-        "speedup_gate_enforced": gated,
-    }
-
-
-def bench_grid_bandwidth(quick: bool = False) -> dict:
-    """The fused-loop section: identity on every shape, >= 2x at large n.
-
-    Quick mode shrinks the large-``n`` level below the bandwidth wall and
-    runs on noisy shared runners, so its speed gate is not enforced.
-    """
-    name, n, epsilon, points = LARGE_N_SHAPE
-    if quick:
-        n, points = 20_000, points[:128]
-    shapes = [bench_shape(name, n, epsilon, points, 5 if quick else 31, not quick)]
-    for name, n, epsilon, points in PLANNING_SHAPES[:1] if quick else PLANNING_SHAPES:
-        shapes.append(bench_shape(name, n, epsilon, points, 20 if quick else 301, False))
-    return {
-        "shapes": shapes,
-        "fused_identical_to_reference": all(
-            shape["fused_identical_to_reference"] for shape in shapes
-        ),
-        "fused_speedup": shapes[0]["fused_speedup"],
-        "speedup_gate_enforced": shapes[0]["speedup_gate_enforced"],
-    }
-
-
 def main(quick: bool = False) -> dict:
     # Quick mode (CI smoke): the cheapest case per section, correctness
     # still asserted, timing gates skipped — the runner is shared and
@@ -297,7 +165,6 @@ def main(quick: bool = False) -> dict:
         "worst_case_failure_probability": bench_worst_case(worst_cases),
         "tight_sample_size": bench_tight_sample_size(tight_cases),
         "sample_size_estimator_plan": bench_plan_cache(),
-        "grid_bandwidth": bench_grid_bandwidth(quick),
         "cache_info_after": {
             name: {"hits": info.hits, "misses": info.misses, "currsize": info.currsize}
             for name, info in all_cache_info().items()
@@ -310,7 +177,6 @@ def main(quick: bool = False) -> dict:
         if quick or (row["epsilon"] == 0.02 and row["delta"] == 1e-3)
     )
     plan_row = results["sample_size_estimator_plan"]
-    bandwidth = results["grid_bandwidth"]
     # The artifact records the run whatever the gates below decide.
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {OUTPUT}")
@@ -325,16 +191,6 @@ def main(quick: bool = False) -> dict:
         f"plan cold {plan_row['cold_seconds'] * 1e3:.2f}ms, "
         f"warm {plan_row['warm_seconds'] * 1e6:.0f}us"
     )
-    for shape in bandwidth["shapes"]:
-        tier_notes = ", ".join(
-            f"{row['tier']} {row['seconds'] * 1e3:.2f}ms "
-            f"({row['speedup_vs_reference']:.2f}x, {row['effective_gbps']:.1f} GB/s)"
-            for row in shape["tiers"]
-        )
-        print(
-            f"window loop, {shape['shape']} (n={shape['n']}, {shape['points']} points, "
-            f"{shape['window_cells']} window cells): {tier_notes}"
-        )
 
     # Acceptance criteria of the vectorized-kernel PR.
     assert headline["results_equal"], "batch and scalar tight_sample_size diverged"
@@ -346,17 +202,6 @@ def main(quick: bool = False) -> dict:
         )
         assert plan_row["warm_is_sub_millisecond"], (
             f"warm plan took {plan_row['warm_seconds'] * 1e3:.3f} ms (>= 1 ms)"
-        )
-
-    # Bandwidth-section gates: identity on every shape, >= 2x on the
-    # full large-n level only (quick levels sit below the wall).
-    assert bandwidth["fused_identical_to_reference"], (
-        "the fused window loop diverged bit-wise from the reference loop"
-    )
-    if bandwidth["speedup_gate_enforced"]:
-        assert bandwidth["fused_speedup"] >= 2.0, (
-            f"fused window loop speedup {bandwidth['fused_speedup']:.2f}x "
-            "over the reference loop is below the required 2x"
         )
     return results
 

@@ -48,26 +48,6 @@ SCHEMAS = {
         "sample_size_estimator_plan.warm_seconds": NUMBER,
         "sample_size_estimator_plan.plans_identical": bool,
         "sample_size_estimator_plan.samples": int,
-        "grid_bandwidth.shapes": list,
-        "grid_bandwidth.shapes.[].shape": str,
-        "grid_bandwidth.shapes.[].n": int,
-        "grid_bandwidth.shapes.[].epsilon": NUMBER,
-        "grid_bandwidth.shapes.[].points": int,
-        "grid_bandwidth.shapes.[].window_cells": int,
-        "grid_bandwidth.shapes.[].rounds": int,
-        "grid_bandwidth.shapes.[].tiers": list,
-        "grid_bandwidth.shapes.[].tiers.[].tier": str,
-        "grid_bandwidth.shapes.[].tiers.[].seconds": NUMBER,
-        "grid_bandwidth.shapes.[].tiers.[].bytes_per_cell": int,
-        "grid_bandwidth.shapes.[].tiers.[].window_bytes": int,
-        "grid_bandwidth.shapes.[].tiers.[].effective_gbps": NUMBER,
-        "grid_bandwidth.shapes.[].tiers.[].speedup_vs_reference": NUMBER,
-        "grid_bandwidth.shapes.[].fused_identical_to_reference": bool,
-        "grid_bandwidth.shapes.[].fused_speedup": NUMBER,
-        "grid_bandwidth.shapes.[].speedup_gate_enforced": bool,
-        "grid_bandwidth.fused_identical_to_reference": bool,
-        "grid_bandwidth.fused_speedup": NUMBER,
-        "grid_bandwidth.speedup_gate_enforced": bool,
         "cache_info_after": dict,
     },
     "BENCH_commit_throughput.json": {

@@ -24,12 +24,12 @@ provides NumPy-native kernels for exactly that shape:
   level's tails (``_GridTails``; a subset taken with ``.take`` sums
   bit-identically to the same points of the whole level).
 
-Both sum their windows in one cache-blocked fused loop
-(``_fused_window_sums``) with fixed-order row reductions.  The grid
-kernel is cross-checked against the scalar implementation in
-``tests/stats/test_batch.py`` (agreement to ``<= 1e-10`` including the
-``p in {0, 1}`` boundaries) and, bit for bit, against the pre-fusion
-materialize-then-reduce loop there and in ``make bench-perf``.
+Both sum their windows in one chunked loop (``_window_sums``) with
+fixed-order row reductions.  The grid kernel is cross-checked against
+the scalar implementation in ``tests/stats/test_batch.py`` (agreement
+to ``<= 1e-10`` including the ``p in {0, 1}`` boundaries), bit for bit
+against the unchunked loop written there, and against exact tails
+(``mpmath``, ``fractions``) in ``tests/stats/test_accuracy.py``.
 
 These are the *planning-side* kernels; the *serving-side* batching —
 evaluating many committed models against one baseline — lives in
@@ -57,9 +57,9 @@ __all__ = [
     "coverage_failure_bounds",
 ]
 
-# Cache-block size (in cells) of the fused loop: the float64 work buffer
-# plus its temporary stay within a typical L2 slice.
-_FUSED_BLOCK_CELLS = 1 << 15
+# Cells of the window loop's work matrix per chunk: without the chunk, a
+# large level's whole matrix would raise the planner's peak memory.
+_CHUNK_CELLS = 1 << 15
 
 # Tail windows reach 8 standard deviations past the mean plus slack; by
 # Bernstein the binomial mass beyond that is < 1.5e-14 for every n (the
@@ -196,49 +196,41 @@ def _padded_log_comb_row(n: int) -> np.ndarray:
 # The tight-bound inner loop
 # ---------------------------------------------------------------------------
 
-def _fused_window_sums(
+def _window_sums(
     src: np.ndarray,
     starts: np.ndarray,
     logit: np.ndarray,
     const: np.ndarray,
     width: int,
 ) -> np.ndarray:
-    """Fused gather + affine + exp + row sum over equal-width windows.
+    """Row ``r`` sums ``exp(src[starts[r] + j] + logit[r] * j + const[r])``.
 
-    Row ``r`` sums ``exp(src[starts[r] + j] + logit[r] * j + const[r])``
-    over ``j < width``: the inner loop of both coverage kernels.  Windows
-    stream through in blocks sized to stay inside a typical L2 slice, so
-    each block's work matrix is touched while hot instead of
-    materializing the full ``(rows, width)`` intermediate.  A window is
-    ``width`` *consecutive* cells of ``src``, so each block's gather is
-    one C-level copy of sliding-window rows — no index matrix.  Element
-    arithmetic and the per-row fixed-order reduction match the pre-fusion
-    materialize-then-reduce loop (kept in ``tests/stats/test_batch.py``
-    and ``benchmarks/bench_perf_kernels.py``), so the two are
-    bit-identical.  ``src`` must be one contiguous float64 row.
+    The sum runs over ``j < width``: the inner loop of both coverage
+    kernels.  A window is ``width`` *consecutive* cells of ``src`` (one
+    contiguous float64 row), so each chunk's gather is one C-level copy
+    of sliding-window rows, which the loop then updates, exponentiates
+    and reduces in place.
     """
-    block = max(1, min(len(starts), _FUSED_BLOCK_CELLS // width))
     # The sliding-window view of ``src``, built directly: a tenth of the
     # cost of ``sliding_window_view`` at the sizes the scans dispatch.
     step = src.strides[0]
     windows = np.ndarray((len(src) - width + 1, width), src.dtype, src, 0, (step, step))
-    offs_f = np.arange(width, dtype=np.float64)
-    work = np.empty((block, width), dtype=np.float64)
-    affine = np.empty((block, width), dtype=np.float64)
+    offsets = np.arange(width, dtype=np.float64)
     sums = np.empty(len(starts), dtype=np.float64)
-    for begin in range(0, len(starts), block):
-        rows = min(block, len(starts) - begin)
-        sl = slice(begin, begin + rows)
-        view = work[:rows]
-        np.multiply(logit[sl, None], offs_f[None, :], out=affine[:rows])
-        # The gathered rows feed the add directly: one copy, not two.
-        np.add(windows[starts[sl]], affine[:rows], out=view)
-        view += const[sl, None]
-        np.exp(view, out=view)
+    chunk = max(1, _CHUNK_CELLS // width)
+    for begin in range(0, len(starts), chunk):
+        sl = slice(begin, begin + chunk)
+        work = windows[starts[sl]]  # a fresh copy
+        work += logit[sl, None] * offsets
+        work += const[sl, None]
+        np.exp(work, out=work)
         # Per-row pairwise reduction (not a BLAS matvec): the summation
         # order depends only on the row width, keeping each element's
         # value batch-composition invariant.
-        sums[sl] = np.add.reduce(view, axis=1)
+        sums[sl] = np.add.reduce(work, axis=1)
+        # Freed before the next chunk's gather: with two chunks live,
+        # cold-plan's peak RSS measured 0.2-0.3 MB higher.
+        del work
     return sums
 
 
@@ -339,7 +331,7 @@ def _exact_sums(n: int, t: _GridTails) -> np.ndarray:
     """The grid kernel's values at the points of ``t``."""
     starts, logit2, const = _tail_windows(n, t, t.length)
     # The pad is sized so every start index lands inside the row.
-    sums = _fused_window_sums(
+    sums = _window_sums(
         _padded_log_comb_row(n), starts + _row_pad(n), logit2, const, t.length
     )
     m = len(t.p)
@@ -364,7 +356,7 @@ def exact_coverage_failure_probability_vec(
     separates as
     ``log C(n,k) + k*logit(p) + n*log(1-p)``, so every tail is a window of
     one shared, padded ``log C(n, .)`` row (cached per ``n``) plus an
-    affine term, summed by the cache-blocked fused window loop with
+    affine term, summed by the chunked window loop with
     fixed-order per-row reductions and no per-element Python work.
     Positions outside ``[0, n]`` hit padding cells whose ``exp`` is
     exactly zero.
@@ -391,7 +383,7 @@ def _bound_sums(n: int, t: _GridTails, terms: int) -> tuple[np.ndarray, np.ndarr
     width = min(terms, t.length)
     row, pad = _padded_log_comb_row(n), _row_pad(n)
     starts, logit2, const = _tail_windows(n, t, width)
-    partial = _fused_window_sums(row, starts + pad, logit2, const, width)
+    partial = _window_sums(row, starts + pad, logit2, const, width)
 
     # The first term each partial window leaves out sits at offset -1 of
     # a lower window and ``width`` of an upper one.  Outside [0, n] it
@@ -427,7 +419,7 @@ def coverage_failure_bounds(
     """Certified ``(lower, upper)`` bounds on the grid kernel's values.
 
     ``lower`` sums the first ``min(terms, window)`` terms of each tail
-    window next to its cutoff, through the same fused loop; those terms
+    window next to its cutoff, through the same window loop; those terms
     are a subset of the kernel's window, so ``lower`` is at most the
     kernel's value up to rounding.  ``upper`` adds a geometric bound on
     the rest of each tail: past the cutoff the ratio of successive terms,

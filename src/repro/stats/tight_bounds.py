@@ -99,7 +99,7 @@ __all__ = [
 ]
 
 # perfbench/layers.py binds this name to time the coverage kernel; the
-# benchmark change of ROADMAP item 3 drops that wrapper and this line.
+# benchmark change of ROADMAP item 7 drops that wrapper and this line.
 exact_coverage_failure_probability_pairs = exact_coverage_failure_probability_vec
 
 

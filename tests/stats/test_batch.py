@@ -1,8 +1,9 @@
 """Batch kernels agree with the scalar binomial machinery to <= 1e-10.
 
-The grid kernel's fused window loop is also checked bit for bit against
-the pre-fusion loop, which materializes each ``(rows, window)`` work
-matrix, exponentiates it and reduces every row (``reference_sums``).
+The grid kernel's chunked window loop is also checked bit for bit
+against the unchunked loop, which materializes a level's whole
+``(rows, window)`` work matrix, exponentiates it and reduces every row
+(``reference_sums``).  The ``fused`` cases below name the kernel's loop.
 """
 
 import math
@@ -32,7 +33,7 @@ TOL = 1e-10
 
 
 def reference_sums(n, pi, epsilon, variance):
-    """The grid kernel at interior points ``pi``, through the pre-fusion loop.
+    """The grid kernel at interior points ``pi``, through the unchunked loop.
 
     Cutoffs, windows and the log-pmf split follow the kernel's
     definition; the whole work matrix is materialized, exponentiated and
@@ -106,12 +107,21 @@ class TestCoverageKernelAtPlanningScale:
     """The grid kernel and worst-case scan at the sizes planning probes."""
 
     def test_large_n_matches_pairs_reference(self):
-        # The pre-fusion loop is the oracle; the fused one must match it
-        # bit for bit at planning scale.
+        # The unchunked loop is the oracle; the kernel must match it bit
+        # for bit at planning scale.
         n, epsilon = 60_000, 0.01
         grid = np.linspace(0.0, 1.0, 257)
         vec = exact_coverage_failure_probability_vec(n, grid, epsilon)
         assert np.array_equal(vec, reference_grid(n, grid, epsilon))
+
+    def test_wide_level_matches_reference(self):
+        # 1,024 points near p = 1/2 at n = 2e5: 3.3M window cells, so the
+        # kernel's loop runs about a hundred chunks where the oracle
+        # reduces one matrix.
+        n, epsilon = 200_000, 1e-3
+        points = np.random.default_rng(20260807).uniform(0.35, 0.65, size=1024)
+        vec = exact_coverage_failure_probability_vec(n, points, epsilon)
+        assert np.array_equal(vec, reference_grid(n, points, epsilon))
 
     @pytest.mark.parametrize("n,epsilon", [(37, 0.2), (1090, 0.05), (60_000, 0.01)])
     def test_scan_level0_mirrors_the_left_half(self, n, epsilon, monkeypatch):
@@ -244,7 +254,7 @@ class TestCaching:
 
 
 # ---------------------------------------------------------------------------
-# The fused loop against the pre-fusion reference loop
+# The kernel's loop against the unchunked reference loop
 # ---------------------------------------------------------------------------
 
 TRIAL_SEEDS = range(8)

@@ -79,7 +79,7 @@ def test_certificate_at_the_size_cap():
 
 
 # Work of the 72 pinned searches from cold caches before the shortcuts
-# (fused-loop cells and calls, and worst-case scans), counted the same way.
+# (window-loop cells and calls, and worst-case scans), counted the same way.
 UNSHORTENED_CELLS = 65_679_020
 UNSHORTENED_CALLS = 2_885
 UNSHORTENED_SCANS = 822
@@ -87,7 +87,7 @@ UNSHORTENED_SCANS = 822
 
 def test_pinned_searches_do_less_kernel_work(monkeypatch):
     work = {"cells": 0, "calls": 0, "scans": 0}
-    fused = batch._fused_window_sums
+    fused = batch._window_sums
     scan = tight_bounds._scan_batch
 
     def counting_fused(src, starts, logit, const, width):
@@ -100,7 +100,7 @@ def test_pinned_searches_do_less_kernel_work(monkeypatch):
         return scan(*args, **kwargs)
 
     clear_all_caches()
-    monkeypatch.setattr(batch, "_fused_window_sums", counting_fused)
+    monkeypatch.setattr(batch, "_window_sums", counting_fused)
     monkeypatch.setattr(tight_bounds, "_scan_batch", counting_scan)
     for epsilon, delta, size in PINNED_PLANNING_SIZES:
         assert tight_bounds.tight_sample_size(epsilon, delta) == size

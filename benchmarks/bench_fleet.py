@@ -20,9 +20,8 @@ Three legs, all gated on correctness in addition to being timed:
    frequency-aware residency policy raises by keeping hot tenants live.
 
 Both parity legs also record the tenant logs' size once the stream is
-done — ``journal_bytes_per_submission`` and
-``intake_bytes_per_submission`` (bytes of every tenant's journal or
-intake file, divided by the leg's submissions) — and the artifact
+done — ``log_bytes_per_submission`` (bytes of every tenant's one log,
+its journal, divided by the leg's submissions) — and the artifact
 carries an ``environment`` block (cpus, python, numpy, platform).
 
 3. **Overload shedding** — a hot-tenant burst exceeding both admission
@@ -159,14 +158,9 @@ def run_fleet_leg(scripts, worlds, order, max_resident) -> dict:
             fleet.submit(tenant_id, worlds[tenant_id][1][3][index], message=f"c{index}")
         fleet_seconds = time.perf_counter() - start
         hits, hydrations, evictions = fleet.hits, fleet.hydrations, fleet.evictions
-        log_bytes = {
-            name: sum(
-                path.stat().st_size
-                for path in fleet.root.glob(f"tenants/*/{name}.jsonl")
-            )
-            / len(order)
-            for name in ("journal", "intake")
-        }
+        log_bytes = sum(
+            path.stat().st_size for path in fleet.root.glob("tenants/*/journal.jsonl")
+        ) / len(order)
         assert evictions > 0, "residency never churned; max_resident too generous"
 
         fleet_prints = {
@@ -206,8 +200,7 @@ def run_fleet_leg(scripts, worlds, order, max_resident) -> dict:
         # Recorded, not gated: the gateway's wall-time overhead factor.
         "fleet_isolated_ratio": fleet_seconds / isolated_seconds,
         "results_identical": identical,
-        "journal_bytes_per_submission": log_bytes["journal"],
-        "intake_bytes_per_submission": log_bytes["intake"],
+        "log_bytes_per_submission": log_bytes,
     }
 
 
@@ -347,9 +340,8 @@ def main() -> int:
             f"{leg['hit_ratio']:.2f}): fleet {leg['fleet_seconds']:.3f}s vs "
             f"isolated {leg['isolated_seconds']:.3f}s "
             f"({leg['fleet_isolated_ratio']:.1f}x), "
-            f"identical={leg['results_identical']}; logs "
-            f"{leg['journal_bytes_per_submission']:.0f}B journal + "
-            f"{leg['intake_bytes_per_submission']:.0f}B intake per submission"
+            f"identical={leg['results_identical']}; tenant logs "
+            f"{leg['log_bytes_per_submission']:.0f}B per submission"
         )
     print(
         f"overload: {overload['attempted']} attempted -> {overload['accepted']} "

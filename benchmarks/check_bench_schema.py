@@ -117,8 +117,7 @@ SCHEMAS = {
         "parity.isolated_seconds": NUMBER,
         "parity.fleet_isolated_ratio": NUMBER,
         "parity.results_identical": bool,
-        "parity.journal_bytes_per_submission": NUMBER,
-        "parity.intake_bytes_per_submission": NUMBER,
+        "parity.log_bytes_per_submission": NUMBER,
         "skewed.tenants": int,
         "skewed.modes": int,
         "skewed.submissions": int,
@@ -131,8 +130,7 @@ SCHEMAS = {
         "skewed.isolated_seconds": NUMBER,
         "skewed.fleet_isolated_ratio": NUMBER,
         "skewed.results_identical": bool,
-        "skewed.journal_bytes_per_submission": NUMBER,
-        "skewed.intake_bytes_per_submission": NUMBER,
+        "skewed.log_bytes_per_submission": NUMBER,
         "overload.attempted": int,
         "overload.accepted": int,
         "overload.rejected": int,

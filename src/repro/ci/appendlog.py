@@ -1,22 +1,24 @@
 """One durable append-only log: CRC-framed JSON lines with group commit.
 
-The event journal (:class:`repro.ci.persistence.EventJournal`) and the
-fleet's intake queue (:class:`repro.fleet.intake.IntakeQueue`) are this
-log with different record schemas (:class:`LogSchema`).  The log owns:
+The event journal (:class:`repro.ci.persistence.EventJournal`) is this
+log; a fleet tenant's journal also holds its intake queue's records
+(:class:`repro.fleet.intake.IntakeQueue`), so each tenant has one file.
+A :class:`LogSchema` names the record keys.  The log owns:
 
 * **Framing.**  A record is one sorted-key JSON line led by ``"crc"``,
   the CRC-32 of the line without that field.  The CRC is checked over
   the line's own bytes; only a line not in that exact form is parsed and
   re-serialized instead, so the accepted lines are unchanged.
 * **Group commit.**  Every append is flushed, so it survives process
-  death.  Only the records the schema calls ``durable`` (the ones that
+  death.  Only the appends the caller calls ``durable`` (the ones that
   precede an external effect) fsync, and each fsync makes every earlier
   append durable too; :meth:`AppendLog.sync` flushes the rest.  A power
   loss drops at most what was written since the file's last fsync.
 * **Healing.**  A torn tail is moved to a
   ``<name>.torn-<offset>.quarantined`` sidecar (never deleted) and
-  truncated, at open or at once after a failed append.  Damage followed
-  by intact records is corruption: reading raises
+  truncated, at open or at once after a failed append (retried before
+  the next append if the truncation itself fails).  Damage followed by
+  intact records is corruption: reading raises
   :class:`~repro.exceptions.PersistenceError`.
 * **Compaction** (:meth:`AppendLog.rewrite`): temp file, fsync, rename.
 * **The index.**  One scan at open records each line's byte range,
@@ -25,8 +27,9 @@ log with different record schemas (:class:`LogSchema`).  The log owns:
   line handed out is re-verified first.
 
 Fault-injection points ``<sites>.append`` (``tear``), ``<sites>.write``
-(``errno``, before any byte lands) and, with ``fsync_site``,
-``<sites>.fsync`` (traversed on every append).
+(``errno``, before any byte lands) and ``<sites>.fsync`` (traversed on
+every append under the schema's own prefix); an append may name another
+prefix for its first two (the fleet's ``intake.*`` sites).
 """
 
 from __future__ import annotations
@@ -100,14 +103,13 @@ def _reserialized(text: str, legacy: bool) -> dict[str, Any] | None:
 
 @dataclass(frozen=True)
 class LogSchema:
-    """One kind of log: its names, record keys and fsync policy.
+    """One kind of log: its names and record keys.
 
     ``noun`` names the log in errors; ``sites`` prefixes its fault sites
     and its ``<sites>-torn-tail`` event (from ``source``).  ``key`` gives
     a parsed record's ``(sequence, kind)`` or raises ``KeyError``,
     ``TypeError`` or ``ValueError``; ``fast_key`` reads them off a
     CRC-verified canonical line without parsing (``None``: use ``key``).
-    ``durable`` says whether a record fsyncs before its append returns;
     ``legacy`` accepts lines without a ``crc``.
     """
 
@@ -116,9 +118,7 @@ class LogSchema:
     source: str
     key: Callable[[dict[str, Any]], Key]
     fast_key: Callable[[bytes], Key | None]
-    durable: Callable[[dict[str, Any]], bool]
     legacy: bool = False
-    fsync_site: bool = False
 
     def classify(self, chunk: bytes) -> Key | tuple[()] | None:
         """``(sequence, kind)`` of an intact line, ``()`` if blank, else None."""
@@ -220,7 +220,7 @@ def _scan(data: bytes, schema: LogSchema) -> tuple[list[LogLine], int]:
 
 
 class AppendLog:
-    """The durable append-only file behind the journal and the intake queue.
+    """The durable append-only file behind the event journal.
 
     Opening heals a torn tail and indexes every line.  Appends go through
     one cached ``O_APPEND`` handle, opened lazily, released by :meth:`close`.
@@ -239,7 +239,9 @@ class AppendLog:
         self._fsync = bool(sync)
         self._handle = None
         self._unsynced = False
-        data = self.path.read_bytes() if self.path.exists() else b""
+        # Where a failed append's truncation itself failed (cut first next).
+        self._torn_at: int | None = None
+        data = self._bytes()
         #: The index: every intact and damaged line up to ``_end``.
         self.lines, self._valid_end = _scan(data, schema)
         self._end = len(data)
@@ -271,6 +273,13 @@ class AppendLog:
         intact = (l.sequence for l in reversed(self.lines) if l.sequence is not None)
         return next(intact, 0)
 
+    def _bytes(self) -> bytes:
+        """The file's current bytes (empty when it does not exist)."""
+        try:
+            return self.path.read_bytes()
+        except FileNotFoundError:
+            return b""
+
     # -- the append handle ---------------------------------------------------
     def _acquire(self):
         if self._handle is None or self._handle.closed:
@@ -287,7 +296,7 @@ class AppendLog:
             except OSError:
                 pass
 
-    def _cut(self, start: int) -> None:
+    def _cut(self, start: int, sites: str | None = None) -> None:
         """Move the bytes from ``start`` on to a sidecar, then truncate."""
         self.close()
         with open(self.path, "r+b") as handle:
@@ -298,49 +307,57 @@ class AppendLog:
             sidecar = quarantine_path(self.path, f".torn-{start}")
             sidecar.write_bytes(torn)  # forensic evidence, never deleted
             handle.truncate(start)
+        sites = sites or self.schema.sites
         record_event(
-            f"{self.schema.sites}-torn-tail",
+            f"{sites}-torn-tail",
             self.schema.source,
-            **{self.schema.sites: str(self.path)},
+            **{sites: str(self.path)},
             quarantined=str(sidecar),
             torn_bytes=len(torn),
         )
 
     # -- writing -------------------------------------------------------------
-    def append(self, record: dict[str, Any]) -> None:
-        """Append one JSON-ready record; fsynced when the schema says durable.
+    def append(
+        self, record: dict[str, Any], *, durable: bool = False, sites: str | None = None
+    ) -> None:
+        """Append one JSON-ready record; fsynced before returning if ``durable``.
 
-        On any failure the file is truncated back, so the record never
-        happened and the next append simply reopens.
+        ``sites`` names the ``.append``/``.write`` fault sites (the
+        schema's prefix by default).  On any failure the file is
+        truncated back, so the record never happened and the next append
+        simply reopens.
         """
         sequence, kind = self.schema.key(record)
         data = render_line(record)
-        durable = self._fsync and self.schema.durable(record)
-        sites = self.schema.sites
+        durable = self._fsync and durable
+        prefix = sites or self.schema.sites
+        if self._torn_at is not None:
+            self._cut(self._torn_at)
+            self._torn_at = None
         handle = self._acquire()
         start = os.fstat(handle.fileno()).st_size
         try:
-            torn = torn_bytes(data, fault_point(f"{sites}.append"))
-            fault_point(f"{sites}.write")
+            torn = torn_bytes(data, fault_point(f"{prefix}.append"))
+            fault_point(f"{prefix}.write")
             handle.write(data if torn is None else torn)
             handle.flush()
             if torn is not None:
                 if durable:
                     os.fsync(handle.fileno())
                 raise InjectedFault(
-                    f"{sites}.append", f"write torn at byte {len(torn)}"
+                    f"{prefix}.append", f"write torn at byte {len(torn)}"
                 )
-            if self.schema.fsync_site:
-                fault_point(f"{sites}.fsync")
+            if sites is None:
+                fault_point(f"{prefix}.fsync")
             if durable:
                 os.fsync(handle.fileno())
         except BaseException:
             # Even a complete line whose fsync failed must go: it would
             # verify, yet the caller is told the record never happened.
             try:
-                self._cut(start)
+                self._cut(start, prefix)
             except OSError:
-                pass  # a disk too broken to truncate: the next open heals
+                self._torn_at = start  # a disk too broken to truncate now
             raise
         self._unsynced = self._fsync and not durable
         if start == self._end == self._valid_end:
@@ -366,10 +383,7 @@ class AppendLog:
     # -- reading -------------------------------------------------------------
     def _current(self, kinds: Collection[str] | None, after: int) -> bytes:
         """The file's bytes, with the index brought up to date for them."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            data = b""
+        data = self._bytes()
         if len(data) == self._end and all(
             self.schema.classify(data[line.start:line.end])
             == (line.sequence, line.kind)

@@ -17,35 +17,54 @@ labels the math says are spent.  This module makes the state durable:
   :class:`~repro.ci.appendlog.AppendLog`.  A ``commit-received`` record
   is the commit's durable copy, written *before* the build runs, so a
   crash mid-build loses no commit: restore replays it deterministically.
-  It either embeds the committed model (pickled, base64) and is fsynced,
-  or — for a fleet tenant's started submission — names the fsynced
-  intake record that already holds the model (``intake_sequence``) and
-  is only flushed.
+  A fleet tenant's journal is also its intake queue
+  (:mod:`repro.fleet.intake`): the same file holds each accepted
+  submission (with its model), its deferral and its ack, under the one
+  sequence.  A ``commit-received`` for a submission appended *started*
+  carries no model — it names the submission by repository sequence —
+  and is only flushed; every other one embeds its model and is fsynced.
 * :func:`open_state_dir` — the one-directory layout convention
   (``<dir>/snapshots/`` + ``<dir>/journal.jsonl``) used by
   :meth:`CIService.persist_to` / :meth:`CIService.resume` and the
   ``repro ops`` CLI;
 * :class:`DirectoryStateStore` — that pair behind the one object a
-  :class:`CIService` writes through.
+  :class:`CIService` writes through;
+* :func:`compact_retained` — the one retention pass: keep the newest
+  valid snapshots, compact the journal through the oldest one kept.
 
 Crash model
 -----------
 Kill the process at any *journal boundary* (between two appends; each
 append is flushed before returning) and restore: the service loads the
-latest snapshot, then replays every journaled ``commit-received`` past
-the snapshot's journal anchor whose repository sequence the snapshot
-does not yet contain, in order, deduplicated by sequence.  Because
-evaluation is a pure function of engine state and the committed model,
-the replayed :class:`CommitResult`/:class:`BuildRecord` sequence is
-element-wise identical to the uninterrupted run — in all three
+latest snapshot, then replays every commit it does not yet contain, in
+repository order, deduplicated by sequence: each journaled
+``commit-received`` past the snapshot's journal anchor, and each
+*started* submission at or past the snapshot's repository length.
+Because evaluation is a pure function of engine state and the committed
+model, the replayed :class:`CommitResult`/:class:`BuildRecord` sequence
+is element-wise identical to the uninterrupted run — in all three
 adaptivity modes (the restart-parity suite asserts this).  An appended
 record survives process death; it survives power loss once the next
-fsync of the journal returns — every model-carrying ``commit-received``
-append, and every snapshot, which syncs the journal first.  A power
-loss therefore drops only records after the last such fsync.  In a
-fleet tenant dir (``<dir>/intake.jsonl`` present) the records it can
-drop include the ``commit-received`` of started submissions; those are
-replayed from the intake instead (see :mod:`repro.fleet.intake`).
+fsync of the journal returns — every submission, deferral and fsynced
+``commit-received``, and every snapshot, which syncs the journal first.
+A power loss therefore drops only records after the last such fsync:
+a started submission's ``commit-received`` among them, which is why the
+started submission itself replays.
+
+Compaction
+----------
+One bound governs the whole file: the oldest retained valid snapshot.
+Journal records at or below its anchor go; a submission, deferral or
+ack stays exactly when the repository sequence it names is at or past
+that snapshot's repository length (a commit the snapshot does not hold).
+
+Two-file tenant dirs
+--------------------
+Fleet tenant dirs written before the intake moved into the journal hold
+a separate ``intake.jsonl`` (its ``commit-received`` records may name an
+intake record by ``intake_sequence``).  A writable open merges it into
+the journal once, idempotently, then deletes it; a read-only open
+(``heal=False``) reads the merged log in memory and writes nothing.
 
 Corruption model
 ----------------
@@ -71,10 +90,9 @@ transports are runtime wiring, so replay suppresses the notifier — the
 pre-crash process already delivered those messages, and at most the
 single in-flight commit's notification can be lost.
 
-Security note: snapshots, ``commit-received`` payloads and intake
-submissions contain pickles (models are arbitrary objects).  State
-directories are trusted, server-local data — never restore from an
-untrusted one.
+Security note: snapshots, ``commit-received`` payloads and submissions
+contain pickles (models are arbitrary objects).  State directories are
+trusted, server-local data — never restore from an untrusted one.
 """
 
 from __future__ import annotations
@@ -112,11 +130,16 @@ __all__ = [
     "SNAPSHOT",
     "RESTORE",
     "COMPACTION",
+    "SUBMISSION",
+    "DEFERRED",
+    "ACK",
+    "QUEUE_TYPES",
     "EVENT_TYPES",
     "JournalRecord",
     "EventJournal",
     "JournalScan",
     "scan_journal",
+    "compact_retained",
     "SnapshotInfo",
     "Retention",
     "SnapshotStore",
@@ -134,9 +157,10 @@ SNAPSHOT_FORMAT_VERSION = 2
 
 # Journal event types.  The first is the one replay is driven by; the rest
 # form the operational audit trail.  COMPACTION is the checkpoint-truncate
-# header: a compacted journal's first record, declaring every sequence at
-# or below its ``compacted_through`` dropped (already captured by a
-# snapshot) — readers treat the missing prefix as compacted, not torn.
+# header, declaring every journal record at or below its sequence
+# dropped (already captured by a snapshot) — readers treat the missing
+# prefix as compacted, not torn.  SUBMISSION, DEFERRED and ACK are a
+# fleet tenant's intake queue (see :mod:`repro.fleet.intake`).
 COMMIT_RECEIVED = "commit-received"
 BUILD_RECORDED = "build-recorded"
 PROMOTION = "promotion"
@@ -145,6 +169,13 @@ ALARM = "alarm"
 SNAPSHOT = "snapshot"
 RESTORE = "restore"
 COMPACTION = "compacted-through"
+SUBMISSION = "submission"
+DEFERRED = "deferred"
+ACK = "ack"
+
+#: The intake queue's records: each names a submission by the repository
+#: sequence it becomes (``payload["sequence"]``).
+QUEUE_TYPES = frozenset({SUBMISSION, DEFERRED, ACK})
 
 EVENT_TYPES = frozenset(
     {
@@ -157,7 +188,7 @@ EVENT_TYPES = frozenset(
         RESTORE,
         COMPACTION,
     }
-)
+) | QUEUE_TYPES
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{6})\.pkl$")
 
@@ -197,14 +228,7 @@ def _journal_fast_key(line: bytes) -> tuple[int, str] | None:
     return None if tail is None else (int(tail[1]), tail[2].decode("ascii"))
 
 
-def _journal_durable(raw: dict[str, Any]) -> bool:
-    return raw["type"] == COMMIT_RECEIVED and "intake_sequence" not in raw["payload"]
-
-
-#: The journal's log schema.  Only a model-carrying ``commit-received`` is
-#: fsynced: it is the record that must be on disk before a build can
-#: notify anyone.  One that names an intake record is not, since that
-#: record was fsynced first.  Lines without a ``crc`` (journals from
+#: The journal's log schema.  Lines without a ``crc`` (journals from
 #: before checksums) are read.
 _JOURNAL = LogSchema(
     noun="journal",
@@ -212,9 +236,7 @@ _JOURNAL = LogSchema(
     source="ci.persistence",
     key=_journal_key,
     fast_key=_journal_fast_key,
-    durable=_journal_durable,
     legacy=True,
-    fsync_site=True,
 )
 
 
@@ -260,6 +282,14 @@ class EventJournal:
     it is, for read-only inspection that never appends.  ``sync=False``
     skips every fsync (tests and simulations, not deployments).
     ``clock`` stamps ``recorded_at`` (UTC now by default).
+
+    The journal also keeps the intake queue's state, folded from its
+    records at open and on every append: which repository sequences
+    have a submission in the file (and which were started), the
+    unacknowledged submissions themselves, and the repository sequence
+    the next submission becomes.  Opening a two-file
+    tenant dir's journal merges its ``intake.jsonl`` first (see the
+    module doc).
     """
 
     def __init__(
@@ -270,10 +300,54 @@ class EventJournal:
         clock: Callable[[], datetime] | None = None,
         heal: bool = True,
     ):
-        self._log = AppendLog(path, _JOURNAL, sync=sync, heal=heal)
+        path = Path(path)
+        merged = _merge_intake(path, heal=heal)
+        if merged is not None and heal:
+            replace_atomically(path, merged, sync=sync)
+            path.with_name(_LEGACY_INTAKE_NAME).unlink()
+            merged = None
+        self._log = (
+            AppendLog(path, _JOURNAL, sync=sync, heal=heal)
+            if merged is None
+            else _MergedLog(path, merged)
+        )
         self.path = self._log.path
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._next_sequence = self._log.last_sequence + 1
+        self._fold_queue()
+
+    def _fold_queue(self) -> None:
+        """Rebuild the intake-queue state from the file's records."""
+        self._named: dict[int, int] = {}  # queue record sequence -> its key
+        self._submitted: dict[int, int] = {}  # key -> submission sequence
+        self._started: set[int] = set()
+        self._pending: dict[int, JournalRecord] = {}
+        self._next_repository = 0
+        # The repository lengths snapshot records and compaction headers
+        # carry, read on first use (a standalone journal never asks).
+        self._snapshot_floor: int | None = None
+        for raw in self._log.records(QUEUE_TYPES, strict=False):
+            self._fold(JournalRecord._from_raw(raw))
+
+    def _fold(self, record: JournalRecord) -> None:
+        payload = record.payload
+        if record.type == SNAPSHOT:
+            if self._snapshot_floor is not None:
+                floor = int(payload.get("repository_length", 0))
+                self._snapshot_floor = max(self._snapshot_floor, floor)
+            return
+        key = int(payload["sequence"])
+        self._named[record.sequence] = key
+        if record.type == SUBMISSION:
+            self._submitted[key] = record.sequence
+            if payload.get("started"):
+                self._started.add(key)
+            self._pending[key] = record
+        elif record.type == DEFERRED:
+            self._started.discard(key)
+        else:
+            self._pending.pop(key, None)
+        self._next_repository = max(self._next_repository, key + 1)
 
     @property
     def last_sequence(self) -> int:
@@ -284,8 +358,8 @@ class EventJournal:
     def compacted_through(self) -> int:
         """Highest sequence a compaction has dropped through (0 = never).
 
-        Every record at or below this sequence was captured by a
-        snapshot before :meth:`compact` removed it; readers must not
+        Every journal record at or below this sequence was captured by
+        a snapshot before :meth:`compact` removed it; readers must not
         interpret the missing prefix as loss.  A ``compacted-through``
         header carries the boundary as its own sequence.
         """
@@ -302,17 +376,62 @@ class EventJournal:
         """Make every record appended so far survive power loss."""
         self._log.sync()
 
+    # -- the intake queue's state ---------------------------------------------
+    @property
+    def next_repository_sequence(self) -> int:
+        """The repository sequence the next submission becomes."""
+        if self._snapshot_floor is None:
+            records = self._log.records((SNAPSHOT, COMPACTION), strict=False)
+            self._snapshot_floor = max(
+                (int(raw["payload"].get("repository_length", 0)) for raw in records),
+                default=0,
+            )
+        return max(self._next_repository, self._snapshot_floor)
+
+    @property
+    def pending(self) -> dict[int, JournalRecord]:
+        """Unacknowledged submissions by repository sequence (do not mutate)."""
+        return self._pending
+
+    def is_started(self, key: int) -> bool:
+        """Whether the submission at repository sequence ``key`` was
+        appended started and not deferred since."""
+        return key in self._started
+
+    def started_at_or_past(self, key: int) -> list[int]:
+        """Repository sequences of started submissions at or past ``key``."""
+        return [started for started in self._started if started >= key]
+
+    def submissions(self, keys: Collection[int]) -> dict[int, dict[str, Any]]:
+        """Payloads of the submissions at these repository sequences.
+
+        Read through the index: only their lines are read, verified and
+        parsed.  A key without a submission in the file is absent.
+        """
+        wanted = {self._submitted[key] for key in keys if key in self._submitted}
+        payloads = (
+            _JOURNAL.parse(chunk)["payload"]
+            for line, chunk in self._log.read(wanted)
+            if line.kind == SUBMISSION  # a header may share a kept record's sequence
+        )
+        return {int(payload["sequence"]): payload for payload in payloads}
+
     # -- writing -------------------------------------------------------------
     def append(self, type: str, payload: dict[str, Any] | None = None) -> JournalRecord:
-        """Append one event: flushed, and fsynced if it carries a commit's model.
+        """Append one event: flushed, and fsynced if it must precede an effect.
 
         The payload goes through
         :func:`repro.utils.serialization.to_jsonable` (datetimes, paths,
-        enums and numpy values are fine).  Any other record becomes
+        enums and numpy values are fine).  A submission or deferral is
+        fsynced before returning, and so is a ``commit-received`` —
+        unless it is for a submission appended started, whose fsync
+        already marked the processing start; any other record becomes
         power-loss durable at the next fsync of the file.  A failed
         append — tear, failing fsync, ``ENOSPC``/``EIO`` — is truncated
         away: the event never happened.  Fault-injection points
-        ``journal.append``, ``journal.write`` and ``journal.fsync``.
+        ``journal.append``, ``journal.write`` and ``journal.fsync``;
+        the intake queue's records traverse ``intake.append`` and
+        ``intake.write`` instead.
         """
         if type not in EVENT_TYPES:
             raise PersistenceError(
@@ -325,22 +444,36 @@ class EventJournal:
             recorded_at=self._clock().isoformat(),
             payload=dict(payload or {}),
         )
-        self._log.append(to_jsonable(record))
+        queued = type in QUEUE_TYPES
+        durable = type in (SUBMISSION, DEFERRED) or (
+            type == COMMIT_RECEIVED
+            and record.payload.get("sequence") not in self._started
+        )
+        self._log.append(
+            to_jsonable(record), durable=durable, sites="intake" if queued else None
+        )
         self._next_sequence += 1
+        if queued or type == SNAPSHOT:
+            self._fold(record)
         return record
 
     # -- compaction ----------------------------------------------------------
-    def compact(self, through_sequence: int) -> int:
-        """Checkpoint-truncate: drop records at or below ``through_sequence``.
+    def compact(self, through_sequence: int, repository_length: int = 0) -> int:
+        """Checkpoint-truncate through one snapshot's anchor and length.
 
-        The caller asserts — normally by pointing at a *valid* snapshot's
-        :attr:`~SnapshotInfo.journal_sequence` — that everything at or
-        below ``through_sequence`` is captured durably elsewhere.  The
-        journal is rewritten temp-then-rename: a ``compacted-through``
-        header record first (carrying ``through_sequence`` as its own
-        sequence, so the file stays monotonic and an all-dropped journal
-        still resumes its counter correctly), then every surviving
-        record's line, byte for byte.  A crash at any point leaves
+        The caller asserts — normally by pointing at the oldest retained
+        *valid* snapshot's :attr:`~SnapshotInfo.journal_sequence` and
+        :attr:`~SnapshotInfo.repository_length` — that every journal
+        record at or below ``through_sequence`` and every commit below
+        ``repository_length`` are captured durably elsewhere.  Journal
+        records at or below the boundary go; an intake-queue record stays
+        exactly when the repository sequence it names is at or past
+        ``repository_length``.  The file is rewritten temp-then-rename:
+        the kept queue records from below the boundary, a
+        ``compacted-through`` header (carrying ``through_sequence`` as
+        its own sequence, so the file stays monotonic and an all-dropped
+        journal still resumes its counter correctly), then every later
+        survivor's line, byte for byte.  A crash at any point leaves
         either the old or the new journal, both complete.
 
         Compacting to a boundary at or below a previous compaction's is
@@ -357,29 +490,37 @@ class EventJournal:
                 f"cannot compact journal {self.path} through sequence "
                 f"{through}: newest record is {self.last_sequence}"
             )
+        kept: list[bytes] = []
         survivors: list[bytes] = []
         dropped = prior_dropped = 0
         for line, chunk in self._log.entries():
             if line.kind == COMPACTION:
                 payload = _JOURNAL.parse(chunk).get("payload") or {}
                 prior_dropped = int(payload.get("dropped", 0))
-            if line.sequence <= through:
+            if line.kind in QUEUE_TYPES:
+                key = self._named.get(line.sequence)
+                if key is None:  # appended by another writer since the fold
+                    key = int(_JOURNAL.parse(chunk)["payload"]["sequence"])
+                keep = key >= repository_length
+            else:
+                keep = line.sequence > through
+            if not keep:
                 dropped += 1
             else:
-                survivors.append(chunk)
+                (kept if line.sequence < through else survivors).append(chunk)
         fault_point("journal.compact")
         header = JournalRecord(
             sequence=through,
             type=COMPACTION,
             recorded_at=self._clock().isoformat(),
-            payload={
-                "compacted_through": through,
-                "dropped": prior_dropped + dropped,
-            },
+            payload={"compacted_through": through, "dropped": prior_dropped + dropped},
         )
+        if repository_length:
+            header.payload["repository_length"] = int(repository_length)
         bytes_before = self.path.stat().st_size if self.path.exists() else 0
-        data = render_line(to_jsonable(header)) + b"".join(survivors)
+        data = b"".join(kept) + render_line(to_jsonable(header)) + b"".join(survivors)
         self._log.rewrite(data)
+        self._fold_queue()
         record_event(
             "journal-compacted",
             "ci.persistence",
@@ -414,6 +555,92 @@ def _compacted_through(lines: Iterable[LogLine]) -> int:
     )
 
 
+# ---------------------------------------------------------------------------
+# Two-file tenant dirs
+# ---------------------------------------------------------------------------
+
+_LEGACY_INTAKE_NAME = "intake.jsonl"
+
+#: The separate intake file of a two-file tenant dir (read, never written).
+_LEGACY_INTAKE = LogSchema(
+    noun="intake queue",
+    sites="intake",
+    source="fleet.intake",
+    key=lambda raw: (int(raw["sequence"]), str(raw["kind"])),
+    fast_key=lambda line: None,
+)
+
+
+class _MergedLog(AppendLog):
+    """A two-file tenant dir's merged log, held in memory (read-only)."""
+
+    def __init__(self, path: Path, data: bytes):
+        self._data = data
+        super().__init__(path, _JOURNAL, heal=False)
+
+    def _bytes(self) -> bytes:
+        return self._data
+
+    def read(self, sequences: Collection[int]) -> list[tuple[LogLine, bytes]]:
+        entries = self.entries(strict=False)
+        return [(line, chunk) for line, chunk in entries if line.sequence in sequences]
+
+
+def _merge_intake(path: Path, *, heal: bool) -> bytes | None:
+    """The journal at ``path`` with a two-file dir's intake merged in.
+
+    ``None`` when no ``intake.jsonl`` lies beside it.  The journal's lines
+    stay byte for byte (snapshots anchor at their sequences); the
+    intake's submissions, deferrals and acks follow under new sequences,
+    in intake order.  Submissions below the intake's newest cursor gain
+    the ack the cursor stood for, and the cursor's own last sequence is
+    acked too, so the next submission's repository sequence survives.
+    A journal that already holds queue records was merged before (a
+    crash came before the intake's deletion): it is returned as it is.
+    ``heal`` repairs torn tails and refuses a damaged intake; without it
+    nothing is written and damage is skipped.
+    """
+    intake_path = path.with_name(_LEGACY_INTAKE_NAME)
+    if not intake_path.exists():
+        return None
+    journal = AppendLog(path, _JOURNAL, sync=False, heal=heal)
+    data = journal._bytes()
+    data = data[: len(data) - journal.torn_tail_bytes]
+    if any(line.kind in QUEUE_TYPES for line in journal.lines):
+        return data
+    intake = list(
+        AppendLog(intake_path, _LEGACY_INTAKE, sync=False, heal=heal).records(
+            strict=heal
+        )
+    )
+    cursor = max(
+        (int(raw["repo_sequence"]) for raw in intake if raw["kind"] == "cursor"),
+        default=0,
+    )
+    lines, sequence = [], journal.last_sequence
+    acked, named = set(), set()
+    for raw in intake:
+        if raw["kind"] == "cursor":
+            continue
+        key = int(raw["repo_sequence"])
+        named.add(key)
+        if raw["kind"] == ACK:
+            acked.add(key)
+        payload = {**(raw.get("payload") or {}), "sequence": key}
+        sequence += 1
+        stamp = str(raw.get("recorded_at", ""))
+        record = JournalRecord(sequence, str(raw["kind"]), stamp, payload)
+        lines.append(render_line(to_jsonable(record)))
+    if cursor:
+        named.add(cursor - 1)
+    for key in sorted(named - acked):
+        if key < cursor:
+            sequence += 1
+            record = JournalRecord(sequence, ACK, "", {"sequence": key})
+            lines.append(render_line(to_jsonable(record)))
+    return data + b"".join(lines)
+
+
 @dataclass(frozen=True)
 class JournalScan:
     """Read-only classification of a journal file (``repro ops --fsck``).
@@ -430,9 +657,10 @@ class JournalScan:
     snapshot's anchor).  ``compacted_through`` is the highest
     ``compacted-through`` boundary (0 = never compacted): records at or
     below it were dropped on purpose, and a restore needs a snapshot
-    anchored at or past it.  ``intake_references`` pairs the journal
-    sequence of every ``commit-received`` that names an intake record
-    with that record's intake sequence.
+    anchored at or past it.  ``pending`` counts a fleet tenant's
+    unacknowledged submissions, and ``started`` holds the repository
+    sequences of its started, not deferred, submissions (what a restore
+    replays past its snapshot's repository length).
     """
 
     path: Path
@@ -444,21 +672,19 @@ class JournalScan:
     commit_sequences: tuple[int, ...]
     commit_journal_sequences: tuple[int, ...]
     compacted_through: int = 0
-    intake_references: tuple[tuple[int, int], ...] = ()
+    pending: int = 0
+    started: frozenset[int] = frozenset()
 
 
 def scan_journal(path: str | Path) -> JournalScan:
     """Classify a journal file without opening it for repair."""
     path = Path(path)
-    log = AppendLog(path, _JOURNAL, heal=False)
-    payloads = [
-        (int(raw["sequence"]), raw.get("payload") or {})
-        for raw in log.records((COMMIT_RECEIVED,), strict=False)
-    ]
+    journal = EventJournal(path, heal=False)
+    log = journal._log
     commits = [
-        (int(payload["sequence"]), journal)
-        for journal, payload in payloads
-        if "sequence" in payload
+        (int(raw["payload"]["sequence"]), int(raw["sequence"]))
+        for raw in log.records((COMMIT_RECEIVED,), strict=False)
+        if "sequence" in (raw.get("payload") or {})
     ]
     return JournalScan(
         path=path,
@@ -470,11 +696,8 @@ def scan_journal(path: str | Path) -> JournalScan:
         commit_sequences=tuple(sequence for sequence, _ in commits),
         commit_journal_sequences=tuple(journal for _, journal in commits),
         compacted_through=_compacted_through(log.lines),
-        intake_references=tuple(
-            (journal, int(payload["intake_sequence"]))
-            for journal, payload in payloads
-            if "intake_sequence" in payload
-        ),
+        pending=len(journal.pending),
+        started=frozenset(journal._started),
     )
 
 
@@ -821,6 +1044,32 @@ class SnapshotStore:
         return None
 
 
+def compact_retained(
+    snapshots: SnapshotStore, journal: EventJournal | None, keep: int
+) -> tuple[list[Path], int]:
+    """The one retention pass; returns the pruned paths and dropped records.
+
+    Keeps the newest ``keep`` valid snapshots (:meth:`SnapshotStore.retain`'s
+    single verified read per envelope), then compacts ``journal`` through
+    the oldest retained one: its anchor and its repository length (see
+    :meth:`EventJournal.compact`).  Every snapshot still on disk —
+    including an older generation a corrupt-newest fallback restores
+    from — then replays without a gap, and every submission a retained
+    snapshot lacks stays.  A running service's cadence, the fleet's
+    reclamation of a cold tenant and
+    :func:`~repro.reliability.storage.maintain_state_dir` all reclaim
+    through it.
+    """
+    pruned, retained = snapshots._retain(keep)
+    if journal is None or not retained:
+        return pruned, 0
+    anchor = min(info.journal_sequence for info in retained)
+    if anchor <= journal.compacted_through or anchor > journal.last_sequence:
+        return pruned, 0
+    length = min(info.repository_length for info in retained)
+    return pruned, journal.compact(anchor, length)
+
+
 # ---------------------------------------------------------------------------
 # State-directory convention
 # ---------------------------------------------------------------------------
@@ -835,7 +1084,7 @@ def open_state_dir(
     ``create=False`` a missing directory raises :class:`PersistenceError`
     (the ``repro ops`` CLI uses this so a typo'd path fails loudly
     instead of materializing an empty state dir); ``heal=False`` opens
-    the journal without repairing it (read-only inspection).
+    the journal without repairing or migrating it (read-only inspection).
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -854,22 +1103,16 @@ class DirectoryStateStore:
     Composes a :class:`SnapshotStore` and an (optional)
     :class:`EventJournal`; the pair stays reachable as :attr:`snapshots`
     / :attr:`journal` for the service's retention and operations code.
-    A fleet tenant's dir also holds the tenant's
-    :class:`~repro.fleet.intake.IntakeQueue` (:attr:`intake`): the
-    durable copy of the models its journal names.  The crash model is
-    the module's: a snapshot is atomically whole or absent, and a
-    snapshot never anchors past the journal's durable end.
+    A fleet tenant's journal is also its intake queue, and the fleet
+    hands its open journal in, so a hydration neither reopens nor
+    re-indexes the file.  The crash model is the module's: a snapshot is
+    atomically whole or absent, and a snapshot never anchors past the
+    journal's durable end.
     """
 
-    def __init__(
-        self,
-        snapshots: SnapshotStore,
-        journal: EventJournal | None = None,
-        intake: Any = None,
-    ):
+    def __init__(self, snapshots: SnapshotStore, journal: EventJournal | None = None):
         self.snapshots = snapshots
         self.journal = journal
-        self.intake = intake
 
     @classmethod
     def open(
@@ -880,19 +1123,8 @@ class DirectoryStateStore:
         sync: bool = True,
         heal: bool = True,
     ) -> "DirectoryStateStore":
-        """Open (or create) a state directory; see :func:`open_state_dir`.
-
-        A fleet tenant's ``intake.jsonl`` is opened with it, so a tenant
-        dir restores without its fleet.  ``heal=False`` repairs neither
-        file: read-only inspection.
-        """
-        snapshots, journal = open_state_dir(path, create=create, sync=sync, heal=heal)
-        intake_path = Path(path) / "intake.jsonl"
-        if not intake_path.exists():
-            return cls(snapshots, journal)
-        from repro.fleet.intake import IntakeQueue
-
-        return cls(snapshots, journal, IntakeQueue(intake_path, sync=sync, heal=heal))
+        """Open (or create) a state directory; see :func:`open_state_dir`."""
+        return cls(*open_state_dir(path, create=create, sync=sync, heal=heal))
 
     @property
     def location(self) -> str:

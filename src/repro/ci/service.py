@@ -73,6 +73,7 @@ from repro.ci.persistence import (
     SNAPSHOT,
     DirectoryStateStore,
     SnapshotInfo,
+    compact_retained,
     decode_model,
     encode_model,
 )
@@ -321,8 +322,6 @@ class CIService:
         self._snapshot_every: int | None = None
         self._builds_since_snapshot = 0
         self._replaying = False
-        # Set by commit_from_intake() until the commit-received names it.
-        self._intake_sequence: int | None = None
         # _unjournaled_stamp() as of the last snapshot or restore; None
         # until the service has been saved or restored at all.
         self._saved_stamp: tuple[int, int, int] | None = None
@@ -561,28 +560,6 @@ class CIService:
         commits = self.repository.commit_many(models, messages=messages, author=author)
         return self._builds[len(self._builds) - len(commits):]
 
-    def commit_from_intake(
-        self,
-        model: Any,
-        intake_sequence: int,
-        *,
-        message: str = "",
-        author: str = "developer",
-    ) -> Commit:
-        """Commit ``model``, whose durable copy is intake record ``intake_sequence``.
-
-        The fleet's started submissions come through here: the fsynced
-        intake record already holds the model, so the journal's
-        ``commit-received`` names it instead of embedding it, and is
-        flushed but not fsynced.  Everything else is
-        ``repository.commit``.
-        """
-        self._intake_sequence = int(intake_sequence)
-        try:
-            return self.repository.commit(model, message=message, author=author)
-        finally:
-            self._intake_sequence = None
-
     @staticmethod
     def _status_for(result: CommitResult) -> CommitStatus:
         if result.developer_signal is None:
@@ -598,12 +575,15 @@ class CIService:
         """Journal a commit *before* its build runs.
 
         This is the record replay is driven by: it embeds the committed
-        model (or, under :meth:`commit_from_intake`, names the intake
-        record holding it), so a crash anywhere between this append and
-        the build's completion loses nothing — restore re-runs the
-        evaluation deterministically from the snapshot-exact engine state.
+        model and is fsynced — unless the journal holds the commit's
+        fleet submission appended *started*, which it then names by
+        repository sequence, flushed only — so a crash anywhere between
+        this append and the build's completion loses nothing: restore
+        re-runs the evaluation deterministically from the snapshot-exact
+        engine state.
         """
-        if self._state_store is None or self._replaying:
+        store = self._state_store
+        if store is None or self._replaying:
             return
         payload = {
             "sequence": commit.sequence,
@@ -611,11 +591,9 @@ class CIService:
             "author": commit.author,
             "message": commit.message,
         }
-        if self._intake_sequence is None:
+        if store.journal is None or not store.journal.is_started(commit.sequence):
             payload["model_pickle"] = encode_model(commit.model)
-        else:
-            payload["intake_sequence"] = self._intake_sequence
-        self._state_store.append_event(COMMIT_RECEIVED, payload)
+        store.append_event(COMMIT_RECEIVED, payload)
 
     def _journal_build(
         self, build: BuildRecord, rotations_before: int | None
@@ -779,7 +757,11 @@ class CIService:
         self._saved_stamp = stamp
         self._journal_event(
             SNAPSHOT,
-            {"snapshot_sequence": info.sequence, "path": info.path},
+            {
+                "snapshot_sequence": info.sequence,
+                "path": info.path,
+                "repository_length": info.repository_length,
+            },
         )
         self._run_retention()
         return info
@@ -787,33 +769,14 @@ class CIService:
     def _run_retention(self) -> None:
         """Prune snapshots and compact the journal per ``keep_snapshots``.
 
-        A no-op when retention is off.  Compaction's boundary is
-        the *oldest retained valid* snapshot's anchor, so every snapshot
-        still on disk — including older generations a corrupt-newest
-        fallback may restore from — replays without a gap.  Only once
-        the journal is compacted does a fleet tenant's intake learn what
-        that snapshot covers (:attr:`IntakeQueue.covered
-        <repro.fleet.intake.IntakeQueue.covered>`), so the intake never
-        drops a record the journal still names.
+        A no-op when retention is off; otherwise the one retention pass
+        (:func:`~repro.ci.persistence.compact_retained`) through the
+        *oldest retained valid* snapshot.
         """
         if self._keep_snapshots is None or self._state_store is None:
             return
-        snapshots, journal = self._state_store.snapshots, self._state_store.journal
-        _, retained = snapshots._retain(self._keep_snapshots)
-        anchor = min((info.journal_sequence for info in retained), default=0)
-        if journal is None:
-            return
-        if anchor > journal.compacted_through and anchor <= journal.last_sequence:
-            journal.compact(anchor)
-        if self._intake is not None:
-            self._intake.covered = min(
-                (info.repository_length for info in retained), default=0
-            )
-
-    @property
-    def _intake(self):
-        """A fleet tenant's intake queue (stores without one have none)."""
-        return getattr(self._state_store, "intake", None)
+        store = self._state_store
+        compact_retained(store.snapshots, store.journal, self._keep_snapshots)
 
     def _storage_gate(self, count: int) -> None:
         """Commit-admission gate installed when a governor is attached.
@@ -1016,8 +979,8 @@ class CIService:
     ) -> "CIService":
         """:meth:`restore` from a persisted state directory.
 
-        ``record=False`` opens the journal (and a fleet tenant's intake)
-        without healing either: inspection writes nothing.
+        ``record=False`` opens the journal without healing or migrating
+        it: inspection writes nothing.
         """
         store = DirectoryStateStore.open(state_dir, create=False, heal=record)
         return cls.restore(
@@ -1032,38 +995,37 @@ class CIService:
     def _replay_journal(self, anchor: int = 0) -> int:
         """Re-commit every journaled commit the snapshot predates.
 
-        Reads the ``commit-received`` records past the snapshot's journal
-        ``anchor`` through the journal's index and, in a fleet tenant dir,
-        every started intake submission at or past the restored
-        repository length, acknowledged or not — power loss may have
-        dropped its unsynced ``commit-received``, never the fsynced
-        submission.  Deduplicates by repository sequence and demands a
-        gap-free run from the restored repository head — a hole means the
-        journal and snapshot disagree, which is corruption, not a crash
-        artifact — and a ``commit-received`` naming an intake record the
-        intake does not hold is the same corruption.
+        Replays, from the restored repository length on, each
+        ``commit-received`` past the snapshot's journal ``anchor`` (read
+        through the journal's index) and each started fleet submission,
+        acknowledged or not — power loss may have dropped its unsynced
+        ``commit-received``, never the fsynced submission.  A commit
+        without an embedded model takes its submission's.  Deduplicates
+        by repository sequence and demands a gap-free run from the
+        restored repository head — a hole means the journal and snapshot
+        disagree, which is corruption, not a crash artifact — and a
+        ``commit-received`` naming a submission the journal does not hold
+        is the same corruption.
         """
         assert self._state_store is not None
+        journal = self._state_store.journal
         start = len(self.repository)
-        pending: dict[int, dict[str, Any]] = {}
-        if self._intake is not None:
-            for submission in self._intake.started_since(start):
-                pending[submission.repo_sequence] = submission.payload
-        for record in self._state_store.journal.records_of(
-            COMMIT_RECEIVED, after=anchor
-        ):
-            payload = record.payload
-            sequence = int(payload["sequence"])
-            if sequence < start:
-                continue
-            if pending.setdefault(sequence, payload) is payload and (
-                "model_pickle" not in payload
-            ):
+        pending: dict[int, dict[str, Any]] = {
+            key: {} for key in journal.started_at_or_past(start)
+        }
+        for record in journal.records_of(COMMIT_RECEIVED, after=anchor):
+            sequence = int(record.payload["sequence"])
+            if sequence >= start:
+                pending[sequence] = record.payload
+        named = [key for key, value in pending.items() if "model_pickle" not in value]
+        submissions = journal.submissions(named)
+        for key in named:
+            if key not in submissions:
                 raise PersistenceError(
-                    f"journal record {record.sequence} names intake record "
-                    f"{payload.get('intake_sequence')} for commit {sequence}, "
-                    "which the intake does not hold"
+                    f"journal {journal.path} names the submission of commit "
+                    f"{key}, which it does not hold"
                 )
+            pending[key] = submissions[key]
         engine_notifier = self.engine.notifier
         self._replaying = True
         self.engine.notifier = None  # replay recovers state, not side effects

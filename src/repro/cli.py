@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--fsck",
         action="store_true",
-        help="integrity-sweep every tenant state directory and intake queue "
+        help="integrity-sweep every tenant state directory "
         "instead of reporting operations (read-only — never repairs)",
     )
     fleet.add_argument(

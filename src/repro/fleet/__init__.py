@@ -4,7 +4,8 @@ The :class:`CIFleet` gateway owns N tenant state directories and routes
 webhook-style submissions to per-tenant
 :class:`~repro.ci.service.CIService` instances, hydrated lazily from
 their snapshots + journal and held in a bounded resident set that keeps
-frequently used tenants live.  In front of each tenant sit a durable intake queue (:class:`IntakeQueue`), admission
+frequently used tenants live.  In front of each tenant sit a durable
+intake queue (:class:`IntakeQueue`, kept in the tenant's journal), admission
 control (:class:`AdmissionPolicy`), and a circuit breaker
 (:class:`CircuitBreaker`).  See :mod:`repro.fleet.gateway` for the full
 contract and ``docs/fleet.md`` for a quickstart.
@@ -20,7 +21,7 @@ from repro.fleet.gateway import (
     TenantFsck,
     TenantStatus,
 )
-from repro.fleet.intake import IntakeQueue, IntakeRecord, IntakeScan, scan_intake
+from repro.fleet.intake import IntakeQueue, IntakeRecord
 
 __all__ = [
     "AdmissionPolicy",
@@ -32,8 +33,6 @@ __all__ = [
     "FleetReport",
     "IntakeQueue",
     "IntakeRecord",
-    "IntakeScan",
     "TenantFsck",
     "TenantStatus",
-    "scan_intake",
 ]

@@ -4,8 +4,9 @@
 infrastructure, the ROADMAP's "millions of users" shape.  Each tenant is
 a full :class:`~repro.ci.service.CIService` with its own state directory
 (a :class:`~repro.ci.persistence.DirectoryStateStore`: snapshots plus
-journal) and a durable intake queue; the gateway adds the three things a
-shared deployment needs that a single service does not:
+one log, the tenant journal, which is also its durable intake queue);
+the gateway adds the three things a shared deployment needs that a
+single service does not:
 
 * **Bounded residency.**  At most ``max_resident`` tenant engines are
   live.  Each tenant carries an access count, bumped on every
@@ -15,26 +16,27 @@ shared deployment needs that a single service does not:
   evicted first, the least recently used among equal counts (plain LRU
   when counts tie); the tenant being served is never the victim.
   Eviction releases the service and writes nothing — every commit's
-  durable copy is already on disk (the tenant journal, or the intake
-  record it names), and the intake compacts at the ``snapshot_every``
-  cadence instead.  The next submission hydrates it
-  back from the newest snapshot plus the journal tail
-  (``CIService.restore``, the path every crash takes — element-wise
-  identical to never having been evicted); the tenant's
-  ``snapshot_every`` cadence bounds that replay.  Residency decides only
+  durable copy is already in the tenant journal.  The fleet keeps each
+  tenant's journal open across evictions (its append handle closed),
+  and the next submission hydrates the tenant from the newest snapshot
+  plus that journal's tail (``CIService.restore``, the path every crash
+  takes — element-wise identical to never having been evicted), without
+  reopening or re-indexing the file; the tenant's ``snapshot_every``
+  cadence bounds that replay.  Residency decides only
   *when* a tenant pays that hydration, never a result.  A thousand
   registered tenants cost the memory of ``max_resident`` engines.
 * **Admission control and durable intake.**  A submission is either
   rejected *at the door* with a typed
   :class:`~repro.exceptions.AdmissionError` (fleet overload, tenant
   quota, quarantined tenant — each with a retry-after hint) or accepted
-  into the tenant's CRC'd intake queue, fsynced, before anything
-  evaluates it.  Accepted work survives a crash or power loss at any
-  point and replays idempotently by repository sequence (a lost ack is
-  re-acked, never re-run); there is no third outcome.  A
+  into the tenant journal as a CRC'd submission, fsynced, before
+  anything evaluates it.  Accepted work survives a crash or power loss
+  at any point and replays idempotently by repository sequence (a lost
+  ack is re-acked, never re-run); there is no third outcome.  A
   :meth:`CIFleet.submit` with nothing queued ahead of it costs one
-  fsync: its intake record is the commit's only durable copy, named by
-  the tenant journal (see :mod:`repro.fleet.intake`).
+  fsync: its submission is the commit's only durable copy, and the
+  ``commit-received`` after it in the same file names it (see
+  :mod:`repro.fleet.intake`).
 * **Per-tenant isolation.**  A tenant whose engine fails repeatedly
   trips its circuit breaker (open → half-open probe → close) and is
   quarantined at the door while every other tenant keeps serving,
@@ -49,7 +51,7 @@ fleet of tenants watching the same condition plans once.
 
 Fault-injection points (chaos suite): ``fleet.hydrate``,
 ``fleet.evict``, ``fleet.process`` (plus the per-tenant
-``fleet.process.<tenant-id>`` variant) and the intake queue's
+``fleet.process.<tenant-id>`` variant) and the intake records'
 ``intake.append`` (tear) / ``intake.write`` (errno).
 
 Single-writer assumption: one live :class:`CIFleet` per root directory,
@@ -67,7 +69,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.ci.notifications import NotificationTransport
-from repro.ci.persistence import DirectoryStateStore, open_state_dir
+from repro.ci.persistence import (
+    DirectoryStateStore,
+    SnapshotStore,
+    open_state_dir,
+    scan_journal,
+)
 from repro.ci.repository import ModelRepository
 from repro.ci.service import BuildRecord, CIService, OperationsReport
 from repro.core.script.config import CIScript
@@ -81,15 +88,11 @@ from repro.exceptions import (
 )
 from repro.fleet.admission import AdmissionPolicy
 from repro.fleet.breaker import BreakerState, CircuitBreaker
-from repro.fleet.intake import IntakeQueue, IntakeRecord, IntakeScan, scan_intake
+from repro.fleet.intake import IntakeQueue, IntakeRecord
 from repro.reliability.events import record_event
 from repro.reliability.faults import InjectedFault, fault_point
 from repro.reliability.fsck import FsckReport, fsck_state_dir
-from repro.reliability.storage import (
-    StorageGovernor,
-    StorageStatus,
-    maintain_state_dir,
-)
+from repro.reliability.storage import StorageGovernor, StorageStatus
 
 __all__ = [
     "CIFleet",
@@ -220,7 +223,6 @@ class TenantFsck:
 
     tenant_id: str
     state: FsckReport
-    intake: IntakeScan
 
 
 @dataclass(frozen=True)
@@ -233,12 +235,9 @@ class FleetFsckReport:
 
     @property
     def healthy(self) -> bool:
-        """Every tenant restorable, no corrupt intake lines, and no
-        journal record naming an intake record that is gone."""
+        """Every tenant restorable, with no corrupt journal lines."""
         return self.exists and all(
-            t.state.restorable
-            and not t.intake.corrupt_lines
-            and not t.state.dangling_references
+            t.state.restorable and not t.state.journal.corrupt_lines
             for t in self.tenants
         )
 
@@ -259,20 +258,9 @@ class FleetFsckReport:
                 if state.restorable
                 else "UNRESTORABLE"
             )
-            intake = (
-                f"intake {tenant.intake.pending} pending"
-                if tenant.intake.exists
-                else "no intake"
-            )
-            if tenant.intake.corrupt_lines:
-                intake += (
-                    f", {len(tenant.intake.corrupt_lines)} corrupt line(s)"
-                )
-            if state.dangling_references:
-                intake += (
-                    f", {len(state.dangling_references)} journal record(s) "
-                    "naming a record that is gone"
-                )
+            intake = f"intake {state.journal.pending} pending"
+            if state.journal.corrupt_lines:
+                intake += f", {len(state.journal.corrupt_lines)} corrupt line(s)"
             lines.append(f"  {tenant.tenant_id:<20} {verdict}; {intake}")
         return "\n".join(lines)
 
@@ -284,9 +272,9 @@ class CIFleet:
     ----------
     root:
         Fleet root directory; tenant state lives in
-        ``<root>/tenants/<tenant-id>/`` (a PR 4 state dir plus
-        ``intake.jsonl``).  An existing root's tenants are discovered
-        from disk and hydrated lazily.
+        ``<root>/tenants/<tenant-id>/`` (snapshots plus one journal).
+        An existing root's tenants are discovered from disk and hydrated
+        lazily.
     max_resident:
         Residency capacity: how many tenant engines stay live at once.
         It also sets the aging period of the access counts that pick
@@ -301,9 +289,8 @@ class CIFleet:
         8, must be >= 1).  Eviction writes no snapshot, so this cadence
         alone bounds hydration: a tenant is restored from its newest
         snapshot plus at most ``snapshot_every - 1`` replayed commits.
-        Retention (prune + journal compaction) runs at these cadence
-        snapshots too, never at eviction, and a tenant's intake compacts
-        once that many of its entries are acknowledged.
+        Retention (prune + journal compaction, acknowledged submissions
+        included) runs at these cadence snapshots too, never at eviction.
     keep_snapshots:
         Snapshot-retention depth forwarded to every tenant service
         (default 3): each tenant snapshot prunes older generations and
@@ -313,7 +300,7 @@ class CIFleet:
     storage:
         Optional per-tenant :class:`StorageGovernor`: each submission is
         admitted against its tenant dir's byte budget — soft triggers
-        reclamation (prune + compact + intake compaction), hard rejects
+        reclamation (prune + journal compaction), hard rejects
         with a retryable
         :class:`~repro.exceptions.StorageExhaustedError` while every
         other tenant keeps serving.
@@ -323,9 +310,9 @@ class CIFleet:
         fleet-wide overload) until reclamation brings usage back under.
     sync:
         Fsync each commit's durable copy before it is acted on (default):
-        the intake submission, plus a model-carrying ``commit-received``
-        for a submission that was only enqueued or was deferred; other
-        records ride along with the next fsync.  Benchmarks simulating
+        the submission, plus the ``commit-received`` of a submission
+        that was only enqueued or was deferred; other records ride along
+        with the next fsync.  Benchmarks simulating
         thousands of tenants turn this off; a tenant is then durable
         only to the OS page cache.
     transport_factory:
@@ -382,16 +369,16 @@ class CIFleet:
         # Aged access counts (zero counts are dropped) and lookups so far.
         self._frequency: dict[str, int] = {}
         self._lookups = 0
+        # Each tenant's intake queue over its open journal, kept across
+        # evictions and handed to every hydrated service.
         self._intakes: dict[str, IntakeQueue] = {}
         # Registered tenant ids for the admission scan: read from disk on
         # first use, then extended by register() (single-writer root).
         self._registered: list[str] | None = None
         # Running fleet-wide pending total: each open queue's depth as
-        # last counted.  A dropped queue handle keeps its count until
-        # _total_pending reopens it and recounts from disk.
+        # last counted.
         self._pending_counts: dict[str, int] = {}
         self._pending_total = 0
-        self._reopen: set[str] = set()
         self._breakers: dict[str, CircuitBreaker] = {}
         self.hits = 0
         self.hydrations = 0
@@ -457,13 +444,10 @@ class CIFleet:
         queue = self._intakes.get(tenant_id)
         if queue is None:
             directory = self._require_tenant(tenant_id)
-            queue = IntakeQueue(directory / "intake.jsonl", sync=self.sync)
+            _, journal = open_state_dir(directory, create=False, sync=self.sync)
+            queue = IntakeQueue(journal)
             self._intakes[tenant_id] = queue
-            self._reopen.discard(tenant_id)
             self._count_pending(tenant_id, queue)
-            service = self._resident.get(tenant_id)
-            if service is not None:  # replaces a dropped handle
-                service._state_store.intake = queue
         return queue
 
     def _count_pending(self, tenant_id: str, queue: IntakeQueue) -> None:
@@ -471,11 +455,6 @@ class CIFleet:
         depth = queue.pending_count
         self._pending_total += depth - self._pending_counts.get(tenant_id, 0)
         self._pending_counts[tenant_id] = depth
-
-    def _drop_intake(self, tenant_id: str) -> None:
-        """Drop a queue handle after a failed write (reopened like a restart)."""
-        self._intakes.pop(tenant_id, None)
-        self._reopen.add(tenant_id)
 
     def _transport(self, tenant_id: str) -> NotificationTransport | None:
         if self.transport_factory is None:
@@ -494,7 +473,7 @@ class CIFleet:
         repository: ModelRepository | None = None,
         **engine_kwargs: Any,
     ) -> CIService:
-        """Create a tenant: state dir, first snapshot, empty intake queue.
+        """Create a tenant: state dir, first snapshot, empty journal.
 
         The returned service is resident (and may evict another tenant).
         All subsequent writes to the tenant must flow through
@@ -524,12 +503,11 @@ class CIFleet:
             sync=self.sync,
             keep_snapshots=self.keep_snapshots,
         )
-        queue = IntakeQueue.create(
-            directory / "intake.jsonl",
-            base_repo_sequence=len(service.repository),
-            sync=self.sync,
-        )
-        self._intakes[tenant_id] = service._state_store.intake = queue
+        journal = service._state_store.journal
+        # The first snapshot's record tells the queue the repository's
+        # length; it must outlive a power loss before any submission.
+        journal.sync()
+        self._intakes[tenant_id] = IntakeQueue(journal)
         if self._registered is not None:
             self._registered.append(tenant_id)
         self._resident[tenant_id] = service
@@ -572,8 +550,7 @@ class CIFleet:
         try:
             fault_point("fleet.hydrate")
             store = DirectoryStateStore(
-                *open_state_dir(directory, create=False, sync=self.sync),
-                intake=self._intake(tenant_id),
+                SnapshotStore(directory / "snapshots"), self._intake(tenant_id).journal
             )
             service = CIService.restore(
                 store,
@@ -601,12 +578,11 @@ class CIFleet:
         """Release one resident tenant; False on failure.
 
         Eviction writes nothing: every commit's durable copy (a fsynced
-        intake submission or ``commit-received``) was written before its
-        build ran, so the newest snapshot plus the journal tail and the
-        started intake submissions already restore the service exactly —
-        the next hydration takes the path every crash takes.
-        Replay depth is bounded by ``snapshot_every``, not by eviction,
-        and the intake compacts at that same cadence (:meth:`_ack`).
+        submission or ``commit-received``) was written before its build
+        ran, so the newest snapshot plus the journal tail already
+        restore the service exactly — the next hydration takes the path
+        every crash takes.  Replay depth is bounded by
+        ``snapshot_every``, not by eviction.
         The one exception is state replay cannot rebuild, changed since
         the last snapshot (:attr:`CIService.unjournaled_changes`: the
         dead-letter log, a testset or pool install, a generation added
@@ -630,9 +606,7 @@ class CIFleet:
             )
             return False
         del self._resident[tenant_id]
-        queue = self._intakes.get(tenant_id)
-        if queue is not None:
-            queue.close()  # bounds open handles by the resident set
+        self._intake(tenant_id).close()  # bounds open handles by the resident set
         self.evictions += 1
         record_event("tenant-evicted", "fleet.gateway", tenant=tenant_id)
         return True
@@ -656,28 +630,22 @@ class CIFleet:
 
     # -- storage governance ---------------------------------------------------
     def _maintain_tenant(self, tenant_id: str) -> None:
-        """Reclaim one tenant dir: prune + compact journal, compact intake.
+        """Reclaim one tenant dir: prune snapshots, compact the journal.
 
-        Resident tenants reclaim through their own service's retention
-        (which holds the live store/journal handles); cold tenants are
-        maintained offline via :func:`maintain_state_dir`.  Best-effort:
-        a reclamation failure (including an injected disk fault) is
-        recorded and swallowed — maintenance must never become its own
-        failure mode.
+        Resident tenants reclaim through their own service's retention;
+        cold tenants through their intake queue's open journal (both are
+        the one retention pass, over the same journal object).
+        Best-effort: a reclamation failure (including an injected disk
+        fault) is recorded and swallowed — maintenance must never become
+        its own failure mode.
         """
         try:
             service = self._resident.get(tenant_id)
             if service is not None:
                 service._run_retention()
             elif self.keep_snapshots is not None:
-                maintain_state_dir(
-                    self._require_tenant(tenant_id),
-                    keep=self.keep_snapshots,
-                    sync=self.sync,
-                )
-            queue = self._intakes.get(tenant_id)
-            if queue is not None:
-                queue.compact()
+                snapshots = SnapshotStore(self._require_tenant(tenant_id) / "snapshots")
+                self._intake(tenant_id).compact(snapshots, self.keep_snapshots)
         except (OSError, InjectedFault, PersistenceError) as exc:
             record_event(
                 "storage-maintenance-failed",
@@ -722,8 +690,6 @@ class CIFleet:
             self._registered = self.tenants()
             for tenant_id in self._registered:
                 self._intake(tenant_id)
-        for tenant_id in list(self._reopen):
-            self._intake(tenant_id)
         return self._pending_total
 
     def _admit(self, tenant_id: str) -> IntakeQueue:
@@ -779,18 +745,12 @@ class CIFleet:
         author: str,
         started: bool = False,
     ) -> IntakeRecord:
-        """Append one admitted submission to the tenant's intake (fsynced)."""
-        try:
-            record = queue.append(
-                model, message=message, author=author, started=started
-            )
-        except Exception:
-            # A torn append leaves trailing garbage in the intake file;
-            # drop the handle so the next open heals it exactly like a
-            # restart would.  By the crash model the submission was not
-            # accepted.
-            self._drop_intake(tenant_id)
-            raise
+        """Append one admitted submission to the tenant's journal (fsynced).
+
+        A failed append heals at once (its bytes are cut back): by the
+        crash model the submission was not accepted.
+        """
+        record = queue.append(model, message=message, author=author, started=started)
         self._count_pending(tenant_id, queue)
         self.accepted += 1
         return record
@@ -821,11 +781,9 @@ class CIFleet:
         try:
             queue.ack(repo_sequence)
         except Exception as exc:
-            # A torn ack leaves trailing garbage; drop the handle so the
-            # next open heals it like a restart.  The processed build is
-            # safe in the tenant journal — the next drain re-acks the
-            # entry by sequence without re-running it.
-            self._drop_intake(tenant_id)
+            # The failed ack was cut back.  The processed build is safe
+            # in the tenant journal — the next drain re-acks the entry by
+            # sequence without re-running it.
             record_event(
                 "intake-ack-failed",
                 "fleet.gateway",
@@ -835,19 +793,6 @@ class CIFleet:
             )
             raise
         self._count_pending(tenant_id, queue)
-        if queue.acked_count >= self.snapshot_every:
-            try:
-                queue.compact()
-            except (OSError, InjectedFault, PersistenceError) as exc:
-                # Maintenance, retried later; a failed cursor append may
-                # leave a torn tail, so reopen the queue like a restart.
-                self._drop_intake(tenant_id)
-                record_event(
-                    "intake-compact-failed",
-                    "fleet.gateway",
-                    tenant=tenant_id,
-                    error=str(exc),
-                )
 
     def _defer(self, tenant_id: str, queue: IntakeQueue, repo_sequence: int) -> None:
         try:
@@ -856,7 +801,6 @@ class CIFleet:
             # Still started on disk: like after a crash, the next
             # hydration replays it with the notifier off (its one
             # notification is lost, never doubled).
-            self._drop_intake(tenant_id)
             record_event(
                 "intake-defer-failed",
                 "fleet.gateway",
@@ -873,8 +817,7 @@ class CIFleet:
         Idempotent by repository sequence: an entry whose sequence the
         repository already contains (the crash landed between the
         tenant-journal append and the intake ack) is re-acked without
-        re-running its build.  A started entry is committed through
-        :meth:`CIService.commit_from_intake`.  A processing failure
+        re-running its build.  A processing failure
         counts against the breaker, discards the (possibly poisoned)
         resident service — durable state is untouched, the next drain
         re-hydrates — and leaves the failed entry pending; a started
@@ -932,14 +875,7 @@ class CIFleet:
             try:
                 fault_point("fleet.process")
                 fault_point(f"fleet.process.{tenant_id}")
-                if started:
-                    service.commit_from_intake(
-                        entry.model(), entry.sequence, message=message, author=author
-                    )
-                else:
-                    service.repository.commit(
-                        entry.model(), message=message, author=author
-                    )
+                service.repository.commit(entry.model(), message=message, author=author)
             except Exception as exc:
                 if started and service._state_store.journal_sequence == journaled:
                     self._defer(tenant_id, queue, entry.repo_sequence)
@@ -1003,7 +939,7 @@ class CIFleet:
         Equivalent to :meth:`enqueue` followed by a tenant drain, at one
         fsync: the tenant is hydrated first, and a submission with
         nothing queued ahead of it is appended *started*, so its fsynced
-        intake record is the commit's durable copy (see
+        record is the commit's durable copy (see
         :mod:`repro.fleet.intake`).  When hydration fails the submission
         is still accepted, as an ordinary queued one, and the error
         propagates; when processing fails the exception propagates too.
@@ -1045,16 +981,14 @@ class CIFleet:
             elif state is BreakerState.HALF_OPEN:
                 half_open_count += 1
             service = self._resident.get(tenant)
-            # Live queues report directly; queues this process never
+            # Live queues report directly; journals this process never
             # opened are scanned read-only, so a reporting-only fleet
-            # (the CLI) never heals/truncates anyone's intake file.
+            # (the CLI) never heals, migrates or truncates anyone's file.
             queue = self._intakes.get(tenant)
             pending = (
                 queue.pending_count
                 if queue is not None
-                else scan_intake(
-                    self.tenant_dir(tenant) / "intake.jsonl"
-                ).pending
+                else scan_journal(self.tenant_dir(tenant) / "journal.jsonl").pending
             )
             tenant_storage = (
                 self.storage.check(self.tenant_dir(tenant))
@@ -1149,16 +1083,15 @@ class CIFleet:
         base = self.root / "tenants"
         if not base.is_dir():
             return FleetFsckReport(root=self.root, exists=False, tenants=())
-        tenants = []
-        for tenant in self.tenants():
-            state = fsck_state_dir(base / tenant)
-            intake = state.intake or scan_intake(base / tenant / "intake.jsonl")
-            tenants.append(TenantFsck(tenant_id=tenant, state=state, intake=intake))
-        return FleetFsckReport(root=self.root, exists=True, tenants=tuple(tenants))
+        tenants = tuple(
+            TenantFsck(tenant_id=tenant, state=fsck_state_dir(base / tenant))
+            for tenant in self.tenants()
+        )
+        return FleetFsckReport(root=self.root, exists=True, tenants=tenants)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Evict every resident tenant and close every intake handle.
+        """Evict every resident tenant and close every journal handle.
 
         Like any eviction this normally writes nothing (see
         :meth:`_try_evict`); a fleet reopened on the same root hydrates

@@ -22,8 +22,8 @@ site                      instrumented where
 ``journal.write``         the journal's per-append ``write`` — ``errno``
                           (ENOSPC/EIO) is the full-disk / dying-disk
                           case before any byte lands
-``journal.fsync``         every journal append, after the write (only
-                          ``commit-received`` then fsyncs)
+``journal.fsync``         every journal append but the intake queue's,
+                          after the write
 ``journal.compact``       :meth:`EventJournal.compact`, before the
                           temp-then-rename rewrite — an aborted
                           compaction leaves the original journal intact
@@ -31,17 +31,17 @@ site                      instrumented where
                           leaves the temp file behind and no new
                           generation visible; the previous snapshot
                           still restores
-``intake.write``          every intake append's write (the queue's
-                          :class:`~repro.ci.appendlog.AppendLog`) —
-                          ``errno`` fails it before any byte lands (a
-                          submission was never accepted)
+``intake.write``          the write of every intake-queue record in a
+                          tenant journal — ``errno`` fails it before
+                          any byte lands (a submission was never
+                          accepted)
 ``notification.send``     :class:`repro.ci.notifications.RetryingTransport`
                           — ``raise`` is a flaky transport (retried),
                           ``drop`` loses the message silently
-``intake.append``         every intake append (submissions and acks) —
-                          ``tear`` writes a partial intake line then
-                          raises (crash mid-accept; the torn bytes are
-                          quarantined and truncated at once)
+``intake.append``         every intake-queue record (submissions,
+                          deferrals, acks) — ``tear`` writes a partial
+                          line then raises (crash mid-accept; the torn
+                          bytes are quarantined and truncated at once)
 ``fleet.hydrate``         :meth:`repro.fleet.CIFleet.service` — ``raise``
                           simulates a tenant whose cold resume fails
                           (counts against its circuit breaker)

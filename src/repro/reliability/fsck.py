@@ -15,11 +15,11 @@ without mutating anything:
   never truncates a torn trailing line;
 * the *replay depth* is computed: how many commits (and journal
   events) lie past the newest valid snapshot — journaled past its
-  anchor, or started in a fleet tenant's intake — i.e. how much work
-  :meth:`CIService.restore` would re-run;
-* in a fleet tenant's dir, every journal record that names an intake
-  record (a started submission's ``commit-received``) is checked
-  against the intake file: a name whose record is gone is damage.
+  anchor, or a fleet tenant's started submissions — i.e. how much work
+  :meth:`CIService.restore` would re-run.
+
+A fleet tenant's dir is scanned the same way: its intake queue lives in
+the journal, so the one scan covers both.
 
 The whole report is JSON-compatible via
 :func:`repro.utils.serialization.to_jsonable` and renders for terminals
@@ -30,13 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.ci.persistence import JournalScan, SnapshotStore, scan_journal
 from repro.exceptions import PersistenceError, SnapshotCorruptError
-
-if TYPE_CHECKING:
-    from repro.fleet.intake import IntakeScan
 
 __all__ = ["SnapshotHealth", "FsckReport", "fsck_state_dir"]
 
@@ -99,18 +95,11 @@ class FsckReport:
         The snapshot generation a restore would load (0 when none).
     replay_commits:
         Commits a restore from that snapshot re-runs: the journaled ones
-        past its anchor and, in a fleet tenant dir, the started intake
+        past its anchor and, in a fleet tenant dir, the started
         submissions at or past its repository length, each counted once.
     replay_events:
         Total journal records past the anchor (commits plus the audit
         trail).
-    intake:
-        Read-only classification of the dir's ``intake.jsonl`` (``None``
-        when there is none and the journal names no intake record).
-    dangling_references:
-        Journal sequences of ``commit-received`` records that name an
-        intake record the intake does not hold.  Past the restore
-        snapshot's anchor one makes the dir unrestorable.
     """
 
     state_dir: Path
@@ -122,8 +111,6 @@ class FsckReport:
     restore_sequence: int
     replay_commits: int
     replay_events: int
-    intake: IntakeScan | None = None
-    dangling_references: tuple[int, ...] = ()
 
     def describe(self) -> str:
         """A terminal-friendly rendering (what ``repro ops --fsck`` prints)."""
@@ -162,13 +149,6 @@ class FsckReport:
             )
         else:
             lines.append("  journal       : (no journal file)")
-        if self.dangling_references:
-            lines.append(
-                f"  intake names  : {len(self.dangling_references)} journal "
-                "record(s) name an intake record that is gone (seq "
-                + ", ".join(map(str, self.dangling_references))
-                + ")"
-            )
         if self.restorable:
             lines.append(
                 f"  restore       : snapshot #{self.restore_sequence}, "
@@ -241,19 +221,8 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
     newest = valid[-1] if valid else None
     anchor = newest.journal_sequence if newest is not None else 0
     start = newest.repository_length if newest is not None else 0
-    intake = None
-    dangling: tuple[int, ...] = ()
-    if (directory / "intake.jsonl").exists() or journal_scan.intake_references:
-        from repro.fleet.intake import scan_intake  # fleet tenant dirs only
-
-        intake = scan_intake(directory / "intake.jsonl")
-        dangling = tuple(
-            journal
-            for journal, named in journal_scan.intake_references
-            if named not in intake.models
-        )
     # What CIService._replay_journal re-commits: the journaled commits
-    # past the anchor and the started intake submissions, both from the
+    # past the anchor and the started submissions, both from the
     # snapshot's repository length on, each repository sequence once.
     replayed = {
         sequence
@@ -262,18 +231,13 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
         )
         if journal > (anchor or 0) and sequence >= start
     }
-    if intake is not None:
-        replayed.update(key for key in intake.started if key >= start)
+    replayed.update(key for key in journal_scan.started if key >= start)
     replay_commits = len(replayed)
     replay_events = max(0, journal_scan.last_sequence - (anchor or 0))
     # A compacted journal only restores from a snapshot anchored at or
     # past the compaction boundary: anything older would need records
     # compaction deliberately dropped.
-    restorable = (
-        newest is not None
-        and (anchor or 0) >= journal_scan.compacted_through
-        and all(journal <= (anchor or 0) for journal in dangling)
-    )
+    restorable = newest is not None and (anchor or 0) >= journal_scan.compacted_through
     return FsckReport(
         state_dir=directory,
         exists=True,
@@ -284,6 +248,4 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
         restore_sequence=newest.sequence if newest is not None else 0,
         replay_commits=replay_commits if restorable else 0,
         replay_events=replay_events if restorable else 0,
-        intake=intake,
-        dangling_references=dangling,
     )

@@ -16,13 +16,14 @@ append-only.  This module supplies the two governance pieces:
   level, so the same governor serves a single state dir and a whole
   fleet root.
 
-* :func:`maintain_state_dir` — the offline reclamation primitive:
-  prune a state directory's snapshot store down to ``keep`` valid
-  generations, then checkpoint-truncate its journal through the
-  *oldest retained valid* snapshot's anchor.  Compacting through the
-  oldest retained anchor (not the newest) means every snapshot the
-  store still holds can fall back to journal replay without hitting a
-  gap — corruption of the newest generation stays recoverable.
+* :func:`maintain_state_dir` — the offline reclamation primitive: the
+  one retention pass (:func:`~repro.ci.persistence.compact_retained`)
+  over a state directory — prune its snapshot store down to ``keep``
+  valid generations, then checkpoint-truncate its journal through the
+  *oldest retained valid* snapshot.  Compacting through the oldest
+  retained snapshot (not the newest) means every snapshot the store
+  still holds can fall back to journal replay without hitting a gap —
+  corruption of the newest generation stays recoverable.
 
 Nothing here writes new state: reclamation only deletes and rewrites
 what snapshots already cover, so it is safe to run on a disk that is
@@ -202,13 +203,12 @@ def maintain_state_dir(
 
     Opens the directory's :class:`~repro.ci.persistence.SnapshotStore`
     and :class:`~repro.ci.persistence.EventJournal` (or uses the ones
-    passed in, for callers that already hold them), keeps the newest
-    ``keep`` valid snapshots, then compacts the journal through the
-    oldest retained valid anchor.  Purely reclamatory — nothing new is
+    passed in, for callers that already hold them) and runs the one
+    retention pass over them.  Purely reclamatory — nothing new is
     written beyond the journal rewrite, so this is the reclamation step
     a hard-watermark (read-only) state dir runs to dig itself out.
     """
-    from repro.ci.persistence import EventJournal, SnapshotStore
+    from repro.ci.persistence import EventJournal, SnapshotStore, compact_retained
 
     state_dir = Path(state_dir)
     bytes_before = directory_bytes(state_dir)
@@ -216,10 +216,7 @@ def maintain_state_dir(
         store = SnapshotStore(state_dir / "snapshots")
     if journal is None:
         journal = EventJournal(state_dir / "journal.jsonl", sync=sync)
-    pruned, anchor = store.retain(keep)
-    dropped = 0
-    if anchor > journal.compacted_through and anchor <= journal.last_sequence:
-        dropped = journal.compact(anchor)
+    pruned, dropped = compact_retained(store, journal, keep)
     report = MaintenanceReport(
         state_dir=state_dir,
         pruned_snapshots=len(pruned),

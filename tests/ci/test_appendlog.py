@@ -1,4 +1,4 @@
-"""The durable append log under the journal and the intake queue.
+"""The durable append log under the journal (and a tenant's intake queue).
 
 Exhaustive over its two failure shapes (a file cut at any byte, any byte
 flipped), byte-for-byte against the original two-dump renderer, and
@@ -27,7 +27,7 @@ from repro.ci.persistence import (
     scan_journal,
 )
 from repro.exceptions import PersistenceError
-from repro.fleet.intake import IntakeQueue, IntakeRecord, scan_intake
+from repro.fleet.intake import IntakeQueue, IntakeRecord
 from repro.ml.models.base import FixedPredictionModel
 from repro.reliability.events import clear_events, reliability_events
 from repro.utils.serialization import to_jsonable
@@ -55,7 +55,8 @@ def write_journal(path):
 
 
 def write_intake(path):
-    queue = IntakeQueue.create(path, clock=lambda: _STAMP)
+    """A tenant journal's queue side: two submissions, the first acked."""
+    queue = IntakeQueue(EventJournal(path, clock=lambda: _STAMP))
     for tag in "ab":
         queue.append(FixedPredictionModel(np.array([0, 1]), name=tag), message=tag)
     queue.ack(0)
@@ -78,7 +79,7 @@ LOGS = {
     ),
     "intake": (
         write_intake,
-        lambda path: IntakeQueue(path, sync=False),
+        lambda path: IntakeQueue(EventJournal(path, sync=False)),
         lambda log: [r.sequence for r in log.records()],
     ),
 }
@@ -133,7 +134,7 @@ def test_every_flipped_byte_is_healed_or_refused(kind, tmp_path):
         damaged[offset] ^= 0xFF
         path.write_bytes(bytes(damaged))
         line = next(index for index, end in enumerate(ends) if offset < end)
-        if kind == "journal" and 2 <= offset - (ends[line - 1] if line else 0) <= 4:
+        if 2 <= offset - (ends[line - 1] if line else 0) <= 4:
             # The "crc" key itself is renamed: the journal reads the line
             # as one written before checksums (legacy), as it always has.
             assert sequences(open_log(path)) == full
@@ -232,7 +233,7 @@ def test_invalid_utf8_mid_file_is_a_persistence_error(kind, tmp_path):
     data = bytearray(write(path))
     data[12] = 0xFF  # inside line 1
     path.write_bytes(bytes(data))
-    scan = (scan_journal if kind == "journal" else scan_intake)(path)
+    scan = scan_journal(path)
     assert scan.corrupt_lines == (1,)
     with pytest.raises(PersistenceError, match="line 1 is corrupt"):
         sequences(open_log(path))
@@ -319,22 +320,32 @@ def test_snapshot_syncs_the_journal_before_anchoring(tmp_path, fsyncs):
     assert [name for name, _ in fsyncs] == ["j.jsonl", "snapshot-000001.pkl.tmp"]
 
 
-def test_intake_fsyncs_submissions_and_cursors_not_acks(tmp_path, fsyncs):
-    queue = IntakeQueue.create(tmp_path / "intake.jsonl")
-    assert len(fsyncs) == 1  # the genesis cursor
+def test_intake_fsyncs_submissions_and_deferrals_not_acks(tmp_path, fsyncs):
+    queue = IntakeQueue(EventJournal(tmp_path / "journal.jsonl"))
+    journal = queue.journal
     queue.append(FixedPredictionModel(np.array([1]), name="m"))
+    assert len(fsyncs) == 1
+    journal.append(COMMIT_RECEIVED, {"sequence": 0})  # not started: fsynced
     assert len(fsyncs) == 2
     queue.ack(0)
     assert len(fsyncs) == 2
-    queue.compact()
+    queue.append(FixedPredictionModel(np.array([1]), name="m"), started=True)
     assert len(fsyncs) == 3
+    queue.defer(1)
+    assert len(fsyncs) == 4
+    queue.append(FixedPredictionModel(np.array([1]), name="m"), started=True)
+    journal.append(COMMIT_RECEIVED, {"sequence": 2})  # started: flushed only
+    queue.ack(2)
+    assert len(fsyncs) == 5
+    assert {name for name, _ in fsyncs} == {"journal.jsonl"}
 
 
 def test_failed_intake_append_heals_at_once(tmp_path):
     from repro.reliability.faults import FaultRule, InjectedFault, injected_faults
 
     clear_events()
-    queue = IntakeQueue.create(tmp_path / "intake.jsonl", sync=False)
+    queue = IntakeQueue(EventJournal(tmp_path / "journal.jsonl", sync=False))
+    queue.append(FixedPredictionModel(np.array([0]), name="first"))
     before = queue.path.read_bytes()
     rule = FaultRule(site="intake.append", action="tear", at=1, tear_at=9)
     with injected_faults([rule]):
@@ -343,3 +354,27 @@ def test_failed_intake_append_heals_at_once(tmp_path):
     assert queue.path.read_bytes() == before
     assert queue.append(FixedPredictionModel(np.array([1]), name="m")).sequence == 2
     assert [e.kind for e in reliability_events()] == ["intake-torn-tail"]
+
+
+def test_a_failed_truncation_is_retried_before_the_next_append(
+    tmp_path, monkeypatch
+):
+    from repro.reliability.faults import FaultRule, InjectedFault, injected_faults
+
+    journal = EventJournal(tmp_path / "journal.jsonl", sync=False)
+    journal.append(BUILD_RECORDED, {"build_number": 1})
+    before = journal.path.read_bytes()
+    real_cut = appendlog.AppendLog._cut
+
+    def broken_disk(self, start, sites=None):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(appendlog.AppendLog, "_cut", broken_disk)
+    rule = FaultRule(site="journal.append", action="tear", at=1, tear_at=9)
+    with injected_faults([rule]), pytest.raises(InjectedFault):
+        journal.append(BUILD_RECORDED, {"build_number": 2})
+    assert journal.path.read_bytes() != before  # the torn bytes stayed
+    monkeypatch.setattr(appendlog.AppendLog, "_cut", real_cut)
+    journal.append(BUILD_RECORDED, {"build_number": 2})
+    reopened = EventJournal(journal.path, sync=False)
+    assert [r.payload["build_number"] for r in reopened.records()] == [1, 2]

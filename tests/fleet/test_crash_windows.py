@@ -1,22 +1,22 @@
 """Crash windows of the single-copy fleet commit, under mixed traffic.
 
-A started submission's fsynced intake record is the commit's only
-durable copy; its journal ``commit-received`` names it and is only
-flushed.  An enqueued or deferred submission keeps a fsynced,
+A started submission's fsynced record is the commit's only durable copy;
+its ``commit-received``, later in the same tenant journal, names it and
+is only flushed.  An enqueued or deferred submission keeps a fsynced,
 model-carrying ``commit-received``.  This suite drives two tenants
 through ``submit``, ``enqueue`` + ``drain``, a submit queued behind an
 enqueue, and one ``fleet.process`` fault, and images the fleet root
 
-* after every operation, then cuts each log file alone at every record
-  boundary past its last fsync (plus once mid-record) and finally both
-  at their last fsync — power losses; a resumed fleet must match
+* after every operation, then cuts each tenant journal alone at every
+  record boundary past its last fsync (plus once mid-record) and finally
+  all of them at their last fsync — power losses; a resumed fleet must match
   isolated reference services and send every notification exactly once;
 * after every append and every rewrite — process crashes at each record
   boundary; the resumed fleet must match the references and send each
   notification at most once.
 
-No image, cut or not, may hold a journal record naming an intake record
-that is gone.
+No image, cut or not, may hold a ``commit-received`` naming a
+submission its journal does not hold.
 """
 
 import os
@@ -39,8 +39,8 @@ from tests.fleet.test_power_loss import (  # noqa: E402
 
 from repro.ci.appendlog import AppendLog  # noqa: E402
 from repro.ci.notifications import InMemoryEmailTransport  # noqa: E402
-from repro.ci.persistence import scan_journal  # noqa: E402
-from repro.fleet import CIFleet, scan_intake  # noqa: E402
+from repro.ci.persistence import COMMIT_RECEIVED, EventJournal  # noqa: E402
+from repro.fleet import CIFleet  # noqa: E402
 from repro.reliability.events import clear_events, reliability_events  # noqa: E402
 from repro.reliability.faults import FaultRule, InjectedFault, injected_faults  # noqa: E402
 
@@ -82,11 +82,15 @@ def apply(fleet, worlds, tenant_id, index, operation):
 
 
 def assert_names_resolve(root):
-    """Every intake record a journal names is still in the intake."""
-    for journal in root.glob("tenants/*/journal.jsonl"):
-        models = scan_intake(journal.parent / "intake.jsonl").models
-        for sequence, named in scan_journal(journal).intake_references:
-            assert named in models, (journal, sequence, named)
+    """Every submission a ``commit-received`` names is still in its journal."""
+    for path in root.glob("tenants/*/journal.jsonl"):
+        journal = EventJournal(path, heal=False)
+        named = [
+            record.payload["sequence"]
+            for record in journal.records_of(COMMIT_RECEIVED)
+            if "model_pickle" not in record.payload
+        ]
+        assert set(journal.submissions(named)) == set(named), (path, named)
 
 
 def logs_of(root, synced):
@@ -195,10 +199,9 @@ def test_crash_windows_of_the_single_copy_commit(small_world, tmp_path):
             for relative, cut in loss.items():
                 with open(root / relative, "r+b") as handle:
                     handle.truncate(cut)
-                if relative.name == "intake.jsonl":
-                    lost = lines_from(logs[relative][0], cut)
-                    assert all(b'"kind": "ack"' in line for line in lost)
-                    lost_acks += len(lost)
+                lost = lines_from(logs[relative][0], cut)
+                assert not any(b'"type": "submission"' in line for line in lost)
+                lost_acks += sum(b'"type": "ack"' in line for line in lost)
             assert_names_resolve(root)
             clear_events()
             resume(root, worlds, expected, sent, exactly_once=True)

@@ -8,6 +8,7 @@ bound, the restart path, and the state replay cannot rebuild (which
 eviction still snapshots).
 """
 
+import json
 import sys
 
 import pytest
@@ -24,19 +25,25 @@ from tests.fleet.conftest import reference_service, register_tenant  # noqa: E40
 
 from repro.ci.notifications import FlakyTransport, RetryingTransport  # noqa: E402
 from repro.ci.repository import ModelRepository  # noqa: E402
-from repro.ci.persistence import RESTORE, EventJournal  # noqa: E402
+from repro.ci.persistence import (  # noqa: E402
+    QUEUE_TYPES,
+    RESTORE,
+    EventJournal,
+    SnapshotStore,
+    scan_journal,
+)
 from repro.core.testset import TestsetPool  # noqa: E402
 from repro.exceptions import FleetOverloadedError  # noqa: E402
 from repro.reliability.events import reliability_events  # noqa: E402
-from repro.fleet import AdmissionPolicy, CIFleet, scan_intake  # noqa: E402
+from repro.fleet import AdmissionPolicy, CIFleet  # noqa: E402
 
 
 def state_files(directory):
-    """Every file of a tenant dir except the intake queue, with its bytes."""
+    """Every file of a tenant dir (its journal is also its intake), with its bytes."""
     return {
         path.relative_to(directory): path.read_bytes()
         for path in sorted(directory.rglob("*"))
-        if path.is_file() and path.name != "intake.jsonl"
+        if path.is_file()
     }
 
 
@@ -59,12 +66,10 @@ class TestEvictionWritesNoState:
             fleet.submit("t-0", model, message=f"c{index}")
         directory = fleet.tenant_dir("t-0")
         before = state_files(directory)
-        intake_before = (directory / "intake.jsonl").read_bytes()
 
         assert fleet._try_evict("t-0")
         assert fleet.resident_tenants == []
         assert state_files(directory) == before
-        assert (directory / "intake.jsonl").read_bytes() == intake_before
         assert_parity(reference_service("t-0", world), fleet.service("t-0"))
 
     def test_close_releases_without_writing(self, make_fleet, small_world):
@@ -228,59 +233,44 @@ class TestReplayBound:
 
 
 class TestIntakeCadence:
-    def test_churn_keeps_fewer_acks_than_the_cadence(self, make_fleet):
-        """Eviction never compacts the intake; the ack cadence bounds it."""
+    def test_churn_keeps_only_queue_records_a_retained_snapshot_lacks(
+        self, make_fleet
+    ):
+        """Eviction never compacts the journal; the cadence's retention
+        does, and drops every queue record a retained snapshot holds."""
         cadence = 3
         script = make_script("full", steps=4)
         worlds = {
             f"t-{i}": (script, *make_world(script, commits=3 * cadence + 1, seed=i))
             for i in range(2)
         }
-        fleet = make_fleet(max_resident=1, snapshot_every=cadence)
+        fleet = make_fleet(max_resident=1, snapshot_every=cadence, keep_snapshots=2)
         for tenant_id, world in worlds.items():
             register_tenant(fleet, tenant_id, world)
-        def intake(tenant_id):
-            scan = scan_intake(fleet.tenant_dir(tenant_id) / "intake.jsonl")
-            # One cursor, each acked submission with its ack, the pending.
-            assert scan.records == 1 + 2 * scan.acked + scan.pending
-            assert scan.acked < cadence
-            return scan
 
-        compactions = 0
+        def queue(tenant_id):
+            directory = fleet.tenant_dir(tenant_id)
+            snapshots = SnapshotStore(directory / "snapshots").snapshots()
+            covered = min(info.repository_length for info in snapshots)
+            journal = EventJournal(directory / "journal.jsonl", heal=False)
+            named = [
+                record.payload["sequence"]
+                for record in journal.records()
+                if record.type in QUEUE_TYPES
+            ]
+            assert all(key >= covered for key in named), (named, covered)
+            return scan_journal(directory / "journal.jsonl")
+
         for index in range(3 * cadence + 1):
             for tenant_id, world in worlds.items():
                 fleet.enqueue(tenant_id, world[3][index], message=f"c{index}")
-                assert intake(tenant_id).pending == 1
+                assert queue(tenant_id).pending == 1
                 fleet.drain(tenant_id)
-                compactions += intake(tenant_id).acked == 0
+                assert queue(tenant_id).pending == 0
         assert fleet.evictions >= 2 * 3 * cadence
-        assert compactions == 2 * 3
+        assert len(reliability_events("journal-compacted")) >= 2 * 2
         for tenant_id, world in worlds.items():
             assert_parity(reference_service(tenant_id, world), fleet.service(tenant_id))
-
-
-    def test_a_failed_compaction_leaves_the_submit_and_queue_intact(
-        self, make_fleet, small_world, monkeypatch
-    ):
-        world = small_world(commits=4)
-        fleet = make_fleet(snapshot_every=2)
-        register_tenant(fleet, "t-0", world)
-        fleet.submit("t-0", world[3][0], message="c0")
-        queue = fleet._intake("t-0")
-
-        def full_disk():
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(queue, "compact", full_disk)
-        build = fleet.submit("t-0", world[3][1], message="c1")  # 2nd ack: cadence
-        assert build.commit.sequence == 1
-        assert reliability_events("intake-compact-failed")
-        assert scan_intake(fleet.tenant_dir("t-0") / "intake.jsonl").acked == 2
-        monkeypatch.undo()
-        fleet.submit("t-0", world[3][2], message="c2")  # compacts at last
-        assert scan_intake(fleet.tenant_dir("t-0") / "intake.jsonl").acked == 0
-        fleet.submit("t-0", world[3][3], message="c3")
-        assert_parity(reference_service("t-0", world), fleet.service("t-0"))
 
 
 class TestRestart:
@@ -342,3 +332,35 @@ class TestAdmissionScan:
         with pytest.raises(FleetOverloadedError):
             reopened.enqueue("t-1", worlds["t-1"][3][1])
         assert listings == [1]
+
+
+class TestColdReclaim:
+    def test_a_fresh_fleet_reclaims_a_cold_tenant_like_a_resident_one(
+        self, make_fleet, small_world
+    ):
+        """A restarted fleet's storage reclamation of a tenant it never
+        hydrated frees the submissions the retained snapshot holds."""
+        world = small_world(commits=9)
+        fleet = make_fleet(max_resident=1, snapshot_every=2, keep_snapshots=2)
+        register_tenant(fleet, "t", world)
+        register_tenant(fleet, "u", small_world(commits=1, seed=1))
+        for index, model in enumerate(world[3][:8]):
+            fleet.submit("t", model, message=f"c{index}")
+            fleet.service("u")  # evict t: every submit hydrates it
+        fleet.close()
+
+        fresh = make_fleet(max_resident=1, snapshot_every=2, keep_snapshots=1)
+        fresh._maintain_tenant("t")
+        assert fresh.resident_tenants == []
+        directory = fresh.tenant_dir("t")
+        (snapshot,) = SnapshotStore(directory / "snapshots").snapshots()
+        assert snapshot.repository_length == 8
+        submissions = [
+            record.get("repo_sequence", record["payload"].get("sequence"))
+            for path in directory.glob("*.jsonl")
+            for record in map(json.loads, path.read_bytes().splitlines())
+            if "submission" in (record.get("kind"), record.get("type"))
+        ]
+        assert all(key >= snapshot.repository_length for key in submissions)
+        fresh.submit("t", world[3][8], message="c8")
+        assert_parity(reference_service("t", world), fresh.service("t"))

@@ -48,9 +48,12 @@ class TestRegistration:
         fleet = make_fleet()
         register_tenant(fleet, "t-0", small_world(commits=2))
         directory = fleet.tenant_dir("t-0")
+        # Snapshots plus exactly one log: the journal is also the intake.
         assert (directory / "snapshots").is_dir()
-        assert (directory / "journal.jsonl").exists()
-        assert (directory / "intake.jsonl").exists()
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "journal.jsonl",
+            "snapshots",
+        ]
         assert fleet.tenants() == ["t-0"]
         assert fleet.resident_tenants == ["t-0"]
 

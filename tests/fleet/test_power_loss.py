@@ -1,17 +1,16 @@
 """Power loss through the fleet: a file loses at most its unsynced suffix.
 
-Group commit fsyncs only the appends an external effect depends on: an
-intake ``submission`` (``enqueue`` promised it is never lost) and a
-journal ``commit-received`` (it must be on disk before the build can
-notify).  Every other record — ``build-recorded``, ``snapshot``,
-``restore``, an intake ``ack`` — is durable only once the next fsync of
-its file returns.
+Group commit fsyncs only the appends an external effect depends on: a
+``submission`` (``enqueue`` promised it is never lost) and a
+model-carrying ``commit-received`` (it must be on disk before the build
+can notify).  Every other record — ``build-recorded``, ``snapshot``,
+``restore``, an ``ack`` — is durable only once the next fsync of the
+tenant's one log returns.
 
 The test records each log's size at every fsync while a churning fleet
-runs.  After every submit it images the fleet root and, for every
-journal and intake file, cuts the file at each record boundary between
-its last fsynced size and its end, plus once mid-record — each cut one
-power loss.  A fleet resumed on the image, drained and fed the rest of
+runs.  After every submit it images the fleet root and, for every tenant
+journal, cuts the file at each record boundary between its last fsynced
+size and its end, plus once mid-record — each cut one power loss.  A fleet resumed on the image, drained and fed the rest of
 the stream must match isolated reference services exactly, send each
 notification at most once (exactly the reference's notifications), and
 re-ack every lost ack without re-running its build.
@@ -155,13 +154,12 @@ def test_power_loss_drops_only_unsynced_suffixes(adaptivity, small_world, tmp_pa
                 with open(root / relative, "r+b") as handle:
                     handle.truncate(cut)
                 lost = lines_from(logs[relative][0], cut)
-                if relative.name == "intake.jsonl":
-                    assert all(b'"kind": "ack"' in line for line in lost)
-                    lost_acks += len(lost)
-                else:  # a snapshot never anchors past the journal's durable end
-                    anchors = SnapshotStore(root / relative.parent / "snapshots")
-                    last = scan_journal(root / relative).last_sequence
-                    assert all(s.journal_sequence <= last for s in anchors.snapshots())
+                assert not any(b'"type": "submission"' in line for line in lost)
+                lost_acks += sum(b'"type": "ack"' in line for line in lost)
+                # A snapshot never anchors past the journal's durable end.
+                anchors = SnapshotStore(root / relative.parent / "snapshots")
+                last = scan_journal(root / relative).last_sequence
+                assert all(s.journal_sequence <= last for s in anchors.snapshots())
             clear_events()
             transports = {t: InMemoryEmailTransport() for t in TENANTS}
             fleet = CIFleet(

@@ -24,7 +24,8 @@ from test_restart_parity import ADAPTIVITY_MODES, assert_parity  # noqa: E402
 
 from tests.fleet.conftest import reference_service, register_tenant  # noqa: E402
 
-from repro.fleet import CIFleet, scan_intake  # noqa: E402
+from repro.ci.persistence import scan_journal  # noqa: E402
+from repro.fleet import CIFleet  # noqa: E402
 from repro.reliability.events import clear_events, reliability_events  # noqa: E402
 from repro.reliability.faults import (  # noqa: E402
     FaultRule,
@@ -170,7 +171,7 @@ class TestPendingTotal:
 
         def on_disk():
             return sum(
-                scan_intake(fleet.tenant_dir(tenant_id) / "intake.jsonl").pending
+                scan_journal(fleet.tenant_dir(tenant_id) / "journal.jsonl").pending
                 for tenant_id in worlds
             )
 
@@ -204,7 +205,9 @@ class TestPendingTotal:
                             accept(tenant_id)
                         else:
                             fleet.drain(tenant_id)
-                assert tenant_id not in fleet._intakes  # handle dropped
+                # The failed append was cut back at once: no torn tail.
+                journal = fleet.tenant_dir(tenant_id) / "journal.jsonl"
+                assert scan_journal(journal).torn_tail_bytes == 0
             kinds.append(kind)
             assert fleet._total_pending() == on_disk(), kinds
         assert {"enqueue", "drain", "torn-append", "failed-ack"} <= set(kinds)

@@ -1,12 +1,12 @@
-"""A fleet commit is written once: the intake record carries the model.
+"""A fleet commit is written once: the submission carries the model.
 
-A submit with nothing queued ahead of it appends a *started* intake
-submission — fsynced, the commit's only durable copy — and the tenant
-journal's ``commit-received`` names that record instead of embedding the
-model, flushed but not fsynced.  Enqueued and deferred submissions keep
-the fsynced, model-carrying ``commit-received``.  Compaction keeps every
-started submission until the oldest retained valid snapshot covers it,
-and fsck reports a journal record naming an intake record that is gone.
+A submit with nothing queued ahead of it appends a *started* submission
+to the tenant journal — fsynced, the commit's only durable copy — and
+the ``commit-received`` after it names that submission by repository
+sequence instead of embedding the model, flushed but not fsynced.
+Enqueued and deferred submissions keep the fsynced, model-carrying
+``commit-received``.  Compaction keeps every submission until the
+oldest retained valid snapshot covers it.
 """
 
 import json
@@ -22,9 +22,6 @@ from tests.fleet.conftest import reference_service, register_tenant  # noqa: E40
 
 from repro.ci.persistence import SnapshotStore, scan_journal  # noqa: E402
 from repro.ci.service import CIService  # noqa: E402
-from repro.cli import main  # noqa: E402
-from repro.exceptions import PersistenceError  # noqa: E402
-from repro.fleet import scan_intake  # noqa: E402
 from repro.reliability.faults import FaultRule, InjectedFault, injected_faults  # noqa: E402
 from repro.reliability.fsck import fsck_state_dir  # noqa: E402
 
@@ -54,8 +51,9 @@ def commits(tenant_dir):
     )
 
 
-def tree(root):
-    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+def queued(tenant_dir, type):
+    """The tenant journal's intake-queue records of one type."""
+    return records(tenant_dir / "journal.jsonl", lambda r: r["type"] == type)
 
 
 def test_submit_fsyncs_once_and_the_journal_names_the_intake_record(
@@ -69,13 +67,11 @@ def test_submit_fsyncs_once_and_the_journal_names_the_intake_record(
         fleet.submit("t", model, message=f"c{index}")
         assert len(fsyncs) == 1
     directory = fleet.tenant_dir("t")
-    submissions = records(
-        directory / "intake.jsonl", lambda r: r["kind"] == "submission"
-    )
+    submissions = queued(directory, "submission")
     assert [s["payload"]["started"] for s in submissions] == [True, True]
     payloads = [record["payload"] for record in commits(directory)]
-    assert [p["intake_sequence"] for p in payloads] == [
-        s["sequence"] for s in submissions
+    assert [p["sequence"] for p in payloads] == [
+        s["payload"]["sequence"] for s in submissions
     ]
     assert not any("model_pickle" in payload for payload in payloads)
 
@@ -93,8 +89,8 @@ def test_enqueued_queued_and_deferred_submissions_carry_their_model(
         with pytest.raises(InjectedFault):
             fleet.submit("t", models[2], message="c2")
     directory = fleet.tenant_dir("t")
-    deferred = records(directory / "intake.jsonl", lambda r: r["kind"] == "deferred")
-    assert [r["repo_sequence"] for r in deferred] == [2]
+    deferred = queued(directory, "deferred")
+    assert [r["payload"]["sequence"] for r in deferred] == [2]
     fsyncs.clear()
     fleet.drain("t")
     assert len(fsyncs) == 1  # the deferred entry's model-carrying commit-received
@@ -113,9 +109,7 @@ def test_a_failed_hydration_accepts_the_submission_unstarted(make_fleet, small_w
         with pytest.raises(InjectedFault):
             fleet.submit("t", world[3][0], message="c0")
     directory = fleet.tenant_dir("t")
-    (submission,) = records(
-        directory / "intake.jsonl", lambda r: r["kind"] == "submission"
-    )
+    (submission,) = queued(directory, "submission")
     assert "started" not in submission["payload"]
     assert commits(directory) == []
     fleet.drain("t")
@@ -140,16 +134,12 @@ def test_started_submissions_stay_until_a_retained_snapshot_covers_them(
             info.repository_length
             for info in SnapshotStore(directory / "snapshots").snapshots()
         )
-        kept = {
-            r["repo_sequence"]
-            for r in records(
-                directory / "intake.jsonl", lambda r: r["kind"] == "submission"
-            )
-        }
+        kept = {r["payload"]["sequence"] for r in queued(directory, "submission")}
         assert set(range(covered, index + 1)) <= kept
-        intake = scan_intake(directory / "intake.jsonl")
-        for _, named in scan_journal(directory / "journal.jsonl").intake_references:
-            assert named in intake.models
+        assert min(kept) >= covered  # every covered one is gone
+        for record in commits(directory):
+            if "model_pickle" not in record["payload"]:
+                assert record["payload"]["sequence"] in kept
     assert len(kept) < len(world[3]) // 2  # covered ones were dropped
     assert_parity(reference_service("t", world), fleet.service("t"))
 
@@ -161,16 +151,16 @@ def test_a_tenant_dir_resumes_without_its_fleet(make_fleet, small_world):
     for index, model in enumerate(world[3]):
         fleet.submit("t", model, message=f"c{index}")
     directory = fleet.tenant_dir("t")
-    # Power loss drops the unsynced commit-received records past the
-    # snapshot; the started intake submissions still replay.
-    anchor = SnapshotStore(directory / "snapshots").latest_info().journal_sequence
+    # Power loss drops everything after the last fsync — the newest
+    # submission: its unsynced commit-received, build and ack.  The
+    # started submission still replays.
     journal = directory / "journal.jsonl"
-    kept = [
-        line
-        for line in journal.read_bytes().splitlines(keepends=True)
-        if json.loads(line)["sequence"] <= anchor
-    ]
-    journal.write_bytes(b"".join(kept))
+    lines = journal.read_bytes().splitlines(keepends=True)
+    last = max(
+        i for i, line in enumerate(lines) if json.loads(line)["type"] == "submission"
+    )
+    assert json.loads(lines[last])["payload"]["sequence"] == 5
+    journal.write_bytes(b"".join(lines[: last + 1]))
     restored = CIService.resume(directory, record=False)
     assert_parity(reference_service("t", world), restored)
 
@@ -226,38 +216,7 @@ def test_intake_scan_started_excludes_deferred_submissions(make_fleet, small_wor
             fleet.submit("t", models[1], message="c1")
     fleet.drain("t")
     fleet.submit("t", models[2], message="c2")
-    scan = scan_intake(fleet.tenant_dir("t") / "intake.jsonl")
+    scan = scan_journal(fleet.tenant_dir("t") / "journal.jsonl")
     assert scan.started == {0, 2}
     intake = fleet._intake("t")
     assert {key for key in range(3) if intake.is_started(key)} == scan.started
-
-
-def test_fsck_reports_a_journal_record_naming_a_gone_intake_record(
-    make_fleet, small_world, capsys
-):
-    world = small_world(commits=3)
-    fleet = make_fleet(snapshot_every=100)
-    register_tenant(fleet, "t", world)
-    register_tenant(fleet, "healthy", small_world(commits=1, seed=1))
-    for index, model in enumerate(world[3]):
-        fleet.submit("t", model, message=f"c{index}")
-    fleet.close()
-    directory = fleet.tenant_dir("t")
-    intake = directory / "intake.jsonl"
-    data = intake.read_bytes()
-    intake.write_bytes(data[: data.rindex(b'{"crc"', 0, data.rindex(b'"submission"'))])
-
-    report = fleet.fsck()
-    assert not report.healthy
-    damaged = {t.tenant_id: t for t in report.tenants}
-    assert len(damaged["t"].state.dangling_references) == 1
-    assert not damaged["healthy"].state.dangling_references
-    assert "naming a record that is gone" in report.describe()
-
-    before = tree(fleet.root)
-    assert main(["fleet", str(fleet.root), "--fsck"]) == 2
-    assert main(["ops", str(directory), "--fsck"]) == 2
-    assert "intake record that is gone" in capsys.readouterr().out
-    assert tree(fleet.root) == before
-    with pytest.raises(PersistenceError, match="names intake record"):
-        CIService.resume(directory, record=False)

@@ -181,22 +181,21 @@ class TestErrnoInjection:
     def test_enospc_at_intake_write_rejects_submission_cleanly(self, tmp_path):
         from repro.ml.models.base import FixedPredictionModel
 
-        queue = IntakeQueue.create(
-            tmp_path / "intake.jsonl", base_repo_sequence=0, sync=False
-        )
+        path = tmp_path / "journal.jsonl"
+        queue = IntakeQueue(EventJournal(path, sync=False))
         model = FixedPredictionModel([1, 0, 1], name="m0")
         rule = FaultRule(site="intake.write", action="errno", at=1)
         with injected_faults([rule]):
             with pytest.raises(OSError) as excinfo:
                 queue.append(model, message="m0")
             assert excinfo.value.errno == errno.ENOSPC
-            # By the crash model the submission was not accepted; a
-            # fresh open (what the gateway does after the error) sees
-            # an empty queue and the retry lands durably.
-            reopened = IntakeQueue(tmp_path / "intake.jsonl", sync=False)
-            assert reopened.pending_count == 0
-            reopened.append(model, message="m0")
-        assert IntakeQueue(tmp_path / "intake.jsonl", sync=False).pending_count == 1
+            # By the crash model the submission was not accepted; the
+            # queue (and a fresh open) sees it empty, and the retry lands
+            # durably.
+            assert queue.pending_count == 0
+            assert IntakeQueue(EventJournal(path, sync=False)).pending_count == 0
+            queue.append(model, message="m0")
+        assert IntakeQueue(EventJournal(path, sync=False)).pending_count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ A :class:`LogSchema` names the record keys.  The log owns:
   line handed out is re-verified first.
 
 Fault-injection points ``<sites>.append`` (``tear``), ``<sites>.write``
-(``errno``, before any byte lands) and ``<sites>.fsync`` (traversed on
-every append under the schema's own prefix); an append may name another
-prefix for its first two (the fleet's ``intake.*`` sites).
+(``errno``, before any byte lands) and ``<sites>.fsync`` (after the
+write), under the schema's prefix or the one an append names.
 """
 
 from __future__ import annotations
@@ -86,7 +85,9 @@ def _exact(line: bytes) -> bool:
     )
 
 
-def _reserialized(text: str, legacy: bool) -> dict[str, Any] | None:
+def _reserialized(
+    text: str, legacy: Callable[[dict[str, Any]], bool] | None
+) -> dict[str, Any] | None:
     """The re-serializing check: parse, drop ``crc``, dump, compare."""
     try:
         raw = json.loads(text)
@@ -96,7 +97,7 @@ def _reserialized(text: str, legacy: bool) -> dict[str, Any] | None:
         return None
     crc = raw.pop("crc", None)
     if crc is None:
-        return raw if legacy else None
+        return raw if legacy and legacy(raw) else None
     body = json.dumps(raw, sort_keys=True).encode("utf-8")
     return raw if crc == crc32(body) else None
 
@@ -110,7 +111,8 @@ class LogSchema:
     a parsed record's ``(sequence, kind)`` or raises ``KeyError``,
     ``TypeError`` or ``ValueError``; ``fast_key`` reads them off a
     CRC-verified canonical line without parsing (``None``: use ``key``).
-    ``legacy`` accepts lines without a ``crc``.
+    ``legacy``, when given, accepts a line without a ``crc`` whose
+    record it holds true for (records written before checksums).
     """
 
     noun: str
@@ -118,7 +120,7 @@ class LogSchema:
     source: str
     key: Callable[[dict[str, Any]], Key]
     fast_key: Callable[[bytes], Key | None]
-    legacy: bool = False
+    legacy: Callable[[dict[str, Any]], bool] | None = None
 
     def classify(self, chunk: bytes) -> Key | tuple[()] | None:
         """``(sequence, kind)`` of an intact line, ``()`` if blank, else None."""
@@ -239,7 +241,8 @@ class AppendLog:
         self._fsync = bool(sync)
         self._handle = None
         self._unsynced = False
-        # Where a failed append's truncation itself failed (cut first next).
+        # Where a failed append's truncation itself failed: reads stop
+        # there, and the next append cuts there first.
         self._torn_at: int | None = None
         data = self._bytes()
         #: The index: every intact and damaged line up to ``_end``.
@@ -274,11 +277,13 @@ class AppendLog:
         return next(intact, 0)
 
     def _bytes(self) -> bytes:
-        """The file's current bytes (empty when it does not exist)."""
+        """The file's current bytes (empty when it does not exist), short
+        of a failed append's bytes that could not be cut yet."""
         try:
-            return self.path.read_bytes()
+            data = self.path.read_bytes()
         except FileNotFoundError:
             return b""
+        return data if self._torn_at is None else data[: self._torn_at]
 
     # -- the append handle ---------------------------------------------------
     def _acquire(self):
@@ -322,10 +327,12 @@ class AppendLog:
     ) -> None:
         """Append one JSON-ready record; fsynced before returning if ``durable``.
 
-        ``sites`` names the ``.append``/``.write`` fault sites (the
-        schema's prefix by default).  On any failure the file is
-        truncated back, so the record never happened and the next append
-        simply reopens.
+        ``sites`` prefixes the ``.append``, ``.write`` and ``.fsync``
+        fault sites and the torn-tail event (the schema's prefix by
+        default).  On any failure the file is truncated back, so the
+        record never happened and the next append simply reopens; if
+        even the truncation fails, reads stop short of the failed bytes
+        until the next append or :meth:`rewrite` removes them.
         """
         sequence, kind = self.schema.key(record)
         data = render_line(record)
@@ -347,8 +354,7 @@ class AppendLog:
                 raise InjectedFault(
                     f"{prefix}.append", f"write torn at byte {len(torn)}"
                 )
-            if sites is None:
-                fault_point(f"{prefix}.fsync")
+            fault_point(f"{prefix}.fsync")
             if durable:
                 os.fsync(handle.fileno())
         except BaseException:
@@ -373,9 +379,13 @@ class AppendLog:
             self._unsynced = False
 
     def rewrite(self, data: bytes) -> None:
-        """Replace the whole file with ``data``: temp file, fsync, rename."""
+        """Replace the whole file with ``data``: temp file, fsync, rename.
+
+        A failed append's uncut bytes go with the old file.
+        """
         self.close()  # the cached handle would point at the old inode
         replace_atomically(self.path, data, sync=self._fsync)
+        self._torn_at = None
         self.lines, self._valid_end = _scan(data, self.schema)
         self._end = len(data)
         self._unsynced = False

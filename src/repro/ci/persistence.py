@@ -228,15 +228,21 @@ def _journal_fast_key(line: bytes) -> tuple[int, str] | None:
     return None if tail is None else (int(tail[1]), tail[2].decode("ascii"))
 
 
-#: The journal's log schema.  Lines without a ``crc`` (journals from
-#: before checksums) are read.
+#: The event types journals held before lines carried checksums.
+_PRE_CHECKSUM_TYPES = frozenset(
+    {COMMIT_RECEIVED, BUILD_RECORDED, PROMOTION, ROTATION, ALARM, SNAPSHOT, RESTORE}
+)
+
+#: The journal's log schema.  A line without a ``crc`` is read only if
+#: its type predates checksums: every later record, a queue record
+#: included, was always written with one, so its loss is damage.
 _JOURNAL = LogSchema(
     noun="journal",
     sites="journal",
     source="ci.persistence",
     key=_journal_key,
     fast_key=_journal_fast_key,
-    legacy=True,
+    legacy=lambda raw: raw.get("type") in _PRE_CHECKSUM_TYPES,
 )
 
 
@@ -429,9 +435,11 @@ class EventJournal:
         power-loss durable at the next fsync of the file.  A failed
         append — tear, failing fsync, ``ENOSPC``/``EIO`` — is truncated
         away: the event never happened.  Fault-injection points
-        ``journal.append``, ``journal.write`` and ``journal.fsync``;
-        the intake queue's records traverse ``intake.append`` and
-        ``intake.write`` instead.
+        ``<sites>.append``, ``<sites>.write`` and ``<sites>.fsync``,
+        where ``<sites>`` is ``intake`` for the intake queue's records
+        (a failure there is a submission the fleet never accepted, a
+        deferral or an ack that never happened) and ``journal`` for
+        every other record.
         """
         if type not in EVENT_TYPES:
             raise PersistenceError(
@@ -450,7 +458,9 @@ class EventJournal:
             and record.payload.get("sequence") not in self._started
         )
         self._log.append(
-            to_jsonable(record), durable=durable, sites="intake" if queued else None
+            to_jsonable(record),
+            durable=durable,
+            sites="intake" if queued else "journal",
         )
         self._next_sequence += 1
         if queued or type == SNAPSHOT:
@@ -660,7 +670,10 @@ class JournalScan:
     anchored at or past it.  ``pending`` counts a fleet tenant's
     unacknowledged submissions, and ``started`` holds the repository
     sequences of its started, not deferred, submissions (what a restore
-    replays past its snapshot's repository length).
+    replays past its snapshot's repository length).  ``missing_submissions``
+    holds the ``(journal sequence, repository sequence)`` of each
+    model-less ``commit-received`` whose submission the file does not
+    hold: past a restore's anchor, replay cannot rebuild that commit.
     """
 
     path: Path
@@ -674,6 +687,7 @@ class JournalScan:
     compacted_through: int = 0
     pending: int = 0
     started: frozenset[int] = frozenset()
+    missing_submissions: tuple[tuple[int, int], ...] = ()
 
 
 def scan_journal(path: str | Path) -> JournalScan:
@@ -681,11 +695,14 @@ def scan_journal(path: str | Path) -> JournalScan:
     path = Path(path)
     journal = EventJournal(path, heal=False)
     log = journal._log
-    commits = [
-        (int(raw["payload"]["sequence"]), int(raw["sequence"]))
-        for raw in log.records((COMMIT_RECEIVED,), strict=False)
-        if "sequence" in (raw.get("payload") or {})
-    ]
+    commits, named = [], []
+    for raw in log.records((COMMIT_RECEIVED,), strict=False):
+        payload = raw.get("payload") or {}
+        if "sequence" in payload:
+            commits.append((int(payload["sequence"]), int(raw["sequence"])))
+            if "model_pickle" not in payload:
+                named.append(commits[-1])
+    held = journal.submissions([key for key, _ in named])
     return JournalScan(
         path=path,
         exists=path.exists(),
@@ -698,6 +715,9 @@ def scan_journal(path: str | Path) -> JournalScan:
         compacted_through=_compacted_through(log.lines),
         pending=len(journal.pending),
         started=frozenset(journal._started),
+        missing_submissions=tuple(
+            (sequence, key) for key, sequence in named if key not in held
+        ),
     )
 
 

@@ -261,6 +261,11 @@ class FleetFsckReport:
             intake = f"intake {state.journal.pending} pending"
             if state.journal.corrupt_lines:
                 intake += f", {len(state.journal.corrupt_lines)} corrupt line(s)"
+            if state.missing_submissions:
+                intake += (
+                    f", {len(state.missing_submissions)} commit(s) naming a "
+                    "submission that is gone"
+                )
             lines.append(f"  {tenant.tenant_id:<20} {verdict}; {intake}")
         return "\n".join(lines)
 

@@ -42,6 +42,8 @@ site                      instrumented where
                           deferrals, acks) — ``tear`` writes a partial
                           line then raises (crash mid-accept; the torn
                           bytes are quarantined and truncated at once)
+``intake.fsync``          every intake-queue record, after the write
+                          — ``raise`` fails the record whole
 ``fleet.hydrate``         :meth:`repro.fleet.CIFleet.service` — ``raise``
                           simulates a tenant whose cold resume fails
                           (counts against its circuit breaker)

@@ -16,7 +16,10 @@ without mutating anything:
 * the *replay depth* is computed: how many commits (and journal
   events) lie past the newest valid snapshot — journaled past its
   anchor, or a fleet tenant's started submissions — i.e. how much work
-  :meth:`CIService.restore` would re-run.
+  :meth:`CIService.restore` would re-run;
+* every ``commit-received`` past that snapshot's anchor that carries no
+  model must name a submission the journal holds: one that does not is
+  damage replay cannot get past.
 
 A fleet tenant's dir is scanned the same way: its intake queue lives in
 the journal, so the one scan covers both.
@@ -87,10 +90,11 @@ class FsckReport:
     journal:
         Read-only journal classification (torn tail *not* truncated).
     restorable:
-        Whether at least one valid snapshot exists *and* its anchor
-        covers the journal's compaction boundary — a journal compacted
-        past every valid snapshot would leave a replay gap, which is
-        unrestorable corruption, not a crash artifact.
+        Whether at least one valid snapshot exists, its anchor covers
+        the journal's compaction boundary — a journal compacted past
+        every valid snapshot would leave a replay gap, which is
+        unrestorable corruption, not a crash artifact — and every
+        commit replay takes from a submission finds it in the file.
     restore_sequence:
         The snapshot generation a restore would load (0 when none).
     replay_commits:
@@ -100,6 +104,9 @@ class FsckReport:
     replay_events:
         Total journal records past the anchor (commits plus the audit
         trail).
+    missing_submissions:
+        Journal sequences of the ``commit-received`` records past the
+        anchor that name a submission the journal does not hold.
     """
 
     state_dir: Path
@@ -111,6 +118,7 @@ class FsckReport:
     restore_sequence: int
     replay_commits: int
     replay_events: int
+    missing_submissions: tuple[int, ...] = ()
 
     def describe(self) -> str:
         """A terminal-friendly rendering (what ``repro ops --fsck`` prints)."""
@@ -149,6 +157,13 @@ class FsckReport:
             )
         else:
             lines.append("  journal       : (no journal file)")
+        if self.missing_submissions:
+            lines.append(
+                f"  submissions   : {len(self.missing_submissions)} commit(s) "
+                "name a submission the journal lacks (seq "
+                + ", ".join(map(str, self.missing_submissions))
+                + ")"
+            )
         if self.restorable:
             lines.append(
                 f"  restore       : snapshot #{self.restore_sequence}, "
@@ -234,10 +249,19 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
     replayed.update(key for key in journal_scan.started if key >= start)
     replay_commits = len(replayed)
     replay_events = max(0, journal_scan.last_sequence - (anchor or 0))
+    missing = tuple(
+        journal
+        for journal, sequence in journal_scan.missing_submissions
+        if journal > (anchor or 0) and sequence >= start
+    )
     # A compacted journal only restores from a snapshot anchored at or
     # past the compaction boundary: anything older would need records
     # compaction deliberately dropped.
-    restorable = newest is not None and (anchor or 0) >= journal_scan.compacted_through
+    restorable = (
+        newest is not None
+        and (anchor or 0) >= journal_scan.compacted_through
+        and not missing
+    )
     return FsckReport(
         state_dir=directory,
         exists=True,
@@ -248,4 +272,5 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
         restore_sequence=newest.sequence if newest is not None else 0,
         replay_commits=replay_commits if restorable else 0,
         replay_events=replay_events if restorable else 0,
+        missing_submissions=missing,
     )

@@ -134,7 +134,7 @@ def test_every_flipped_byte_is_healed_or_refused(kind, tmp_path):
         damaged[offset] ^= 0xFF
         path.write_bytes(bytes(damaged))
         line = next(index for index, end in enumerate(ends) if offset < end)
-        if 2 <= offset - (ends[line - 1] if line else 0) <= 4:
+        if kind == "journal" and 2 <= offset - (ends[line - 1] if line else 0) <= 4:
             # The "crc" key itself is renamed: the journal reads the line
             # as one written before checksums (legacy), as it always has.
             assert sequences(open_log(path)) == full
@@ -378,3 +378,35 @@ def test_a_failed_truncation_is_retried_before_the_next_append(
     journal.append(BUILD_RECORDED, {"build_number": 2})
     reopened = EventJournal(journal.path, sync=False)
     assert [r.payload["build_number"] for r in reopened.records()] == [1, 2]
+
+
+def test_a_compaction_drops_an_append_whose_cut_failed(tmp_path, monkeypatch):
+    from repro.reliability.faults import FaultRule, InjectedFault, injected_faults
+
+    journal = EventJournal(tmp_path / "journal.jsonl", sync=False)
+    for number in (1, 2, 3):
+        journal.append(BUILD_RECORDED, {"build_number": number})
+    real_cut = appendlog.AppendLog._cut
+
+    def broken_disk(self, start, sites=None):
+        raise OSError(28, "No space left on device")
+
+    # A complete line whose fsync failed stays on disk: the cut fails too.
+    monkeypatch.setattr(appendlog.AppendLog, "_cut", broken_disk)
+    rule = FaultRule(site="journal.fsync", action="raise", at=1)
+    with injected_faults([rule]), pytest.raises(InjectedFault):
+        journal.append(BUILD_RECORDED, {"build_number": 99})
+    monkeypatch.setattr(appendlog.AppendLog, "_cut", real_cut)
+    assert b'"build_number": 99' in journal.path.read_bytes()
+    assert [r.payload["build_number"] for r in journal.records()] == [1, 2, 3]
+
+    journal.compact(1)
+    journal.append(BUILD_RECORDED, {"build_number": 4})
+    reopened = EventJournal(journal.path, sync=False)
+    assert [r.payload.get("build_number") for r in reopened.records()] == [
+        None,  # the compacted-through header
+        2,
+        3,
+        4,
+    ]
+    assert [r.sequence for r in reopened.records()] == [1, 2, 3, 4]

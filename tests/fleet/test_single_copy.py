@@ -6,7 +6,8 @@ the ``commit-received`` after it names that submission by repository
 sequence instead of embedding the model, flushed but not fsynced.
 Enqueued and deferred submissions keep the fsynced, model-carrying
 ``commit-received``.  Compaction keeps every submission until the
-oldest retained valid snapshot covers it.
+oldest retained valid snapshot covers it, and fsck reports a
+``commit-received`` naming a submission the journal lacks.
 """
 
 import json
@@ -22,6 +23,8 @@ from tests.fleet.conftest import reference_service, register_tenant  # noqa: E40
 
 from repro.ci.persistence import SnapshotStore, scan_journal  # noqa: E402
 from repro.ci.service import CIService  # noqa: E402
+from repro.cli import main  # noqa: E402
+from repro.exceptions import PersistenceError  # noqa: E402
 from repro.reliability.faults import FaultRule, InjectedFault, injected_faults  # noqa: E402
 from repro.reliability.fsck import fsck_state_dir  # noqa: E402
 
@@ -54,6 +57,10 @@ def commits(tenant_dir):
 def queued(tenant_dir, type):
     """The tenant journal's intake-queue records of one type."""
     return records(tenant_dir / "journal.jsonl", lambda r: r["type"] == type)
+
+
+def tree(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def test_submit_fsyncs_once_and_the_journal_names_the_intake_record(
@@ -220,3 +227,38 @@ def test_intake_scan_started_excludes_deferred_submissions(make_fleet, small_wor
     assert scan.started == {0, 2}
     intake = fleet._intake("t")
     assert {key for key in range(3) if intake.is_started(key)} == scan.started
+
+
+def test_fsck_reports_a_commit_naming_a_submission_the_journal_lacks(
+    make_fleet, small_world, capsys
+):
+    world = small_world(commits=3)
+    fleet = make_fleet(snapshot_every=100)
+    register_tenant(fleet, "t", world)
+    register_tenant(fleet, "healthy", small_world(commits=1, seed=1))
+    for index, model in enumerate(world[3]):
+        fleet.submit("t", model, message=f"c{index}")
+    fleet.close()
+    directory = fleet.tenant_dir("t")
+    journal = directory / "journal.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    last = max(
+        i for i, line in enumerate(lines) if json.loads(line)["type"] == "submission"
+    )
+    journal.write_bytes(b"".join(lines[:last] + lines[last + 1:]))
+
+    report = fleet.fsck()
+    assert not report.healthy
+    damaged = {t.tenant_id: t for t in report.tenants}
+    assert len(damaged["t"].state.missing_submissions) == 1
+    assert not damaged["t"].state.restorable
+    assert not damaged["healthy"].state.missing_submissions
+    assert "naming a submission that is gone" in report.describe()
+
+    before = tree(fleet.root)
+    assert main(["fleet", str(fleet.root), "--fsck"]) == 2
+    assert main(["ops", str(directory), "--fsck"]) == 2
+    assert "name a submission the journal lacks" in capsys.readouterr().out
+    assert tree(fleet.root) == before
+    with pytest.raises(PersistenceError, match="which it does not hold"):
+        CIService.resume(directory, record=False)

@@ -702,7 +702,6 @@ def scan_journal(path: str | Path) -> JournalScan:
             commits.append((int(payload["sequence"]), int(raw["sequence"])))
             if "model_pickle" not in payload:
                 named.append(commits[-1])
-    held = journal.submissions([key for key, _ in named])
     return JournalScan(
         path=path,
         exists=path.exists(),
@@ -716,7 +715,9 @@ def scan_journal(path: str | Path) -> JournalScan:
         pending=len(journal.pending),
         started=frozenset(journal._started),
         missing_submissions=tuple(
-            (sequence, key) for key, sequence in named if key not in held
+            (sequence, key)
+            for key, sequence in named
+            if key not in journal._submitted  # folded from verified lines
         ),
     )
 

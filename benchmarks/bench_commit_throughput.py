@@ -52,6 +52,8 @@ from repro.ml.models.simulated import (
     simulate_model_pair,
 )
 
+from environment import describe_environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_commit_throughput.json"
 
@@ -256,6 +258,7 @@ def main(quick: bool = False) -> dict:
     multi_generation = bench_multi_generation_throughput(quick)
     results = {
         "quick": quick,
+        "environment": describe_environment(),
         "commit_throughput": throughput,
         "multi_generation_throughput": multi_generation,
     }

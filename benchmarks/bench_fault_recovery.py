@@ -44,6 +44,8 @@ from repro.reliability.events import clear_events, reliability_events
 from repro.reliability.fsck import fsck_state_dir
 from repro.stats.cache import clear_all_caches
 
+from environment import describe_environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 CONDITION = "d < 0.25 +/- 0.1 /\\ n - o > 0.05 +/- 0.1"
@@ -186,6 +188,7 @@ def main() -> int:
 
     payload = {
         "quick": args.quick,
+        "environment": describe_environment(),
         "snapshot_fallback": bench_snapshot_fallback(args.quick),
     }
     artifact = REPO_ROOT / "BENCH_fault_recovery.json"

@@ -10,8 +10,10 @@ Three legs, all gated on correctness in addition to being timed:
    The gate: every tenant's build fingerprint is element-wise identical
    to an isolated ``CIService`` run of the same world.  The artifact
    records the hydration/eviction churn, the hit ratio and the gateway's
-   overhead against the N-isolated-services baseline, as both times and
-   their ratio (``fleet_isolated_ratio``, recorded only).
+   overhead against the N-isolated-services baseline: the fleet and the
+   isolated runs alternate five times, and the artifact keeps each
+   one's median seconds and IQR and the ratio of the medians
+   (``fleet_isolated_ratio``, recorded only).
 
 2. **Parity under skew** — the same tenants and the same number of
    submissions, but each tenant gets its Zipf(1.1) share of them in a
@@ -38,8 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -60,6 +61,8 @@ from repro.ml.models.simulated import (
     simulate_model_pair,
 )
 from repro.stats.cache import clear_all_caches
+
+from environment import describe_environment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,11 +132,17 @@ def fingerprint(service):
     ]
 
 
-def run_fleet_leg(scripts, worlds, order, max_resident) -> dict:
-    """Submit ``order`` (tenant ids) through one fleet; gate on parity.
+#: Timings per parity leg half: the isolated half runs in 30-65 ms on a
+#: 2-CPU VM, so one timing swung the ratio 12.3x-25.2x between runs.
+REPEATS = 5
+
+
+def run_fleet(scripts, worlds, order, max_resident) -> tuple[float, dict, dict]:
+    """Submit ``order`` (tenant ids) through one fleet, from cold caches.
 
     Each tenant's ``k``-th appearance in ``order`` submits its ``k``-th
-    model.  Returns the churn counts, timings and the parity verdict.
+    model.  Returns the seconds taken, the churn counts and each
+    tenant's build fingerprint.
     """
     clear_all_caches()
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,21 +165,28 @@ def run_fleet_leg(scripts, worlds, order, max_resident) -> dict:
             index = sent[tenant_id]
             sent[tenant_id] += 1
             fleet.submit(tenant_id, worlds[tenant_id][1][3][index], message=f"c{index}")
-        fleet_seconds = time.perf_counter() - start
-        hits, hydrations, evictions = fleet.hits, fleet.hydrations, fleet.evictions
-        log_bytes = sum(
-            path.stat().st_size for path in fleet.root.glob("tenants/*/journal.jsonl")
-        ) / len(order)
-        assert evictions > 0, "residency never churned; max_resident too generous"
-
-        fleet_prints = {
-            tenant_id: fingerprint(fleet.service(tenant_id))
-            for tenant_id in worlds
+        seconds = time.perf_counter() - start
+        assert fleet.evictions > 0, "residency never churned; max_resident too generous"
+        churn = {
+            "hydrations": fleet.hydrations,
+            "evictions": fleet.evictions,
+            # Lookups the residency policy served without a hydration.
+            "hit_ratio": fleet.hits / (fleet.hits + fleet.hydrations),
+            "log_bytes_per_submission": sum(
+                path.stat().st_size
+                for path in fleet.root.glob("tenants/*/journal.jsonl")
+            ) / len(order),
         }
+        prints = {tenant_id: fingerprint(fleet.service(tenant_id)) for tenant_id in worlds}
+    return seconds, churn, prints
 
+
+def run_isolated(scripts, worlds) -> tuple[float, dict]:
+    """Run every tenant's world through its own ``CIService``, from cold
+    caches; returns the seconds taken and each build fingerprint."""
     clear_all_caches()
     start = time.perf_counter()
-    identical = True
+    prints = {}
     for tenant_id, (mode, world) in worlds.items():
         testset, pool, baseline, models = world
         service = CIService(
@@ -182,25 +198,49 @@ def run_fleet_leg(scripts, worlds, order, max_resident) -> dict:
         service.install_testset_pool(TestsetPool(pool))
         for index, model in enumerate(models):
             service.repository.commit(model, message=f"c{index}")
-        identical = identical and fingerprint(service) == fleet_prints[tenant_id]
-    isolated_seconds = time.perf_counter() - start
-    assert identical, "fleet diverged from isolated per-tenant services"
+        prints[tenant_id] = fingerprint(service)
+    return time.perf_counter() - start, prints
 
+
+def median_and_iqr(samples: list[float]) -> tuple[float, float]:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return median, q3 - q1
+
+
+def run_fleet_leg(scripts, worlds, order, max_resident) -> dict:
+    """Time ``order`` through one fleet against isolated services.
+
+    The fleet half and the isolated half alternate :data:`REPEATS`
+    times; every repetition is gated on parity.  Records each half's
+    median seconds and IQR, the ratio of the medians, and the churn.
+    """
+    fleet_times, isolated_times = [], []
+    for _ in range(REPEATS):
+        seconds, churn, fleet_prints = run_fleet(scripts, worlds, order, max_resident)
+        fleet_times.append(seconds)
+        seconds, isolated_prints = run_isolated(scripts, worlds)
+        isolated_times.append(seconds)
+        identical = isolated_prints == fleet_prints
+        assert identical, "fleet diverged from isolated per-tenant services"
+    fleet_seconds, fleet_iqr = median_and_iqr(fleet_times)
+    isolated_seconds, isolated_iqr = median_and_iqr(isolated_times)
     return {
         "tenants": len(worlds),
         "modes": len(ADAPTIVITY_MODES),
         "submissions": len(order),
         "max_resident": max_resident,
-        "hydrations": hydrations,
-        "evictions": evictions,
-        # Lookups the residency policy served without a hydration.
-        "hit_ratio": hits / (hits + hydrations),
+        "hydrations": churn["hydrations"],
+        "evictions": churn["evictions"],
+        "hit_ratio": churn["hit_ratio"],
+        "repeats": REPEATS,
         "fleet_seconds": fleet_seconds,
+        "fleet_seconds_iqr": fleet_iqr,
         "isolated_seconds": isolated_seconds,
+        "isolated_seconds_iqr": isolated_iqr,
         # Recorded, not gated: the gateway's wall-time overhead factor.
         "fleet_isolated_ratio": fleet_seconds / isolated_seconds,
         "results_identical": identical,
-        "log_bytes_per_submission": log_bytes,
+        "log_bytes_per_submission": churn["log_bytes_per_submission"],
     }
 
 
@@ -316,12 +356,7 @@ def main() -> int:
 
     payload = {
         "quick": args.quick,
-        "environment": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "environment": describe_environment(),
         "parity": bench_parity(args.quick),
         "skewed": bench_skewed(args.quick),
         "overload": bench_overload(args.quick),
@@ -337,8 +372,10 @@ def main() -> int:
             f"submissions across {leg['modes']} modes, residency cap "
             f"{leg['max_resident']} ({leg['hydrations']} hydration(s), "
             f"{leg['evictions']} eviction(s), hit ratio "
-            f"{leg['hit_ratio']:.2f}): fleet {leg['fleet_seconds']:.3f}s vs "
+            f"{leg['hit_ratio']:.2f}): median of {leg['repeats']} fleet "
+            f"{leg['fleet_seconds']:.3f}s (IQR {leg['fleet_seconds_iqr']:.3f}) vs "
             f"isolated {leg['isolated_seconds']:.3f}s "
+            f"(IQR {leg['isolated_seconds_iqr']:.3f}) "
             f"({leg['fleet_isolated_ratio']:.1f}x), "
             f"identical={leg['results_identical']}; tenant logs "
             f"{leg['log_bytes_per_submission']:.0f}B per submission"

@@ -33,18 +33,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
 import time
 from pathlib import Path
-
-import numpy as np
 
 from repro.core.estimators.api import SampleSizeEstimator
 from repro.stats import tight_bounds
 from repro.stats.cache import all_cache_info, clear_all_caches
 from repro.stats.tight_bounds import tight_sample_size, worst_case_failure_probability
+
+from environment import describe_environment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_perf_kernels.json"
@@ -156,12 +154,7 @@ def main(quick: bool = False) -> dict:
     tight_cases = TIGHT_CASES[:1] if quick else TIGHT_CASES
     results = {
         "quick": quick,
-        "environment": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "environment": describe_environment(),
         "worst_case_failure_probability": bench_worst_case(worst_cases),
         "tight_sample_size": bench_tight_sample_size(tight_cases),
         "sample_size_estimator_plan": bench_plan_cache(),

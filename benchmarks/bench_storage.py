@@ -44,6 +44,7 @@ from bench_fault_recovery import (
     make_service,
     make_world,
 )
+from environment import describe_environment
 
 from repro.ci.service import CIService
 from repro.reliability.events import clear_events, reliability_events
@@ -181,6 +182,7 @@ def main() -> int:
 
     payload = {
         "quick": args.quick,
+        "environment": describe_environment(),
         "compaction": bench_compaction(args.quick),
     }
     artifact = REPO_ROOT / "BENCH_storage.json"

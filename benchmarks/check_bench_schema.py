@@ -21,15 +21,20 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 NUMBER = (int, float)
 
+# The machine block every artifact carries (benchmarks/environment.py).
+ENVIRONMENT = {
+    "environment.cpus": int,
+    "environment.python": str,
+    "environment.numpy": str,
+    "environment.platform": str,
+}
+
 # artifact -> {dotted.path: required type}.  `[]` marks "every element of
-# this list", so `a.[].b` checks field `b` on each row of list `a`.
+# this list", so `a.[].b` checks field `b` on each row of list `a`; each
+# schema also requires ENVIRONMENT.
 SCHEMAS = {
     "BENCH_perf_kernels.json": {
         "quick": bool,
-        "environment.cpus": int,
-        "environment.python": str,
-        "environment.numpy": str,
-        "environment.platform": str,
         "worst_case_failure_probability": list,
         "worst_case_failure_probability.[].n": int,
         "worst_case_failure_probability.[].epsilon": NUMBER,
@@ -101,10 +106,6 @@ SCHEMAS = {
     },
     "BENCH_fleet.json": {
         "quick": bool,
-        "environment.cpus": int,
-        "environment.python": str,
-        "environment.numpy": str,
-        "environment.platform": str,
         "parity.tenants": int,
         "parity.modes": int,
         "parity.commits_per_tenant": int,
@@ -113,8 +114,11 @@ SCHEMAS = {
         "parity.hydrations": int,
         "parity.evictions": int,
         "parity.hit_ratio": NUMBER,
+        "parity.repeats": int,
         "parity.fleet_seconds": NUMBER,
+        "parity.fleet_seconds_iqr": NUMBER,
         "parity.isolated_seconds": NUMBER,
+        "parity.isolated_seconds_iqr": NUMBER,
         "parity.fleet_isolated_ratio": NUMBER,
         "parity.results_identical": bool,
         "parity.log_bytes_per_submission": NUMBER,
@@ -126,8 +130,11 @@ SCHEMAS = {
         "skewed.hydrations": int,
         "skewed.evictions": int,
         "skewed.hit_ratio": NUMBER,
+        "skewed.repeats": int,
         "skewed.fleet_seconds": NUMBER,
+        "skewed.fleet_seconds_iqr": NUMBER,
         "skewed.isolated_seconds": NUMBER,
+        "skewed.isolated_seconds_iqr": NUMBER,
         "skewed.fleet_isolated_ratio": NUMBER,
         "skewed.results_identical": bool,
         "skewed.log_bytes_per_submission": NUMBER,
@@ -192,7 +199,7 @@ def check_artifact(path: Path, schema: dict) -> list[str]:
 def main() -> int:
     problems = []
     for name, schema in SCHEMAS.items():
-        problems.extend(check_artifact(REPO_ROOT / name, schema))
+        problems.extend(check_artifact(REPO_ROOT / name, {**ENVIRONMENT, **schema}))
     if problems:
         for problem in problems:
             print(f"SCHEMA ERROR: {problem}", file=sys.stderr)

@@ -21,8 +21,12 @@ labels the math says are spent.  This module makes the state durable:
   (:mod:`repro.fleet.intake`): the same file holds each accepted
   submission (with its model), its deferral and its ack, under the one
   sequence.  A ``commit-received`` for a submission appended *started*
-  carries no model — it names the submission by repository sequence —
-  and is only flushed; every other one embeds its model and is fsynced.
+  carries no model — it names the submission by repository sequence.
+  A ``commit-received`` is fsynced exactly when it embeds its model;
+  one that names a submission is only flushed.
+* :func:`replay_plan` — the one replay rule: which commits a restore
+  from a snapshot re-runs, or why it must refuse.  Restore commits the
+  plan and ``repro ops --fsck`` reports it, so the two agree.
 * :func:`open_state_dir` — the one-directory layout convention
   (``<dir>/snapshots/`` + ``<dir>/journal.jsonl``) used by
   :meth:`CIService.persist_to` / :meth:`CIService.resume` and the
@@ -37,9 +41,9 @@ Crash model
 Kill the process at any *journal boundary* (between two appends; each
 append is flushed before returning) and restore: the service loads the
 latest snapshot, then replays every commit it does not yet contain, in
-repository order, deduplicated by sequence: each journaled
-``commit-received`` past the snapshot's journal anchor, and each
-*started* submission at or past the snapshot's repository length.
+repository order, deduplicated by sequence (:func:`replay_plan`): each
+journaled ``commit-received`` past the snapshot's journal anchor, and
+each *started* submission at or past the snapshot's repository length.
 Because evaluation is a pure function of engine state and the committed
 model, the replayed :class:`CommitResult`/:class:`BuildRecord` sequence
 is element-wise identical to the uninterrupted run — in all three
@@ -71,9 +75,10 @@ Corruption model
 Beyond clean crashes, the store tolerates *damaged files*.  Snapshot
 envelopes carry a CRC-32 over the pickled payload and journal lines
 carry a per-line CRC, so truncation and bit-rot are detected, not
-deserialized (a damaged journal line followed by intact records raises
-:class:`PersistenceError`).  A corrupt or truncated snapshot raises
-:class:`~repro.exceptions.SnapshotCorruptError` from :meth:`SnapshotStore.load`;
+deserialized (a restore refuses a damaged journal line followed by
+intact records with :class:`PersistenceError`).  A corrupt or truncated
+snapshot raises :class:`~repro.exceptions.SnapshotCorruptError` from
+:meth:`SnapshotStore.load`;
 :meth:`SnapshotStore.load_latest` instead *quarantines* it (renamed with
 a ``.quarantined`` suffix — never deleted) and falls back to the next
 older generation, which simply extends journal replay: the restored run
@@ -139,6 +144,8 @@ __all__ = [
     "EventJournal",
     "JournalScan",
     "scan_journal",
+    "ReplayPlan",
+    "replay_plan",
     "compact_retained",
     "SnapshotInfo",
     "Retention",
@@ -291,7 +298,8 @@ class EventJournal:
 
     The journal also keeps the intake queue's state, folded from its
     records at open and on every append: which repository sequences
-    have a submission in the file (and which were started), the
+    have a submission in the file (and which were started, which
+    :func:`replay_plan` reads), the
     unacknowledged submissions themselves, and the repository sequence
     the next submission becomes.  Opening a two-file
     tenant dir's journal merges its ``intake.jsonl`` first (see the
@@ -404,10 +412,6 @@ class EventJournal:
         appended started and not deferred since."""
         return key in self._started
 
-    def started_at_or_past(self, key: int) -> list[int]:
-        """Repository sequences of started submissions at or past ``key``."""
-        return [started for started in self._started if started >= key]
-
     def submissions(self, keys: Collection[int]) -> dict[int, dict[str, Any]]:
         """Payloads of the submissions at these repository sequences.
 
@@ -429,9 +433,10 @@ class EventJournal:
         The payload goes through
         :func:`repro.utils.serialization.to_jsonable` (datetimes, paths,
         enums and numpy values are fine).  A submission or deferral is
-        fsynced before returning, and so is a ``commit-received`` —
-        unless it is for a submission appended started, whose fsync
-        already marked the processing start; any other record becomes
+        fsynced before returning, and so is a ``commit-received`` that
+        embeds its model (``model_pickle``); one that names its
+        submission instead rides on that submission's fsync, which
+        already marked the processing start.  Any other record becomes
         power-loss durable at the next fsync of the file.  A failed
         append — tear, failing fsync, ``ENOSPC``/``EIO`` — is truncated
         away: the event never happened.  Fault-injection points
@@ -454,8 +459,7 @@ class EventJournal:
         )
         queued = type in QUEUE_TYPES
         durable = type in (SUBMISSION, DEFERRED) or (
-            type == COMMIT_RECEIVED
-            and record.payload.get("sequence") not in self._started
+            type == COMMIT_RECEIVED and "model_pickle" in record.payload
         )
         self._log.append(
             to_jsonable(record),
@@ -659,21 +663,13 @@ class JournalScan:
     producing this report never touches the file.  ``records`` counts
     intact records, the newest being ``last_sequence`` (0 when none).
     ``corrupt_lines`` are 1-based numbers of damaged lines *followed by*
-    intact records (real corruption; replay raises); ``torn_tail_bytes``
-    is the invalid trailing region the next open would quarantine.
-    ``commit_sequences`` are the repository sequences of the intact
-    ``commit-received`` records in journal order (replay depth), and
-    ``commit_journal_sequences`` their journal sequences (commits past a
-    snapshot's anchor).  ``compacted_through`` is the highest
+    intact records (real corruption; a restore refuses it);
+    ``torn_tail_bytes`` is the invalid trailing region the next open
+    would quarantine.  ``compacted_through`` is the highest
     ``compacted-through`` boundary (0 = never compacted): records at or
     below it were dropped on purpose, and a restore needs a snapshot
     anchored at or past it.  ``pending`` counts a fleet tenant's
-    unacknowledged submissions, and ``started`` holds the repository
-    sequences of its started, not deferred, submissions (what a restore
-    replays past its snapshot's repository length).  ``missing_submissions``
-    holds the ``(journal sequence, repository sequence)`` of each
-    model-less ``commit-received`` whose submission the file does not
-    hold: past a restore's anchor, replay cannot rebuild that commit.
+    unacknowledged submissions.
     """
 
     path: Path
@@ -682,44 +678,112 @@ class JournalScan:
     last_sequence: int
     corrupt_lines: tuple[int, ...]
     torn_tail_bytes: int
-    commit_sequences: tuple[int, ...]
-    commit_journal_sequences: tuple[int, ...]
     compacted_through: int = 0
     pending: int = 0
-    started: frozenset[int] = frozenset()
-    missing_submissions: tuple[tuple[int, int], ...] = ()
 
 
-def scan_journal(path: str | Path) -> JournalScan:
-    """Classify a journal file without opening it for repair."""
-    path = Path(path)
-    journal = EventJournal(path, heal=False)
+def scan_journal(path: str | Path | EventJournal) -> JournalScan:
+    """Classify a journal file without opening it for repair.
+
+    Takes a path, or a journal already opened with ``heal=False``.
+    """
+    journal = (
+        path if isinstance(path, EventJournal) else EventJournal(path, heal=False)
+    )
     log = journal._log
-    commits, named = [], []
-    for raw in log.records((COMMIT_RECEIVED,), strict=False):
-        payload = raw.get("payload") or {}
-        if "sequence" in payload:
-            commits.append((int(payload["sequence"]), int(raw["sequence"])))
-            if "model_pickle" not in payload:
-                named.append(commits[-1])
     return JournalScan(
-        path=path,
-        exists=path.exists(),
+        path=journal.path,
+        exists=journal.path.exists(),
         records=sum(line.sequence is not None for line in log.lines),
         last_sequence=log.last_sequence,
         corrupt_lines=log.corrupt_lines,
         torn_tail_bytes=log.torn_tail_bytes,
-        commit_sequences=tuple(sequence for sequence, _ in commits),
-        commit_journal_sequences=tuple(journal for _, journal in commits),
         compacted_through=_compacted_through(log.lines),
         pending=len(journal.pending),
-        started=frozenset(journal._started),
-        missing_submissions=tuple(
-            (sequence, key)
-            for key, sequence in named
-            if key not in journal._submitted  # folded from verified lines
-        ),
     )
+
+
+class ReplayPlan(NamedTuple):
+    """What a restore from one snapshot re-runs, or why it must refuse.
+
+    ``commits`` are the payloads of the commits replay re-commits, in
+    repository order, each carrying its encoded model (``model_pickle``
+    — embedded in its ``commit-received``, or taken from the submission
+    a model-less one names) and its ``message`` and ``author``.
+    ``refusal`` is ``None`` when the restore can go ahead; otherwise it
+    says why not, and ``commits`` is empty.  ``missing_submissions``
+    are the journal sequences of the records naming a submission the
+    file does not hold.
+    """
+
+    commits: tuple[dict[str, Any], ...] = ()
+    refusal: str | None = None
+    missing_submissions: tuple[int, ...] = ()
+
+
+def replay_plan(
+    journal: EventJournal, anchor: int, repository_length: int | None
+) -> ReplayPlan:
+    """The one replay rule: what a restore from a snapshot re-commits.
+
+    The snapshot is anchored at journal sequence ``anchor`` and holds
+    ``repository_length`` commits.  From that length on, replay takes
+    each ``commit-received`` past the anchor (found through the
+    journal's index) and each started fleet submission, acknowledged or
+    not — power loss may have dropped its unsynced ``commit-received``,
+    never the fsynced submission.  Each repository sequence counts once,
+    the newest record winning.  A commit without an embedded model takes
+    its submission's, read by byte range.
+
+    A restore must refuse, and the plan says why, when the journal
+    holds a damaged line with intact records after it, when a commit
+    names a submission the file lacks, when the commits do not run
+    gap-free from the snapshot's length (journal and snapshot disagree:
+    corruption, not a crash artifact), or when the anchor lies below the
+    compaction boundary (records replay needs were dropped; retention
+    never compacts past a snapshot it keeps).  ``repository_length=None``
+    stands for an envelope written before lengths were recorded: the run
+    is then checked from its own first commit.
+    """
+    compacted = journal.compacted_through
+    if anchor < compacted:
+        return ReplayPlan(
+            refusal=f"journal {journal.path} is compacted through sequence "
+            f"{compacted}, past the snapshot's anchor {anchor}: records replay "
+            "needs were dropped"
+        )
+    floor = repository_length or 0
+    pending: dict[int, dict[str, Any]] = {}
+    named_by: dict[int, int] = {}  # repository sequence -> journal sequence
+    for key in journal._started:
+        if key >= floor:
+            pending[key], named_by[key] = {}, journal._submitted[key]
+    try:
+        for record in journal.records_of(COMMIT_RECEIVED, after=anchor):
+            key = int(record.payload["sequence"])
+            if key >= floor:
+                pending[key], named_by[key] = record.payload, record.sequence
+    except PersistenceError as exc:
+        return ReplayPlan(refusal=str(exc))
+    named = [key for key, payload in pending.items() if "model_pickle" not in payload]
+    submissions = journal.submissions(named)
+    missing = [key for key in named if key not in submissions]
+    if missing:
+        return ReplayPlan(
+            refusal=f"journal {journal.path} names the submission of commit "
+            f"{missing[0]}, which it does not hold",
+            missing_submissions=tuple(sorted(named_by[key] for key in missing)),
+        )
+    pending.update((key, submissions[key]) for key in named)
+    keys = sorted(pending)
+    start = floor if repository_length is not None or not keys else keys[0]
+    for expected, key in enumerate(keys, start):
+        if key != expected:
+            return ReplayPlan(
+                refusal=f"journal replay expected commit sequence {expected} but "
+                f"found {key}; the journal does not line up with the snapshot"
+            )
+    return ReplayPlan(commits=tuple(pending[key] for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1130,7 @@ class SnapshotStore:
 
 
 def compact_retained(
-    snapshots: SnapshotStore, journal: EventJournal | None, keep: int
+    snapshots: SnapshotStore, journal: EventJournal, keep: int
 ) -> tuple[list[Path], int]:
     """The one retention pass; returns the pruned paths and dropped records.
 
@@ -1082,7 +1146,7 @@ def compact_retained(
     through it.
     """
     pruned, retained = snapshots._retain(keep)
-    if journal is None or not retained:
+    if not retained:
         return pruned, 0
     anchor = min(info.journal_sequence for info in retained)
     if anchor <= journal.compacted_through or anchor > journal.last_sequence:
@@ -1121,9 +1185,9 @@ def open_state_dir(
 class DirectoryStateStore:
     """A :func:`open_state_dir` layout: snapshots and journal as one object.
 
-    Composes a :class:`SnapshotStore` and an (optional)
-    :class:`EventJournal`; the pair stays reachable as :attr:`snapshots`
-    / :attr:`journal` for the service's retention and operations code.
+    Composes a :class:`SnapshotStore` and an :class:`EventJournal`; the
+    pair stays reachable as :attr:`snapshots` / :attr:`journal` for the
+    service's retention, replay and operations code.
     A fleet tenant's journal is also its intake queue, and the fleet
     hands its open journal in, so a hydration neither reopens nor
     re-indexes the file.  The crash model is the module's: a snapshot is
@@ -1131,7 +1195,7 @@ class DirectoryStateStore:
     journal's durable end.
     """
 
-    def __init__(self, snapshots: SnapshotStore, journal: EventJournal | None = None):
+    def __init__(self, snapshots: SnapshotStore, journal: EventJournal):
         self.snapshots = snapshots
         self.journal = journal
 
@@ -1152,19 +1216,17 @@ class DirectoryStateStore:
         return str(self.snapshots.directory)
 
     @property
-    def journal_sequence(self) -> int | None:
-        return None if self.journal is None else self.journal.last_sequence
+    def journal_sequence(self) -> int:
+        return self.journal.last_sequence
 
     def save_snapshot(self, state: Mapping[str, Any]) -> SnapshotInfo:
-        if self.journal is not None:
-            # A snapshot must never anchor past the journal's durable end,
-            # or a power loss could reuse sequences it already covers.
-            self.journal.sync()
-        sequence = self.journal_sequence
+        # A snapshot must never anchor past the journal's durable end, or
+        # a power loss could reuse sequences it already covers.
+        self.journal.sync()
         repository = state.get("repository")
         return self.snapshots.save(
             dict(state),
-            journal_sequence=0 if sequence is None else sequence,
+            journal_sequence=self.journal.last_sequence,
             repository_length=0 if repository is None else len(repository),
         )
 
@@ -1174,12 +1236,9 @@ class DirectoryStateStore:
         return self.snapshots.load_latest(quarantine=quarantine)
 
     def append_event(self, type: str, payload: Mapping[str, Any]) -> None:
-        if self.journal is not None:
-            self.journal.append(type, dict(payload))
+        self.journal.append(type, dict(payload))
 
     def records_of(self, type: str) -> Iterable[JournalRecord]:
-        if self.journal is None:
-            return ()
         return self.journal.records_of(type)
 
     def latest_info(self) -> SnapshotInfo | None:

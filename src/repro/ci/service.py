@@ -76,6 +76,7 @@ from repro.ci.persistence import (
     compact_retained,
     decode_model,
     encode_model,
+    replay_plan,
 )
 from repro.ci.repository import ModelRepository
 from repro.core.engine import CIEngine, CommitResult
@@ -208,7 +209,7 @@ class OperationsReport:
         )
         warm = sum(1 for info in self.caches.values() if info["currsize"])
         lines.append(f"  caches        : {warm}/{len(self.caches)} warm")
-        if self.persistence_attached and self.journal_lag is not None:
+        if self.persistence_attached:
             compacted = (
                 f", compacted through seq {self.journal_compacted_through}"
                 if self.journal_compacted_through
@@ -219,11 +220,6 @@ class OperationsReport:
                 f"at journal seq {self.snapshot_journal_sequence or 0}, "
                 f"journal at seq {self.journal_sequence or 0} "
                 f"(lag {self.journal_lag} event(s){compacted})"
-            )
-        elif self.persistence_attached:
-            lines.append(
-                f"  durable state : snapshot #{self.snapshot_sequence or 0} "
-                "(no journal attached)"
             )
         else:
             lines.append("  durable state : (persistence not attached)")
@@ -472,9 +468,7 @@ class CIService:
             ),
             storage_read_only=self._storage_read_only,
             journal_compacted_through=(
-                store.journal.compacted_through
-                if store is not None and store.journal is not None
-                else None
+                store.journal.compacted_through if store is not None else None
             ),
         )
 
@@ -575,9 +569,9 @@ class CIService:
         """Journal a commit *before* its build runs.
 
         This is the record replay is driven by: it embeds the committed
-        model and is fsynced — unless the journal holds the commit's
-        fleet submission appended *started*, which it then names by
-        repository sequence, flushed only — so a crash anywhere between
+        model, which makes the journal fsync it — unless the journal
+        holds the commit's fleet submission appended *started*, which it
+        then names by repository sequence — so a crash anywhere between
         this append and the build's completion loses nothing: restore
         re-runs the evaluation deterministically from the snapshot-exact
         engine state.
@@ -591,7 +585,7 @@ class CIService:
             "author": commit.author,
             "message": commit.message,
         }
-        if store.journal is None or not store.journal.is_started(commit.sequence):
+        if not store.journal.is_started(commit.sequence):
             payload["model_pickle"] = encode_model(commit.model)
         store.append_event(COMMIT_RECEIVED, payload)
 
@@ -928,7 +922,10 @@ class CIService:
         while replaying, since the pre-crash process already delivered
         those messages.  With ``record=True`` a ``restore`` event is
         journaled afterwards; ``repro ops`` passes ``record=False`` so
-        inspection never mutates the journal.
+        inspection never mutates the journal.  What replays, and when a
+        restore refuses with :class:`PersistenceError`, is
+        :func:`~repro.ci.persistence.replay_plan`'s to say — the same
+        verdict ``repro ops --fsck`` reports.
 
         Corrupt snapshots do not stop a restore:
         :meth:`SnapshotStore.load_latest` falls back to the newest
@@ -951,17 +948,12 @@ class CIService:
             keep_snapshots=keep_snapshots,
             storage=storage,
         )
-        replayed = 0
-        if store.journal_sequence is not None:
-            replayed = service._replay_journal(info.journal_sequence)
-            if record:
-                store.append_event(
-                    RESTORE,
-                    {
-                        "snapshot_sequence": info.sequence,
-                        "replayed_commits": replayed,
-                    },
-                )
+        replayed = service._replay_journal(info.journal_sequence)
+        if record:
+            store.append_event(
+                RESTORE,
+                {"snapshot_sequence": info.sequence, "replayed_commits": replayed},
+            )
         # Snapshot plus replay is exactly what the next restore rebuilds.
         service._saved_stamp = service._unjournaled_stamp()
         return service
@@ -995,49 +987,20 @@ class CIService:
     def _replay_journal(self, anchor: int = 0) -> int:
         """Re-commit every journaled commit the snapshot predates.
 
-        Replays, from the restored repository length on, each
-        ``commit-received`` past the snapshot's journal ``anchor`` (read
-        through the journal's index) and each started fleet submission,
-        acknowledged or not — power loss may have dropped its unsynced
-        ``commit-received``, never the fsynced submission.  A commit
-        without an embedded model takes its submission's.  Deduplicates
-        by repository sequence and demands a gap-free run from the
-        restored repository head — a hole means the journal and snapshot
-        disagree, which is corruption, not a crash artifact — and a
-        ``commit-received`` naming a submission the journal does not hold
-        is the same corruption.
+        Commits the :func:`~repro.ci.persistence.replay_plan` from the
+        snapshot's journal ``anchor`` and the restored repository length,
+        or raises :class:`PersistenceError` with the plan's refusal.
+        Returns the number of commits replayed.
         """
         assert self._state_store is not None
-        journal = self._state_store.journal
-        start = len(self.repository)
-        pending: dict[int, dict[str, Any]] = {
-            key: {} for key in journal.started_at_or_past(start)
-        }
-        for record in journal.records_of(COMMIT_RECEIVED, after=anchor):
-            sequence = int(record.payload["sequence"])
-            if sequence >= start:
-                pending[sequence] = record.payload
-        named = [key for key, value in pending.items() if "model_pickle" not in value]
-        submissions = journal.submissions(named)
-        for key in named:
-            if key not in submissions:
-                raise PersistenceError(
-                    f"journal {journal.path} names the submission of commit "
-                    f"{key}, which it does not hold"
-                )
-            pending[key] = submissions[key]
+        plan = replay_plan(self._state_store.journal, anchor, len(self.repository))
+        if plan.refusal is not None:
+            raise PersistenceError(plan.refusal)
         engine_notifier = self.engine.notifier
         self._replaying = True
         self.engine.notifier = None  # replay recovers state, not side effects
         try:
-            for sequence in sorted(pending):
-                if sequence != len(self.repository):
-                    raise PersistenceError(
-                        f"journal replay expected commit sequence "
-                        f"{len(self.repository)} but found {sequence}; the "
-                        "journal does not line up with the snapshot"
-                    )
-                payload = pending[sequence]
+            for payload in plan.commits:
                 self.repository.commit(
                     decode_model(payload["model_pickle"]),
                     message=payload.get("message", ""),
@@ -1046,7 +1009,7 @@ class CIService:
         finally:
             self._replaying = False
             self.engine.notifier = engine_notifier
-        return len(pending)
+        return len(plan.commits)
 
     # -- integration-team operations --------------------------------------------------
     def install_testset(self, testset: Testset, baseline_model: Any | None = None) -> None:

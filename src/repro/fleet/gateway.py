@@ -235,11 +235,8 @@ class FleetFsckReport:
 
     @property
     def healthy(self) -> bool:
-        """Every tenant restorable, with no corrupt journal lines."""
-        return self.exists and all(
-            t.state.restorable and not t.state.journal.corrupt_lines
-            for t in self.tenants
-        )
+        """Every tenant restorable (the fsck verdict restore agrees with)."""
+        return self.exists and all(t.state.restorable for t in self.tenants)
 
     def describe(self) -> str:
         """A terminal-friendly rendering (``repro fleet --fsck``)."""

@@ -13,13 +13,12 @@ without mutating anything:
 * the journal is classified with :func:`repro.ci.persistence.scan_journal`
   — which, unlike opening an :class:`~repro.ci.persistence.EventJournal`,
   never truncates a torn trailing line;
-* the *replay depth* is computed: how many commits (and journal
-  events) lie past the newest valid snapshot — journaled past its
-  anchor, or a fleet tenant's started submissions — i.e. how much work
-  :meth:`CIService.restore` would re-run;
-* every ``commit-received`` past that snapshot's anchor that carries no
-  model must name a submission the journal holds: one that does not is
-  damage replay cannot get past.
+* the newest valid snapshot's :func:`~repro.ci.persistence.replay_plan`
+  — the rule :meth:`CIService.restore` replays by — gives the *replay
+  depth* (how many commits a restore re-runs) or the reason a restore
+  must refuse: a damaged non-trailing journal line, a commit naming a
+  submission the journal lacks, a gap in the replayed commits, or an
+  anchor below the compaction boundary.
 
 A fleet tenant's dir is scanned the same way: its intake queue lives in
 the journal, so the one scan covers both.
@@ -34,7 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.ci.persistence import JournalScan, SnapshotStore, scan_journal
+from repro.ci.persistence import (
+    EventJournal,
+    JournalScan,
+    ReplayPlan,
+    SnapshotStore,
+    replay_plan,
+    scan_journal,
+)
 from repro.exceptions import PersistenceError, SnapshotCorruptError
 
 __all__ = ["SnapshotHealth", "FsckReport", "fsck_state_dir"]
@@ -90,23 +96,21 @@ class FsckReport:
     journal:
         Read-only journal classification (torn tail *not* truncated).
     restorable:
-        Whether at least one valid snapshot exists, its anchor covers
-        the journal's compaction boundary — a journal compacted past
-        every valid snapshot would leave a replay gap, which is
-        unrestorable corruption, not a crash artifact — and every
-        commit replay takes from a submission finds it in the file.
+        Whether a valid snapshot exists and its replay plan
+        (:func:`~repro.ci.persistence.replay_plan`) lets a restore go
+        ahead — exactly when :meth:`CIService.resume` succeeds.
     restore_sequence:
         The snapshot generation a restore would load (0 when none).
     replay_commits:
-        Commits a restore from that snapshot re-runs: the journaled ones
-        past its anchor and, in a fleet tenant dir, the started
-        submissions at or past its repository length, each counted once.
+        Commits a restore from that snapshot re-runs (the plan's).
     replay_events:
         Total journal records past the anchor (commits plus the audit
         trail).
     missing_submissions:
-        Journal sequences of the ``commit-received`` records past the
-        anchor that name a submission the journal does not hold.
+        Journal sequences of the records past the anchor that name a
+        submission the journal does not hold.
+    refusal:
+        Why a restore must refuse (``None`` when restorable).
     """
 
     state_dir: Path
@@ -119,6 +123,7 @@ class FsckReport:
     replay_commits: int
     replay_events: int
     missing_submissions: tuple[int, ...] = ()
+    refusal: str | None = None
 
     def describe(self) -> str:
         """A terminal-friendly rendering (what ``repro ops --fsck`` prints)."""
@@ -171,10 +176,7 @@ class FsckReport:
                 f"across {self.replay_events} journal event(s)"
             )
         else:
-            lines.append(
-                "  restore       : IMPOSSIBLE (no valid snapshot, or a "
-                "replay gap)"
-            )
+            lines.append(f"  restore       : IMPOSSIBLE ({self.refusal})")
         return "\n".join(lines)
 
 
@@ -187,7 +189,8 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
     report instead of raising, so the doctor is safe to point anywhere.
     """
     directory = Path(state_dir)
-    journal_scan = scan_journal(directory / "journal.jsonl")
+    journal = EventJournal(directory / "journal.jsonl", heal=False)
+    journal_scan = scan_journal(journal)
     if not directory.is_dir():
         return FsckReport(
             state_dir=directory,
@@ -199,9 +202,11 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
             restore_sequence=0,
             replay_commits=0,
             replay_events=0,
+            refusal="no state directory",
         )
     store = SnapshotStore(directory / "snapshots")
     reports: list[SnapshotHealth] = []
+    recorded_length = None  # the newest valid envelope's; None: not recorded
     for sequence, path in store._entries():
         try:
             # The envelope reader checksums without unpickling payloads —
@@ -223,6 +228,7 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
                 )
             )
         else:
+            recorded_length = envelope.get("repository_length")
             reports.append(
                 SnapshotHealth(
                     sequence=sequence,
@@ -233,35 +239,13 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
                 )
             )
     valid = [report for report in reports if report.status == "valid"]
-    newest = valid[-1] if valid else None
-    anchor = newest.journal_sequence if newest is not None else 0
-    start = newest.repository_length if newest is not None else 0
-    # What CIService._replay_journal re-commits: the journaled commits
-    # past the anchor and the started submissions, both from the
-    # snapshot's repository length on, each repository sequence once.
-    replayed = {
-        sequence
-        for sequence, journal in zip(
-            journal_scan.commit_sequences, journal_scan.commit_journal_sequences
-        )
-        if journal > (anchor or 0) and sequence >= start
-    }
-    replayed.update(key for key in journal_scan.started if key >= start)
-    replay_commits = len(replayed)
-    replay_events = max(0, journal_scan.last_sequence - (anchor or 0))
-    missing = tuple(
-        journal
-        for journal, sequence in journal_scan.missing_submissions
-        if journal > (anchor or 0) and sequence >= start
-    )
-    # A compacted journal only restores from a snapshot anchored at or
-    # past the compaction boundary: anything older would need records
-    # compaction deliberately dropped.
-    restorable = (
-        newest is not None
-        and (anchor or 0) >= journal_scan.compacted_through
-        and not missing
-    )
+    if not valid:
+        plan = ReplayPlan(refusal="no valid snapshot")
+        anchor = 0
+    else:
+        anchor = valid[-1].journal_sequence
+        plan = replay_plan(journal, anchor, recorded_length)
+    restorable = plan.refusal is None
     return FsckReport(
         state_dir=directory,
         exists=True,
@@ -269,8 +253,9 @@ def fsck_state_dir(state_dir: str | Path) -> FsckReport:
         quarantined=tuple(store.quarantined()),
         journal=journal_scan,
         restorable=restorable,
-        restore_sequence=newest.sequence if newest is not None else 0,
-        replay_commits=replay_commits if restorable else 0,
-        replay_events=replay_events if restorable else 0,
-        missing_submissions=missing,
+        restore_sequence=valid[-1].sequence if valid else 0,
+        replay_commits=len(plan.commits),
+        replay_events=journal_scan.last_sequence - anchor if restorable else 0,
+        missing_submissions=plan.missing_submissions,
+        refusal=plan.refusal,
     )

@@ -103,24 +103,6 @@ __all__ = [
 exact_coverage_failure_probability_pairs = exact_coverage_failure_probability_vec
 
 
-def _check_scan_grid(grid: int, refine: int) -> tuple[int, int]:
-    """A worst-case scan needs ``grid >= 2`` cells and ``refine >= 0`` levels.
-
-    A one-cell grid evaluates only ``p = 0`` and ``p = 1``, where the
-    failure probability is zero, so every ``n`` would pass.
-    """
-    for name, value, least in (("grid", grid, 2), ("refine", refine, 0)):
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, np.integer))
-            or value < least
-        ):
-            raise InvalidParameterError(
-                f"{name} must be an integer >= {least}, got {value!r}"
-            )
-    return int(grid), int(refine)
-
-
 def exact_coverage_failure_probability(n: int, p: float, epsilon: float) -> float:
     """Exact ``Pr[|Binomial(n,p)/n - p| > epsilon]``.
 
@@ -261,28 +243,22 @@ def _scan_batch(
 
 
 @memoize("stats.tight_bounds.worst_case", maxsize=8192)
-def _worst_case_cached(
-    n: int, epsilon: float, grid: int, refine: int
-) -> tuple[float, float]:
-    return _scan_batch(n, epsilon, grid, refine)
+def _worst_case_cached(n: int, epsilon: float) -> tuple[float, float]:
+    return _scan_batch(n, epsilon, 512, 3)
 
 
-def worst_case_failure_probability(
-    n: int, epsilon: float, *, grid: int = 512, refine: int = 3
-) -> float:
+def worst_case_failure_probability(n: int, epsilon: float) -> float:
     """``max_p Pr[|hat p - p| > epsilon]`` over the unknown true mean.
 
-    Scans an initial uniform grid over ``[0, 1]`` and then refines around
-    the best cell ``refine`` times.  With ``grid=512`` the result is exact
-    to well below the tolerance at which it is consumed (the outer search
-    only needs to compare against ``delta``).  Memoized per
-    ``(n, epsilon, grid, refine)``.
+    Scans a uniform 512-cell grid over ``[0, 1]`` and then refines
+    around the best cell 3 times, which is exact to well below the
+    tolerance at which the result is consumed (the outer search only
+    needs to compare against ``delta``).  Memoized per ``(n, epsilon)``.
     """
     n = check_positive_int(n, "n")
     check_positive(epsilon, "epsilon")
-    grid, refine = _check_scan_grid(grid, refine)
     _check_size_cap(n, "n")
-    return _worst_case_cached(n, epsilon, grid, refine)[0]
+    return _worst_case_cached(n, epsilon)[0]
 
 
 @memoize("stats.tight_bounds.exceeds_delta", maxsize=16384)
@@ -411,24 +387,16 @@ def _bisect_crossing(anchor: int, exceeds: Callable[[int], bool]) -> int:
 
 
 @memoize("stats.tight_bounds.tight_sample_size", maxsize=4096)
-def _tight_sample_size_cached(
-    epsilon: float, delta: float, grid: int, refine: int, anchor: int
-) -> int:
+def _tight_sample_size_cached(epsilon: float, delta: float, anchor: int) -> int:
     def exceeds(n: int) -> bool:
         if _hoeffding_certifies(n, epsilon, delta):
             return False
-        return _exceeds_delta_batch(n, epsilon, delta, grid, refine)
+        return _exceeds_delta_batch(n, epsilon, delta, 256, 2)
 
     return _bisect_crossing(anchor, exceeds)
 
 
-def tight_sample_size(
-    epsilon: float,
-    delta: float,
-    *,
-    grid: int = 256,
-    refine: int = 2,
-) -> int:
+def tight_sample_size(epsilon: float, delta: float) -> int:
     """A small ``n`` with worst-case coverage failure at most ``delta``.
 
     This is the Section 4.3 "tight numerical bound" for a single Bernoulli
@@ -436,24 +404,15 @@ def tight_sample_size(
     test suite asserts this), and is typically 10–40% smaller.
 
     The search bisects between 1 and the Hoeffding size and returns the
-    ``n`` where the bisection crosses ``delta``.  The scan's maximum is
-    not monotone in ``n``, so that crossing need not be the minimal
-    passing ``n``: for ``epsilon=0.01``, ``delta=1.953e-7`` the search
-    returns 67750, and 67700 passes too.  Memoized per
-    ``(epsilon, delta, grid, refine)``.
-
-    Parameters
-    ----------
-    epsilon, delta:
-        Tolerance and failure probability of the guarantee.
-    grid, refine:
-        Resolution of the inner worst-case-``p`` search.
+    ``n`` where the bisection crosses ``delta``; each probe's inner
+    worst-case-``p`` scan runs a 256-cell grid refined twice.  The scan's
+    maximum is not monotone in ``n``, so that crossing need not be the
+    minimal passing ``n``: for ``epsilon=0.01``, ``delta=1.953e-7`` the
+    search returns 67750, and 67700 passes too.  Memoized per
+    ``(epsilon, delta)``.
     """
     check_positive(epsilon, "epsilon")
     check_probability(delta, "delta")
-    grid, refine = _check_scan_grid(grid, refine)
     if epsilon >= 1.0:
         return 1
-    return _tight_sample_size_cached(
-        epsilon, delta, grid, refine, _hoeffding_anchor(epsilon, delta)
-    )
+    return _tight_sample_size_cached(epsilon, delta, _hoeffding_anchor(epsilon, delta))

@@ -300,7 +300,7 @@ def test_only_commit_received_fsyncs_the_journal(tmp_path, fsyncs):
     journal.append(BUILD_RECORDED, {})
     journal.append(PROMOTION, {})
     assert len(fsyncs) == 0
-    journal.append(COMMIT_RECEIVED, {"sequence": 0})
+    journal.append(COMMIT_RECEIVED, {"sequence": 0, "model_pickle": ""})
     assert len(fsyncs) == 1
     journal.sync()  # nothing written since that fsync
     assert len(fsyncs) == 1
@@ -325,7 +325,7 @@ def test_intake_fsyncs_submissions_and_deferrals_not_acks(tmp_path, fsyncs):
     journal = queue.journal
     queue.append(FixedPredictionModel(np.array([1]), name="m"))
     assert len(fsyncs) == 1
-    journal.append(COMMIT_RECEIVED, {"sequence": 0})  # not started: fsynced
+    journal.append(COMMIT_RECEIVED, {"sequence": 0, "model_pickle": ""})  # embeds
     assert len(fsyncs) == 2
     queue.ack(0)
     assert len(fsyncs) == 2
@@ -334,7 +334,7 @@ def test_intake_fsyncs_submissions_and_deferrals_not_acks(tmp_path, fsyncs):
     queue.defer(1)
     assert len(fsyncs) == 4
     queue.append(FixedPredictionModel(np.array([1]), name="m"), started=True)
-    journal.append(COMMIT_RECEIVED, {"sequence": 2})  # started: flushed only
+    journal.append(COMMIT_RECEIVED, {"sequence": 2})  # names it: flushed only
     queue.ack(2)
     assert len(fsyncs) == 5
     assert {name for name, _ in fsyncs} == {"journal.jsonl"}

@@ -157,7 +157,6 @@ class TestEdgeCases:
         assert scan.records == 1
         assert scan.last_sequence == 3
         assert scan.compacted_through == 3
-        assert scan.commit_sequences == ()
         assert not scan.corrupt_lines
         assert scan.torn_tail_bytes == 0
 

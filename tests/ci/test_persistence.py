@@ -649,17 +649,6 @@ class TestOperationsReport:
         service.snapshot()
         assert service.operations().journal_lag == 1  # fresh marker only
 
-    def test_describe_with_store_but_no_journal(self, world, tmp_path):
-        script, testset, baseline, _ = world
-        service = make_service(script, testset, baseline)
-        store = DirectoryStateStore(SnapshotStore(tmp_path / "snaps"))
-        service.attach_persistence(store)
-        service.snapshot()
-        report = service.operations()
-        assert report.journal_lag is None
-        assert "(no journal attached)" in report.describe()
-        assert "None" not in report.describe()
-
     def test_latest_info_is_served_from_metadata_cache(self, world, tmp_path):
         # The operations surface reads snapshot metadata per report; for
         # snapshots this process saved, that must not re-unpickle the

@@ -21,7 +21,7 @@ from test_restart_parity import assert_parity  # noqa: E402
 
 from tests.fleet.conftest import reference_service, register_tenant  # noqa: E402
 
-from repro.ci.persistence import SnapshotStore, scan_journal  # noqa: E402
+from repro.ci.persistence import EventJournal, SnapshotStore, replay_plan  # noqa: E402
 from repro.ci.service import CIService  # noqa: E402
 from repro.cli import main  # noqa: E402
 from repro.exceptions import PersistenceError  # noqa: E402
@@ -194,7 +194,9 @@ def test_fsck_replay_depth_counts_started_intake_submissions(
         journal.write_bytes(b"".join(lines[:last]))
     # The commits past the snapshot replay from both logs; each counts once.
     anchor = SnapshotStore(directory / "snapshots").latest_info().journal_sequence
-    journaled = [s for s in scan_journal(journal).commit_journal_sequences if s > anchor]
+    journaled = list(EventJournal(journal, heal=False).records_of(
+        "commit-received", after=anchor
+    ))
     assert len(journaled) == (1 if cut else 2)
 
     report = fsck_state_dir(directory)
@@ -223,10 +225,16 @@ def test_intake_scan_started_excludes_deferred_submissions(make_fleet, small_wor
             fleet.submit("t", models[1], message="c1")
     fleet.drain("t")
     fleet.submit("t", models[2], message="c2")
-    scan = scan_journal(fleet.tenant_dir("t") / "journal.jsonl")
-    assert scan.started == {0, 2}
+    journal = EventJournal(fleet.tenant_dir("t") / "journal.jsonl", heal=False)
+    assert {key for key in range(3) if journal.is_started(key)} == {0, 2}
     intake = fleet._intake("t")
-    assert {key for key in range(3) if intake.is_started(key)} == scan.started
+    assert {key for key in range(3) if intake.is_started(key)} == {0, 2}
+    # Past every journal record only started submissions replay: the
+    # deferred one does not, so from length 1 the plan finds a gap.
+    plan = replay_plan(journal, journal.last_sequence, 2)
+    assert [payload["sequence"] for payload in plan.commits] == [2]
+    plan = replay_plan(journal, journal.last_sequence, 1)
+    assert "expected commit sequence 1 but found 2" in plan.refusal
 
 
 def test_fsck_reports_a_commit_naming_a_submission_the_journal_lacks(

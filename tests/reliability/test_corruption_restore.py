@@ -213,7 +213,11 @@ class TestFsck:
         store = SnapshotStore(state / "snapshots")
         journal = EventJournal(state / "journal.jsonl", sync=False)
         for number in range(1, 4):
-            store.save({"generation": number}, journal_sequence=journal.last_sequence)
+            store.save(
+                {"generation": number},
+                journal_sequence=journal.last_sequence,
+                repository_length=number - 1,
+            )
             journal.append("snapshot", {"snapshot_sequence": number})
             journal.append(
                 "commit-received", {"sequence": number - 1, "model_pickle": ""}

@@ -175,21 +175,3 @@ class TestTightSampleSize:
     )
     def test_pinned_sizes(self, epsilon, delta, size):
         assert tight_sample_size(epsilon, delta) == size
-
-
-@pytest.mark.parametrize(
-    "search",
-    [
-        lambda **scan: tight_sample_size(0.02, 1e-3, **scan),
-        lambda **scan: worst_case_failure_probability(6800, 0.02, **scan),
-    ],
-    ids=["tight_sample_size", "worst_case_failure_probability"],
-)
-@pytest.mark.parametrize(
-    "scan", [{"refine": -1}, {"grid": 1}, {"grid": 0}], ids=["refine-1", "grid1", "grid0"]
-)
-def test_degenerate_scan_grid_is_rejected(search, scan):
-    # A scan that never looks inside (0, 1) sees zero failure probability,
-    # so the search would accept n = 1 instead of the true 6800.
-    with pytest.raises(InvalidParameterError):
-        search(**scan)
